@@ -21,13 +21,11 @@ from dataclasses import dataclass, replace
 from .controller import SortPolicy
 from .errors import ConfigError
 from .model import ConverterParams
-from .testbench import DcLink, GridSource, Scenario, build_stock_system
+from .testbench import _MODES, DcLink, GridSource, Scenario, build_stock_system
 
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 log = logging.getLogger(__name__)
-
-_MODES = ("ideal_dc", "back_to_back")
 
 # section -> ordered tuple of known keys
 _SCHEMA: dict[str, tuple[str, ...]] = {

@@ -212,6 +212,21 @@ def switch_traces_from_history(record: RunRecord, phase: str) -> list[SwitchTrac
     ]
 
 
+def _transition_counts(
+    times: np.ndarray, statuses: np.ndarray, t0: float, t1: float
+) -> np.ndarray:
+    """Status transitions in each column of ``statuses`` with ``t0 < t <= t1``.
+
+    Same convention as :meth:`SwitchTrace.from_samples`: a transition is
+    timestamped at the sample where the new status first appears.
+    """
+    if statuses.min() < 0 or statuses.max() > 1:
+        raise ContractError("switch statuses must be 0 or 1")
+    t = times[1:]
+    in_window = ((t > t0) & (t <= t1))[:, None]
+    return np.add.reduce(statuses[1:] != statuses[:-1], axis=0, where=in_window)
+
+
 # ===== RUN SUMMARY =====
 
 
@@ -285,11 +300,10 @@ def summarize(
     ratio_worst = 0.0
     rmse_worst = 0.0
     n = record.n
+    t0, t1 = _check_window(window)
     for p, label in enumerate(record.labels):
-        traces = switch_traces_from_history(record, label)
-        fs = np.array(
-            [effective_switching_frequency(tr, window) for tr in traces]
-        )
+        # One on/off cycle is two transitions.
+        fs = _transition_counts(t, record.u[:, p], t0, t1) / (2.0 * (t1 - t0))
         out.fs_per_sm[label] = fs
         out.fs_arm_mean[label] = (float(fs[:n].mean()), float(fs[n:].mean()))
         fs_all.extend(fs.tolist())

@@ -9,11 +9,18 @@ Two operating modes are supported:
   power reference, so power flows through the link from converter 2 to
   converter 1.
 
-The per-step update order is: control decisions for every phase, plant
-advance for every phase, then (in back-to-back mode) one semi-implicit
-Euler update of the DC link using the freshly summed converter
-common-mode currents.  Everything is deterministic; there is no randomness anywhere
-in the loop.
+The run engine, :func:`simulate`, is a struct-of-arrays kernel: the
+state of every phase leg of every converter lives in arrays (capacitor
+voltages and statuses with one row per arm, leg currents with one entry
+per leg), and each sample is one vectorized pass over all legs.  The
+pass computes the deadbeat targets, ranks each arm's SMs, brackets the
+targets, selects the insertion counts and advances the plant, with the
+same arithmetic, in the same order, as the per-phase reference API
+(:func:`mmcsim.controller.control_step` then
+:func:`mmcsim.model.advance_phase`), so both give the same bytes.  In
+back-to-back mode one semi-implicit Euler update of the DC link then
+uses the freshly summed converter common-mode currents.  Everything is
+deterministic; there is no randomness anywhere in the loop.
 
 The controller targets alone do not regulate the total energy stored in
 the arm capacitors: tracking the AC reference steadily exports energy
@@ -29,14 +36,14 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import SortPolicy, control_step
+from .controller import SortPolicy
 from .errors import ConfigError, ContractError, SimulationDiverged
 from .metrics import RunRecord, SummaryMetrics, summarize
-from .model import ConverterParams, PhaseState, advance_phase, initial_phase_state
+from .model import ConverterParams
 
 __all__ = [
     "GridSource",
@@ -283,17 +290,22 @@ def simulate(
     reference (power feedforward, capacitor-energy trim, and the
     bus-voltage droop in back-to-back mode); with it off the controller
     receives the bare zero reference.
+
+    Raises :class:`SimulationDiverged`, naming the step, the phase and
+    the state variable, when a phase current or a DC-link state turns
+    non-finite or a capacitor voltage turns non-finite or non-positive.
     """
     if scenario.mode == "back_to_back":
         if dc_link is None:
             raise ConfigError("back_to_back mode requires a DcLink")
-        link = replace(dc_link)
-        if link.v_mmc1 == 0.0 and link.v_mmc2 == 0.0:
-            link.v_mmc1 = params.V_dc
-            link.v_mmc2 = params.V_dc
+        v_mmc1, v_mmc2, i_link = dc_link.v_mmc1, dc_link.v_mmc2, dc_link.i_link
+        if v_mmc1 == 0.0 and v_mmc2 == 0.0:
+            v_mmc1 = v_mmc2 = params.V_dc
+        c_end = 0.5 * dc_link.c_total
+        l_total = dc_link.l_total
         labels = ["1a", "1b", "1c", "2a", "2b", "2c"]
     else:
-        link = None
+        dc_link = None
         labels = ["a", "b", "c"]
 
     n_mmc = scenario.n_converters
@@ -301,113 +313,200 @@ def simulate(
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
     trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU if energy_control else 0.0
     droop_gain = 0.0
-    if link is not None and energy_control:
-        c_end = 0.5 * link.c_total
-        omega_link = math.sqrt(2.0 / (link.l_total * c_end))
+    if dc_link is not None and energy_control:
+        omega_link = math.sqrt(2.0 / (l_total * c_end))
         # Per-phase conductance giving the LC mode the target damping.
         droop_gain = 2.0 * _LINK_DROOP_ZETA * omega_link * c_end / 3.0
 
-    steps = int(round(scenario.duration / params.T_s))
-    n = params.n
-    n_cols = len(labels)
-    times = np.empty(steps)
-    rec_i = np.empty((steps, n_cols))
-    rec_i_ref = np.empty((steps, n_cols))
-    rec_i_z = np.empty((steps, n_cols))
-    rec_v_up = np.empty((steps, n_cols))
-    rec_v_low = np.empty((steps, n_cols))
-    rec_v_c = np.empty((steps, n_cols, 2 * n))
-    rec_u = np.empty((steps, n_cols, 2 * n), dtype=np.int8)
-    rec_v_dc = np.empty((steps, n_cols))
-    rec_i_dc = np.empty((steps, n_cols))
-    rec_policy: list[str] = []
-
-    v_s0 = grid.voltage(0.0)
-    phases: list[list[PhaseState]] = [
-        [initial_phase_state(params, float(v_s0[p])) for p in range(3)]
-        for _ in range(n_mmc)
-    ]
-
-    omega = grid.omega
-    amp_v = grid.amplitude
-    offsets = grid.offsets
     t_s = params.T_s
+    steps = int(round(scenario.duration / t_s))
+    n = params.n
+    n_legs = len(labels)
+    # Struct-of-arrays layout: leg r = 3*m + p of converter m, phase p
+    # is held as (m, p), so grid quantities broadcast over converters
+    # and bus quantities over phases; arm axes are (upper, lower) and
+    # SM axes physical positions.  The new plant state of each step is
+    # written straight into that step's row of the record.
+    legs = (n_mmc, 3)
+    times = np.arange(1, steps + 1, dtype=float) * t_s
+    rec_i = np.empty((steps, *legs))
+    rec_i_z = np.empty((steps, *legs))
+    rec_v_arm = np.empty((steps, *legs, 2, 1, 1))   # matmul's (1, 1) results
+    rec_v_c = np.empty((steps, *legs, 2, n))
+    rec_u = np.empty((steps, *legs, 2, n), dtype=np.int8)
+    rec_v_dc = np.empty((steps, n_legs))
+    rec_i_dc = np.empty((steps, n_legs))
+    policy = [scenario.policy_at(k * t_s) for k in range(steps)]
+    # Grid cosines at the end of each step, one per phase.
+    omega = grid.omega
+    phase_cos = np.array(
+        [math.cos(omega * ((k + 1) * t_s) + off) for k in range(steps) for off in grid.offsets]
+    ).reshape(steps, 3)
+    rec_i_ref = np.array(amps).reshape(n_mmc, 1) * phase_cos[:, None, :]
+    v_s_table = grid.amplitude * phase_cos
+
+    v_c = np.full((*legs, 2, n), params.v_sm_nominal)
+    u = np.zeros((*legs, 2, n), dtype=np.int8)
+    i = np.zeros(legs)
+    i_z = np.zeros(legs)
+    i_arm = np.zeros((*legs, 2))
+    v_s = grid.voltage(0.0)
+
+    # Flat-index offsets of each arm's run of SMs and of prefix sums.
+    arm_index = np.arange(n_mmc * 6).reshape(*legs, 2, 1)
+    sm_base = arm_index * n
+    sum_base = arm_index * (n + 1)
+    sm_span = sm_base + np.arange(n)
+    rank = np.arange(n)
+    # Candidate counts by the number c of prefix sums <= v*: (c-1, c)
+    # clamped to [0, n], so out-of-range targets give one count twice.
+    bracket = np.clip(np.arange(n + 2)[:, None] + np.array([-1, 0]), 0, n)
+    # Positions of the (upper, lower) counts of the four candidate pairs
+    # in a leg's flat (arm, candidate) table, in scan order.
+    pair_pos = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
+    leg_base = 4 * np.arange(n_mmc * 3).reshape(*legs, 1)
+    key_sign = np.array([-1.0, 1.0])
+    sums = np.zeros((*legs, 2, n + 1))
+    v_star = np.empty((*legs, 2))
+    i_arm_next = np.empty((*legs, 2))
+
+    ff_col = np.array(feedforward).reshape(n_mmc, 1)
+    v_dc = params.V_dc
+    half_v_dc = 0.5 * v_dc
     v_nom_sm = params.v_sm_nominal
-    cos = math.cos
+    k_prime = params.K_prime
+    l_prime_ts = params.L_prime / t_s
+    l_arm_ts = params.l_arm / t_s
+    ts_2l_arm = t_s / (2.0 * params.l_arm)
+    c_sm = params.C
+    w_track = params.w / (2.0 * k_prime)
+    w_circ = params.w_z * t_s / (2.0 * params.l_arm)
+    bus = v_dc
+    i_z_base = ff_col + droop_gain * (bus - v_dc)
 
     for k in range(steps):
-        t = k * t_s
-        t_next = (k + 1) * t_s
-        policy = scenario.policy_at(t)
-        wt_next = omega * t_next
+        i_ref = rec_i_ref[k]
+        v_s_next = v_s_table[k]
+        if dc_link is not None:
+            bus = np.array([[v_mmc1], [v_mmc2]])
+            i_z_base = ff_col + droop_gain * (bus - v_dc)
 
-        i_conv = [0.0] * n_mmc
-        for m in range(n_mmc):
-            bus = params.V_dc if link is None else (link.v_mmc1 if m == 0 else link.v_mmc2)
-            col0 = 3 * m
-            for p in range(3):
-                phase = phases[m][p]
-                i_ref_next = amps[m] * cos(wt_next + offsets[p])
-                i_z_ref = feedforward[m] + droop_gain * (bus - params.V_dc)
-                if trim_gain:
-                    v_mean = 0.5 * (phase.upper.v_c.mean() + phase.lower.v_c.mean())
-                    i_z_ref += trim_gain * (v_nom_sm - v_mean)
-                decision = control_step(phase, i_ref_next, policy, params, i_z_ref)
-                v_s_next = amp_v * cos(wt_next + offsets[p])
-                phase = advance_phase(phase, decision, v_s_next, params, v_dc=bus)
-                if not (math.isfinite(phase.i) and math.isfinite(phase.i_z)):
-                    raise SimulationDiverged(k, f"phase {labels[col0 + p]} currents non-finite")
-                phases[m][p] = phase
-                i_conv[m] += phase.i_z
+        # Deadbeat targets for both arms of every leg.
+        i_z_ref = i_z_base
+        if trim_gain:
+            v_mean = np.add.reduce(v_c, -1) / n
+            v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
+            i_z_ref = i_z_ref + trim_gain * (v_nom_sm - v_mean)
+        common = half_v_dc + l_arm_ts * (i_z - i_z_ref)
+        drive = k_prime * i_ref + v_s - l_prime_ts * i
+        np.subtract(common, drive, out=v_star[..., 0])
+        np.add(common, drive, out=v_star[..., 1])
 
-                col = col0 + p
-                rec_i[k, col] = phase.i
-                rec_i_ref[k, col] = i_ref_next
-                rec_i_z[k, col] = phase.i_z
-                rec_v_up[k, col] = float(np.dot(phase.upper.v_c, phase.upper.u))
-                rec_v_low[k, col] = float(np.dot(phase.lower.v_c, phase.lower.u))
-                rec_v_c[k, col, :n] = phase.upper.v_c
-                rec_v_c[k, col, n:] = phase.lower.v_c
-                rec_u[k, col, :n] = phase.upper.u
-                rec_u[k, col, n:] = phase.lower.u
+        # Ranking: stable voltage sort, ascending while the arm current
+        # charges; F1V2 then stably moves inserted SMs to the front.
+        key = v_c * key_sign[(i_arm >= 0.0).view(np.int8)][..., None]
+        order = np.argsort(key, axis=-1, kind="stable") + sm_base
+        if policy[k] is SortPolicy.F1V2:
+            promote = np.argsort(-u.reshape(-1)[order], axis=-1, kind="stable")
+            order = order.reshape(-1)[promote + sm_base]
+        if not (np.sort(order, axis=-1) == sm_span).all():
+            raise ContractError("SM ranking is not a permutation of its arm")
+        np.cumsum(v_c.reshape(-1)[order], axis=-1, out=sums[..., 1:])
 
-        if link is None:
-            times[k] = t_next
-            rec_v_dc[k, :] = params.V_dc
-            rec_i_dc[k, :] = i_conv[0]
-        else:
+        # Bracketing by counting: capacitor voltages are positive, so
+        # the prefix sums rise monotonically.
+        counts = bracket[np.add.reduce(sums <= v_star[..., None], -1)]
+        dv = v_star[..., None] - sums.reshape(-1)[counts + sum_base]
+
+        # Objective on the four (upper, lower) pairs; argmin keeps the
+        # first minimizer in scan order (upper ascending, then lower).
+        dv_up = dv[..., 0, :, None]
+        dv_low = dv[..., 1, None, :]
+        f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
+        best = f.reshape(*legs, 4).argmin(axis=-1)
+        n_ins = counts.reshape(-1)[pair_pos[best] + leg_base]
+
+        # Prefix insertion of each ranking.
+        u_next = rec_u[k]
+        u_next.reshape(-1)[order] = rank < n_ins[..., None]
+        u_f = u_next.astype(float)
+        if not (np.add.reduce(u_f, -1) == n_ins).all():
+            raise ContractError("insertion counts do not match the statuses")
+
+        # Plant: capacitors integrate the start-of-step arm currents,
+        # then the synthesized arm voltages drive both leg currents.
+        v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_next, out=rec_v_c[k])
+        v_arm = np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[k])
+        v_up = v_arm[..., 0, 0, 0]
+        v_low = v_arm[..., 1, 0, 0]
+        i = np.divide(
+            0.5 * (v_low - v_up) - v_s_next + l_prime_ts * i, k_prime, out=rec_i[k]
+        )
+        i_z = np.add(ts_2l_arm * (bus - v_low - v_up), i_z, out=rec_i_z[k])
+        half_i = 0.5 * i
+        np.add(i_z, half_i, out=i_arm_next[..., 0])
+        np.subtract(i_z, half_i, out=i_arm_next[..., 1])
+        i_arm, i_arm_next = i_arm_next, i_arm
+        u = u_next
+        v_s = v_s_next
+
+        if not (
+            np.isfinite(i).all()
+            and np.isfinite(i_z).all()
+            and v_c.min() > 0.0
+            and v_c.max() < math.inf
+        ):
+            _raise_diverged(k, labels, i, i_z, v_c)
+
+        if dc_link is not None:
             # Semi-implicit (symplectic) Euler: the line current is
             # advanced first and the fresh value feeds the bus-capacitor
             # update.  The link's end-to-end LC mode has omega*T_s of
             # order one, where the fully explicit update amplifies the
             # oscillation each step; the symplectic form is neutrally
             # stable at the same cost.
-            c_end = 0.5 * link.c_total
-            link.i_link += (t_s / link.l_total) * (link.v_mmc2 - link.v_mmc1)
-            link.v_mmc1 += (t_s / c_end) * (link.i_link - i_conv[0])
-            link.v_mmc2 += (t_s / c_end) * (-link.i_link - i_conv[1])
-            if not (math.isfinite(link.v_mmc1) and math.isfinite(link.i_link)):
-                raise SimulationDiverged(k, "DC link state non-finite")
-            times[k] = t_next
-            rec_v_dc[k, :3] = link.v_mmc1
-            rec_v_dc[k, 3:] = link.v_mmc2
-            rec_i_dc[k, :] = link.i_link
-        rec_policy.append(policy.value)
+            i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
+            i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
+            v_mmc1 += (t_s / c_end) * (i_link - i_conv[0])
+            v_mmc2 += (t_s / c_end) * (-i_link - i_conv[1])
+            for name, value in (("i_link", i_link), ("v_mmc1", v_mmc1), ("v_mmc2", v_mmc2)):
+                if not math.isfinite(value):
+                    raise SimulationDiverged(k, f"DC link {name} non-finite")
+            rec_v_dc[k, :3] = v_mmc1
+            rec_v_dc[k, 3:] = v_mmc2
+            rec_i_dc[k] = i_link
 
+    if dc_link is None:
+        rec_v_dc[:] = v_dc
+        rec_i_dc[:] = (0.0 + rec_i_z[:, 0, 0] + rec_i_z[:, 0, 1] + rec_i_z[:, 0, 2])[:, None]
+    rec_v_arm = rec_v_arm.reshape(steps, n_legs, 2)
     return RunRecord(
         times=times,
         labels=labels,
-        i=rec_i,
-        i_ref=rec_i_ref,
-        i_z=rec_i_z,
-        v_up=rec_v_up,
-        v_low=rec_v_low,
-        v_c=rec_v_c,
-        u=rec_u,
+        i=rec_i.reshape(steps, n_legs),
+        i_ref=rec_i_ref.reshape(steps, n_legs),
+        i_z=rec_i_z.reshape(steps, n_legs),
+        v_up=np.ascontiguousarray(rec_v_arm[:, :, 0]),
+        v_low=np.ascontiguousarray(rec_v_arm[:, :, 1]),
+        v_c=rec_v_c.reshape(steps, n_legs, 2 * n),
+        u=rec_u.reshape(steps, n_legs, 2 * n),
         v_dc_link=rec_v_dc,
         i_dc_link=rec_i_dc,
-        policy=rec_policy,
+        policy=[p.value for p in policy],
     )
+
+
+def _raise_diverged(
+    k: int, labels: list[str], i: np.ndarray, i_z: np.ndarray, v_c: np.ndarray
+) -> None:
+    """Raise SimulationDiverged for the first leg whose state failed."""
+    bad_current = ~(np.isfinite(i) & np.isfinite(i_z)).reshape(-1)
+    bad_capacitor = ~((v_c > 0.0) & (v_c < math.inf)).all(axis=(-2, -1)).reshape(-1)
+    for label, current, capacitor in zip(labels, bad_current, bad_capacitor):
+        if current:
+            raise SimulationDiverged(k, f"phase {label} currents non-finite")
+        if capacitor:
+            raise SimulationDiverged(k, f"phase {label} capacitor voltage non-finite or <= 0")
 
 
 def run_scenario(

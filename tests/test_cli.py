@@ -135,3 +135,15 @@ def test_invalid_config_fails_cleanly(workdir, capsys):
 def test_metrics_missing_csv_fails_cleanly(workdir, capsys):
     assert main(["metrics", str(workdir / "absent.csv")]) == 2
     assert "absent.csv" in capsys.readouterr().err
+
+
+def test_run_stops_when_a_capacitor_collapses(workdir, capsys):
+    cfg = _write(
+        workdir, "collapse.ini",
+        "[converter]\nc_sm = 2e-5\n\n"
+        "[scenario]\nmode = ideal_dc\nduration = 0.05\ni_amp = 5000\n",
+    )
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "diverged at step 274:" in err
+    assert "capacitor voltage" in err

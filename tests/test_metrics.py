@@ -292,6 +292,33 @@ def test_summarize_tiny_record_values():
     assert metrics.fs_arm_mean["a"][1] == 0.0
 
 
+def test_summarize_switching_counts_match_switch_traces():
+    record = _tiny_record()
+    # Sample times are k ms for k = 1..8; the window is (3 ms, 6 ms].
+    record.u[2:, 0, 1] = 1          # first appears at 3 ms: outside
+    record.u[3:, 0, 2] = 1          # 4 ms: inside
+    record.u[5:, 0, 2] = 0          # 6 ms: inside, on the closed end
+    record.u[6:, 0, 3] = 1          # 7 ms: outside
+    record.u[[1, 3, 5], 0, 7] = 1   # 2, 3, 4, 5, 6, 7 ms: three inside
+    window = (float(record.times[2]), float(record.times[5]))
+    metrics = summarize(record, window, 10e3)
+    expected = [
+        effective_switching_frequency(trace, window)
+        for trace in switch_traces_from_history(record, "a")
+    ]
+    assert metrics.fs_per_sm["a"].tobytes() == np.array(expected).tobytes()
+    scale = 2.0 * (window[1] - window[0])
+    counts = [round(fs * scale) for fs in expected]
+    assert counts == [1, 0, 2, 0, 0, 0, 0, 3, 0, 0, 0, 0]
+
+
+def test_summarize_rejects_non_binary_statuses():
+    record = _tiny_record()
+    record.u[3, 0, 5] = 2
+    with pytest.raises(ContractError):
+        summarize(record, (float(record.times[0]), float(record.times[-1])), 10e3)
+
+
 def test_summarize_flat_keys_are_floats():
     record = _tiny_record()
     window = (float(record.times[0]), float(record.times[-1]))
