@@ -230,6 +230,8 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from exc
+    if mode == "back_to_back":
+        dc_link.check_step(params.T_s)
 
     out = _SectionReader(parser, "output")
     output_dir = out.text("directory", DEFAULT_OUTPUT_DIR)

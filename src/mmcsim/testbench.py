@@ -148,6 +148,29 @@ class DcLink:
         """Reported link voltage: the converter-1 bus [V]."""
         return self.v_mmc1
 
+    @property
+    def omega(self) -> float:
+        """Angular frequency of the line's end-to-end LC mode [rad/s]:
+        the total inductance against the two bus capacitors in series."""
+        return math.sqrt(2.0 / (self.l_total * (0.5 * self.c_total)))
+
+    def check_step(self, t_s: float) -> None:
+        """Raise ConfigError unless the link update is stable at ``t_s``.
+
+        Semi-implicit Euler keeps an undamped oscillator of angular
+        frequency omega bounded only for omega * T_s < 2 (Hairer, Lubich
+        & Wanner, Geometric Numerical Integration, I.1); beyond it the
+        link states grow without bound.
+        """
+        wt = self.omega * t_s
+        if not wt < 2.0:
+            raise ConfigError(
+                f"[dc_link] with [converter] t_s = {t_s!r}: the line's LC mode has"
+                f" omega*t_s = {wt:.3g}, but the link update is stable only for"
+                " omega*t_s < 2, where omega = sqrt(2 / (L_total * C_total / 2));"
+                " lengthen the line or shorten t_s"
+            )
+
 
 # ===== SCENARIOS =====
 
@@ -291,13 +314,16 @@ def simulate(
     bus-voltage droop in back-to-back mode); with it off the controller
     receives the bare zero reference.
 
-    Raises :class:`SimulationDiverged`, naming the step, the phase and
-    the state variable, when a phase current or a DC-link state turns
+    Raises :class:`ConfigError` when the DC link is outside the
+    stability bound of its update (:meth:`DcLink.check_step`), and
+    :class:`SimulationDiverged`, naming the step, the phase and the
+    state variable, when a phase current or a DC-link state turns
     non-finite or a capacitor voltage turns non-finite or non-positive.
     """
     if scenario.mode == "back_to_back":
         if dc_link is None:
             raise ConfigError("back_to_back mode requires a DcLink")
+        dc_link.check_step(params.T_s)
         v_mmc1, v_mmc2, i_link = dc_link.v_mmc1, dc_link.v_mmc2, dc_link.i_link
         if v_mmc1 == 0.0 and v_mmc2 == 0.0:
             v_mmc1 = v_mmc2 = params.V_dc
@@ -314,9 +340,8 @@ def simulate(
     trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU if energy_control else 0.0
     droop_gain = 0.0
     if dc_link is not None and energy_control:
-        omega_link = math.sqrt(2.0 / (l_total * c_end))
         # Per-phase conductance giving the LC mode the target damping.
-        droop_gain = 2.0 * _LINK_DROOP_ZETA * omega_link * c_end / 3.0
+        droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
 
     t_s = params.T_s
     steps = int(round(scenario.duration / t_s))

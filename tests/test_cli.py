@@ -147,3 +147,34 @@ def test_run_stops_when_a_capacitor_collapses(workdir, capsys):
     err = capsys.readouterr().err
     assert "diverged at step 274:" in err
     assert "capacitor voltage" in err
+
+
+def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):
+    cfg = _write(workdir, "run.ini", SMALL_CONFIG)
+    assert main(["run", cfg]) == 0
+    csv_path = workdir / "out" / "run.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].split(",")[0] + "\n"
+    csv_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["metrics", str(csv_path)]) == 2
+    assert "line 4 has 1 fields" in capsys.readouterr().err
+
+
+def test_run_rejects_an_unstable_dc_link(workdir, capsys):
+    cfg = _write(
+        workdir, "short.ini",
+        "[dc_link]\nlength_km = 0.5\n\n[scenario]\nduration = 0.01\n",
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "[dc_link]" in err and "t_s" in err and "omega*t_s < 2" in err
+    assert not (workdir / "out").exists()
+
+
+def test_run_accepts_a_1_km_dc_link(workdir):
+    cfg = _write(
+        workdir, "one_km.ini",
+        "[dc_link]\nlength_km = 1.0\n\n[scenario]\nduration = 0.005\n",
+    )
+    assert main(["run", cfg]) == 0

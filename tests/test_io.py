@@ -1,9 +1,18 @@
-"""Unit tests for configuration parsing and the CSV/report persistence."""
+"""Unit tests for configuration parsing and the CSV/report persistence.
+
+The CSV writer formats only the cells that changed and the loader
+parses in C; ``OracleSink`` and ``oracle_load`` below are the per-field
+writer and loader they replaced, and the new ones must match them byte
+for byte and array by array.
+"""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmcsim.config import RunConfig, parse_config, serialize_config
 from mmcsim.controller import SortPolicy
@@ -17,6 +26,9 @@ from mmcsim.csvio import (
 from mmcsim.errors import ConfigError, ContractError
 from mmcsim.metrics import RunRecord, summarize
 from mmcsim.testbench import Scenario, build_stock_system, simulate
+
+RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
+                 "v_dc_link", "i_dc_link")
 
 
 # ---------------------------------------------------------------- config
@@ -151,6 +163,15 @@ def test_decimation_must_be_positive():
         parse_config("[output]\ndecimation = 0\n")
 
 
+def test_unstable_dc_link_rejected_in_back_to_back_mode():
+    with pytest.raises(ConfigError, match=r"\[dc_link\].*t_s.*omega\*t_s < 2"):
+        parse_config("[dc_link]\nlength_km = 0.5\n")
+    assert parse_config("[dc_link]\nlength_km = 1.0\n").dc_link.length_km == 1.0
+    # An ideal-bus run does not use the link.
+    cfg = parse_config("[dc_link]\nlength_km = 0.5\n[scenario]\nmode = ideal_dc\n")
+    assert cfg.dc_link.length_km == 0.5
+
+
 def test_schedule_beyond_duration_rejected():
     with pytest.raises(ConfigError):
         parse_config(
@@ -254,6 +275,292 @@ def test_load_rejects_headers_only(tmp_path):
     with pytest.raises(ContractError):
         load_record_csv(str(path))
 
+
+def test_sink_rejects_time_going_backwards_within_a_record(tmp_path):
+    _, record = _small_run()
+    times = record.times.copy()
+    times[5] = times[3]
+    path = tmp_path / "back.csv"
+    with TimeSeriesSink(str(path), record.n) as sink:
+        with pytest.raises(ContractError):
+            sink.write_record(replace(record, times=times))
+    assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
+
+
+@pytest.mark.parametrize("status", [2, -1, 0.5, np.nan])
+def test_sink_rejects_statuses_other_than_0_or_1(tmp_path, status):
+    _, record = _small_run()
+    u = record.u.astype(np.asarray(status).dtype)
+    u[7, 1, 3] = status
+    path = tmp_path / "status.csv"
+    with TimeSeriesSink(str(path), record.n) as sink:
+        with pytest.raises(ContractError):
+            sink.write_record(replace(record, u=u))
+    assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
+
+
+# ------------------------------------------------- writer/loader oracles
+
+
+class OracleSink:
+    """The per-field CSV writer: every field formatted on its own."""
+
+    def __init__(self, path, n):
+        self._file = open(path, "w", newline="")
+        self._file.write(",".join(csv_columns(n)) + "\n")
+        self._last_t = -np.inf
+
+    def write_record(self, record, decimation=1):
+        fmt = "%.17g"
+        out = self._file
+        for k in range(decimation - 1, record.steps, decimation):
+            t = record.times[k]
+            if t < self._last_t:
+                raise ContractError("record rows would go backwards in time")
+            self._last_t = t
+            t_text = fmt % t
+            policy = record.policy[k]
+            for p, label in enumerate(record.labels):
+                fields = [t_text, label]
+                fields += [
+                    fmt % record.i[k, p],
+                    fmt % record.i_ref[k, p],
+                    fmt % record.i_z[k, p],
+                    fmt % record.v_up[k, p],
+                    fmt % record.v_low[k, p],
+                ]
+                fields += [fmt % x for x in record.v_c[k, p]]
+                fields += [str(int(x)) for x in record.u[k, p]]
+                fields += [
+                    fmt % record.v_dc_link[k, p],
+                    fmt % record.i_dc_link[k, p],
+                    policy,
+                ]
+                out.write(",".join(fields) + "\n")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+
+def oracle_load(path):
+    """The per-field CSV loader: every field parsed with float() or int()."""
+    with open(path, newline="") as f:
+        header = f.readline().rstrip("\n").split(",")
+        n2 = sum(1 for c in header if c.startswith("v_c_"))
+        raw_rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+    labels = []
+    for row in raw_rows:
+        if row[1] in labels:
+            break
+        labels.append(row[1])
+    n_cols = len(labels)
+    steps = len(raw_rows) // n_cols
+    times = np.empty(steps)
+    shape = (steps, n_cols)
+    series = {name: np.empty(shape) for name in
+              ("i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link", "i_dc_link")}
+    v_c = np.empty((steps, n_cols, n2))
+    u = np.empty((steps, n_cols, n2), dtype=np.int8)
+    policy = []
+    for r, row in enumerate(raw_rows):
+        k, p = divmod(r, n_cols)
+        if p == 0:
+            times[k] = float(row[0])
+            policy.append(row[-1])
+        for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
+            series[name][k, p] = float(row[2 + j])
+        v_c[k, p] = [float(x) for x in row[7 : 7 + n2]]
+        u[k, p] = [int(x) for x in row[7 + n2 : 7 + 2 * n2]]
+        series["v_dc_link"][k, p] = float(row[7 + 2 * n2])
+        series["i_dc_link"][k, p] = float(row[8 + 2 * n2])
+    return RunRecord(times=times, labels=labels, v_c=v_c, u=u, policy=policy, **series)
+
+
+def _run(n, mode):
+    params, grid, link, _ = build_stock_system()
+    params = replace(params, n=n)
+    p_set = (13.18e6, -13.18e6) if mode == "back_to_back" else (13.18e6,)
+    scenario = Scenario(duration=0.003, mode=mode, p_set=p_set,
+                        events=[(0.0015, SortPolicy.F1V2)])
+    return simulate(scenario, params=params, grid=grid, dc_link=link)
+
+
+def _steps(record, sl):
+    """The rows of ``record`` selected by the step slice ``sl``."""
+    return replace(
+        record,
+        policy=record.policy[sl],
+        **{name: getattr(record, name)[sl] for name in RECORD_ARRAYS},
+    )
+
+
+def _assert_same_record(loaded, expected):
+    assert loaded.labels == expected.labels
+    assert loaded.policy == expected.policy
+    for name in RECORD_ARRAYS:
+        a, b = getattr(loaded, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _check_against_oracles(tmp_path, record, decimation=1, split=None):
+    """Write with both sinks (in two calls when ``split`` is a step
+    index) and load with both loaders; everything must agree."""
+    parts = [record] if split is None else [
+        _steps(record, slice(None, split)), _steps(record, slice(split, None))
+    ]
+    new_path, oracle_path = tmp_path / "new.csv", tmp_path / "oracle.csv"
+    with TimeSeriesSink(str(new_path), record.n) as sink:
+        for part in parts:
+            sink.write_record(part, decimation=decimation)
+    with OracleSink(str(oracle_path), record.n) as sink:
+        for part in parts:
+            sink.write_record(part, decimation=decimation)
+    assert new_path.read_bytes() == oracle_path.read_bytes()
+    _assert_same_record(load_record_csv(str(new_path)), oracle_load(str(oracle_path)))
+
+
+@pytest.mark.parametrize("decimation", [1, 3])
+@pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
+@pytest.mark.parametrize("n", [1, 6, 48])
+def test_writer_and_loader_match_oracles(tmp_path, n, mode, decimation):
+    _check_against_oracles(tmp_path, _run(n, mode), decimation=decimation)
+
+
+@pytest.mark.parametrize("decimation", [1, 3])
+def test_writer_matches_oracle_across_two_calls(tmp_path, decimation):
+    _check_against_oracles(tmp_path, _run(6, "back_to_back"), decimation, split=59)
+
+
+def test_writer_keeps_exact_text_of_signed_zeros_and_nan(tmp_path):
+    values = [1e4, -0.0, 0.0, -0.0, np.nan, np.nan, 1e300, 1e300, 0.0, 1e4]
+    steps = len(values)
+    shape = (steps, 1)
+    v_c = np.full((steps, 1, 2), 5e3)
+    v_c[:, 0, 1] = values
+    record = RunRecord(
+        times=np.arange(steps) * 1e-3,
+        labels=["a"],
+        i=np.zeros(shape),
+        i_ref=np.full(shape, -0.0),
+        i_z=np.zeros(shape),
+        v_up=np.full(shape, np.nan),
+        v_low=np.zeros(shape),
+        v_c=v_c,
+        u=np.zeros((steps, 1, 2), dtype=np.int8),
+        v_dc_link=np.full(shape, 6e4),
+        i_dc_link=np.zeros(shape),
+        policy=["V1F2"] * steps,
+    )
+    for decimation in (3, 2, 1):
+        _check_against_oracles(tmp_path, record, decimation=decimation)
+    text = (tmp_path / "new.csv").read_text().splitlines()
+    column = [line.split(",")[8] for line in text[1:]]
+    assert column == ["%.17g" % v for v in values]
+    assert column[1:4] == ["-0", "0", "-0"]
+
+
+# ------------------------------------------------------- mangled CSVs
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    """Lines of a valid 4-step, 3-phase, n = 1 run CSV, header first."""
+    params, grid, _, _ = build_stock_system()
+    record = simulate(
+        Scenario(duration=1e-4, mode="ideal_dc", p_set=(13.18e6,)),
+        params=replace(params, n=1), grid=grid,
+    )
+    path = tmp_path_factory.mktemp("tiny") / "tiny.csv"
+    with OracleSink(str(path), 1) as sink:
+        sink.write_record(record)
+    return path.read_text().splitlines()
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def _set_field(row, j, text):
+    fields = row.split(",")
+    fields[j] = text
+    return ",".join(fields)
+
+
+def test_tiny_csv_is_valid(tmp_path, tiny_csv):
+    record = load_record_csv(_write_lines(tmp_path / "tiny.csv", tiny_csv))
+    assert record.steps == 4 and record.labels == ["a", "b", "c"]
+
+
+# Columns of the n = 1 CSV: 0 t, 1 phase, 2-6 phase series, 7-8 v_c,
+# 9-10 u, 11-12 link, 13 policy.
+@pytest.mark.parametrize(
+    "line, mangle, message",
+    [
+        (3, lambda row: row.split(",")[0], "line 3 has 1 fields"),
+        (4, lambda row: row + ",0", "line 4 has 15 fields, expected 14"),
+        (5, lambda row: _set_field(row, 2, "x"), "line 5 has a field that does not parse"),
+        (2, lambda row: _set_field(row, 9, "0.5"), "line 2 has a field that does not parse"),
+        (6, lambda row: _set_field(row, 10, "2"),
+         "line 6 has a switch status other than 0 or 1"),
+        (5, lambda row: _set_field(row, 1, "b"), "line 5 breaks the phase ordering"),
+    ],
+)
+def test_load_names_the_line_of_a_mangled_row(tmp_path, tiny_csv, line, mangle, message):
+    lines = list(tiny_csv)
+    lines[line - 1] = mangle(lines[line - 1])
+    with pytest.raises(ContractError, match=message):
+        load_record_csv(_write_lines(tmp_path / "bad.csv", lines))
+
+
+def test_load_rejects_a_file_ending_inside_a_step(tmp_path, tiny_csv):
+    with pytest.raises(ContractError, match="inside a step"):
+        load_record_csv(_write_lines(tmp_path / "cut.csv", tiny_csv[:-1]))
+
+
+_NOT_NUMBERS = st.one_of(
+    st.sampled_from(["", " ", "1.2.3", "0x10", "--1", "1e", "e5", "nan1"]),
+    st.text(alphabet="gjkqwz#;:'\"", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _mangled(draw, lines):
+    """``lines`` with one mangling that leaves the CSV invalid."""
+    lines = list(lines)
+    n_rows = len(lines) - 1
+    r = draw(st.integers(1, n_rows))
+    fields = lines[r].split(",")
+    kind = draw(st.sampled_from(["truncate", "drop", "add", "swap", "token"]))
+    if kind == "truncate":
+        lines[r] = lines[r][: draw(st.integers(0, lines[r].rindex(",")))]
+    elif kind == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[r] = ",".join(fields)
+    elif kind == "add":
+        fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["0", "", "x"])))
+        lines[r] = ",".join(fields)
+    elif kind == "swap":
+        other = draw(st.integers(1, n_rows).filter(lambda o: (o - r) % 3))
+        lines[r], lines[other] = lines[other], lines[r]
+    else:
+        j = draw(st.sampled_from([0, *range(2, len(fields) - 1)]))
+        statuses = st.sampled_from(["0.5", "2", "-1", "1.0", "x"])
+        lines[r] = _set_field(lines[r], j, draw(statuses if j in (9, 10) else _NOT_NUMBERS))
+    return lines
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mangled_csv_raises_contract_error_only(tmp_path, tiny_csv, data):
+    lines = data.draw(_mangled(tiny_csv))
+    with pytest.raises(ContractError):
+        load_record_csv(_write_lines(tmp_path / "mangled.csv", lines))
 
 # --------------------------------------------------------------- reports
 

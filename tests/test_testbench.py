@@ -225,6 +225,22 @@ def test_back_to_back_run_shape():
     assert link.i_link == 0.0 and link.v_mmc1 == 60e3
 
 
+@pytest.mark.parametrize("length_km, stable", [(5.0, True), (1.0, True), (0.5, False)])
+def test_link_stability_bound(length_km, stable):
+    params, grid, _, _ = build_stock_system()
+    link = DcLink(length_km=length_km, c_per_km=16e-6, l_per_km=50e-6)
+    # omega = sqrt(2 / (L_total * C_total / 2)) scales as 1 / length:
+    # omega * T_s is 0.35 for the stock 5 km line, 1.77 at 1 km, 3.54 at 0.5 km.
+    assert link.omega * params.T_s == pytest.approx(0.35355339 * 5.0 / length_km)
+    scenario = _short_scenario(0.001, mode="back_to_back")
+    if stable:
+        link.check_step(params.T_s)
+        simulate(scenario, params=params, grid=grid, dc_link=link)
+    else:
+        with pytest.raises(ConfigError, match=r"\[dc_link\].*t_s.*omega\*t_s < 2"):
+            simulate(scenario, params=params, grid=grid, dc_link=link)
+
+
 def test_simulate_is_deterministic():
     params, grid, _, _ = build_stock_system()
     a = simulate(_short_scenario(0.005), params=params, grid=grid)
