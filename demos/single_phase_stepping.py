@@ -1,65 +1,53 @@
 #!/usr/bin/env python3
-"""Walk one phase leg step by step at the lowest API level.
+"""Follow one phase leg of a run step by step.
 
-Builds the stock 60 kV converter, then drives a single phase for two
-grid periods by calling the controller and the plant update directly.
-Every couple of milliseconds a snapshot is printed: the deadbeat arm
-targets, the chosen insertion counts, the tracking error, and the
-capacitor spread.  At the end the per-SM switching counts show how busy
-the conventional voltage-first ranking keeps the devices.
+Builds the stock 60 kV converter, runs it on an ideal bus for two grid
+periods under the conventional voltage-first ranking, then walks phase
+a of the recorded run.  Every couple of milliseconds a snapshot is
+printed: the synthesized arm voltages, the insertion counts, the
+tracking error, and the capacitor spread.  At the end the per-SM
+switching frequencies show how busy the voltage-first ranking keeps the
+devices.
 """
 
-import numpy as np
-
 from mmcsim import (
+    Scenario,
     SortPolicy,
-    advance_phase,
     build_stock_system,
-    compute_targets,
-    control_step,
-    initial_phase_state,
-    reference_current,
+    simulate,
+    summarize,
 )
 
 
 def main():
     params, grid, _, _ = build_stock_system()
     policy = SortPolicy.V1F2
-    p_set = 13.18e6
-
     duration = 2.0 / grid.frequency
-    steps = int(round(duration / params.T_s))
+    scenario = Scenario(
+        duration=duration, events=[(0.0, policy)], mode="ideal_dc", p_set=(13.18e6,)
+    )
+    record = simulate(scenario, params=params, grid=grid)
     print(f"stepping phase a for {duration * 1e3:.1f} ms "
-          f"({steps} periods of {params.T_s * 1e6:.0f} us) under {policy.value}")
-    print(f"{'t [ms]':>8} {'v_up* [kV]':>11} {'v_low* [kV]':>11} "
+          f"({record.steps} periods of {params.T_s * 1e6:.0f} us) under {policy.value}")
+    print(f"{'t [ms]':>8} {'v_up [kV]':>11} {'v_low [kV]':>11} "
           f"{'n_up':>4} {'n_low':>5} {'i [A]':>8} {'i_ref [A]':>9} "
           f"{'spread [V]':>10}")
 
-    phase = initial_phase_state(params, v_s=float(grid.voltage(0.0)[0]))
-    toggles = np.zeros(2 * params.n, dtype=int)
+    p = record.phase_index("a")
+    n = params.n
     report_every = int(2e-3 / params.T_s)
+    for k in range(0, record.steps, report_every):
+        u = record.u[k, p]
+        v_c = record.v_c[k, p]
+        print(f"{record.times[k] * 1e3:8.2f} {record.v_up[k, p] / 1e3:11.2f} "
+              f"{record.v_low[k, p] / 1e3:11.2f} {int(u[:n].sum()):4d} "
+              f"{int(u[n:].sum()):5d} {record.i[k, p]:8.1f} {record.i_ref[k, p]:9.1f} "
+              f"{v_c.max() - v_c.min():10.1f}")
 
-    for k in range(steps):
-        t_next = (k + 1) * params.T_s
-        i_ref_next = float(reference_current(p_set, grid, t_next)[0])
-        targets = compute_targets(phase, i_ref_next, params)
-        decision = control_step(phase, i_ref_next, policy, params)
-        before = np.concatenate([phase.upper.u, phase.lower.u])
-        toggles += before != decision.statuses
-        phase = advance_phase(
-            phase, decision, float(grid.voltage(t_next)[0]), params
-        )
-        if k % report_every == 0:
-            v_c = np.concatenate([phase.upper.v_c, phase.lower.v_c])
-            print(f"{t_next * 1e3:8.2f} {targets.v_up_star / 1e3:11.2f} "
-                  f"{targets.v_low_star / 1e3:11.2f} {decision.n_up:4d} "
-                  f"{decision.n_low:5d} {phase.i:8.1f} {i_ref_next:9.1f} "
-                  f"{v_c.max() - v_c.min():10.1f}")
-
-    f_s = toggles / (2.0 * duration)
+    f_s = summarize(record, (0.0, duration), params.v_sm_nominal).fs_per_sm["a"]
     print(f"\nper-SM effective switching frequency over {duration * 1e3:.1f} ms:")
-    print("  upper arm:", " ".join(f"{f:7.0f}" for f in f_s[:params.n]), "Hz")
-    print("  lower arm:", " ".join(f"{f:7.0f}" for f in f_s[params.n:]), "Hz")
+    print("  upper arm:", " ".join(f"{f:7.0f}" for f in f_s[:n]), "Hz")
+    print("  lower arm:", " ".join(f"{f:7.0f}" for f in f_s[n:]), "Hz")
     print(f"  arm average: {f_s.mean():.0f} Hz")
 
 

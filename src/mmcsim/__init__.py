@@ -3,30 +3,18 @@ predictive sorted-selection switching control.
 
 The package splits along the physical boundaries of the problem:
 
-* :mod:`mmcsim.model` — discrete-time plant: submodule capacitors,
-  arms, AC-side and circulating currents.
-* :mod:`mmcsim.controller` — per-step target voltages, capacitor
-  sorting policies, and insertion-count selection.
+* :mod:`mmcsim.model` — the converter's electrical constants.
+* :mod:`mmcsim.controller` — the capacitor sorting policies.
 * :mod:`mmcsim.metrics` — switching frequency, ripple, circulating
   ratio, tracking error, powers.
-* :mod:`mmcsim.testbench` — grid, DC link, scenarios, the closed-loop
-  run engine.
+* :mod:`mmcsim.testbench` — grid, DC link, scenarios, and the run
+  engine that steps controller and plant for every phase leg at once.
 * :mod:`mmcsim.config` / :mod:`mmcsim.csvio` / :mod:`mmcsim.cli` —
   configuration files, deterministic CSV persistence, and the
   ``mmcsim`` command.
 """
 
-from .controller import (
-    SortPolicy,
-    SortedArm,
-    TargetVoltages,
-    compute_targets,
-    control_step,
-    cumulative_sums,
-    objective_f,
-    select_submodules,
-    sort_arm,
-)
+from .controller import SortPolicy
 from .errors import (
     ConfigError,
     ContractError,
@@ -36,34 +24,17 @@ from .errors import (
 from .metrics import (
     RunRecord,
     SummaryMetrics,
-    SwitchTrace,
     circulating_ratio,
-    effective_switching_frequency,
     ripple_percent,
     summarize,
-    switch_traces_from_history,
     tracking_rmse,
 )
-from .model import (
-    ArmState,
-    ConverterParams,
-    PhaseState,
-    SubmoduleState,
-    SwitchDecision,
-    advance_phase,
-    arm_voltage,
-    decompose_arm_currents,
-    initial_phase_state,
-    predict_capacitor_voltage,
-    step_ac_current,
-    step_circulating_current,
-)
+from .model import ConverterParams
 from .testbench import (
     DcLink,
     GridSource,
     Scenario,
     build_stock_system,
-    reference_current,
     run_scenario,
     simulate,
 )
@@ -71,46 +42,23 @@ from .testbench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmState",
     "ConfigError",
     "ContractError",
     "ConverterParams",
     "DcLink",
     "GridSource",
     "MetricWindowError",
-    "PhaseState",
     "RunRecord",
     "Scenario",
     "SimulationDiverged",
     "SortPolicy",
-    "SortedArm",
-    "SubmoduleState",
     "SummaryMetrics",
-    "SwitchDecision",
-    "SwitchTrace",
-    "TargetVoltages",
-    "advance_phase",
-    "arm_voltage",
     "build_stock_system",
     "circulating_ratio",
-    "compute_targets",
-    "control_step",
-    "cumulative_sums",
-    "decompose_arm_currents",
-    "effective_switching_frequency",
-    "initial_phase_state",
-    "objective_f",
-    "predict_capacitor_voltage",
-    "reference_current",
     "ripple_percent",
     "run_scenario",
-    "select_submodules",
     "simulate",
-    "sort_arm",
-    "step_ac_current",
-    "step_circulating_current",
     "summarize",
-    "switch_traces_from_history",
     "tracking_rmse",
     "__version__",
 ]

@@ -190,9 +190,6 @@ def parse_config(text: str) -> RunConfig:
             length_km=link_r.number("length_km", d_link.length_km),
             c_per_km=link_r.number("c_per_km", d_link.c_per_km),
             l_per_km=link_r.number("l_per_km", d_link.l_per_km),
-            v_mmc1=params.V_dc,
-            v_mmc2=params.V_dc,
-            i_link=0.0,
         )
     except ValueError as exc:
         raise ConfigError(f"[dc_link] {exc}") from exc

@@ -1,6 +1,7 @@
 """Predictive switching controller with sorting-based submodule selection.
 
-Each control step works on one phase leg:
+Each control step of :func:`mmcsim.testbench.simulate` works on every
+phase leg at once:
 
 1. Deadbeat arm-voltage targets are computed so that, if synthesized
    exactly, the AC current lands on its reference and the circulating
@@ -26,25 +27,9 @@ make every decision deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import ContractError
-from .model import ArmState, ConverterParams, PhaseState, SwitchDecision
-
-__all__ = [
-    "SortPolicy",
-    "TargetVoltages",
-    "SortedArm",
-    "compute_targets",
-    "objective_f",
-    "sort_arm",
-    "cumulative_sums",
-    "select_submodules",
-    "control_step",
-]
+__all__ = ["SortPolicy"]
 
 
 class SortPolicy(Enum):
@@ -52,171 +37,3 @@ class SortPolicy(Enum):
 
     V1F2 = "V1F2"   # voltage-first ranking, conventional balancing
     F1V2 = "F1V2"   # status-first ranking, reduced switching frequency
-
-
-@dataclass(frozen=True)
-class TargetVoltages:
-    """Deadbeat arm-voltage targets [V] for one phase and one step."""
-
-    v_up_star: float
-    v_low_star: float
-
-
-@dataclass
-class SortedArm:
-    """An arm's SM ranking for one decision.
-
-    ``order`` holds physical SM indices, most-preferred first; the SM
-    ranked k-th is inserted whenever the chosen count exceeds k.
-    ``sorted_voltages`` are the measured capacitor voltages in that
-    order.
-    """
-
-    order: np.ndarray            # (n,) physical indices
-    sorted_voltages: np.ndarray  # (n,) [V]
-
-    def __post_init__(self):
-        self.order = np.asarray(self.order, dtype=np.intp)
-        self.sorted_voltages = np.asarray(self.sorted_voltages, dtype=float)
-        n = self.order.shape[0]
-        if self.sorted_voltages.shape != (n,):
-            raise ContractError("order and sorted_voltages must have equal length")
-        if not np.array_equal(np.sort(self.order), np.arange(n)):
-            raise ContractError("order must be a permutation of 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return self.order.shape[0]
-
-
-def compute_targets(
-    phase: PhaseState,
-    i_ref_next: float,
-    params: ConverterParams,
-    i_z_ref: float = 0.0,
-) -> TargetVoltages:
-    """Arm-voltage targets that deadbeat both leg currents.
-
-    The common-mode part steers the circulating current to ``i_z_ref``
-    (zero by default) one step ahead; the differential part steers the
-    AC current to ``i_ref_next``.  Uses the measured grid voltage held
-    from the current step.
-    """
-    common = 0.5 * params.V_dc + (params.l_arm / params.T_s) * (phase.i_z - i_z_ref)
-    drive = (
-        params.K_prime * i_ref_next
-        + phase.v_s
-        - (params.L_prime / params.T_s) * phase.i
-    )
-    return TargetVoltages(v_up_star=common - drive, v_low_star=common + drive)
-
-
-def objective_f(dv_up: float, dv_low: float, params: ConverterParams) -> float:
-    """Weighted cost of a pair of arm-voltage deviations [A].
-
-    ``dv_up`` and ``dv_low`` are target-minus-synthesized deviations.
-    Their difference maps to the AC-current error and their sum to the
-    circulating-current error; both are weighted in ampere units.
-    """
-    track = (params.w / (2.0 * params.K_prime)) * abs(dv_low - dv_up)
-    circ = (params.w_z * params.T_s / (2.0 * params.l_arm)) * abs(dv_low + dv_up)
-    return track + circ
-
-
-def sort_arm(arm: ArmState, policy: SortPolicy, params: ConverterParams) -> SortedArm:
-    """Rank an arm's SMs for insertion under the given policy.
-
-    The voltage key is ascending while the arm current charges inserted
-    capacitors (``i_arm >= 0``) and descending while it discharges them.
-    ``F1V2`` then stably promotes currently inserted SMs ahead of
-    bypassed ones, preserving the voltage order inside each group.  All
-    sorts are stable with the physical index as the final tiebreak.
-    """
-    key = arm.v_c if arm.i_arm >= 0.0 else -arm.v_c
-    order = np.argsort(key, kind="stable")
-    if policy is SortPolicy.F1V2:
-        order = order[np.argsort(-arm.u[order], kind="stable")]
-    elif policy is not SortPolicy.V1F2:
-        raise ContractError(f"unknown sort policy: {policy!r}")
-    return SortedArm(order=order, sorted_voltages=arm.v_c[order])
-
-
-def cumulative_sums(sorted_arm: SortedArm) -> np.ndarray:
-    """Achievable arm voltages for prefix insertion: [0, a_1, ..., a_n].
-
-    Entry k is the voltage synthesized by inserting the k best-ranked
-    SMs; entry 0 is always exactly 0.
-    """
-    sums = np.empty(sorted_arm.n + 1)
-    sums[0] = 0.0
-    np.cumsum(sorted_arm.sorted_voltages, out=sums[1:])
-    return sums
-
-
-def _bracket_counts(sums: np.ndarray, v_star: float) -> tuple[int, ...]:
-    """Candidate insertion counts whose prefix voltages bracket a target.
-
-    In-range targets return the two counts with sums[k] <= v* < sums[k+1];
-    targets below zero or at/above the full sum clamp to a single count.
-    """
-    n = sums.shape[0] - 1
-    if v_star < 0.0:
-        return (0,)
-    if v_star >= sums[n]:
-        return (n,)
-    k = int(np.searchsorted(sums, v_star, side="right")) - 1
-    return (k, k + 1)
-
-
-def select_submodules(
-    sorted_up: SortedArm,
-    sorted_low: SortedArm,
-    targets: TargetVoltages,
-    params: ConverterParams,
-) -> SwitchDecision:
-    """Choose insertion counts for both arms and build the status vector.
-
-    Evaluates the weighted objective on the at-most-four bracketing
-    count pairs and keeps the first minimizer in scan order (upper count
-    ascending, then lower count ascending).  The chosen counts insert a
-    prefix of each arm's ranking.
-    """
-    if sorted_up.n != sorted_low.n:
-        raise ContractError("arm rankings must have equal SM counts")
-    n = sorted_up.n
-
-    alpha = cumulative_sums(sorted_up)
-    beta = cumulative_sums(sorted_low)
-    best_f = None
-    best = (0, 0)
-    for ku in _bracket_counts(alpha, targets.v_up_star):
-        dv_up = targets.v_up_star - alpha[ku]
-        for kl in _bracket_counts(beta, targets.v_low_star):
-            f = objective_f(dv_up, targets.v_low_star - beta[kl], params)
-            if best_f is None or f < best_f:
-                best_f = f
-                best = (ku, kl)
-
-    n_up, n_low = best
-    statuses = np.zeros(2 * n, dtype=np.int8)
-    statuses[sorted_up.order[:n_up]] = 1
-    statuses[n + sorted_low.order[:n_low]] = 1
-    return SwitchDecision(statuses=statuses, n_up=n_up, n_low=n_low)
-
-
-def control_step(
-    phase: PhaseState,
-    i_ref_next: float,
-    policy: SortPolicy,
-    params: ConverterParams,
-    i_z_ref: float = 0.0,
-) -> SwitchDecision:
-    """One full decision for one phase: targets, ranking, selection.
-
-    Pure function of the measured phase state, the reference, and the
-    parameters; repeated calls with equal inputs return equal decisions.
-    """
-    targets = compute_targets(phase, i_ref_next, params, i_z_ref)
-    sorted_up = sort_arm(phase.upper, policy, params)
-    sorted_low = sort_arm(phase.lower, policy, params)
-    return select_submodules(sorted_up, sorted_low, targets, params)

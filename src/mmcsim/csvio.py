@@ -169,7 +169,9 @@ def load_record_csv(path: str) -> RunRecord:
 
     Raises ContractError, naming the 1-based line of the file, when a row
     has the wrong number of fields, breaks the phase order, holds a field
-    that is not a number or a status other than 0 or 1.
+    that is not a number or a status other than 0 or 1, has a time or a
+    policy other than the first row of its step, or starts a step earlier
+    than the step before.
     """
     with open(path, newline="") as f:
         header = f.readline().rstrip("\n").split(",")
@@ -206,7 +208,13 @@ def load_record_csv(path: str) -> RunRecord:
             f" {n_cols} phases"
         )
     steps = len(rows) // n_cols
-    policy = [rows[r].rpartition(",")[2].rstrip("\n") for r in range(0, len(rows), n_cols)]
+    row_policy = [row.rpartition(",")[2].rstrip("\n") for row in rows]
+    policy = row_policy[::n_cols]
+    for r, name in enumerate(row_policy):
+        if name != policy[r // n_cols]:
+            raise ContractError(
+                f"{path!r}: line {line_no[r]} has a policy other than its step's first row"
+            )
 
     data = _parse_numeric(path, rows, line_no, n2)
     del rows  # free the text before the arrays are copied out
@@ -216,6 +224,18 @@ def load_record_csv(path: str) -> RunRecord:
             f"{path!r}: line {line_no[bad[0]]} has a switch status other than 0 or 1"
         )
     head = data["head"].reshape(steps, n_cols, -1)
+    # Every row of a step repeats the step's time text, hence its bits.
+    t_bits = head[:, :, 0].view(np.int64)
+    bad = np.flatnonzero(t_bits != t_bits[:, :1])
+    if bad.size:
+        raise ContractError(
+            f"{path!r}: line {line_no[bad[0]]} has a time other than its step's first row"
+        )
+    back = np.flatnonzero(head[1:, 0, 0] < head[:-1, 0, 0])
+    if back.size:
+        raise ContractError(
+            f"{path!r}: line {line_no[(back[0] + 1) * n_cols]} goes back in time"
+        )
     tail = data["tail"].reshape(steps, n_cols, 2)
     return RunRecord(
         times=head[:, 0, 0].copy(),

@@ -20,14 +20,11 @@ import numpy as np
 from .errors import ContractError, MetricWindowError
 
 __all__ = [
-    "SwitchTrace",
     "RunRecord",
     "SummaryMetrics",
-    "effective_switching_frequency",
     "ripple_percent",
     "circulating_ratio",
     "tracking_rmse",
-    "switch_traces_from_history",
     "summarize",
 ]
 
@@ -35,66 +32,11 @@ __all__ = [
 # ===== ELEMENTARY METRICS =====
 
 
-@dataclass
-class SwitchTrace:
-    """Ordered (time, new_status) events of a single submodule."""
-
-    events: list[tuple[float, int]]
-
-    def __post_init__(self):
-        last_t = -np.inf
-        last_u = None
-        for t, u in self.events:
-            if u not in (0, 1):
-                raise ContractError(f"switch status must be 0 or 1, got {u}")
-            if t < last_t:
-                raise ContractError("switch event times must be non-decreasing")
-            if u == last_u:
-                raise ContractError("consecutive switch events must change status")
-            last_t, last_u = t, u
-
-    @classmethod
-    def from_samples(
-        cls, times: np.ndarray, statuses: np.ndarray, initial: int | None = None
-    ) -> "SwitchTrace":
-        """Build a trace from sampled statuses.
-
-        An event is recorded at each sample whose status differs from
-        the previous sample; the first sample is compared against
-        ``initial`` when given, otherwise it produces no event.
-        """
-        times = np.asarray(times, dtype=float)
-        statuses = np.asarray(statuses)
-        if times.shape != statuses.shape:
-            raise ContractError("times and statuses must have equal length")
-        events: list[tuple[float, int]] = []
-        prev = initial
-        for t, u in zip(times, statuses):
-            u = int(u)
-            if prev is not None and u != prev:
-                events.append((float(t), u))
-            prev = u
-        return cls(events)
-
-
 def _check_window(window: tuple[float, float]) -> tuple[float, float]:
     t0, t1 = window
     if not (t1 > t0):
         raise MetricWindowError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
     return t0, t1
-
-
-def effective_switching_frequency(
-    trace: SwitchTrace, window: tuple[float, float]
-) -> float:
-    """Switching frequency of one SM over a window [Hz].
-
-    Counts status transitions with ``t0 < t <= t1`` and divides by twice
-    the window length (one on/off cycle is two transitions).
-    """
-    t0, t1 = _check_window(window)
-    count = sum(1 for t, _ in trace.events if t0 < t <= t1)
-    return count / (2.0 * (t1 - t0))
 
 
 def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -203,24 +145,15 @@ class RunRecord:
             raise ContractError(f"unknown phase label {label!r}") from None
 
 
-def switch_traces_from_history(record: RunRecord, phase: str) -> list[SwitchTrace]:
-    """Per-SM switch traces of one phase, from consecutive recorded rows."""
-    p = record.phase_index(phase)
-    return [
-        SwitchTrace.from_samples(record.times, record.u[:, p, j])
-        for j in range(2 * record.n)
-    ]
-
-
 def _transition_counts(
     times: np.ndarray, statuses: np.ndarray, t0: float, t1: float
 ) -> np.ndarray:
     """Status transitions in each column of ``statuses`` with ``t0 < t <= t1``.
 
-    Same convention as :meth:`SwitchTrace.from_samples`: a transition is
-    timestamped at the sample where the new status first appears.
+    A transition is timestamped at the sample where the new status first
+    appears.  Statuses other than 0 or 1 (NaN included) are refused.
     """
-    if statuses.min() < 0 or statuses.max() > 1:
+    if np.count_nonzero(statuses == 0) + np.count_nonzero(statuses == 1) != statuses.size:
         raise ContractError("switch statuses must be 0 or 1")
     t = times[1:]
     in_window = ((t > t0) & (t <= t1))[:, None]

@@ -1,4 +1,4 @@
-"""Discrete-time plant model of a modular multilevel converter phase leg.
+"""Electrical constants of a modular multilevel converter.
 
 One phase leg consists of an upper and a lower arm, each a series string
 of ``n`` half-bridge submodules (SMs).  An inserted SM (status 1) places
@@ -12,33 +12,18 @@ The plant advances on a fixed sampling period ``T_s``:
 * the arm-voltage sum error against the DC bus drives the circulating
   current through the two arm inductors.
 
-All transition functions are pure: they take state objects and return
-new ones (or plain numbers) without mutating their inputs.
+:func:`mmcsim.testbench.simulate` steps that plant for every phase leg
+at once; this module holds the constants it is stepped with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ContractError
 
-__all__ = [
-    "ConverterParams",
-    "SubmoduleState",
-    "ArmState",
-    "PhaseState",
-    "SwitchDecision",
-    "predict_capacitor_voltage",
-    "arm_voltage",
-    "step_ac_current",
-    "step_circulating_current",
-    "decompose_arm_currents",
-    "advance_phase",
-    "initial_phase_state",
-]
+__all__ = ["ConverterParams"]
 
 
 # ===== PARAMETERS =====
@@ -106,236 +91,3 @@ class ConverterParams:
     def v_sm_nominal(self) -> float:
         """Nominal submodule capacitor voltage V_dc/n [V]."""
         return self.V_dc / self.n
-
-
-# ===== STATE CONTAINERS =====
-
-
-@dataclass(frozen=True)
-class SubmoduleState:
-    """Capacitor voltage [V] and insertion status (0 or 1) of one SM."""
-
-    v_c: float
-    u: int
-
-    def __post_init__(self):
-        if self.u not in (0, 1):
-            raise ContractError(f"submodule status must be 0 or 1, got {self.u}")
-
-
-@dataclass
-class ArmState:
-    """One arm: per-SM capacitor voltages, statuses, and the arm current.
-
-    ``v_c`` and ``u`` are indexed by fixed physical SM position; the
-    ordering never changes over a run.  ``side`` is "upper" or "lower".
-    """
-
-    v_c: np.ndarray          # (n,) capacitor voltages [V]
-    u: np.ndarray            # (n,) insertion statuses, 0/1
-    i_arm: float             # arm current [A]
-    side: str
-
-    def __post_init__(self):
-        self.v_c = np.asarray(self.v_c, dtype=float)
-        self.u = np.asarray(self.u, dtype=np.int8)
-        if self.v_c.ndim != 1 or self.v_c.shape != self.u.shape:
-            raise ContractError("v_c and u must be 1-D arrays of equal length")
-        if self.side not in ("upper", "lower"):
-            raise ContractError(f"side must be 'upper' or 'lower', got {self.side!r}")
-        if not np.all((self.u == 0) | (self.u == 1)):
-            raise ContractError("arm statuses must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return self.v_c.shape[0]
-
-    @property
-    def submodules(self) -> list[SubmoduleState]:
-        """Per-SM view in physical order (copies, not live references)."""
-        return [SubmoduleState(float(v), int(s)) for v, s in zip(self.v_c, self.u)]
-
-
-@dataclass
-class PhaseState:
-    """Full electrical state of one phase leg at a sampling instant."""
-
-    upper: ArmState
-    lower: ArmState
-    i: float                 # AC-side output current [A]
-    i_z: float               # circulating current [A]
-    v_s: float               # grid phase voltage at the current step [V]
-
-    def __post_init__(self):
-        if self.upper.n != self.lower.n:
-            raise ContractError("upper and lower arms must have equal SM counts")
-
-    @property
-    def n(self) -> int:
-        return self.upper.n
-
-
-@dataclass
-class SwitchDecision:
-    """Next-step insertion statuses for the 2n SMs of one phase.
-
-    ``statuses`` holds the upper arm in positions 0..n-1 and the lower
-    arm in positions n..2n-1, both in physical SM order.
-    """
-
-    statuses: np.ndarray     # (2n,) 0/1
-    n_up: int                # inserted count, upper arm
-    n_low: int               # inserted count, lower arm
-
-    def __post_init__(self):
-        self.statuses = np.asarray(self.statuses, dtype=np.int8)
-        if self.statuses.ndim != 1 or self.statuses.shape[0] % 2 != 0:
-            raise ContractError("statuses must be a 1-D array of even length 2n")
-        if not np.all((self.statuses == 0) | (self.statuses == 1)):
-            raise ContractError("statuses must be 0 or 1")
-        n = self.statuses.shape[0] // 2
-        if int(self.statuses[:n].sum()) != self.n_up:
-            raise ContractError("n_up does not match the upper-arm statuses")
-        if int(self.statuses[n:].sum()) != self.n_low:
-            raise ContractError("n_low does not match the lower-arm statuses")
-
-
-# ===== STATE TRANSITIONS =====
-
-
-def predict_capacitor_voltage(
-    sm: SubmoduleState, i_arm: float, u_next: int, params: ConverterParams
-) -> float:
-    """Next-step capacitor voltage of one SM.
-
-    An inserted SM (``u_next = 1``) integrates the arm current held at
-    its start-of-step value; a bypassed SM keeps its voltage.
-    """
-    if u_next not in (0, 1):
-        raise ContractError(f"u_next must be 0 or 1, got {u_next}")
-    return sm.v_c + (params.T_s * i_arm / params.C) * u_next
-
-
-def _predict_arm_capacitors(
-    v_c: np.ndarray, i_arm: float, u_next: np.ndarray, params: ConverterParams
-) -> np.ndarray:
-    """Vectorized next-step capacitor voltages for one whole arm."""
-    return v_c + (params.T_s * i_arm / params.C) * u_next
-
-
-def arm_voltage(arm: ArmState, statuses: np.ndarray, params: ConverterParams) -> float:
-    """Predicted arm voltage for a candidate status vector.
-
-    Sums the next-step capacitor voltages of the SMs that ``statuses``
-    inserts, i.e. the voltage the arm would synthesize one step ahead.
-    """
-    statuses = np.asarray(statuses)
-    if statuses.shape != arm.v_c.shape:
-        raise ContractError("statuses length must equal the arm SM count")
-    if not np.all((statuses == 0) | (statuses == 1)):
-        raise ContractError("statuses must be 0 or 1")
-    v_next = _predict_arm_capacitors(arm.v_c, arm.i_arm, statuses, params)
-    return float(np.dot(v_next, statuses))
-
-
-def step_ac_current(
-    phase: PhaseState,
-    v_up_next: float,
-    v_low_next: float,
-    v_s_next: float,
-    params: ConverterParams,
-) -> float:
-    """Next-step AC-side current from the synthesized arm voltages."""
-    drive = 0.5 * (v_low_next - v_up_next) - v_s_next
-    return (drive + (params.L_prime / params.T_s) * phase.i) / params.K_prime
-
-
-def step_circulating_current(
-    phase: PhaseState,
-    v_up_next: float,
-    v_low_next: float,
-    params: ConverterParams,
-    v_dc: float | None = None,
-) -> float:
-    """Next-step circulating current from the arm-voltage sum error.
-
-    ``v_dc`` is the actual DC bus voltage seen by the leg; it defaults
-    to the nominal ``params.V_dc`` (an ideal stiff bus).
-    """
-    bus = params.V_dc if v_dc is None else v_dc
-    return (params.T_s / (2.0 * params.l_arm)) * (bus - v_low_next - v_up_next) + phase.i_z
-
-
-def decompose_arm_currents(i: float, i_z: float) -> tuple[float, float]:
-    """Split the leg currents into (i_up, i_low) = (i_z + i/2, i_z - i/2)."""
-    return i_z + 0.5 * i, i_z - 0.5 * i
-
-
-def advance_phase(
-    phase: PhaseState,
-    decision: SwitchDecision,
-    v_s_next: float,
-    params: ConverterParams,
-    v_dc: float | None = None,
-) -> PhaseState:
-    """Apply a switch decision and advance the plant by one period.
-
-    Update order: capacitor voltages (arm currents held at their
-    start-of-step values), then arm voltages, then the AC and
-    circulating currents, then the arm-current decomposition.
-
-    Parameters
-    ----------
-    phase : PhaseState
-        State at the current step.
-    decision : SwitchDecision
-        Statuses to apply for the coming interval (2n entries).
-    v_s_next : float
-        Grid phase voltage at the end of the step [V].
-    params : ConverterParams
-        Converter constants.
-    v_dc : float, optional
-        Actual DC bus voltage [V]; defaults to the nominal value.
-
-    Returns
-    -------
-    PhaseState
-        State at the next step; the input state is left untouched.
-    """
-    n = phase.n
-    if decision.statuses.shape[0] != 2 * n:
-        raise ContractError(
-            f"decision has {decision.statuses.shape[0]} statuses, expected {2 * n}"
-        )
-    u_up = decision.statuses[:n]
-    u_low = decision.statuses[n:]
-
-    v_c_up = _predict_arm_capacitors(phase.upper.v_c, phase.upper.i_arm, u_up, params)
-    v_c_low = _predict_arm_capacitors(phase.lower.v_c, phase.lower.i_arm, u_low, params)
-    v_up_next = float(np.dot(v_c_up, u_up))
-    v_low_next = float(np.dot(v_c_low, u_low))
-
-    i_next = step_ac_current(phase, v_up_next, v_low_next, v_s_next, params)
-    i_z_next = step_circulating_current(phase, v_up_next, v_low_next, params, v_dc)
-    i_up, i_low = decompose_arm_currents(i_next, i_z_next)
-
-    return PhaseState(
-        upper=ArmState(v_c_up, u_up.copy(), i_up, "upper"),
-        lower=ArmState(v_c_low, u_low.copy(), i_low, "lower"),
-        i=i_next,
-        i_z=i_z_next,
-        v_s=v_s_next,
-    )
-
-
-def initial_phase_state(params: ConverterParams, v_s: float = 0.0) -> PhaseState:
-    """Nominal start: capacitors at V_dc/n, all SMs bypassed, currents zero."""
-    v_nom = np.full(params.n, params.v_sm_nominal)
-    zeros = np.zeros(params.n, dtype=np.int8)
-    return PhaseState(
-        upper=ArmState(v_nom.copy(), zeros.copy(), 0.0, "upper"),
-        lower=ArmState(v_nom.copy(), zeros.copy(), 0.0, "lower"),
-        i=0.0,
-        i_z=0.0,
-        v_s=v_s,
-    )

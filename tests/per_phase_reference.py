@@ -1,0 +1,520 @@
+"""Per-phase scalar reference of the controller, the plant and the
+switch-trace metrics.
+
+This is the scalar API the package shipped before its array kernel
+(``mmcsim.testbench.simulate``): one phase leg at a time, fresh state
+objects on every step, every invariant checked in the constructors.
+It is kept here, outside the package, as the oracle the tests hold the
+kernel and the paper's formulas against:
+
+* plant: ``SubmoduleState``, ``ArmState``, ``PhaseState``,
+  ``SwitchDecision`` and ``advance_phase`` with its helpers;
+* controller: ``compute_targets``, ``sort_arm``, ``select_submodules``
+  and ``control_step`` (targets, ranking, selection);
+* references: ``reference_current``, the three-phase current reference
+  for a power setpoint;
+* switch traces: ``SwitchTrace``, ``effective_switching_frequency`` and
+  ``switch_traces_from_history``, the event-list counterpart of
+  ``summarize``'s transition counts.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from mmcsim.controller import SortPolicy
+from mmcsim.errors import ConfigError, ContractError
+from mmcsim.metrics import RunRecord, _check_window
+from mmcsim.model import ConverterParams
+from mmcsim.testbench import _PHASE_OFFSETS, GridSource
+
+
+# ===== STATE CONTAINERS =====
+
+
+@dataclass(frozen=True)
+class SubmoduleState:
+    """Capacitor voltage [V] and insertion status (0 or 1) of one SM."""
+
+    v_c: float
+    u: int
+
+    def __post_init__(self):
+        if self.u not in (0, 1):
+            raise ContractError(f"submodule status must be 0 or 1, got {self.u}")
+
+
+@dataclass
+class ArmState:
+    """One arm: per-SM capacitor voltages, statuses, and the arm current.
+
+    ``v_c`` and ``u`` are indexed by fixed physical SM position; the
+    ordering never changes over a run.  ``side`` is "upper" or "lower".
+    """
+
+    v_c: np.ndarray          # (n,) capacitor voltages [V]
+    u: np.ndarray            # (n,) insertion statuses, 0/1
+    i_arm: float             # arm current [A]
+    side: str
+
+    def __post_init__(self):
+        self.v_c = np.asarray(self.v_c, dtype=float)
+        self.u = np.asarray(self.u, dtype=np.int8)
+        if self.v_c.ndim != 1 or self.v_c.shape != self.u.shape:
+            raise ContractError("v_c and u must be 1-D arrays of equal length")
+        if self.side not in ("upper", "lower"):
+            raise ContractError(f"side must be 'upper' or 'lower', got {self.side!r}")
+        if not np.all((self.u == 0) | (self.u == 1)):
+            raise ContractError("arm statuses must be 0 or 1")
+
+    @property
+    def n(self) -> int:
+        return self.v_c.shape[0]
+
+    @property
+    def submodules(self) -> list[SubmoduleState]:
+        """Per-SM view in physical order (copies, not live references)."""
+        return [SubmoduleState(float(v), int(s)) for v, s in zip(self.v_c, self.u)]
+
+
+@dataclass
+class PhaseState:
+    """Full electrical state of one phase leg at a sampling instant."""
+
+    upper: ArmState
+    lower: ArmState
+    i: float                 # AC-side output current [A]
+    i_z: float               # circulating current [A]
+    v_s: float               # grid phase voltage at the current step [V]
+
+    def __post_init__(self):
+        if self.upper.n != self.lower.n:
+            raise ContractError("upper and lower arms must have equal SM counts")
+
+    @property
+    def n(self) -> int:
+        return self.upper.n
+
+
+@dataclass
+class SwitchDecision:
+    """Next-step insertion statuses for the 2n SMs of one phase.
+
+    ``statuses`` holds the upper arm in positions 0..n-1 and the lower
+    arm in positions n..2n-1, both in physical SM order.
+    """
+
+    statuses: np.ndarray     # (2n,) 0/1
+    n_up: int                # inserted count, upper arm
+    n_low: int               # inserted count, lower arm
+
+    def __post_init__(self):
+        self.statuses = np.asarray(self.statuses, dtype=np.int8)
+        if self.statuses.ndim != 1 or self.statuses.shape[0] % 2 != 0:
+            raise ContractError("statuses must be a 1-D array of even length 2n")
+        if not np.all((self.statuses == 0) | (self.statuses == 1)):
+            raise ContractError("statuses must be 0 or 1")
+        n = self.statuses.shape[0] // 2
+        if int(self.statuses[:n].sum()) != self.n_up:
+            raise ContractError("n_up does not match the upper-arm statuses")
+        if int(self.statuses[n:].sum()) != self.n_low:
+            raise ContractError("n_low does not match the lower-arm statuses")
+
+
+# ===== STATE TRANSITIONS =====
+
+
+def predict_capacitor_voltage(
+    sm: SubmoduleState, i_arm: float, u_next: int, params: ConverterParams
+) -> float:
+    """Next-step capacitor voltage of one SM.
+
+    An inserted SM (``u_next = 1``) integrates the arm current held at
+    its start-of-step value; a bypassed SM keeps its voltage.
+    """
+    if u_next not in (0, 1):
+        raise ContractError(f"u_next must be 0 or 1, got {u_next}")
+    return sm.v_c + (params.T_s * i_arm / params.C) * u_next
+
+
+def _predict_arm_capacitors(
+    v_c: np.ndarray, i_arm: float, u_next: np.ndarray, params: ConverterParams
+) -> np.ndarray:
+    """Vectorized next-step capacitor voltages for one whole arm."""
+    return v_c + (params.T_s * i_arm / params.C) * u_next
+
+
+def arm_voltage(arm: ArmState, statuses: np.ndarray, params: ConverterParams) -> float:
+    """Predicted arm voltage for a candidate status vector.
+
+    Sums the next-step capacitor voltages of the SMs that ``statuses``
+    inserts, i.e. the voltage the arm would synthesize one step ahead.
+    """
+    statuses = np.asarray(statuses)
+    if statuses.shape != arm.v_c.shape:
+        raise ContractError("statuses length must equal the arm SM count")
+    if not np.all((statuses == 0) | (statuses == 1)):
+        raise ContractError("statuses must be 0 or 1")
+    v_next = _predict_arm_capacitors(arm.v_c, arm.i_arm, statuses, params)
+    return float(np.dot(v_next, statuses))
+
+
+def step_ac_current(
+    phase: PhaseState,
+    v_up_next: float,
+    v_low_next: float,
+    v_s_next: float,
+    params: ConverterParams,
+) -> float:
+    """Next-step AC-side current from the synthesized arm voltages."""
+    drive = 0.5 * (v_low_next - v_up_next) - v_s_next
+    return (drive + (params.L_prime / params.T_s) * phase.i) / params.K_prime
+
+
+def step_circulating_current(
+    phase: PhaseState,
+    v_up_next: float,
+    v_low_next: float,
+    params: ConverterParams,
+    v_dc: float | None = None,
+) -> float:
+    """Next-step circulating current from the arm-voltage sum error.
+
+    ``v_dc`` is the actual DC bus voltage seen by the leg; it defaults
+    to the nominal ``params.V_dc`` (an ideal stiff bus).
+    """
+    bus = params.V_dc if v_dc is None else v_dc
+    return (params.T_s / (2.0 * params.l_arm)) * (bus - v_low_next - v_up_next) + phase.i_z
+
+
+def decompose_arm_currents(i: float, i_z: float) -> tuple[float, float]:
+    """Split the leg currents into (i_up, i_low) = (i_z + i/2, i_z - i/2)."""
+    return i_z + 0.5 * i, i_z - 0.5 * i
+
+
+def advance_phase(
+    phase: PhaseState,
+    decision: SwitchDecision,
+    v_s_next: float,
+    params: ConverterParams,
+    v_dc: float | None = None,
+) -> PhaseState:
+    """Apply a switch decision and advance the plant by one period.
+
+    Update order: capacitor voltages (arm currents held at their
+    start-of-step values), then arm voltages, then the AC and
+    circulating currents, then the arm-current decomposition.
+
+    Parameters
+    ----------
+    phase : PhaseState
+        State at the current step.
+    decision : SwitchDecision
+        Statuses to apply for the coming interval (2n entries).
+    v_s_next : float
+        Grid phase voltage at the end of the step [V].
+    params : ConverterParams
+        Converter constants.
+    v_dc : float, optional
+        Actual DC bus voltage [V]; defaults to the nominal value.
+
+    Returns
+    -------
+    PhaseState
+        State at the next step; the input state is left untouched.
+    """
+    n = phase.n
+    if decision.statuses.shape[0] != 2 * n:
+        raise ContractError(
+            f"decision has {decision.statuses.shape[0]} statuses, expected {2 * n}"
+        )
+    u_up = decision.statuses[:n]
+    u_low = decision.statuses[n:]
+
+    v_c_up = _predict_arm_capacitors(phase.upper.v_c, phase.upper.i_arm, u_up, params)
+    v_c_low = _predict_arm_capacitors(phase.lower.v_c, phase.lower.i_arm, u_low, params)
+    v_up_next = float(np.dot(v_c_up, u_up))
+    v_low_next = float(np.dot(v_c_low, u_low))
+
+    i_next = step_ac_current(phase, v_up_next, v_low_next, v_s_next, params)
+    i_z_next = step_circulating_current(phase, v_up_next, v_low_next, params, v_dc)
+    i_up, i_low = decompose_arm_currents(i_next, i_z_next)
+
+    return PhaseState(
+        upper=ArmState(v_c_up, u_up.copy(), i_up, "upper"),
+        lower=ArmState(v_c_low, u_low.copy(), i_low, "lower"),
+        i=i_next,
+        i_z=i_z_next,
+        v_s=v_s_next,
+    )
+
+
+def initial_phase_state(params: ConverterParams, v_s: float = 0.0) -> PhaseState:
+    """Nominal start: capacitors at V_dc/n, all SMs bypassed, currents zero."""
+    v_nom = np.full(params.n, params.v_sm_nominal)
+    zeros = np.zeros(params.n, dtype=np.int8)
+    return PhaseState(
+        upper=ArmState(v_nom.copy(), zeros.copy(), 0.0, "upper"),
+        lower=ArmState(v_nom.copy(), zeros.copy(), 0.0, "lower"),
+        i=0.0,
+        i_z=0.0,
+        v_s=v_s,
+    )
+
+
+# ===== CONTROLLER =====
+
+
+@dataclass(frozen=True)
+class TargetVoltages:
+    """Deadbeat arm-voltage targets [V] for one phase and one step."""
+
+    v_up_star: float
+    v_low_star: float
+
+
+@dataclass
+class SortedArm:
+    """An arm's SM ranking for one decision.
+
+    ``order`` holds physical SM indices, most-preferred first; the SM
+    ranked k-th is inserted whenever the chosen count exceeds k.
+    ``sorted_voltages`` are the measured capacitor voltages in that
+    order.
+    """
+
+    order: np.ndarray            # (n,) physical indices
+    sorted_voltages: np.ndarray  # (n,) [V]
+
+    def __post_init__(self):
+        self.order = np.asarray(self.order, dtype=np.intp)
+        self.sorted_voltages = np.asarray(self.sorted_voltages, dtype=float)
+        n = self.order.shape[0]
+        if self.sorted_voltages.shape != (n,):
+            raise ContractError("order and sorted_voltages must have equal length")
+        if not np.array_equal(np.sort(self.order), np.arange(n)):
+            raise ContractError("order must be a permutation of 0..n-1")
+
+    @property
+    def n(self) -> int:
+        return self.order.shape[0]
+
+
+def compute_targets(
+    phase: PhaseState,
+    i_ref_next: float,
+    params: ConverterParams,
+    i_z_ref: float = 0.0,
+) -> TargetVoltages:
+    """Arm-voltage targets that deadbeat both leg currents.
+
+    The common-mode part steers the circulating current to ``i_z_ref``
+    (zero by default) one step ahead; the differential part steers the
+    AC current to ``i_ref_next``.  Uses the measured grid voltage held
+    from the current step.
+    """
+    common = 0.5 * params.V_dc + (params.l_arm / params.T_s) * (phase.i_z - i_z_ref)
+    drive = (
+        params.K_prime * i_ref_next
+        + phase.v_s
+        - (params.L_prime / params.T_s) * phase.i
+    )
+    return TargetVoltages(v_up_star=common - drive, v_low_star=common + drive)
+
+
+def objective_f(dv_up: float, dv_low: float, params: ConverterParams) -> float:
+    """Weighted cost of a pair of arm-voltage deviations [A].
+
+    ``dv_up`` and ``dv_low`` are target-minus-synthesized deviations.
+    Their difference maps to the AC-current error and their sum to the
+    circulating-current error; both are weighted in ampere units.
+    """
+    track = (params.w / (2.0 * params.K_prime)) * abs(dv_low - dv_up)
+    circ = (params.w_z * params.T_s / (2.0 * params.l_arm)) * abs(dv_low + dv_up)
+    return track + circ
+
+
+def sort_arm(arm: ArmState, policy: SortPolicy, params: ConverterParams) -> SortedArm:
+    """Rank an arm's SMs for insertion under the given policy.
+
+    The voltage key is ascending while the arm current charges inserted
+    capacitors (``i_arm >= 0``) and descending while it discharges them.
+    ``F1V2`` then stably promotes currently inserted SMs ahead of
+    bypassed ones, preserving the voltage order inside each group.  All
+    sorts are stable with the physical index as the final tiebreak.
+    """
+    key = arm.v_c if arm.i_arm >= 0.0 else -arm.v_c
+    order = np.argsort(key, kind="stable")
+    if policy is SortPolicy.F1V2:
+        order = order[np.argsort(-arm.u[order], kind="stable")]
+    elif policy is not SortPolicy.V1F2:
+        raise ContractError(f"unknown sort policy: {policy!r}")
+    return SortedArm(order=order, sorted_voltages=arm.v_c[order])
+
+
+def cumulative_sums(sorted_arm: SortedArm) -> np.ndarray:
+    """Achievable arm voltages for prefix insertion: [0, a_1, ..., a_n].
+
+    Entry k is the voltage synthesized by inserting the k best-ranked
+    SMs; entry 0 is always exactly 0.
+    """
+    sums = np.empty(sorted_arm.n + 1)
+    sums[0] = 0.0
+    np.cumsum(sorted_arm.sorted_voltages, out=sums[1:])
+    return sums
+
+
+def _bracket_counts(sums: np.ndarray, v_star: float) -> tuple[int, ...]:
+    """Candidate insertion counts whose prefix voltages bracket a target.
+
+    In-range targets return the two counts with sums[k] <= v* < sums[k+1];
+    targets below zero or at/above the full sum clamp to a single count.
+    """
+    n = sums.shape[0] - 1
+    if v_star < 0.0:
+        return (0,)
+    if v_star >= sums[n]:
+        return (n,)
+    k = int(np.searchsorted(sums, v_star, side="right")) - 1
+    return (k, k + 1)
+
+
+def select_submodules(
+    sorted_up: SortedArm,
+    sorted_low: SortedArm,
+    targets: TargetVoltages,
+    params: ConverterParams,
+) -> SwitchDecision:
+    """Choose insertion counts for both arms and build the status vector.
+
+    Evaluates the weighted objective on the at-most-four bracketing
+    count pairs and keeps the first minimizer in scan order (upper count
+    ascending, then lower count ascending).  The chosen counts insert a
+    prefix of each arm's ranking.
+    """
+    if sorted_up.n != sorted_low.n:
+        raise ContractError("arm rankings must have equal SM counts")
+    n = sorted_up.n
+
+    alpha = cumulative_sums(sorted_up)
+    beta = cumulative_sums(sorted_low)
+    best_f = None
+    best = (0, 0)
+    for ku in _bracket_counts(alpha, targets.v_up_star):
+        dv_up = targets.v_up_star - alpha[ku]
+        for kl in _bracket_counts(beta, targets.v_low_star):
+            f = objective_f(dv_up, targets.v_low_star - beta[kl], params)
+            if best_f is None or f < best_f:
+                best_f = f
+                best = (ku, kl)
+
+    n_up, n_low = best
+    statuses = np.zeros(2 * n, dtype=np.int8)
+    statuses[sorted_up.order[:n_up]] = 1
+    statuses[n + sorted_low.order[:n_low]] = 1
+    return SwitchDecision(statuses=statuses, n_up=n_up, n_low=n_low)
+
+
+def control_step(
+    phase: PhaseState,
+    i_ref_next: float,
+    policy: SortPolicy,
+    params: ConverterParams,
+    i_z_ref: float = 0.0,
+) -> SwitchDecision:
+    """One full decision for one phase: targets, ranking, selection.
+
+    Pure function of the measured phase state, the reference, and the
+    parameters; repeated calls with equal inputs return equal decisions.
+    """
+    targets = compute_targets(phase, i_ref_next, params, i_z_ref)
+    sorted_up = sort_arm(phase.upper, policy, params)
+    sorted_low = sort_arm(phase.lower, policy, params)
+    return select_submodules(sorted_up, sorted_low, targets, params)
+
+
+# ===== REFERENCES =====
+
+
+def reference_current(setpoint_power: float, grid: GridSource, t: float) -> np.ndarray:
+    """Three-phase current reference in phase with the grid voltage [A].
+
+    The amplitude satisfies ``P = 3 * V_peak * I_peak / 2`` for the
+    requested three-phase power; negative power yields anti-phase
+    references (the converter absorbs from its grid).
+    """
+    if grid.amplitude == 0.0:
+        raise ConfigError("cannot derive a current reference from a zero-amplitude grid")
+    i_peak = 2.0 * setpoint_power / (3.0 * grid.amplitude)
+    wt = grid.omega * t
+    return np.array([i_peak * math.cos(wt + off) for off in _PHASE_OFFSETS])
+
+
+# ===== SWITCH TRACES =====
+
+
+@dataclass
+class SwitchTrace:
+    """Ordered (time, new_status) events of a single submodule."""
+
+    events: list[tuple[float, int]]
+
+    def __post_init__(self):
+        last_t = -np.inf
+        last_u = None
+        for t, u in self.events:
+            if u not in (0, 1):
+                raise ContractError(f"switch status must be 0 or 1, got {u}")
+            if t < last_t:
+                raise ContractError("switch event times must be non-decreasing")
+            if u == last_u:
+                raise ContractError("consecutive switch events must change status")
+            last_t, last_u = t, u
+
+    @classmethod
+    def from_samples(
+        cls, times: np.ndarray, statuses: np.ndarray, initial: int | None = None
+    ) -> "SwitchTrace":
+        """Build a trace from sampled statuses.
+
+        An event is recorded at each sample whose status differs from
+        the previous sample; the first sample is compared against
+        ``initial`` when given, otherwise it produces no event.
+        """
+        times = np.asarray(times, dtype=float)
+        statuses = np.asarray(statuses)
+        if times.shape != statuses.shape:
+            raise ContractError("times and statuses must have equal length")
+        events: list[tuple[float, int]] = []
+        prev = initial
+        for t, u in zip(times, statuses):
+            u = int(u)
+            if prev is not None and u != prev:
+                events.append((float(t), u))
+            prev = u
+        return cls(events)
+
+
+def effective_switching_frequency(
+    trace: SwitchTrace, window: tuple[float, float]
+) -> float:
+    """Switching frequency of one SM over a window [Hz].
+
+    Counts status transitions with ``t0 < t <= t1`` and divides by twice
+    the window length (one on/off cycle is two transitions).
+    """
+    t0, t1 = _check_window(window)
+    count = sum(1 for t, _ in trace.events if t0 < t <= t1)
+    return count / (2.0 * (t1 - t0))
+
+
+def switch_traces_from_history(record: RunRecord, phase: str) -> list[SwitchTrace]:
+    """Per-SM switch traces of one phase, from consecutive recorded rows."""
+    p = record.phase_index(phase)
+    return [
+        SwitchTrace.from_samples(record.times, record.u[:, p, j])
+        for j in range(2 * record.n)
+    ]

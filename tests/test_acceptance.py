@@ -27,27 +27,25 @@ import numpy as np
 import pytest
 
 from mmcsim.cli import OUTPUT_DIR_ENV, main
-from mmcsim.controller import (
-    SortPolicy,
+from mmcsim.controller import SortPolicy
+from mmcsim.metrics import summarize
+from mmcsim.model import ConverterParams
+from mmcsim.testbench import Scenario, build_stock_system, simulate
+from per_phase_reference import (
+    ArmState,
+    PhaseState,
+    SubmoduleState,
     TargetVoltages,
     compute_targets,
     cumulative_sums,
+    initial_phase_state,
     objective_f,
+    predict_capacitor_voltage,
     select_submodules,
     sort_arm,
-)
-from mmcsim.metrics import summarize
-from mmcsim.model import (
-    ArmState,
-    ConverterParams,
-    PhaseState,
-    SubmoduleState,
-    initial_phase_state,
-    predict_capacitor_voltage,
     step_ac_current,
     step_circulating_current,
 )
-from mmcsim.testbench import Scenario, build_stock_system, simulate
 
 IDEAL_WINDOW = (0.1, 0.5)
 B2B_WINDOW = (0.2, 1.0)

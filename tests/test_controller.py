@@ -5,22 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcsim.controller import (
-    SortPolicy,
+from mmcsim.controller import SortPolicy
+from mmcsim.errors import ContractError
+from mmcsim.model import ConverterParams
+from per_phase_reference import (
+    ArmState,
+    PhaseState,
     TargetVoltages,
     compute_targets,
     control_step,
     cumulative_sums,
+    initial_phase_state,
     objective_f,
     select_submodules,
     sort_arm,
-)
-from mmcsim.errors import ContractError
-from mmcsim.model import (
-    ArmState,
-    ConverterParams,
-    PhaseState,
-    initial_phase_state,
 )
 
 STOCK_PARAMS = ConverterParams(
@@ -361,7 +359,7 @@ def test_control_step_is_pure():
 
 
 def test_sorted_arm_rejects_bad_permutation():
-    from mmcsim.controller import SortedArm
+    from per_phase_reference import SortedArm
 
     with pytest.raises(ContractError):
         SortedArm(

@@ -508,6 +508,8 @@ def test_tiny_csv_is_valid(tmp_path, tiny_csv):
         (6, lambda row: _set_field(row, 10, "2"),
          "line 6 has a switch status other than 0 or 1"),
         (5, lambda row: _set_field(row, 1, "b"), "line 5 breaks the phase ordering"),
+        (3, lambda row: _set_field(row, 0, "1"),
+         "line 3 has a time other than its step's first row"),
     ],
 )
 def test_load_names_the_line_of_a_mangled_row(tmp_path, tiny_csv, line, mangle, message):
@@ -515,6 +517,31 @@ def test_load_names_the_line_of_a_mangled_row(tmp_path, tiny_csv, line, mangle, 
     lines[line - 1] = mangle(lines[line - 1])
     with pytest.raises(ContractError, match=message):
         load_record_csv(_write_lines(tmp_path / "bad.csv", lines))
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        # Phase a of steps 1 and 2, then phase c of steps 1 and 4.
+        (((2, 5),), "line 3 has a time other than its step's first row"),
+        (((4, 13),), "line 4 has a time other than its step's first row"),
+        # Steps 1 and 2 whole: every row agrees with its step.
+        (((2, 5), (3, 6), (4, 7)), "line 5 goes back in time"),
+    ],
+)
+def test_load_names_the_line_of_swapped_rows(tmp_path, tiny_csv, swap, message):
+    lines = list(tiny_csv)
+    for a, b in swap:
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+    with pytest.raises(ContractError, match=message):
+        load_record_csv(_write_lines(tmp_path / "swapped.csv", lines))
+
+
+def test_load_names_a_row_whose_policy_differs_from_its_step(tmp_path, tiny_csv):
+    lines = list(tiny_csv)
+    lines[5] = _set_field(lines[5], 13, "F1V2")
+    with pytest.raises(ContractError, match="line 6 has a policy other than its step's first row"):
+        load_record_csv(_write_lines(tmp_path / "policy.csv", lines))
 
 
 def test_load_rejects_a_file_ending_inside_a_step(tmp_path, tiny_csv):
@@ -545,7 +572,7 @@ def _mangled(draw, lines):
         fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["0", "", "x"])))
         lines[r] = ",".join(fields)
     elif kind == "swap":
-        other = draw(st.integers(1, n_rows).filter(lambda o: (o - r) % 3))
+        other = draw(st.integers(1, n_rows).filter(lambda o: o != r))
         lines[r], lines[other] = lines[other], lines[r]
     else:
         j = draw(st.sampled_from([0, *range(2, len(fields) - 1)]))

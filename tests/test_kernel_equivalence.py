@@ -2,9 +2,12 @@
 
 ``simulate`` advances every phase leg of every converter in one
 vectorized pass per sample.  The oracle below is the per-phase loop
-built from the public ``control_step`` and ``advance_phase``: one phase
-leg at a time, fresh state objects every step.  Every recorded array
-must match it byte for byte, together with the labels and the policy
+built from ``control_step`` and ``advance_phase`` of the scalar
+reference (``per_phase_reference``): one phase leg at a time, fresh
+state objects every step, every ranking and decision checked by its
+constructor.  Power setpoints become current references through the
+reference's ``reference_current``.  Every recorded array must match
+the kernel byte for byte, together with the labels and the policy
 series.
 """
 
@@ -15,18 +18,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmcsim.controller import SortPolicy, control_step
+from mmcsim.controller import SortPolicy
 from mmcsim.errors import ConfigError, SimulationDiverged
 from mmcsim.metrics import RunRecord
-from mmcsim.model import advance_phase, initial_phase_state
 from mmcsim.testbench import (
     _ENERGY_TRIM_TAU,
     _LINK_DROOP_ZETA,
+    _PHASE_OFFSETS,
     Scenario,
     _power_feedforward,
-    _signed_amplitudes,
     build_stock_system,
     simulate,
+)
+from per_phase_reference import (
+    advance_phase,
+    control_step,
+    initial_phase_state,
+    reference_current,
 )
 
 
@@ -35,17 +43,21 @@ def reference_simulate(scenario, *, params, grid, dc_link=None, energy_control=T
     if scenario.mode == "back_to_back":
         if dc_link is None:
             raise ConfigError("back_to_back mode requires a DcLink")
-        link = replace(dc_link)
-        if link.v_mmc1 == 0.0 and link.v_mmc2 == 0.0:
-            link.v_mmc1 = params.V_dc
-            link.v_mmc2 = params.V_dc
+        link = dc_link
+        # Both buses start at V_dc, the line at 0 A.
+        v_bus = [params.V_dc, params.V_dc]
+        i_link = 0.0
         labels = ["1a", "1b", "1c", "2a", "2b", "2c"]
     else:
         link = None
         labels = ["a", "b", "c"]
 
     n_mmc = scenario.n_converters
-    amps = _signed_amplitudes(scenario, grid)
+    if scenario.p_set is not None:
+        # Peak of each converter's reference: phase a at t = 0.
+        amps = [float(reference_current(p, grid, 0.0)[0]) for p in scenario.p_set]
+    else:
+        amps = list(scenario.i_amp)
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
     trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU if energy_control else 0.0
     droop_gain = 0.0
@@ -80,16 +92,20 @@ def reference_simulate(scenario, *, params, grid, dc_link=None, energy_control=T
 
         i_conv = [0.0] * n_mmc
         for m in range(n_mmc):
-            bus = params.V_dc if link is None else (link.v_mmc1 if m == 0 else link.v_mmc2)
+            bus = params.V_dc if link is None else v_bus[m]
+            if scenario.p_set is not None:
+                i_ref = reference_current(scenario.p_set[m], grid, t_next)
+            else:
+                i_ref = [amps[m] * math.cos(wt_next + off) for off in _PHASE_OFFSETS]
             for p in range(3):
                 phase = phases[m][p]
-                i_ref_next = amps[m] * math.cos(wt_next + grid.offsets[p])
+                i_ref_next = float(i_ref[p])
                 i_z_ref = feedforward[m] + droop_gain * (bus - params.V_dc)
                 if trim_gain:
                     v_mean = 0.5 * (phase.upper.v_c.mean() + phase.lower.v_c.mean())
                     i_z_ref += trim_gain * (params.v_sm_nominal - v_mean)
                 decision = control_step(phase, i_ref_next, policy, params, i_z_ref)
-                v_s_next = grid.amplitude * math.cos(wt_next + grid.offsets[p])
+                v_s_next = grid.amplitude * math.cos(wt_next + _PHASE_OFFSETS[p])
                 phase = advance_phase(phase, decision, v_s_next, params, v_dc=bus)
                 phases[m][p] = phase
                 i_conv[m] += phase.i_z
@@ -111,12 +127,12 @@ def reference_simulate(scenario, *, params, grid, dc_link=None, energy_control=T
             rec["i_dc_link"][k, :] = i_conv[0]
         else:
             c_end = 0.5 * link.c_total
-            link.i_link += (t_s / link.l_total) * (link.v_mmc2 - link.v_mmc1)
-            link.v_mmc1 += (t_s / c_end) * (link.i_link - i_conv[0])
-            link.v_mmc2 += (t_s / c_end) * (-link.i_link - i_conv[1])
-            rec["v_dc_link"][k, :3] = link.v_mmc1
-            rec["v_dc_link"][k, 3:] = link.v_mmc2
-            rec["i_dc_link"][k, :] = link.i_link
+            i_link += (t_s / link.l_total) * (v_bus[1] - v_bus[0])
+            v_bus[0] += (t_s / c_end) * (i_link - i_conv[0])
+            v_bus[1] += (t_s / c_end) * (-i_link - i_conv[1])
+            rec["v_dc_link"][k, :3] = v_bus[0]
+            rec["v_dc_link"][k, 3:] = v_bus[1]
+            rec["i_dc_link"][k, :] = i_link
         rec_policy.append(policy.value)
 
     return RunRecord(

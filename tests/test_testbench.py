@@ -1,5 +1,6 @@
 """Unit tests for the grid/DC-link surroundings and the run engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,10 @@ from mmcsim.testbench import (
     GridSource,
     Scenario,
     build_stock_system,
-    reference_current,
     run_scenario,
     simulate,
 )
+from per_phase_reference import reference_current
 
 
 # ------------------------------------------------------------ stock system
@@ -39,12 +40,26 @@ def test_stock_system_constants():
     assert link.length_km == 5.0
     assert link.c_total == pytest.approx(80e-6, rel=1e-12)
     assert link.l_total == pytest.approx(250e-6, rel=1e-12)
-    assert link.v_mmc1 == link.v_mmc2 == 60e3
-    assert link.i_link == 0.0
+    # A run starts both buses at V_dc = 60 kV and the line at 0 A.
+    record, i_conv = _one_back_to_back_step(params, grid, link)
+    c_end = 0.5 * link.c_total
+    assert np.all(record.i_dc_link[0] == 0.0)   # (T_s / L) * (60 kV - 60 kV)
+    assert np.all(record.v_dc_link[0, :3] == 60e3 + (params.T_s / c_end) * (0.0 - i_conv[0]))
+    assert np.all(record.v_dc_link[0, 3:] == 60e3 + (params.T_s / c_end) * (-0.0 - i_conv[1]))
     assert scenario.mode == "back_to_back"
     assert scenario.duration == 3.0
     assert scenario.events == [(1.2, SortPolicy.F1V2), (1.4, SortPolicy.V1F2)]
     assert scenario.p_set == (13.18e6, -13.18e6)
+
+
+def _one_back_to_back_step(params, grid, link):
+    """A one-step back-to-back run and each converter's summed i_z."""
+    scenario = Scenario(
+        duration=params.T_s, mode="back_to_back", p_set=(13.18e6, -13.18e6)
+    )
+    record = simulate(scenario, params=params, grid=grid, dc_link=link)
+    i_z = record.i_z[0]
+    return record, [0.0 + i_z[3 * m] + i_z[3 * m + 1] + i_z[3 * m + 2] for m in (0, 1)]
 
 
 # --------------------------------------------------------------- sources
@@ -64,8 +79,10 @@ def test_grid_validation():
         GridSource(amplitude=-1.0, frequency=60.0)
     with pytest.raises(ConfigError):
         GridSource(amplitude=1.0, frequency=0.0)
-    with pytest.raises(ConfigError):
+    # The phases are always the balanced set; offsets are not a parameter.
+    with pytest.raises(TypeError, match="offsets"):
         GridSource(amplitude=1.0, frequency=60.0, offsets=(0.0, 1.0, 2.0))
+    assert [f.name for f in dataclasses.fields(GridSource)] == ["amplitude", "frequency"]
 
 
 def test_reference_current_amplitude():
@@ -103,7 +120,15 @@ def test_dc_link_totals_and_validation():
     link = DcLink(length_km=5.0, c_per_km=16e-6, l_per_km=50e-6)
     assert link.c_total == pytest.approx(80e-6, rel=1e-12)
     assert link.l_total == pytest.approx(250e-6, rel=1e-12)
-    assert link.v_link == link.v_mmc1
+    # The link holds its parameters only and cannot be changed.
+    assert [f.name for f in dataclasses.fields(DcLink)] == ["length_km", "c_per_km", "l_per_km"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        link.length_km = 1.0
+    # The link voltage a run reports for converter 1's phases is bus 1.
+    params, grid, _, _ = build_stock_system()
+    record, i_conv = _one_back_to_back_step(params, grid, link)
+    bus_1 = 60e3 + (params.T_s / (0.5 * link.c_total)) * (0.0 - i_conv[0])
+    assert record.v_dc_link[0, :3].tolist() == [bus_1] * 3
     with pytest.raises(ConfigError):
         DcLink(length_km=0.0, c_per_km=16e-6, l_per_km=50e-6)
     with pytest.raises(ConfigError):
@@ -221,8 +246,15 @@ def test_back_to_back_run_shape():
     for col in range(1, 6):
         assert np.array_equal(record.i_dc_link[:, col], record.i_dc_link[:, 0])
     assert np.all(np.isfinite(record.v_dc_link))
-    # The caller's link object is left untouched.
-    assert link.i_link == 0.0 and link.v_mmc1 == 60e3
+    # The caller's link object is left untouched and carries no state
+    # from one run into the next.
+    assert link == DcLink(length_km=5.0, c_per_km=16e-6, l_per_km=50e-6)
+    again = simulate(
+        _short_scenario(0.01, mode="back_to_back"),
+        params=params, grid=grid, dc_link=link,
+    )
+    assert again.v_dc_link.tobytes() == record.v_dc_link.tobytes()
+    assert again.i_dc_link.tobytes() == record.i_dc_link.tobytes()
 
 
 @pytest.mark.parametrize("length_km, stable", [(5.0, True), (1.0, True), (0.5, False)])
