@@ -21,14 +21,7 @@ from .errors import (
     MetricWindowError,
     SimulationDiverged,
 )
-from .metrics import (
-    RunRecord,
-    SummaryMetrics,
-    circulating_ratio,
-    ripple_percent,
-    summarize,
-    tracking_rmse,
-)
+from .metrics import RunRecord, SummaryMetrics, summarize
 from .model import ConverterParams
 from .testbench import (
     DcLink,
@@ -54,11 +47,8 @@ __all__ = [
     "SortPolicy",
     "SummaryMetrics",
     "build_stock_system",
-    "circulating_ratio",
-    "ripple_percent",
     "run_scenario",
     "simulate",
     "summarize",
-    "tracking_rmse",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .controller import SortPolicy
 from .errors import ConfigError
 from .model import ConverterParams
-from .testbench import _MODES, DcLink, GridSource, Scenario, build_stock_system
+from .testbench import DcLink, GridSource, Scenario, build_stock_system
 
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
@@ -196,8 +196,6 @@ def parse_config(text: str) -> RunConfig:
 
     scen = _SectionReader(parser, "scenario")
     mode = scen.text("mode", d_scenario.mode)
-    if mode not in _MODES:
-        raise ConfigError(f"[scenario] mode must be one of {_MODES}, got {mode!r}")
     duration = scen.number("duration", d_scenario.duration)
     raw_schedule = scen.raw("policy_schedule")
     if raw_schedule is None:

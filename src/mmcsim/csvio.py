@@ -10,15 +10,17 @@ bit for bit.  The column layout is fixed at sink creation:
 Switch statuses ``u_*`` are 0 or 1: the writer refuses to write and the
 loader refuses to load anything else.
 
-Only the inserted SMs of an arm change their capacitor voltage in a
-sample; a bypassed SM holds its voltage bit for bit.  The writer
-therefore formats a ``v_c`` cell only when its bit pattern differs from
-the same cell of the previous row written for that phase and otherwise
-repeats that row's text, so writing costs scale with the SMs that
-changed.  Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN
-keep their exact text and the bytes equal those of formatting every
-cell.  The loader parses every numeric column in one ``numpy.loadtxt``
-call, whose C parser rounds exactly like ``float()``.
+The writer formats a float cell only when its bit pattern differs from
+the cell it is compared with and otherwise repeats that cell's text.
+A phase's series (``i`` to ``v_low``) and its ``v_c`` cells are compared
+with the same phase one kept step earlier; the time and the link
+voltage and current with the row before.  Only the inserted SMs of an
+arm change their capacitor voltage in a sample, and a bypassed SM holds
+its voltage bit for bit, so writing costs scale with what changed.
+Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
+exact text and the bytes equal those of formatting every cell.  The
+loader parses every numeric column in one ``numpy.loadtxt`` call, whose
+C parser rounds exactly like ``float()``.
 """
 
 from __future__ import annotations

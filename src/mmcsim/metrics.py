@@ -1,7 +1,8 @@
 """Post-processing metrics over recorded simulation series.
 
 Every metric is a pure function of a recorded series and a time window,
-so recomputing from a persisted CSV reproduces the in-memory values
+computed by :func:`summarize` as reductions over the time axis, so
+recomputing from a persisted CSV reproduces the in-memory values
 bit-exactly (at recording decimation 1).
 
 Window conventions, pinned so that partitioned windows add up cleanly:
@@ -22,88 +23,8 @@ from .errors import ContractError, MetricWindowError
 __all__ = [
     "RunRecord",
     "SummaryMetrics",
-    "ripple_percent",
-    "circulating_ratio",
-    "tracking_rmse",
     "summarize",
 ]
-
-
-# ===== ELEMENTARY METRICS =====
-
-
-def _check_window(window: tuple[float, float]) -> tuple[float, float]:
-    t0, t1 = window
-    if not (t1 > t0):
-        raise MetricWindowError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
-    return t0, t1
-
-
-def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    t0, t1 = _check_window(window)
-    mask = (times >= t0) & (times <= t1)
-    if not mask.any():
-        raise MetricWindowError(f"no samples inside window ({t0}, {t1})")
-    return mask
-
-
-def ripple_percent(
-    times: np.ndarray,
-    v_c: np.ndarray,
-    nominal: float,
-    window: tuple[float, float],
-) -> float:
-    """Peak-to-peak capacitor-voltage ripple as a percentage of nominal."""
-    if nominal <= 0.0:
-        raise ContractError(f"nominal voltage must be > 0, got {nominal}")
-    times = np.asarray(times, dtype=float)
-    v_c = np.asarray(v_c, dtype=float)
-    if times.shape != v_c.shape:
-        raise ContractError("times and v_c must have equal length")
-    sel = v_c[_window_mask(times, window)]
-    return 100.0 * float(sel.max() - sel.min()) / nominal
-
-
-def circulating_ratio(
-    times: np.ndarray,
-    i_z: np.ndarray,
-    i: np.ndarray,
-    window: tuple[float, float],
-) -> float:
-    """Peak circulating current relative to the AC amplitude.
-
-    The AC amplitude is estimated as the peak |i| over the same window.
-    """
-    times = np.asarray(times, dtype=float)
-    i_z = np.asarray(i_z, dtype=float)
-    i = np.asarray(i, dtype=float)
-    if not (times.shape == i_z.shape == i.shape):
-        raise ContractError("times, i_z and i must have equal length")
-    mask = _window_mask(times, window)
-    amp = float(np.abs(i[mask]).max())
-    if amp == 0.0:
-        raise MetricWindowError("AC amplitude is zero inside the window")
-    return float(np.abs(i_z[mask]).max()) / amp
-
-
-def tracking_rmse(
-    times: np.ndarray,
-    i: np.ndarray,
-    i_ref: np.ndarray,
-    window: tuple[float, float],
-) -> float:
-    """RMS AC-current tracking error as a percentage of the reference amplitude."""
-    times = np.asarray(times, dtype=float)
-    i = np.asarray(i, dtype=float)
-    i_ref = np.asarray(i_ref, dtype=float)
-    if not (times.shape == i.shape == i_ref.shape):
-        raise ContractError("times, i and i_ref must share one sample grid")
-    mask = _window_mask(times, window)
-    amp = float(np.abs(i_ref[mask]).max())
-    if amp == 0.0:
-        raise MetricWindowError("reference amplitude is zero inside the window")
-    err = i[mask] - i_ref[mask]
-    return 100.0 * float(np.sqrt(np.mean(err * err))) / amp
 
 
 # ===== RUN RECORDS =====
@@ -143,21 +64,6 @@ class RunRecord:
             return self.labels.index(label)
         except ValueError:
             raise ContractError(f"unknown phase label {label!r}") from None
-
-
-def _transition_counts(
-    times: np.ndarray, statuses: np.ndarray, t0: float, t1: float
-) -> np.ndarray:
-    """Status transitions in each column of ``statuses`` with ``t0 < t <= t1``.
-
-    A transition is timestamped at the sample where the new status first
-    appears.  Statuses other than 0 or 1 (NaN included) are refused.
-    """
-    if np.count_nonzero(statuses == 0) + np.count_nonzero(statuses == 1) != statuses.size:
-        raise ContractError("switch statuses must be 0 or 1")
-    t = times[1:]
-    in_window = ((t > t0) & (t <= t1))[:, None]
-    return np.add.reduce(statuses[1:] != statuses[:-1], axis=0, where=in_window)
 
 
 # ===== RUN SUMMARY =====
@@ -204,6 +110,13 @@ class SummaryMetrics:
         return flat
 
 
+def _check_window(window: tuple[float, float]) -> tuple[float, float]:
+    t0, t1 = window
+    if not (t1 > t0):
+        raise MetricWindowError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
+    return t0, t1
+
+
 def _mmc_groups(labels: list[str]) -> dict[str, list[int]]:
     """Group phase-column indices by converter.
 
@@ -222,55 +135,72 @@ def summarize(
     window: tuple[float, float],
     nominal_sm_voltage: float,
 ) -> SummaryMetrics:
-    """Compute the aggregate metrics of a run over one window."""
+    """Compute the aggregate metrics of a run over one window.
+
+    Each metric is one reduction over the time axis of the record,
+    taken for every SM or phase at once on the window's samples.
+    """
     if record.steps == 0:
         raise MetricWindowError("cannot summarize an empty record")
-    t = record.times
-    out = SummaryMetrics(window=window)
-
-    fs_all: list[float] = []
-    ripple_all: list[float] = []
-    ratio_worst = 0.0
-    rmse_worst = 0.0
-    n = record.n
     t0, t1 = _check_window(window)
+    if nominal_sm_voltage <= 0.0:
+        raise ContractError(f"nominal voltage must be > 0, got {nominal_sm_voltage}")
+    t = record.times
+    mask = (t >= t0) & (t <= t1)
+    if not mask.any():
+        raise MetricWindowError(f"no samples inside window ({t0}, {t1})")
+    u = record.u
+    if np.count_nonzero(u == 0) + np.count_nonzero(u == 1) != u.size:
+        raise ContractError("switch statuses must be 0 or 1")
+    out = SummaryMetrics(window=window)
+    n = record.n
+
+    # Switching frequency: transitions in (t0, t1], each timestamped at
+    # the sample where the new status first appears; one on/off cycle
+    # is two transitions.
+    t_new = t[1:]
+    counted = ((t_new > t0) & (t_new <= t1))[:, None, None]
+    transitions = np.add.reduce(u[1:] != u[:-1], axis=0, where=counted)
+    fs = transitions / (2.0 * (t1 - t0))
+    # Ripple: peak-to-peak capacitor voltage over [t0, t1] in percent of
+    # nominal, reduced with ``where=`` so the v_c window is never copied.
+    sampled = mask[:, None, None]
+    v_max = np.max(record.v_c, axis=0, where=sampled, initial=-np.inf)
+    v_min = np.min(record.v_c, axis=0, where=sampled, initial=np.inf)
+    ripple = 100.0 * (v_max - v_min) / nominal_sm_voltage
     for p, label in enumerate(record.labels):
-        # One on/off cycle is two transitions.
-        fs = _transition_counts(t, record.u[:, p], t0, t1) / (2.0 * (t1 - t0))
-        out.fs_per_sm[label] = fs
-        out.fs_arm_mean[label] = (float(fs[:n].mean()), float(fs[n:].mean()))
-        fs_all.extend(fs.tolist())
+        out.fs_per_sm[label] = fs[p]
+        out.fs_arm_mean[label] = (float(fs[p, :n].mean()), float(fs[p, n:].mean()))
+        out.ripple_pct[label] = ripple[p]
+    out.fs_mean = float(fs.mean())
+    out.ripple_mean_pct = float(ripple.mean())
 
-        ripple = np.array(
-            [
-                ripple_percent(t, record.v_c[:, p, j], nominal_sm_voltage, window)
-                for j in range(2 * n)
-            ]
-        )
-        out.ripple_pct[label] = ripple
-        ripple_all.extend(ripple.tolist())
-
-        # The circulating current carries a DC component transferring the
-        # converter power through the bus; the quantity the controller
-        # drives to zero is the deviation from that steady level, so the
-        # ratio is taken on the series less its window mean.
-        mask_p = _window_mask(t, window)
-        i_z_dev = record.i_z[:, p] - float(record.i_z[mask_p, p].mean())
-        ratio_worst = max(
-            ratio_worst, circulating_ratio(t, i_z_dev, record.i[:, p], window)
-        )
-        rmse_worst = max(
-            rmse_worst, tracking_rmse(t, record.i[:, p], record.i_ref[:, p], window)
-        )
-
-    out.fs_mean = float(np.mean(fs_all))
-    out.ripple_mean_pct = float(np.mean(ripple_all))
-    out.i_z_max_ratio = ratio_worst
-    out.tracking_rmse_pct = rmse_worst
+    # Each phase's window samples as one contiguous row, so that every
+    # phase reduces in sample order, as a 1-D series would.  The rows
+    # are copies, which the deviation and the tracking error overwrite.
+    i, i_ref, i_z = (
+        np.ascontiguousarray(x[mask].T) for x in (record.i, record.i_ref, record.i_z)
+    )
+    # The AC amplitude is the peak |i| of the window.
+    amp = np.abs(i).max(axis=1)
+    if not amp.all():
+        raise MetricWindowError("AC amplitude is zero inside the window")
+    ref_amp = np.abs(i_ref).max(axis=1)
+    if not ref_amp.all():
+        raise MetricWindowError("reference amplitude is zero inside the window")
+    # The circulating current carries a DC component transferring the
+    # converter power through the bus; the quantity the controller
+    # drives to zero is the deviation from that steady level, so the
+    # ratio is taken on the series less its window mean.
+    i_z -= i_z.mean(axis=1, keepdims=True)
+    out.i_z_max_ratio = float((np.abs(i_z, out=i_z).max(axis=1) / amp).max())
+    # RMS AC-current tracking error in percent of the reference amplitude.
+    err = np.subtract(i, i_ref, out=i)
+    rmse = 100.0 * np.sqrt(np.mean(np.square(err, out=err), axis=1)) / ref_amp
+    out.tracking_rmse_pct = float(rmse.max())
 
     # Converter powers: AC side from the synthesized differential voltage,
     # DC side from the bus voltage and the summed circulating currents.
-    mask = _window_mask(t, window)
     for key, cols in _mmc_groups(record.labels).items():
         p_ac = 0.0
         p_dc = 0.0

@@ -279,15 +279,13 @@ def simulate(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None = None,
-    energy_control: bool = True,
 ) -> RunRecord:
     """Run a scenario at full rate and return the recorded series.
 
     ``dc_link`` is required in back-to-back mode and ignored otherwise.
-    ``energy_control`` enables the supervisory circulating-current
-    reference (power feedforward, capacitor-energy trim, and the
-    bus-voltage droop in back-to-back mode); with it off the controller
-    receives the bare zero reference.
+    The controller follows a supervisory circulating-current reference:
+    the power feedforward, the capacitor-energy trim, and in
+    back-to-back mode the bus-voltage droop.
 
     Raises :class:`ConfigError` when the DC link is outside the
     stability bound of its update (:meth:`DcLink.check_step`), and
@@ -311,9 +309,9 @@ def simulate(
     n_mmc = scenario.n_converters
     amps = _signed_amplitudes(scenario, grid)
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
-    trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU if energy_control else 0.0
+    trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU
     droop_gain = 0.0
-    if dc_link is not None and energy_control:
+    if dc_link is not None:
         # Per-phase conductance giving the LC mode the target damping.
         droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
 
@@ -390,11 +388,9 @@ def simulate(
             i_z_base = ff_col + droop_gain * (bus - v_dc)
 
         # Deadbeat targets for both arms of every leg.
-        i_z_ref = i_z_base
-        if trim_gain:
-            v_mean = np.add.reduce(v_c, -1) / n
-            v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
-            i_z_ref = i_z_ref + trim_gain * (v_nom_sm - v_mean)
+        v_mean = np.add.reduce(v_c, -1) / n
+        v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
+        i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
         common = half_v_dc + l_arm_ts * (i_z - i_z_ref)
         drive = k_prime * i_ref + v_s - l_prime_ts * i
         np.subtract(common, drive, out=v_star[..., 0])
@@ -512,7 +508,6 @@ def run_scenario(
     dc_link: DcLink | None = None,
     decimation: int = 1,
     window: tuple[float, float] | None = None,
-    energy_control: bool = True,
 ) -> SummaryMetrics:
     """Run a scenario, stream rows to a sink, and summarize the run.
 
@@ -523,9 +518,7 @@ def run_scenario(
     """
     if decimation < 1:
         raise ConfigError(f"decimation must be >= 1, got {decimation}")
-    record = simulate(
-        scenario, params=params, grid=grid, dc_link=dc_link, energy_control=energy_control
-    )
+    record = simulate(scenario, params=params, grid=grid, dc_link=dc_link)
     if sink is not None:
         sink.write_record(record, decimation)
     if record.steps == 0:

@@ -15,7 +15,11 @@ kernel and the paper's formulas against:
   for a power setpoint;
 * switch traces: ``SwitchTrace``, ``effective_switching_frequency`` and
   ``switch_traces_from_history``, the event-list counterpart of
-  ``summarize``'s transition counts.
+  ``summarize``'s transition counts;
+* window metrics: ``ripple_percent``, ``circulating_ratio`` and
+  ``tracking_rmse``, one SM or phase series at a time, and
+  ``reference_summarize``, the per-phase, per-SM loop over them that
+  ``mmcsim.metrics.summarize`` replaces with one array pass.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmcsim.controller import SortPolicy
-from mmcsim.errors import ConfigError, ContractError
-from mmcsim.metrics import RunRecord, _check_window
+from mmcsim.errors import ConfigError, ContractError, MetricWindowError
+from mmcsim.metrics import RunRecord, SummaryMetrics, _check_window, _mmc_groups
 from mmcsim.model import ConverterParams
 from mmcsim.testbench import _PHASE_OFFSETS, GridSource
 
@@ -518,3 +522,154 @@ def switch_traces_from_history(record: RunRecord, phase: str) -> list[SwitchTrac
         SwitchTrace.from_samples(record.times, record.u[:, p, j])
         for j in range(2 * record.n)
     ]
+
+
+# ===== WINDOW METRICS =====
+
+
+def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    t0, t1 = _check_window(window)
+    mask = (times >= t0) & (times <= t1)
+    if not mask.any():
+        raise MetricWindowError(f"no samples inside window ({t0}, {t1})")
+    return mask
+
+
+def ripple_percent(
+    times: np.ndarray,
+    v_c: np.ndarray,
+    nominal: float,
+    window: tuple[float, float],
+) -> float:
+    """Peak-to-peak capacitor-voltage ripple as a percentage of nominal."""
+    if nominal <= 0.0:
+        raise ContractError(f"nominal voltage must be > 0, got {nominal}")
+    times = np.asarray(times, dtype=float)
+    v_c = np.asarray(v_c, dtype=float)
+    if times.shape != v_c.shape:
+        raise ContractError("times and v_c must have equal length")
+    sel = v_c[_window_mask(times, window)]
+    return 100.0 * float(sel.max() - sel.min()) / nominal
+
+
+def circulating_ratio(
+    times: np.ndarray,
+    i_z: np.ndarray,
+    i: np.ndarray,
+    window: tuple[float, float],
+) -> float:
+    """Peak circulating current relative to the AC amplitude.
+
+    The AC amplitude is estimated as the peak |i| over the same window.
+    """
+    times = np.asarray(times, dtype=float)
+    i_z = np.asarray(i_z, dtype=float)
+    i = np.asarray(i, dtype=float)
+    if not (times.shape == i_z.shape == i.shape):
+        raise ContractError("times, i_z and i must have equal length")
+    mask = _window_mask(times, window)
+    amp = float(np.abs(i[mask]).max())
+    if amp == 0.0:
+        raise MetricWindowError("AC amplitude is zero inside the window")
+    return float(np.abs(i_z[mask]).max()) / amp
+
+
+def tracking_rmse(
+    times: np.ndarray,
+    i: np.ndarray,
+    i_ref: np.ndarray,
+    window: tuple[float, float],
+) -> float:
+    """RMS AC-current tracking error as a percentage of the reference amplitude."""
+    times = np.asarray(times, dtype=float)
+    i = np.asarray(i, dtype=float)
+    i_ref = np.asarray(i_ref, dtype=float)
+    if not (times.shape == i.shape == i_ref.shape):
+        raise ContractError("times, i and i_ref must share one sample grid")
+    mask = _window_mask(times, window)
+    amp = float(np.abs(i_ref[mask]).max())
+    if amp == 0.0:
+        raise MetricWindowError("reference amplitude is zero inside the window")
+    err = i[mask] - i_ref[mask]
+    return 100.0 * float(np.sqrt(np.mean(err * err))) / amp
+
+
+def _transition_counts(
+    times: np.ndarray, statuses: np.ndarray, t0: float, t1: float
+) -> np.ndarray:
+    """Status transitions in each column of ``statuses`` with ``t0 < t <= t1``.
+
+    A transition is timestamped at the sample where the new status first
+    appears.  Statuses other than 0 or 1 (NaN included) are refused.
+    """
+    if np.count_nonzero(statuses == 0) + np.count_nonzero(statuses == 1) != statuses.size:
+        raise ContractError("switch statuses must be 0 or 1")
+    t = times[1:]
+    in_window = ((t > t0) & (t <= t1))[:, None]
+    return np.add.reduce(statuses[1:] != statuses[:-1], axis=0, where=in_window)
+
+
+def reference_summarize(
+    record: RunRecord,
+    window: tuple[float, float],
+    nominal_sm_voltage: float,
+) -> SummaryMetrics:
+    """Compute the aggregate metrics of a run over one window."""
+    if record.steps == 0:
+        raise MetricWindowError("cannot summarize an empty record")
+    t = record.times
+    out = SummaryMetrics(window=window)
+
+    fs_all: list[float] = []
+    ripple_all: list[float] = []
+    ratio_worst = 0.0
+    rmse_worst = 0.0
+    n = record.n
+    t0, t1 = _check_window(window)
+    for p, label in enumerate(record.labels):
+        # One on/off cycle is two transitions.
+        fs = _transition_counts(t, record.u[:, p], t0, t1) / (2.0 * (t1 - t0))
+        out.fs_per_sm[label] = fs
+        out.fs_arm_mean[label] = (float(fs[:n].mean()), float(fs[n:].mean()))
+        fs_all.extend(fs.tolist())
+
+        ripple = np.array(
+            [
+                ripple_percent(t, record.v_c[:, p, j], nominal_sm_voltage, window)
+                for j in range(2 * n)
+            ]
+        )
+        out.ripple_pct[label] = ripple
+        ripple_all.extend(ripple.tolist())
+
+        # The circulating current carries a DC component transferring the
+        # converter power through the bus; the quantity the controller
+        # drives to zero is the deviation from that steady level, so the
+        # ratio is taken on the series less its window mean.
+        mask_p = _window_mask(t, window)
+        i_z_dev = record.i_z[:, p] - float(record.i_z[mask_p, p].mean())
+        ratio_worst = max(
+            ratio_worst, circulating_ratio(t, i_z_dev, record.i[:, p], window)
+        )
+        rmse_worst = max(
+            rmse_worst, tracking_rmse(t, record.i[:, p], record.i_ref[:, p], window)
+        )
+
+    out.fs_mean = float(np.mean(fs_all))
+    out.ripple_mean_pct = float(np.mean(ripple_all))
+    out.i_z_max_ratio = ratio_worst
+    out.tracking_rmse_pct = rmse_worst
+
+    # Converter powers: AC side from the synthesized differential voltage,
+    # DC side from the bus voltage and the summed circulating currents.
+    mask = _window_mask(t, window)
+    for key, cols in _mmc_groups(record.labels).items():
+        p_ac = 0.0
+        p_dc = 0.0
+        for p in cols:
+            e_conv = 0.5 * (record.v_low[mask, p] - record.v_up[mask, p])
+            p_ac += float(np.mean(e_conv * record.i[mask, p]))
+            p_dc += float(np.mean(record.v_dc_link[mask, p] * record.i_z[mask, p]))
+        out.p_ac[key] = p_ac
+        out.p_dc[key] = p_dc
+    return out

@@ -1,12 +1,15 @@
-"""The demos import only names the package still exports, and the
-step-by-step demo runs end to end."""
+"""The demos and the README's library example import only names the
+package still exports, and the step-by-step demo and the example run
+end to end."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
@@ -34,3 +37,11 @@ def test_single_phase_stepping_runs(capsys):
     assert out[-4] == "per-SM effective switching frequency over 33.3 ms:"
     assert len(out[-3].split()) == 2 + 6 + 1 and out[-3].endswith("Hz")
     assert out[-1].startswith("  arm average: ")
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    fs_mean = float(capsys.readouterr().out)
+    assert fs_mean > 0.0

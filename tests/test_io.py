@@ -149,6 +149,14 @@ def test_default_reference_follows_mode():
     assert parse_config("").scenario.p_set == (13.18e6, -13.18e6)
 
 
+def test_unknown_scenario_mode_rejected():
+    with pytest.raises(ConfigError) as info:
+        parse_config("[scenario]\nmode = bogus\n")
+    assert str(info.value) == (
+        "[scenario] mode must be one of ('ideal_dc', 'back_to_back'), got 'bogus'"
+    )
+
+
 def test_window_keys_must_pair_and_order():
     with pytest.raises(ConfigError):
         parse_config("[output]\nwindow_start = 0.1\n")

@@ -38,7 +38,7 @@ from per_phase_reference import (
 )
 
 
-def reference_simulate(scenario, *, params, grid, dc_link=None, energy_control=True):
+def reference_simulate(scenario, *, params, grid, dc_link=None):
     """The per-phase run loop: control_step then advance_phase, leg by leg."""
     if scenario.mode == "back_to_back":
         if dc_link is None:
@@ -59,9 +59,9 @@ def reference_simulate(scenario, *, params, grid, dc_link=None, energy_control=T
     else:
         amps = list(scenario.i_amp)
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
-    trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU if energy_control else 0.0
+    trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU
     droop_gain = 0.0
-    if link is not None and energy_control:
+    if link is not None:
         c_end = 0.5 * link.c_total
         omega_link = math.sqrt(2.0 / (link.l_total * c_end))
         droop_gain = 2.0 * _LINK_DROOP_ZETA * omega_link * c_end / 3.0
@@ -101,9 +101,8 @@ def reference_simulate(scenario, *, params, grid, dc_link=None, energy_control=T
                 phase = phases[m][p]
                 i_ref_next = float(i_ref[p])
                 i_z_ref = feedforward[m] + droop_gain * (bus - params.V_dc)
-                if trim_gain:
-                    v_mean = 0.5 * (phase.upper.v_c.mean() + phase.lower.v_c.mean())
-                    i_z_ref += trim_gain * (params.v_sm_nominal - v_mean)
+                v_mean = 0.5 * (phase.upper.v_c.mean() + phase.lower.v_c.mean())
+                i_z_ref += trim_gain * (params.v_sm_nominal - v_mean)
                 decision = control_step(phase, i_ref_next, policy, params, i_z_ref)
                 v_s_next = grid.amplitude * math.cos(wt_next + _PHASE_OFFSETS[p])
                 phase = advance_phase(phase, decision, v_s_next, params, v_dc=bus)
@@ -159,25 +158,30 @@ N_SM = (1, 2, 6, 12, 48)
 SCHEDULES = ("V1F2", "F1V2", "switch")
 MODES = ("ideal_dc", "back_to_back")
 
-# Every (n, schedule) pair once, with mode and energy control
-# alternating so that every pair of levels of any two of the four
-# factors occurs in at least one case.
+# Every (n, schedule) pair once, with mode and reference source
+# (power setpoints, or current amplitudes when False) alternating so
+# that every pair of levels of any two of the four factors occurs in
+# at least one case.
 CASES = [
     (n, shape, MODES[idx % 2], (idx // 2) % 2 == 0)
     for idx, (n, shape) in enumerate(itertools.product(N_SM, SCHEDULES))
 ]
 
 
-@pytest.mark.parametrize("n, shape, mode, energy_control", CASES)
-def test_kernel_matches_per_phase_loop(n, shape, mode, energy_control):
+@pytest.mark.parametrize("n, shape, mode, from_power", CASES)
+def test_kernel_matches_per_phase_loop(n, shape, mode, from_power):
     params, grid, link, _ = build_stock_system()
     params = replace(params, n=n)
     duration = 0.05 if n == 1 else 0.02
-    p_set = (13.18e6,) if mode == "ideal_dc" else (13.18e6, -13.18e6)
+    power = (13.18e6,) if mode == "ideal_dc" else (13.18e6, -13.18e6)
+    if from_power:
+        refs = dict(p_set=power)
+    else:
+        refs = dict(i_amp=tuple(2.0 * p / (3.0 * grid.amplitude) for p in power))
     scenario = Scenario(
-        duration=duration, events=_schedule(shape, duration), mode=mode, p_set=p_set
+        duration=duration, events=_schedule(shape, duration), mode=mode, **refs
     )
-    kwargs = dict(params=params, grid=grid, dc_link=link, energy_control=energy_control)
+    kwargs = dict(params=params, grid=grid, dc_link=link)
     got = simulate(scenario, **kwargs)
     want = reference_simulate(scenario, **kwargs)
     assert got.steps == int(round(duration / params.T_s))

@@ -1,24 +1,26 @@
 """Unit tests for switching, ripple, circulating and tracking metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmcsim.controller import SortPolicy
+from mmcsim.csvio import TimeSeriesSink, load_record_csv
 from mmcsim.errors import ContractError, MetricWindowError
-from mmcsim.metrics import (
-    RunRecord,
-    circulating_ratio,
-    ripple_percent,
-    summarize,
-    tracking_rmse,
-)
+from mmcsim.metrics import RunRecord, summarize
+from mmcsim.testbench import Scenario, build_stock_system, simulate
 from per_phase_reference import (
     SwitchTrace,
+    circulating_ratio,
     effective_switching_frequency,
+    reference_summarize,
+    ripple_percent,
     switch_traces_from_history,
+    tracking_rmse,
 )
 
 
@@ -325,6 +327,90 @@ def test_summarize_rejects_non_binary_statuses(dtype, status):
     record.u[3, 0, 5] = status
     with pytest.raises(ContractError):
         summarize(record, (float(record.times[0]), float(record.times[-1])), 10e3)
+
+
+@pytest.mark.parametrize(
+    "window, nominal, zeroed, error, match",
+    [
+        ((0.0, 0.01), 0.0, None, ContractError, "nominal voltage"),
+        ((0.01, 0.0), 10e3, None, MetricWindowError, "t1 > t0"),
+        ((0.0085, 0.009), 10e3, None, MetricWindowError, "no samples"),
+        ((0.0, 0.01), 10e3, "i", MetricWindowError, "AC amplitude"),
+        ((0.0, 0.01), 10e3, "i_ref", MetricWindowError, "reference amplitude"),
+    ],
+    ids=["nominal", "inverted", "empty-window", "zero-i", "zero-i_ref"],
+)
+def test_summarize_error_paths(window, nominal, zeroed, error, match):
+    record = _tiny_record()
+    if zeroed is not None:
+        getattr(record, zeroed)[:, 0] = 0.0
+    with pytest.raises(error, match=match):
+        summarize(record, window, nominal)
+
+
+@pytest.mark.parametrize(
+    "series, metric",
+    [("i_z", "i_z_max_ratio"), ("i", "tracking_rmse_pct")],
+)
+def test_summarize_reports_a_nan_sample_as_nan(series, metric):
+    record = _tiny_record()
+    getattr(record, series)[3, 0] = math.nan
+    metrics = summarize(record, (0.0, 0.01), 10e3)
+    assert math.isnan(getattr(metrics, metric))
+
+
+def _stock_record(n, mode):
+    params, grid, link, _ = build_stock_system()
+    params = replace(params, n=n)
+    p_set = (13.18e6,) if mode == "ideal_dc" else (13.18e6, -13.18e6)
+    scenario = Scenario(
+        duration=0.02, events=[(0.008, SortPolicy.F1V2)], mode=mode, p_set=p_set
+    )
+    return simulate(scenario, params=params, grid=grid, dc_link=link), params
+
+
+def _summary_bytes(metrics):
+    flat = {key: np.float64(v).tobytes() for key, v in metrics.to_flat().items()}
+    arrays = {
+        (name, label): values.tobytes()
+        for name in ("fs_per_sm", "ripple_pct")
+        for label, values in getattr(metrics, name).items()
+    }
+    return flat, arrays
+
+
+def _windows(record):
+    # The whole run, an interior window whose ends fall between samples,
+    # and one whose ends fall exactly on sample times.
+    t = record.times
+    return [
+        (0.0, 0.02),
+        (0.0051, 0.0163),
+        (float(t[99]), float(t[-101])),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
+@pytest.mark.parametrize("n", [1, 6, 48])
+def test_summarize_matches_scalar_oracle(n, mode):
+    record, params = _stock_record(n, mode)
+    for window in _windows(record):
+        got = summarize(record, window, params.v_sm_nominal)
+        want = reference_summarize(record, window, params.v_sm_nominal)
+        assert _summary_bytes(got) == _summary_bytes(want)
+
+
+def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
+    record, params = _stock_record(6, "back_to_back")
+    path = tmp_path / "run.csv"
+    with TimeSeriesSink(str(path), params.n) as sink:
+        sink.write_record(record, 3)
+    loaded = load_record_csv(str(path))
+    assert loaded.steps == record.steps // 3
+    for window in _windows(loaded):
+        got = summarize(loaded, window, params.v_sm_nominal)
+        want = reference_summarize(loaded, window, params.v_sm_nominal)
+        assert _summary_bytes(got) == _summary_bytes(want)
 
 
 def test_summarize_flat_keys_are_floats():

@@ -283,15 +283,6 @@ def test_simulate_is_deterministic():
     assert a.policy == b.policy
 
 
-def test_simulate_without_energy_control_stays_finite():
-    params, grid, _, _ = build_stock_system()
-    record = simulate(
-        _short_scenario(0.02), params=params, grid=grid, energy_control=False
-    )
-    assert np.all(np.isfinite(record.i))
-    assert np.all(np.isfinite(record.v_c))
-
-
 def test_run_scenario_defaults_window_to_whole_run():
     params, grid, _, _ = build_stock_system()
     metrics = run_scenario(_short_scenario(0.01), params=params, grid=grid)
