@@ -55,13 +55,12 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _run_config(config: RunConfig, sink: TimeSeriesSink | None) -> SummaryMetrics:
-    dc_link = config.dc_link if config.scenario.mode == "back_to_back" else None
     return run_scenario(
         config.scenario,
         sink,
         params=config.params,
         grid=config.grid,
-        dc_link=dc_link,
+        dc_link=config.dc_link,
         decimation=config.decimation,
         window=config.window,
     )
@@ -149,7 +148,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.window is not None:
         window = (args.window[0], args.window[1])
     else:
-        window = (float(record.times[0]), float(record.times[-1]))
+        window = (0.0, float(record.times[-1]))
     if args.sm_nominal is not None:
         nominal = args.sm_nominal
     else:
@@ -195,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs=2,
         type=float,
         metavar=("T0", "T1"),
-        help="evaluation window in seconds (default: whole file)",
+        help="evaluation window in seconds (default: 0 to the last sample time)",
     )
     p_met.add_argument(
         "--sm-nominal",

@@ -16,7 +16,7 @@ import io
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .controller import SortPolicy
 from .errors import ConfigError
@@ -27,11 +27,20 @@ __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 log = logging.getLogger(__name__)
 
+# section -> {config key: dataclass field}, in file order, for the
+# sections that map one to one onto ConverterParams, GridSource and DcLink
+_FIELDS: dict[str, dict[str, str]] = {
+    "converter": {
+        "n_sm": "n", "r": "R", "l": "L", "l_arm": "l_arm", "c_sm": "C",
+        "v_dc": "V_dc", "t_s": "T_s", "w": "w", "w_z": "w_z",
+    },
+    "grid": {"amplitude": "amplitude", "frequency": "frequency"},
+    "dc_link": {"length_km": "length_km", "c_per_km": "c_per_km", "l_per_km": "l_per_km"},
+}
+
 # section -> ordered tuple of known keys
 _SCHEMA: dict[str, tuple[str, ...]] = {
-    "converter": ("n_sm", "r", "l", "l_arm", "c_sm", "v_dc", "t_s", "w", "w_z"),
-    "grid": ("amplitude", "frequency"),
-    "dc_link": ("length_km", "c_per_km", "l_per_km"),
+    **{section: tuple(keys) for section, keys in _FIELDS.items()},
     "scenario": ("mode", "duration", "policy_schedule", "p_set", "i_amp"),
     "output": ("directory", "decimation", "window_start", "window_end"),
 }
@@ -76,39 +85,29 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
         raise ConfigError("; ".join(problems))
 
 
-class _SectionReader:
-    """Typed access to one section with default-fallback logging."""
+def _value(parser: configparser.ConfigParser, section: str, key: str, default):
+    """``key`` of ``section`` cast to ``type(default)``, or ``default`` if unset."""
+    raw = parser.get(section, key, fallback=None)
+    if raw is None:
+        log.info("config: [%s] %s not set, using stock default %r", section, key, default)
+        return default
+    try:
+        return type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self._parser = parser
-        self._section = section
 
-    def raw(self, key: str) -> str | None:
-        if self._parser.has_option(self._section, key):
-            return self._parser.get(self._section, key)
-        return None
-
-    def _get(self, key: str, cast, default):
-        raw = self.raw(key)
-        if raw is None:
-            log.info("config: [%s] %s not set, using stock default %r",
-                     self._section, key, default)
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{self._section}] {key}: cannot parse {raw!r} ({exc})"
-            ) from exc
-
-    def number(self, key: str, default: float) -> float:
-        return self._get(key, float, default)
-
-    def integer(self, key: str, default: int) -> int:
-        return self._get(key, int, default)
-
-    def text(self, key: str, default: str) -> str:
-        return self._get(key, str, default)
+def _build(parser: configparser.ConfigParser, section: str, default):
+    """Build ``type(default)`` from the ``_FIELDS`` keys of ``section``;
+    unset keys take ``default``'s values."""
+    values = {
+        field: _value(parser, section, key, getattr(default, field))
+        for key, field in _FIELDS[section].items()
+    }
+    try:
+        return type(default)(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _parse_policy_schedule(raw: str) -> list[tuple[float, SortPolicy]]:
@@ -159,45 +158,13 @@ def parse_config(text: str) -> RunConfig:
 
     d_params, d_grid, d_link, d_scenario = build_stock_system()
 
-    conv = _SectionReader(parser, "converter")
-    try:
-        params = ConverterParams(
-            n=conv.integer("n_sm", d_params.n),
-            R=conv.number("r", d_params.R),
-            L=conv.number("l", d_params.L),
-            l_arm=conv.number("l_arm", d_params.l_arm),
-            C=conv.number("c_sm", d_params.C),
-            V_dc=conv.number("v_dc", d_params.V_dc),
-            T_s=conv.number("t_s", d_params.T_s),
-            w=conv.number("w", d_params.w),
-            w_z=conv.number("w_z", d_params.w_z),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[converter] {exc}") from exc
+    params = _build(parser, "converter", d_params)
+    grid = _build(parser, "grid", d_grid)
+    dc_link = _build(parser, "dc_link", d_link)
 
-    grid_r = _SectionReader(parser, "grid")
-    try:
-        grid = GridSource(
-            amplitude=grid_r.number("amplitude", d_grid.amplitude),
-            frequency=grid_r.number("frequency", d_grid.frequency),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[grid] {exc}") from exc
-
-    link_r = _SectionReader(parser, "dc_link")
-    try:
-        dc_link = DcLink(
-            length_km=link_r.number("length_km", d_link.length_km),
-            c_per_km=link_r.number("c_per_km", d_link.c_per_km),
-            l_per_km=link_r.number("l_per_km", d_link.l_per_km),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[dc_link] {exc}") from exc
-
-    scen = _SectionReader(parser, "scenario")
-    mode = scen.text("mode", d_scenario.mode)
-    duration = scen.number("duration", d_scenario.duration)
-    raw_schedule = scen.raw("policy_schedule")
+    mode = _value(parser, "scenario", "mode", d_scenario.mode)
+    duration = _value(parser, "scenario", "duration", d_scenario.duration)
+    raw_schedule = parser.get("scenario", "policy_schedule", fallback=None)
     if raw_schedule is None:
         events = [e for e in d_scenario.events if e[0] <= duration]
         log.info("config: [scenario] policy_schedule not set, using stock default %r",
@@ -205,8 +172,8 @@ def parse_config(text: str) -> RunConfig:
     else:
         events = _parse_policy_schedule(raw_schedule)
 
-    raw_p = scen.raw("p_set")
-    raw_i = scen.raw("i_amp")
+    raw_p = parser.get("scenario", "p_set", fallback=None)
+    raw_i = parser.get("scenario", "i_amp", fallback=None)
     n_conv = 2 if mode == "back_to_back" else 1
     p_set: tuple[float, ...] | None = None
     i_amp: tuple[float, ...] | None = None
@@ -228,18 +195,20 @@ def parse_config(text: str) -> RunConfig:
     if mode == "back_to_back":
         dc_link.check_step(params.T_s)
 
-    out = _SectionReader(parser, "output")
-    output_dir = out.text("directory", DEFAULT_OUTPUT_DIR)
-    decimation = out.integer("decimation", 1)
+    output_dir = _value(parser, "output", "directory", DEFAULT_OUTPUT_DIR)
+    decimation = _value(parser, "output", "decimation", 1)
     if decimation < 1:
         raise ConfigError(f"[output] decimation must be >= 1, got {decimation}")
-    raw_w0 = out.raw("window_start")
-    raw_w1 = out.raw("window_end")
+    raw_w0 = parser.get("output", "window_start", fallback=None)
+    raw_w1 = parser.get("output", "window_end", fallback=None)
     if (raw_w0 is None) != (raw_w1 is None):
         raise ConfigError("[output] window_start and window_end must be given together")
     window: tuple[float, float] | None = None
     if raw_w0 is not None:
-        window = (out.number("window_start", 0.0), out.number("window_end", 0.0))
+        window = (
+            _value(parser, "output", "window_start", 0.0),
+            _value(parser, "output", "window_end", 0.0),
+        )
         if not (math.isfinite(window[0]) and math.isfinite(window[1])) or (
             window[1] <= window[0]
         ):
@@ -262,29 +231,14 @@ def serialize_config(config: RunConfig) -> str:
     Every key is written explicitly; floats use shortest round-trip
     notation, so parse -> serialize -> parse is exact.
     """
-    p, g, k, s = config.params, config.grid, config.dc_link, config.scenario
+    s = config.scenario
     schedule = "[" + ", ".join(f"({t!r}, {pol.value})" for t, pol in s.events) + "]"
-    lines = [
-        "[converter]",
-        f"n_sm = {p.n}",
-        f"r = {p.R!r}",
-        f"l = {p.L!r}",
-        f"l_arm = {p.l_arm!r}",
-        f"c_sm = {p.C!r}",
-        f"v_dc = {p.V_dc!r}",
-        f"t_s = {p.T_s!r}",
-        f"w = {p.w!r}",
-        f"w_z = {p.w_z!r}",
-        "",
-        "[grid]",
-        f"amplitude = {g.amplitude!r}",
-        f"frequency = {g.frequency!r}",
-        "",
-        "[dc_link]",
-        f"length_km = {k.length_km!r}",
-        f"c_per_km = {k.c_per_km!r}",
-        f"l_per_km = {k.l_per_km!r}",
-        "",
+    lines = []
+    for section, obj in zip(_FIELDS, (config.params, config.grid, config.dc_link)):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {getattr(obj, field)!r}" for key, field in _FIELDS[section].items()]
+        lines.append("")
+    lines += [
         "[scenario]",
         f"mode = {s.mode}",
         f"duration = {s.duration!r}",

@@ -72,8 +72,8 @@ class ConverterParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ContractError(f"{name} must be finite and > 0, got {value}")
-        if self.w < 0.0 or self.w_z < 0.0:
-            raise ContractError("weights w and w_z must be >= 0")
+        if not (0.0 <= self.w < math.inf and 0.0 <= self.w_z < math.inf):
+            raise ContractError("weights w and w_z must be finite and >= 0")
         if self.w == 0.0 and self.w_z == 0.0:
             raise ContractError("weights w and w_z must not both be zero")
 

@@ -54,17 +54,8 @@ __all__ = [
     "build_stock_system",
     "simulate",
     "run_scenario",
-    "DEFAULT_GRID_AMPLITUDE",
-    "DEFAULT_GRID_FREQUENCY",
 ]
 
-
-# Grid defaults for the stock test system.  The amplitude puts the
-# modulation index near 0.82 on the 60 kV bus, so the rated 13.18 MW
-# transfer runs at about 359 A peak per phase; the frequency is a
-# conventional 60 Hz (neither value is part of the converter itself).
-DEFAULT_GRID_AMPLITUDE = 24.5e3   # phase peak [V]
-DEFAULT_GRID_FREQUENCY = 60.0     # [Hz]
 
 # Time constant of the capacitor-energy trim on the circulating-current
 # reference [s].  Slow against the AC period, fast against a run.
@@ -102,11 +93,6 @@ class GridSource:
     @property
     def omega(self) -> float:
         return 2.0 * math.pi * self.frequency
-
-    def voltage(self, t: float) -> np.ndarray:
-        """Instantaneous phase voltages (a, b, c) at time t [V]."""
-        wt = self.omega * t
-        return np.array([self.amplitude * math.cos(wt + off) for off in _PHASE_OFFSETS])
 
 
 @dataclass(frozen=True)
@@ -198,12 +184,14 @@ class Scenario:
                 raise ConfigError(f"event policy must be a SortPolicy, got {policy!r}")
             if t <= last:
                 raise ConfigError("event times must be strictly increasing")
-            if t < 0.0 or t > self.duration:
+            if not 0.0 <= t <= self.duration:
                 raise ConfigError(f"event time {t} outside [0, {self.duration}]")
             last = t
         if (self.p_set is None) == (self.i_amp is None):
             raise ConfigError("exactly one of p_set and i_amp must be given")
         refs = self.p_set if self.p_set is not None else self.i_amp
+        if not all(math.isfinite(x) for x in refs):
+            raise ConfigError(f"references must be finite, got {refs}")
         if len(refs) != self.n_converters:
             raise ConfigError(
                 f"{self.mode} needs {self.n_converters} reference(s), got {len(refs)}"
@@ -241,7 +229,11 @@ def build_stock_system() -> tuple[ConverterParams, GridSource, DcLink, Scenario]
         V_dc=60.0e3,
         T_s=25.0e-6,
     )
-    grid = GridSource(DEFAULT_GRID_AMPLITUDE, DEFAULT_GRID_FREQUENCY)
+    # The grid amplitude puts the modulation index near 0.82 on the
+    # 60 kV bus, so the rated 13.18 MW transfer runs at about 359 A peak
+    # per phase; the frequency is a conventional 60 Hz (neither value is
+    # part of the converter itself).
+    grid = GridSource(24.5e3, 60.0)   # phase peak [V], [Hz]
     link = DcLink(
         length_km=5.0,
         c_per_km=16.0e-6,
@@ -334,12 +326,12 @@ def simulate(
     rec_v_dc = np.empty((steps, n_legs))
     rec_i_dc = np.empty((steps, n_legs))
     policy = [scenario.policy_at(k * t_s) for k in range(steps)]
-    # Grid cosines at the end of each step, one per phase.
+    # Grid cosines at t = k * T_s for k = 0..steps, one per phase.
     omega = grid.omega
     phase_cos = np.array(
-        [math.cos(omega * ((k + 1) * t_s) + off) for k in range(steps) for off in _PHASE_OFFSETS]
-    ).reshape(steps, 3)
-    rec_i_ref = np.array(amps).reshape(n_mmc, 1) * phase_cos[:, None, :]
+        [math.cos(omega * (k * t_s) + off) for k in range(steps + 1) for off in _PHASE_OFFSETS]
+    ).reshape(steps + 1, 3)
+    rec_i_ref = np.array(amps).reshape(n_mmc, 1) * phase_cos[1:, None, :]
     v_s_table = grid.amplitude * phase_cos
 
     v_c = np.full((*legs, 2, n), params.v_sm_nominal)
@@ -347,7 +339,7 @@ def simulate(
     i = np.zeros(legs)
     i_z = np.zeros(legs)
     i_arm = np.zeros((*legs, 2))
-    v_s = grid.voltage(0.0)
+    v_s = v_s_table[0]
 
     # Flat-index offsets of each arm's run of SMs and of prefix sums.
     arm_index = np.arange(n_mmc * 6).reshape(*legs, 2, 1)
@@ -382,7 +374,7 @@ def simulate(
 
     for k in range(steps):
         i_ref = rec_i_ref[k]
-        v_s_next = v_s_table[k]
+        v_s_next = v_s_table[k + 1]
         if dc_link is not None:
             bus = np.array([[v_mmc1], [v_mmc2]])
             i_z_base = ff_col + droop_gain * (bus - v_dc)

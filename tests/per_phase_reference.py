@@ -11,8 +11,9 @@ kernel and the paper's formulas against:
   ``SwitchDecision`` and ``advance_phase`` with its helpers;
 * controller: ``compute_targets``, ``sort_arm``, ``select_submodules``
   and ``control_step`` (targets, ranking, selection);
-* references: ``reference_current``, the three-phase current reference
-  for a power setpoint;
+* references: ``grid_voltage``, the grid's instantaneous phase
+  voltages, and ``reference_current``, the three-phase current
+  reference for a power setpoint;
 * switch traces: ``SwitchTrace``, ``effective_switching_frequency`` and
   ``switch_traces_from_history``, the event-list counterpart of
   ``summarize``'s transition counts;
@@ -441,6 +442,12 @@ def control_step(
 
 
 # ===== REFERENCES =====
+
+
+def grid_voltage(grid: GridSource, t: float) -> np.ndarray:
+    """Instantaneous phase voltages (a, b, c) at time t [V]."""
+    wt = grid.omega * t
+    return np.array([grid.amplitude * math.cos(wt + off) for off in _PHASE_OFFSETS])
 
 
 def reference_current(setpoint_power: float, grid: GridSource, t: float) -> np.ndarray:

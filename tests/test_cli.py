@@ -84,6 +84,16 @@ def test_metrics_reproduces_run_report(workdir, capsys):
     assert (workdir / "out" / "run.metrics.json").exists()
 
 
+def test_metrics_default_window_is_the_run_window(workdir, capsys):
+    # Back-to-back, no [output] window: run evaluates (0, duration).
+    cfg = _write(workdir, "run.ini", "[scenario]\nduration = 0.04\n")
+    assert main(["run", cfg]) == 0
+    out = workdir / "out"
+    assert main(["metrics", str(out / "run.csv")]) == 0
+    assert (out / "run.metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+    assert (out / "run.metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
+
+
 def test_compare_identical_configs_gives_unit_ratio(workdir, capsys):
     cfg_a = _write(workdir, "a.ini", SMALL_CONFIG)
     cfg_b = _write(workdir, "b.ini", SMALL_CONFIG)

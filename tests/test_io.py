@@ -6,15 +6,18 @@ writer and loader they replaced, and the new ones must match them byte
 for byte and array by array.
 """
 
+import dataclasses
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmcsim.config import RunConfig, parse_config, serialize_config
+from mmcsim.config import _FIELDS, _SCHEMA, RunConfig, parse_config, serialize_config
 from mmcsim.controller import SortPolicy
 from mmcsim.csvio import (
     TimeSeriesSink,
@@ -25,7 +28,8 @@ from mmcsim.csvio import (
 )
 from mmcsim.errors import ConfigError, ContractError
 from mmcsim.metrics import RunRecord, summarize
-from mmcsim.testbench import Scenario, build_stock_system, simulate
+from mmcsim.model import ConverterParams
+from mmcsim.testbench import DcLink, GridSource, Scenario, build_stock_system, simulate
 
 RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
                  "v_dc_link", "i_dc_link")
@@ -72,6 +76,61 @@ window_end = 0.3
     assert second.window == (0.1, 0.3)
 
 
+STOCK_CONFIG_TEXT = """\
+[converter]
+n_sm = 6
+r = 0.03
+l = 0.005
+l_arm = 0.003
+c_sm = 0.0025
+v_dc = 60000.0
+t_s = 2.5e-05
+w = 1.0
+w_z = 1.0
+
+[grid]
+amplitude = 24500.0
+frequency = 60.0
+
+[dc_link]
+length_km = 5.0
+c_per_km = 1.6e-05
+l_per_km = 5e-05
+
+[scenario]
+mode = back_to_back
+duration = 3.0
+policy_schedule = [(1.2, F1V2), (1.4, V1F2)]
+p_set = 13180000.0, -13180000.0
+
+[output]
+directory = out
+decimation = 1
+"""
+
+
+def test_stock_config_serializes_to_frozen_text():
+    assert serialize_config(parse_config("")) == STOCK_CONFIG_TEXT
+
+
+def test_config_keys_cover_every_dataclass_field():
+    for section, cls in (("converter", ConverterParams), ("grid", GridSource),
+                         ("dc_link", DcLink)):
+        assert list(_FIELDS[section].values()) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_readme_config_block_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    keys: dict[str, list[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("["):
+            names = keys.setdefault(line.strip("[]"), [])
+        elif "=" in line:
+            names.append(line.lstrip("# ").split("=")[0].strip())
+    assert keys == {section: list(names) for section, names in _SCHEMA.items()}
+
+
 def test_unknown_keys_and_sections_rejected_together():
     text = """
 [converter]
@@ -95,6 +154,11 @@ def test_invalid_converter_values_name_the_field():
     with pytest.raises(ConfigError) as err:
         parse_config("[converter]\nr = resistive\n")
     assert "r" in str(err.value)
+    assert str(err.value).startswith("[converter] r: cannot parse")
+    for weight in ("w = nan", "w_z = inf"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[converter]\n{weight}\n")
+        assert str(err.value).startswith("[converter] weights")
 
 
 def test_config_syntax_error_is_wrapped():
@@ -185,6 +249,8 @@ def test_schedule_beyond_duration_rejected():
         parse_config(
             "[scenario]\nduration = 0.5\npolicy_schedule = [(0.9, F1V2)]\n"
         )
+    with pytest.raises(ConfigError):
+        parse_config("[scenario]\npolicy_schedule = [(nan, F1V2)]\n")
 
 
 # ------------------------------------------------------------------- CSV

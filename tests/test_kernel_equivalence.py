@@ -33,6 +33,7 @@ from mmcsim.testbench import (
 from per_phase_reference import (
     advance_phase,
     control_step,
+    grid_voltage,
     initial_phase_state,
     reference_current,
 )
@@ -78,7 +79,7 @@ def reference_simulate(scenario, *, params, grid, dc_link=None):
     rec_u = np.empty((steps, n_cols, 2 * n), dtype=np.int8)
     rec_policy = []
 
-    v_s0 = grid.voltage(0.0)
+    v_s0 = grid_voltage(grid, 0.0)
     phases = [
         [initial_phase_state(params, float(v_s0[p])) for p in range(3)]
         for _ in range(n_mmc)

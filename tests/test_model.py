@@ -63,6 +63,10 @@ def test_derived_constants():
         ("T_s", 0.0),
         ("w", -1.0),
         ("w_z", -0.5),
+        ("w", math.nan),
+        ("w", math.inf),
+        ("w_z", math.nan),
+        ("w_z", math.inf),
     ],
 )
 def test_params_reject_nonpositive(field, value):
@@ -416,17 +420,17 @@ def test_golden_five_step_trace():
     """Closed-loop micro-trace pinned against a frozen reference run."""
     from mmcsim.controller import SortPolicy
     from mmcsim.testbench import GridSource
-    from per_phase_reference import control_step, reference_current
+    from per_phase_reference import control_step, grid_voltage, reference_current
 
     grid = GridSource(amplitude=24.5e3, frequency=60.0)
-    phase = initial_phase_state(STOCK_PARAMS, v_s=grid.voltage(0.0)[0])
+    phase = initial_phase_state(STOCK_PARAMS, v_s=grid_voltage(grid, 0.0)[0])
     p_ref = 13.18e6
     for step, expect in enumerate(GOLDEN_TRACE):
         t_next = (step + 1) * STOCK_PARAMS.T_s
         i_ref_next = reference_current(p_ref, grid, t_next)[0]
         decision = control_step(phase, i_ref_next, SortPolicy.V1F2, STOCK_PARAMS)
         phase = advance_phase(
-            phase, decision, grid.voltage(t_next)[0], STOCK_PARAMS
+            phase, decision, grid_voltage(grid, t_next)[0], STOCK_PARAMS
         )
         exp_i, exp_iz, exp_vup, exp_vlow = expect
         assert phase.i == exp_i

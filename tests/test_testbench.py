@@ -10,8 +10,6 @@ from mmcsim.controller import SortPolicy
 from mmcsim.errors import ConfigError
 from mmcsim.metrics import SummaryMetrics
 from mmcsim.testbench import (
-    DEFAULT_GRID_AMPLITUDE,
-    DEFAULT_GRID_FREQUENCY,
     DcLink,
     GridSource,
     Scenario,
@@ -19,7 +17,7 @@ from mmcsim.testbench import (
     run_scenario,
     simulate,
 )
-from per_phase_reference import reference_current
+from per_phase_reference import grid_voltage, reference_current
 
 
 # ------------------------------------------------------------ stock system
@@ -35,8 +33,8 @@ def test_stock_system_constants():
     assert params.V_dc == 60e3
     assert params.T_s == 25e-6
     assert params.w == 1.0 and params.w_z == 1.0
-    assert grid.amplitude == DEFAULT_GRID_AMPLITUDE == 24.5e3
-    assert grid.frequency == DEFAULT_GRID_FREQUENCY == 60.0
+    assert grid.amplitude == 24.5e3
+    assert grid.frequency == 60.0
     assert link.length_km == 5.0
     assert link.c_total == pytest.approx(80e-6, rel=1e-12)
     assert link.l_total == pytest.approx(250e-6, rel=1e-12)
@@ -67,7 +65,7 @@ def _one_back_to_back_step(params, grid, link):
 
 def test_grid_voltage_at_zero():
     grid = GridSource(amplitude=24.5e3, frequency=60.0)
-    v = grid.voltage(0.0)
+    v = grid_voltage(grid, 0.0)
     assert v[0] == 24.5e3
     assert v[1] == pytest.approx(-12.25e3, rel=1e-12)
     assert v[2] == pytest.approx(-12.25e3, rel=1e-12)
@@ -152,6 +150,9 @@ def test_scenario_reference_arity_matches_mode():
         Scenario(duration=1.0, mode="back_to_back", p_set=(1e6,))
     with pytest.raises(ConfigError):
         Scenario(duration=1.0, mode="ideal_dc", i_amp=(100.0, 100.0))
+    for refs in ({"p_set": (math.nan,)}, {"i_amp": (math.inf,)}, {"p_set": (-math.inf,)}):
+        with pytest.raises(ConfigError, match="finite"):
+            Scenario(duration=1.0, mode="ideal_dc", **refs)
 
 
 def test_scenario_event_validation():
@@ -161,8 +162,9 @@ def test_scenario_event_validation():
             events=[(0.5, SortPolicy.F1V2), (0.2, SortPolicy.V1F2)],
             p_set=(1e6,),
         )
-    with pytest.raises(ConfigError):
-        Scenario(duration=1.0, events=[(1.5, SortPolicy.F1V2)], p_set=(1e6,))
+    for t in (1.5, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            Scenario(duration=1.0, events=[(t, SortPolicy.F1V2)], p_set=(1e6,))
     with pytest.raises(ConfigError):
         Scenario(duration=-1.0, p_set=(1e6,))
     with pytest.raises(ConfigError):
