@@ -145,16 +145,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     record = load_record_csv(args.csv)
-    if args.window is not None:
-        window = (args.window[0], args.window[1])
-    else:
-        window = (0.0, float(record.times[-1]))
     if args.sm_nominal is not None:
         nominal = args.sm_nominal
     else:
         # In ideal-dc runs the recorded link voltage is the nominal bus.
         nominal = float(record.v_dc_link[0, 0]) / record.n
-    metrics = summarize(record, window, nominal)
+    metrics = summarize(record, tuple(args.window) if args.window else None, nominal)
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or os.path.dirname(args.csv) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -64,7 +64,9 @@ class RunConfig:
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so ``[DEFAULT]`` is read as
+    # an ordinary, and thus unknown, section instead of as defaults.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:

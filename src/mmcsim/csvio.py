@@ -18,14 +18,21 @@ voltage and current with the row before.  Only the inserted SMs of an
 arm change their capacitor voltage in a sample, and a bypassed SM holds
 its voltage bit for bit, so writing costs scale with what changed.
 Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
-exact text and the bytes equal those of formatting every cell.  The
-loader parses every numeric column in one ``numpy.loadtxt`` call, whose
-C parser rounds exactly like ``float()``.
+exact text and the bytes equal those of formatting every cell.
+
+The layout is defined once, as a structured row dtype that
+``csv_columns`` derives from.  The loader parses the file into a table
+of such rows in one ``numpy.loadtxt`` pass, whose C parser rounds like
+``float()``, checks the table with array operations, takes the record's
+arrays by field name, and reads the file line by line only to name the
+line of a refused row.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,16 +50,27 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 
 
+def _row_dtype(n: int) -> np.dtype:
+    """One CSV row, its fields in column order; an array field spans one
+    column per SM.  The text fields are objects, so no label is cut short."""
+    return np.dtype([
+        ("t", np.float64), ("phase", object),
+        *[(name, np.float64) for name in ("i", "i_ref", "i_z", "v_up", "v_low")],
+        ("v_c", np.float64, (2 * n,)), ("u", np.int8, (2 * n,)),
+        ("v_dc_link", np.float64), ("i_dc_link", np.float64), ("policy", object),
+    ])
+
+
 def csv_columns(n: int) -> list[str]:
     """Column names for a converter with n SMs per arm."""
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    return (
-        ["t", "phase", "i", "i_ref", "i_z", "v_up", "v_low"]
-        + [f"v_c_{j}" for j in range(1, 2 * n + 1)]
-        + [f"u_{j}" for j in range(1, 2 * n + 1)]
-        + ["v_dc_link", "i_dc_link", "policy"]
-    )
+    dtype = _row_dtype(n)
+    columns: list[str] = []
+    for name in dtype.names:
+        shape = dtype[name].shape
+        columns += [f"{name}_{j}" for j in range(1, shape[0] + 1)] if shape else [name]
+    return columns
 
 
 # Kept steps are formatted and written in blocks of about this many
@@ -101,9 +119,7 @@ class TimeSeriesSink:
         if decimation < 1:
             raise ConfigError(f"decimation must be >= 1, got {decimation}")
         if record.n != self.n:
-            raise ContractError(
-                f"record has {record.n} SMs per arm, sink expects {self.n}"
-            )
+            raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
         kept = slice(decimation - 1, None, decimation)
         times = record.times[kept]
         if times.size == 0:
@@ -177,102 +193,71 @@ def load_record_csv(path: str) -> RunRecord:
     """
     with open(path, newline="") as f:
         header = f.readline().rstrip("\n").split(",")
-        n2 = sum(1 for c in header if c.startswith("v_c_"))
-        if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
-            raise ContractError(f"{path!r} does not match the run CSV schema")
-        lines = f.readlines()
-    line_no = [no for no, line in enumerate(lines, start=2) if not line.isspace()]
-    rows = [lines[no - 2] for no in line_no]
-    del lines
-    if not rows:
+    n2 = sum(1 for c in header if c.startswith("v_c_"))
+    if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
+        raise ContractError(f"{path!r} does not match the run CSV schema")
+    if next(_data_lines(path), None) is None:
         raise ContractError(f"{path!r} contains no data rows")
+    dtype = _row_dtype(n2 // 2)
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+    except ValueError:
+        _name_bad_line(path, dtype, len(header))
 
-    commas = len(header) - 1
-    for no, row in zip(line_no, rows):
-        if row.count(",") != commas:
-            raise ContractError(
-                f"{path!r}: line {no} has {row.count(',') + 1} fields,"
-                f" expected {len(header)}"
-            )
-    row_labels = [row.split(",", 2)[1] for row in rows]
-    labels: list[str] = []
-    for label in row_labels:
-        if label in labels:
-            break
-        labels.append(label)
-    n_cols = len(labels)
-    for r, label in enumerate(row_labels):
-        if label != labels[r % n_cols]:
-            raise ContractError(f"{path!r}: line {line_no[r]} breaks the phase ordering")
-    if len(rows) % n_cols:
-        raise ContractError(
-            f"{path!r}: line {line_no[-1]} ends the file inside a step of"
-            f" {n_cols} phases"
-        )
-    steps = len(rows) // n_cols
-    row_policy = [row.rpartition(",")[2].rstrip("\n") for row in rows]
-    policy = row_policy[::n_cols]
-    for r, name in enumerate(row_policy):
-        if name != policy[r // n_cols]:
-            raise ContractError(
-                f"{path!r}: line {line_no[r]} has a policy other than its step's first row"
-            )
-
-    data = _parse_numeric(path, rows, line_no, n2)
-    del rows  # free the text before the arrays are copied out
-    bad = np.flatnonzero(((data["u"] != 0) & (data["u"] != 1)).any(axis=1))
-    if bad.size:
-        raise ContractError(
-            f"{path!r}: line {line_no[bad[0]]} has a switch status other than 0 or 1"
-        )
-    head = data["head"].reshape(steps, n_cols, -1)
+    phase = table["phase"]
+    # The phase labels are those before the first repeated one.
+    n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), phase.size)
+    labels = phase[:n_cols].tolist()
+    _refuse(path, phase != np.resize(phase[:n_cols], phase.size), "breaks the phase ordering")
+    if phase.size % n_cols:
+        _refuse(path, np.arange(phase.size) == phase.size - 1,
+                f"ends the file inside a step of {n_cols} phases")
+    step = table.reshape(-1, n_cols)
+    policy = step["policy"]
+    _refuse(path, policy != policy[:, :1], "has a policy other than its step's first row")
+    u = table["u"]
+    _refuse(path, ((u != 0) & (u != 1)).any(axis=1), "has a switch status other than 0 or 1")
     # Every row of a step repeats the step's time text, hence its bits.
-    t_bits = head[:, :, 0].view(np.int64)
-    bad = np.flatnonzero(t_bits != t_bits[:, :1])
-    if bad.size:
-        raise ContractError(
-            f"{path!r}: line {line_no[bad[0]]} has a time other than its step's first row"
-        )
-    back = np.flatnonzero(head[1:, 0, 0] < head[:-1, 0, 0])
-    if back.size:
-        raise ContractError(
-            f"{path!r}: line {line_no[(back[0] + 1) * n_cols]} goes back in time"
-        )
-    tail = data["tail"].reshape(steps, n_cols, 2)
+    t_bits = step["t"].view(np.int64)
+    _refuse(path, t_bits != t_bits[:, :1], "has a time other than its step's first row")
+    times = step["t"][:, 0]
+    _refuse(path, np.r_[False, times[1:] < times[:-1]].repeat(n_cols), "goes back in time")
+    # The fields between the phase label and the policy are the
+    # RunRecord arrays of the same names.
     return RunRecord(
-        times=head[:, 0, 0].copy(),
+        times=times.copy(),
         labels=labels,
-        i=head[:, :, 1].copy(),
-        i_ref=head[:, :, 2].copy(),
-        i_z=head[:, :, 3].copy(),
-        v_up=head[:, :, 4].copy(),
-        v_low=head[:, :, 5].copy(),
-        v_c=head[:, :, 6:].copy(),
-        u=data["u"].reshape(steps, n_cols, n2).copy(),
-        v_dc_link=tail[:, :, 0].copy(),
-        i_dc_link=tail[:, :, 1].copy(),
-        policy=policy,
+        policy=policy[:, 0].tolist(),
+        **{name: step[name].copy() for name in dtype.names[2:-1]},
     )
 
 
-def _parse_numeric(path: str, rows: list[str], line_no: list[int], n2: int) -> np.ndarray:
-    """Every numeric field of ``rows``: time, the five phase series and
-    v_c (``head``), statuses (``u``), link voltage and current (``tail``)."""
-    dtype = np.dtype([
-        ("head", np.float64, (6 + n2,)),
-        ("u", np.int8, (n2,)),
-        ("tail", np.float64, (2,)),
-    ])
-    usecols = [0, *range(2, 9 + 2 * n2)]
-    options = dict(dtype=dtype, delimiter=",", usecols=usecols, comments=None, ndmin=1)
-    try:
-        return np.loadtxt(rows, **options)
-    except ValueError:
-        pass
-    # Parse line by line to name the first line that does not parse.
-    for no, row in zip(line_no, rows):
+def _data_lines(path: str):
+    """``(1-based line number, text)`` of each data row of ``path`` as
+    ``numpy.loadtxt`` reads it: every line after the header but empty ones."""
+    with open(path) as f:
+        next(f)
+        yield from ((no, line) for no, line in enumerate(f, start=2) if line != "\n")
+
+
+def _refuse(path: str, bad: np.ndarray, what: str) -> None:
+    """Raise ContractError naming the file line of the first data row
+    flagged in ``bad``, a boolean array in row order, if any is."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        no, _ = next(itertools.islice(_data_lines(path), int(rows[0]), None))
+        raise ContractError(f"{path!r}: line {no} {what}")
+
+
+def _name_bad_line(path: str, dtype: np.dtype, n_fields: int) -> NoReturn:
+    """Raise ContractError naming the first data line whose field count is
+    wrong or that does not parse on its own."""
+    for no, line in _data_lines(path):
+        fields = line.count(",") + 1
+        if fields != n_fields:
+            raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
         try:
-            np.loadtxt([row], **options)
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
         except ValueError as exc:
             raise ContractError(
                 f"{path!r}: line {no} has a field that does not parse ({exc})"

@@ -112,8 +112,8 @@ class SummaryMetrics:
 
 def _check_window(window: tuple[float, float]) -> tuple[float, float]:
     t0, t1 = window
-    if not (t1 > t0):
-        raise MetricWindowError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
+    if not (np.isfinite(window).all() and t1 > t0):
+        raise MetricWindowError(f"window must be finite with t1 > t0, got ({t0}, {t1})")
     return t0, t1
 
 
@@ -132,16 +132,19 @@ def _mmc_groups(labels: list[str]) -> dict[str, list[int]]:
 
 def summarize(
     record: RunRecord,
-    window: tuple[float, float],
+    window: tuple[float, float] | None,
     nominal_sm_voltage: float,
 ) -> SummaryMetrics:
     """Compute the aggregate metrics of a run over one window.
 
     Each metric is one reduction over the time axis of the record,
     taken for every SM or phase at once on the window's samples.
+    ``window`` None is the whole record: 0 to the last sample time.
     """
     if record.steps == 0:
         raise MetricWindowError("cannot summarize an empty record")
+    if window is None:
+        window = (0.0, float(record.times[-1]))
     t0, t1 = _check_window(window)
     if nominal_sm_voltage <= 0.0:
         raise ContractError(f"nominal voltage must be > 0, got {nominal_sm_voltage}")

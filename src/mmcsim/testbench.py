@@ -505,8 +505,9 @@ def run_scenario(
 
     ``sink`` is any object with ``write_record(record, decimation)``
     (see the CSV sink); ``decimation`` thins the persisted rows only,
-    never the metrics.  ``window`` defaults to the whole run.  A zero
-    duration produces no rows and all-zero initial-state metrics.
+    never the metrics.  ``window`` defaults to the whole run, 0 to the
+    last sample time.  A zero duration produces no rows and all-zero
+    initial-state metrics.
     """
     if decimation < 1:
         raise ConfigError(f"decimation must be >= 1, got {decimation}")
@@ -515,6 +516,4 @@ def run_scenario(
         sink.write_record(record, decimation)
     if record.steps == 0:
         return SummaryMetrics(window=(0.0, 0.0))
-    if window is None:
-        window = (0.0, scenario.duration)
     return summarize(record, window, params.v_sm_nominal)

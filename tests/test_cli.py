@@ -94,6 +94,25 @@ def test_metrics_default_window_is_the_run_window(workdir, capsys):
     assert (out / "run.metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
 
 
+def test_metrics_default_window_includes_the_last_sample(workdir, capsys):
+    # 0.06 s at t_s = 25e-6 ends at 0.060000000000000005, past the duration.
+    cfg = _write(workdir, "run.ini", "[scenario]\nduration = 0.06\n")
+    assert main(["run", cfg]) == 0
+    out = workdir / "out"
+    assert json.loads((out / "metrics.json").read_text())["window_end_s"] > 0.06
+    assert main(["metrics", str(out / "run.csv")]) == 0
+    assert (out / "run.metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+
+def test_metrics_refuses_an_infinite_window(workdir, capsys):
+    cfg = _write(workdir, "run.ini", SMALL_CONFIG)
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(workdir / "out" / "run.csv"), "--window", "0", "inf"]) == 2
+    assert "window must be finite" in capsys.readouterr().err
+    assert not (workdir / "out" / "run.metrics.json").exists()
+
+
 def test_compare_identical_configs_gives_unit_ratio(workdir, capsys):
     cfg_a = _write(workdir, "a.ini", SMALL_CONFIG)
     cfg_b = _write(workdir, "b.ini", SMALL_CONFIG)

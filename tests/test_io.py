@@ -9,6 +9,7 @@ for byte and array by array.
 import dataclasses
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,6 +146,12 @@ limit = 400
     message = str(err.value)
     assert "dead_time" in message
     assert "thermal" in message
+    # configparser's [DEFAULT] is an unknown section too: its keys must
+    # neither change the run nor leak into the other sections.
+    for text in ("[DEFAULT]\nfoo = 1\nn_sm = 4\n",
+                 "[DEFAULT]\nn_sm = 4\n\n[converter]\n\n[grid]\n"):
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config(text)
 
 
 def test_invalid_converter_values_name_the_field():
@@ -348,6 +355,13 @@ def test_load_rejects_headers_only(tmp_path):
     path.write_text(",".join(csv_columns(6)) + "\n")
     with pytest.raises(ContractError):
         load_record_csv(str(path))
+    # Empty lines after the header are no data either, and numpy's
+    # "input contained no data" warning must not reach the caller.
+    path.write_text(",".join(csv_columns(6)) + "\n\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="contains no data rows"):
+            load_record_csv(str(path))
 
 
 def test_sink_rejects_time_going_backwards_within_a_record(tmp_path):
@@ -621,6 +635,59 @@ def test_load_names_a_row_whose_policy_differs_from_its_step(tmp_path, tiny_csv)
 def test_load_rejects_a_file_ending_inside_a_step(tmp_path, tiny_csv):
     with pytest.raises(ContractError, match="inside a step"):
         load_record_csv(_write_lines(tmp_path / "cut.csv", tiny_csv[:-1]))
+
+
+def test_load_skips_empty_lines_and_counts_them_in_line_numbers(tmp_path, tiny_csv):
+    expected = load_record_csv(_write_lines(tmp_path / "plain.csv", tiny_csv))
+    gapped = tiny_csv[:4] + [""] + tiny_csv[4:] + [""]
+    _assert_same_record(load_record_csv(_write_lines(tmp_path / "gap.csv", gapped)), expected)
+    # File line 5 is empty; lines 6 and 7 are phases a and b of step 2.
+    for line, mangle, message in [
+        (6, lambda row: row.split(",")[0], "line 6 has 1 fields, expected 14"),
+        (6, lambda row: _set_field(row, 10, "0.5"), "line 6 has a field that does not parse"),
+        (6, lambda row: _set_field(row, 10, "2"), "line 6 has a switch status other than 0 or 1"),
+        (6, lambda row: _set_field(row, 1, "b"), "line 6 breaks the phase ordering"),
+        (7, lambda row: _set_field(row, 0, "1"),
+         "line 7 has a time other than its step's first row"),
+        (7, lambda row: _set_field(row, 13, "F1V2"),
+         "line 7 has a policy other than its step's first row"),
+    ]:
+        lines = list(gapped)
+        lines[line - 1] = mangle(lines[line - 1])
+        with pytest.raises(ContractError, match=message):
+            load_record_csv(_write_lines(tmp_path / "gap_bad.csv", lines))
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
+def test_load_refuses_a_whitespace_only_line(tmp_path, tiny_csv, blank):
+    lines = tiny_csv[:3] + [blank] + tiny_csv[3:]
+    with pytest.raises(ContractError, match="line 4 has 1 fields, expected 14"):
+        load_record_csv(_write_lines(tmp_path / "blank.csv", lines))
+
+
+def test_csv_round_trip_keeps_long_labels_and_policies(tmp_path):
+    labels = ["a_phase_label_longer_than_any_the_simulator_writes", "b"]
+    policy = ["V1F2", "a_policy_name_longer_than_any_the_simulator_writes"]
+    steps = len(policy)
+    shape = (steps, len(labels))
+    record = RunRecord(
+        times=np.array([0.0, 25e-6]),
+        labels=labels,
+        i=np.full(shape, 1.5),
+        i_ref=np.full(shape, 2.5),
+        i_z=np.full(shape, -0.5),
+        v_up=np.full(shape, 3e4),
+        v_low=np.full(shape, 2e4),
+        v_c=np.full((*shape, 2), 1e4),
+        u=np.ones((*shape, 2), dtype=np.int8),
+        v_dc_link=np.full(shape, 6e4),
+        i_dc_link=np.full(shape, 7.0),
+        policy=policy,
+    )
+    path = tmp_path / "long.csv"
+    with TimeSeriesSink(str(path), 1) as sink:
+        sink.write_record(record)
+    _assert_same_record(load_record_csv(str(path)), record)
 
 
 _NOT_NUMBERS = st.one_of(
