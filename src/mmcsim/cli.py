@@ -4,8 +4,9 @@
   a metrics report into the output directory, and prints the report.
 * ``compare <config_a> <config_b>`` runs two configurations that may
   differ only in their policy schedule (anything else is refused with a
-  listing of the offending keys) and reports both metric sets
-  side by side together with the switching-frequency ratio b/a.
+  listing of the offending keys), stepping both in one pass, and reports
+  both metric sets side by side together with the switching-frequency
+  ratio b/a.
 * ``metrics <csv> [--window t0 t1]`` recomputes the summary metrics of
   a persisted run.
 
@@ -32,9 +33,9 @@ from .csvio import (
     load_record_csv,
     write_metrics_report,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SimulationDiverged
 from .metrics import SummaryMetrics, summarize
-from .testbench import run_scenario
+from .testbench import _run_metrics, _simulate_batch, run_scenario
 
 __all__ = ["main"]
 
@@ -106,9 +107,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "compare requires configs that differ only in policy_schedule;"
             f" found other differences:\n{listing}"
         )
-    metrics_a = _run_config(config_a, None)
-    metrics_b = _run_config(config_b, None)
-
+    rows = _simulate_batch(
+        [config_a.scenario, config_b.scenario],
+        params=config_a.params,
+        grid=config_a.grid,
+        dc_link=config_a.dc_link,
+    )
+    # a, then b: the first error is the one running them in turn gives.
+    metrics = []
+    for row in rows:
+        if isinstance(row, SimulationDiverged):
+            raise row
+        metrics.append(_run_metrics(row, config_a.window, config_a.params))
+    metrics_a, metrics_b = metrics
     flat_a = metrics_a.to_flat()
     flat_b = metrics_b.to_flat()
     fs_a, fs_b = metrics_a.fs_mean, metrics_b.fs_mean

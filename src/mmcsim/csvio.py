@@ -105,7 +105,7 @@ class TimeSeriesSink:
         self.columns = csv_columns(n)
         self._last_t = -np.inf
         try:
-            self._file = open(path, "w", newline="")
+            self._file = open(path, "w", newline="", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot open {path!r} for writing: {exc}") from exc
         self._file.write(",".join(self.columns) + "\n")
@@ -185,13 +185,20 @@ class TimeSeriesSink:
 def load_record_csv(path: str) -> RunRecord:
     """Reload a persisted run into a RunRecord (bit-exact floats).
 
-    Raises ContractError, naming the 1-based line of the file, when a row
-    has the wrong number of fields, breaks the phase order, holds a field
-    that is not a number or a status other than 0 or 1, has a time or a
-    policy other than the first row of its step, or starts a step earlier
-    than the step before.
+    Raises ContractError, naming the 1-based line of the file, when a line
+    is not UTF-8 text, a row has the wrong number of fields, breaks the
+    phase order, holds a field that is not a number or a status other
+    than 0 or 1, has a time or a policy other than the first row of its
+    step, or starts a step earlier than the step before.
     """
-    with open(path, newline="") as f:
+    try:
+        return _parse_record_csv(path)
+    except UnicodeDecodeError:
+        _name_undecodable_line(path)
+
+
+def _parse_record_csv(path: str) -> RunRecord:
+    with open(path, newline="", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split(",")
     n2 = sum(1 for c in header if c.startswith("v_c_"))
     if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
@@ -200,7 +207,9 @@ def load_record_csv(path: str) -> RunRecord:
         raise ContractError(f"{path!r} contains no data rows")
     dtype = _row_dtype(n2 // 2)
     try:
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1)
+        table = np.loadtxt(
+            path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="utf-8"
+        )
     except ValueError:
         _name_bad_line(path, dtype, len(header))
 
@@ -235,7 +244,7 @@ def load_record_csv(path: str) -> RunRecord:
 def _data_lines(path: str):
     """``(1-based line number, text)`` of each data row of ``path`` as
     ``numpy.loadtxt`` reads it: every line after the header but empty ones."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         next(f)
         yield from ((no, line) for no, line in enumerate(f, start=2) if line != "\n")
 
@@ -247,6 +256,20 @@ def _refuse(path: str, bad: np.ndarray, what: str) -> None:
     if rows.size:
         no, _ = next(itertools.islice(_data_lines(path), int(rows[0]), None))
         raise ContractError(f"{path!r}: line {no} {what}")
+
+
+def _name_undecodable_line(path: str) -> NoReturn:
+    """Raise ContractError naming the first line of ``path`` that is not
+    UTF-8 text."""
+    with open(path, "rb") as f:
+        for no, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ContractError(
+                    f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
+                ) from None
+    raise ContractError(f"{path!r} is not UTF-8 text")
 
 
 def _name_bad_line(path: str, dtype: np.dtype, n_fields: int) -> NoReturn:

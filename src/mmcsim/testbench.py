@@ -24,6 +24,13 @@ semi-implicit Euler update of the DC link then uses the freshly summed
 converter common-mode currents.  Everything is deterministic; there is
 no randomness anywhere in the loop.
 
+The leg axis also spans a batch: scenarios that share the system and
+differ only in their policy schedule (``compare``'s two configs) step
+side by side as rows of one pass, so the per-call overhead of the pass
+is paid once per sample for all of them.  Each row's record is
+byte-identical to its scenario run alone, and :func:`simulate` is the
+same kernel with one row.
+
 The controller targets alone do not regulate the total energy stored in
 the arm capacitors: tracking the AC reference steadily exports energy
 that only a DC-component of the circulating current can replace.  The
@@ -285,12 +292,52 @@ def simulate(
     state variable, when a phase current or a DC-link state turns
     non-finite or a capacitor voltage turns non-finite or non-positive.
     """
-    if scenario.mode == "back_to_back":
+    (outcome,) = _simulate_batch([scenario], params=params, grid=grid, dc_link=dc_link)
+    if isinstance(outcome, SimulationDiverged):
+        raise outcome
+    return outcome
+
+
+def _simulate_batch(
+    scenarios: list[Scenario],
+    *,
+    params: ConverterParams,
+    grid: GridSource,
+    dc_link: DcLink | None = None,
+) -> list[RunRecord | SimulationDiverged]:
+    """Run scenarios that differ only in their events side by side.
+
+    Returns, per scenario, what :func:`simulate` would give for it
+    alone: its record, or the :class:`SimulationDiverged` that stopped
+    it.  The rows step together in one kernel; when some fail at a
+    step, the others run again from the start without them, so that no
+    row runs on from a failed state.
+    """
+    outcome = _step_batch(scenarios, params, grid, dc_link)
+    if isinstance(outcome, list):
+        return outcome
+    rest = [s for row, s in enumerate(scenarios) if row not in outcome]
+    if rest:
+        rerun = iter(_simulate_batch(rest, params=params, grid=grid, dc_link=dc_link))
+    return [outcome[row] if row in outcome else next(rerun) for row in range(len(scenarios))]
+
+
+def _step_batch(
+    scenarios: list[Scenario],
+    params: ConverterParams,
+    grid: GridSource,
+    dc_link: DcLink | None,
+) -> list[RunRecord] | dict[int, SimulationDiverged]:
+    """The stepping kernel: one record per scenario, or, at the first step
+    where any row's state fails, the error of every row that failed there."""
+    first = scenarios[0]
+    shared = (first.duration, first.mode, first.p_set, first.i_amp)
+    if any((s.duration, s.mode, s.p_set, s.i_amp) != shared for s in scenarios):
+        raise ConfigError("the scenarios of a batch may differ only in their events")
+    if first.mode == "back_to_back":
         if dc_link is None:
             raise ConfigError("back_to_back mode requires a DcLink")
         dc_link.check_step(params.T_s)
-        v_mmc1 = v_mmc2 = params.V_dc
-        i_link = 0.0
         c_end = 0.5 * dc_link.c_total
         l_total = dc_link.l_total
         labels = ["1a", "1b", "1c", "2a", "2b", "2c"]
@@ -298,8 +345,8 @@ def simulate(
         dc_link = None
         labels = ["a", "b", "c"]
 
-    n_mmc = scenario.n_converters
-    amps = _signed_amplitudes(scenario, grid)
+    n_mmc = first.n_converters
+    amps = _signed_amplitudes(first, grid)
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
     trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU
     droop_gain = 0.0
@@ -308,30 +355,37 @@ def simulate(
         droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
 
     t_s = params.T_s
-    steps = int(round(scenario.duration / t_s))
+    steps = int(round(first.duration / t_s))
     n = params.n
     n_legs = len(labels)
+    n_rows = len(scenarios)
     # Struct-of-arrays layout: leg r = 3*m + p of converter m, phase p
-    # is held as (m, p), so grid quantities broadcast over converters
-    # and bus quantities over phases; arm axes are (upper, lower) and
-    # SM axes physical positions.  The new plant state of each step is
-    # written straight into that step's row of the record.
-    legs = (n_mmc, 3)
+    # of batch row b is held as (b*n_mmc + m, p), so grid quantities
+    # broadcast over converters and bus quantities over phases; arm
+    # axes are (upper, lower) and SM axes physical positions.  A single
+    # row thus has no batch axis to pay for.  The new plant state of
+    # each step is written straight into that step's row of the record,
+    # and each scenario's record is a view of its batch row.
+    n_conv = n_rows * n_mmc
+    legs = (n_conv, 3)
     times = np.arange(1, steps + 1, dtype=float) * t_s
     rec_i = np.empty((steps, *legs))
     rec_i_z = np.empty((steps, *legs))
     rec_v_arm = np.empty((steps, *legs, 2, 1, 1))   # matmul's (1, 1) results
     rec_v_c = np.empty((steps, *legs, 2, n))
     rec_u = np.empty((steps, *legs, 2, n), dtype=np.int8)
-    rec_v_dc = np.empty((steps, n_legs))
-    rec_i_dc = np.empty((steps, n_legs))
-    policy = [scenario.policy_at(k * t_s) for k in range(steps)]
+    policies = [[s.policy_at(k * t_s) for k in range(steps)] for s in scenarios]
+    # F1V2 promotion per step: run for any row, kept per row when mixed.
+    f1v2 = np.array([[p is SortPolicy.F1V2 for p in row] for row in policies], dtype=bool)
+    any_f1v2 = f1v2.any(axis=0).tolist()
+    all_f1v2 = f1v2.all(axis=0).tolist()
+    f1v2 = np.repeat(f1v2, n_mmc, axis=0)
     # Grid cosines at t = k * T_s for k = 0..steps, one per phase.
     omega = grid.omega
     phase_cos = np.array(
         [math.cos(omega * (k * t_s) + off) for k in range(steps + 1) for off in _PHASE_OFFSETS]
     ).reshape(steps + 1, 3)
-    rec_i_ref = np.array(amps).reshape(n_mmc, 1) * phase_cos[1:, None, :]
+    rec_i_ref = np.array(amps * n_rows).reshape(n_conv, 1) * phase_cos[1:, None, :]
     v_s_table = grid.amplitude * phase_cos
 
     v_c = np.full((*legs, 2, n), params.v_sm_nominal)
@@ -342,7 +396,7 @@ def simulate(
     v_s = v_s_table[0]
 
     # Flat-index offsets of each arm's run of SMs and of prefix sums.
-    arm_index = np.arange(n_mmc * 6).reshape(*legs, 2, 1)
+    arm_index = np.arange(n_conv * 6).reshape(*legs, 2, 1)
     sm_base = arm_index * n
     sum_base = arm_index * (n + 1)
     rank = np.arange(n)
@@ -352,13 +406,13 @@ def simulate(
     # Positions of the (upper, lower) counts of the four candidate pairs
     # in a leg's flat (arm, candidate) table, in scan order.
     pair_pos = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
-    leg_base = 4 * np.arange(n_mmc * 3).reshape(*legs, 1)
+    leg_base = 4 * np.arange(n_conv * 3).reshape(*legs, 1)
     key_sign = np.array([-1.0, 1.0])
     sums = np.zeros((*legs, 2, n + 1))
     v_star = np.empty((*legs, 2))
     i_arm_next = np.empty((*legs, 2))
 
-    ff_col = np.array(feedforward).reshape(n_mmc, 1)
+    ff_col = np.array(feedforward * n_rows).reshape(n_conv, 1)
     v_dc = params.V_dc
     half_v_dc = 0.5 * v_dc
     v_nom_sm = params.v_sm_nominal
@@ -371,12 +425,19 @@ def simulate(
     w_circ = params.w_z * t_s / (2.0 * params.l_arm)
     bus = v_dc
     i_z_base = ff_col + droop_gain * (bus - v_dc)
+    if dc_link is not None:
+        # Each row's link state (v_mmc1, v_mmc2, i_link) as Python
+        # floats, and the table of its values after every step, row 0
+        # holding the start: both buses at V_dc, the line at 0 A.
+        link = [[v_dc, v_dc, 0.0] for _ in scenarios]
+        rec_link = np.empty((steps + 1, n_rows, 3))
+        rec_link[0] = link
 
     for k in range(steps):
         i_ref = rec_i_ref[k]
         v_s_next = v_s_table[k + 1]
         if dc_link is not None:
-            bus = np.array([[v_mmc1], [v_mmc2]])
+            bus = rec_link[k, :, :2].reshape(n_conv, 1)
             i_z_base = ff_col + droop_gain * (bus - v_dc)
 
         # Deadbeat targets for both arms of every leg.
@@ -392,9 +453,13 @@ def simulate(
         # charges; F1V2 then stably moves inserted SMs to the front.
         key = v_c * key_sign[(i_arm >= 0.0).view(np.int8)][..., None]
         order = np.argsort(key, axis=-1, kind="stable") + sm_base
-        if policy[k] is SortPolicy.F1V2:
+        if any_f1v2[k]:
             promote = np.argsort(-u.reshape(-1)[order], axis=-1, kind="stable")
-            order = order.reshape(-1)[promote + sm_base]
+            promoted = order.reshape(-1)[promote + sm_base]
+            if all_f1v2[k]:
+                order = promoted
+            else:
+                order = np.where(f1v2[:, k, None, None, None], promoted, order)
         np.cumsum(v_c.reshape(-1)[order], axis=-1, out=sums[..., 1:])
 
         # Bracketing by counting: capacitor voltages are positive, so
@@ -438,7 +503,7 @@ def simulate(
             and v_c.min() > 0.0
             and v_c.max() < math.inf
         ):
-            _raise_diverged(k, labels, i, i_z, v_c)
+            return _failed_rows(k, labels, i, i_z, v_c)
 
         if dc_link is not None:
             # Semi-implicit (symplectic) Euler: the line current is
@@ -448,47 +513,78 @@ def simulate(
             # oscillation each step; the symplectic form is neutrally
             # stable at the same cost.
             i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
-            i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
-            v_mmc1 += (t_s / c_end) * (i_link - i_conv[0])
-            v_mmc2 += (t_s / c_end) * (-i_link - i_conv[1])
-            for name, value in (("i_link", i_link), ("v_mmc1", v_mmc1), ("v_mmc2", v_mmc2)):
-                if not math.isfinite(value):
-                    raise SimulationDiverged(k, f"DC link {name} non-finite")
-            rec_v_dc[k, :3] = v_mmc1
-            rec_v_dc[k, 3:] = v_mmc2
-            rec_i_dc[k] = i_link
+            failed = {}
+            for row, state in enumerate(link):
+                v_mmc1, v_mmc2, i_link = state
+                i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
+                v_mmc1 += (t_s / c_end) * (i_link - i_conv[2 * row])
+                v_mmc2 += (t_s / c_end) * (-i_link - i_conv[2 * row + 1])
+                state[:] = v_mmc1, v_mmc2, i_link
+                for name, value in (("i_link", i_link), ("v_mmc1", v_mmc1), ("v_mmc2", v_mmc2)):
+                    if not math.isfinite(value):
+                        failed[row] = SimulationDiverged(k, f"DC link {name} non-finite")
+                        break
+            if failed:
+                return failed
+            rec_link[k + 1] = link
 
     if dc_link is None:
-        rec_v_dc[:] = v_dc
-        rec_i_dc[:] = (0.0 + rec_i_z[:, 0, 0] + rec_i_z[:, 0, 1] + rec_i_z[:, 0, 2])[:, None]
-    rec_v_arm = rec_v_arm.reshape(steps, n_legs, 2)
-    return RunRecord(
-        times=times,
-        labels=labels,
-        i=rec_i.reshape(steps, n_legs),
-        i_ref=rec_i_ref.reshape(steps, n_legs),
-        i_z=rec_i_z.reshape(steps, n_legs),
-        v_up=np.ascontiguousarray(rec_v_arm[:, :, 0]),
-        v_low=np.ascontiguousarray(rec_v_arm[:, :, 1]),
-        v_c=rec_v_c.reshape(steps, n_legs, 2 * n),
-        u=rec_u.reshape(steps, n_legs, 2 * n),
-        v_dc_link=rec_v_dc,
-        i_dc_link=rec_i_dc,
-        policy=[p.value for p in policy],
-    )
+        bus_v = np.full((steps, n_rows, 1), v_dc)
+        i_dc = (0.0 + rec_i_z[:, :, 0] + rec_i_z[:, :, 1] + rec_i_z[:, :, 2])[..., None]
+    else:
+        bus_v = rec_link[1:, :, :2]
+        i_dc = rec_link[1:, :, 2:]
+    rec_v_dc = np.repeat(bus_v, 3, axis=-1)
+    rec_i_dc = np.repeat(i_dc, n_legs, axis=-1)
+    by_row = (steps, n_rows, n_legs)
+    rec_i, rec_i_ref, rec_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
+    rec_v_arm = rec_v_arm.reshape(*by_row, 2)
+    rec_v_c = rec_v_c.reshape(*by_row, 2 * n)
+    rec_u = rec_u.reshape(*by_row, 2 * n)
+    return [
+        RunRecord(
+            times=times,
+            labels=list(labels),
+            i=rec_i[:, row],
+            i_ref=rec_i_ref[:, row],
+            i_z=rec_i_z[:, row],
+            v_up=np.ascontiguousarray(rec_v_arm[:, row, :, 0]),
+            v_low=np.ascontiguousarray(rec_v_arm[:, row, :, 1]),
+            v_c=rec_v_c[:, row],
+            u=rec_u[:, row],
+            v_dc_link=rec_v_dc[:, row],
+            i_dc_link=rec_i_dc[:, row],
+            policy=[p.value for p in row_policy],
+        )
+        for row, row_policy in enumerate(policies)
+    ]
 
 
-def _raise_diverged(
+def _failed_rows(
     k: int, labels: list[str], i: np.ndarray, i_z: np.ndarray, v_c: np.ndarray
-) -> None:
-    """Raise SimulationDiverged for the first leg whose state failed."""
-    bad_current = ~(np.isfinite(i) & np.isfinite(i_z)).reshape(-1)
-    bad_capacitor = ~((v_c > 0.0) & (v_c < math.inf)).all(axis=(-2, -1)).reshape(-1)
-    for label, current, capacitor in zip(labels, bad_current, bad_capacitor):
-        if current:
-            raise SimulationDiverged(k, f"phase {label} currents non-finite")
-        if capacitor:
-            raise SimulationDiverged(k, f"phase {label} capacitor voltage non-finite or <= 0")
+) -> dict[int, SimulationDiverged]:
+    """SimulationDiverged for each batch row whose state failed at step k,
+    naming the row's first failed leg."""
+    n_legs = len(labels)
+    bad_current = ~(np.isfinite(i) & np.isfinite(i_z)).reshape(-1, n_legs)
+    bad_capacitor = ~((v_c > 0.0) & (v_c < math.inf)).all(axis=(-2, -1)).reshape(-1, n_legs)
+    failed = {}
+    for row, (currents, capacitors) in enumerate(zip(bad_current, bad_capacitor)):
+        for label, current, capacitor in zip(labels, currents, capacitors):
+            if current or capacitor:
+                what = "currents non-finite" if current else "capacitor voltage non-finite or <= 0"
+                failed[row] = SimulationDiverged(k, f"phase {label} {what}")
+                break
+    return failed
+
+
+def _run_metrics(
+    record: RunRecord, window: tuple[float, float] | None, params: ConverterParams
+) -> SummaryMetrics:
+    """Summary of a run's record; all zero for a run without steps."""
+    if record.steps == 0:
+        return SummaryMetrics(window=(0.0, 0.0))
+    return summarize(record, window, params.v_sm_nominal)
 
 
 def run_scenario(
@@ -514,6 +610,4 @@ def run_scenario(
     record = simulate(scenario, params=params, grid=grid, dc_link=dc_link)
     if sink is not None:
         sink.write_record(record, decimation)
-    if record.steps == 0:
-        return SummaryMetrics(window=(0.0, 0.0))
-    return summarize(record, window, params.v_sm_nominal)
+    return _run_metrics(record, window, params)

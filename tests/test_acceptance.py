@@ -14,8 +14,9 @@ One test per criterion, in order:
 
 Closed-loop criteria 3..6 share two 0.5 s single-converter runs (one
 per policy, identical initial conditions, circulating weight 0.25,
-metrics over 0.1..0.5 s); criterion 7 uses one 1.0 s back-to-back run
-at stock weights with a 0.2 s settling exclusion.
+metrics over 0.1..0.5 s), stepped side by side as one batch;
+criterion 7 uses one 1.0 s back-to-back run at stock weights with a
+0.2 s settling exclusion.
 """
 
 import json
@@ -30,7 +31,7 @@ from mmcsim.cli import OUTPUT_DIR_ENV, main
 from mmcsim.controller import SortPolicy
 from mmcsim.metrics import summarize
 from mmcsim.model import ConverterParams
-from mmcsim.testbench import Scenario, build_stock_system, simulate
+from mmcsim.testbench import Scenario, _simulate_batch, build_stock_system, simulate
 from per_phase_reference import (
     ArmState,
     PhaseState,
@@ -62,16 +63,14 @@ def ideal_runs(stock):
     """0.5 s ideal-bus run per policy, identical initial conditions."""
     params0, grid, _, _ = stock
     params = replace(params0, w_z=IDEAL_W_Z)
-    records = {}
+    policies = (SortPolicy.V1F2, SortPolicy.F1V2)
+    scenarios = [
+        Scenario(duration=0.5, events=[(0.0, policy)], mode="ideal_dc", p_set=(13.18e6,))
+        for policy in policies
+    ]
+    # Both policies step together as one batch, each row as run alone.
     started = time.perf_counter()
-    for policy in (SortPolicy.V1F2, SortPolicy.F1V2):
-        scenario = Scenario(
-            duration=0.5,
-            events=[(0.0, policy)],
-            mode="ideal_dc",
-            p_set=(13.18e6,),
-        )
-        records[policy] = simulate(scenario, params=params, grid=grid)
+    records = dict(zip(policies, _simulate_batch(scenarios, params=params, grid=grid)))
     elapsed = time.perf_counter() - started
     metrics = {
         policy: summarize(record, IDEAL_WINDOW, params.v_sm_nominal)

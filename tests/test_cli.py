@@ -1,10 +1,15 @@
 """End-to-end tests of the run / compare / metrics commands."""
 
 import json
+import warnings
 
 import pytest
 
 from mmcsim.cli import OUTPUT_DIR_ENV, main
+from mmcsim.config import parse_config
+from mmcsim.errors import SimulationDiverged
+from mmcsim.metrics import SummaryMetrics, summarize
+from mmcsim.testbench import run_scenario, simulate
 
 SMALL_CONFIG = """
 [scenario]
@@ -139,6 +144,87 @@ def test_compare_accepts_policy_schedule_change(workdir, capsys):
     assert 0.0 < ratio < 1.0
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "mode = ideal_dc\nduration = 0.01\np_set = 12.5e6\n",
+        "mode = back_to_back\nduration = 0.01\np_set = 12.5e6, -12.5e6\n",
+    ],
+)
+def test_compare_reports_each_config_as_run_alone(workdir, capsys, scenario):
+    texts = [
+        f"[scenario]\n{scenario}policy_schedule = {schedule}\n\n"
+        "[output]\nwindow_start = 0.002\nwindow_end = 0.01\n"
+        for schedule in ("[(0.004, F1V2)]", "[(0.0, F1V2), (0.006, V1F2)]")
+    ]
+    paths = [_write(workdir, name, text) for name, text in zip(("a.ini", "b.ini"), texts)]
+    assert main(["compare", *paths]) == 0
+    on_disk = json.loads((workdir / "out" / "compare.json").read_text())
+    for key, text in zip(("a", "b"), texts):
+        config = parse_config(text)
+        record = simulate(
+            config.scenario, params=config.params, grid=config.grid, dc_link=config.dc_link
+        )
+        alone = summarize(record, config.window, config.params.v_sm_nominal)
+        assert on_disk[key] == alone.to_flat()
+    assert on_disk["a"] != on_disk["b"]
+
+
+COLLAPSE_CONFIG = (
+    "[converter]\nc_sm = 2e-5\n\n"
+    "[scenario]\nmode = ideal_dc\nduration = {duration}\ni_amp = 5000\n"
+    "policy_schedule = {schedule}\n"
+)
+
+
+def _first_error_running_in_turn(texts):
+    """The error of running the configs one after the other, or None."""
+    for text in texts:
+        config = parse_config(text)
+        try:
+            simulate(config.scenario, params=config.params, grid=config.grid)
+        except SimulationDiverged as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "duration, schedules, step",
+    [
+        # Alone, V1F2 collapses at step 274 and F1V2 at step 176: a's
+        # error wins even when b fails first.
+        (0.05, ("[]", "[(0.0, F1V2)]"), 274),
+        (0.05, ("[(0.0, F1V2)]", "[]"), 176),
+        # 200 steps: F1V2 collapses against a healthy V1F2 twin.
+        (0.005, ("[]", "[(0.0, F1V2)]"), 176),
+        (0.005, ("[(0.0, F1V2)]", "[]"), 176),
+    ],
+)
+def test_compare_diverges_as_running_a_then_b_does(workdir, capsys, duration, schedules, step):
+    texts = [COLLAPSE_CONFIG.format(duration=duration, schedule=s) for s in schedules]
+    paths = [_write(workdir, name, text) for name, text in zip(("a.ini", "b.ini"), texts)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", *paths]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {_first_error_running_in_turn(texts)}\n"
+    assert f"diverged at step {step}: phase b capacitor voltage" in err
+    assert not (workdir / "out").exists()
+
+
+def test_compare_of_zero_duration_runs_reports_zero_metrics(workdir, capsys):
+    text_a = SMALL_CONFIG.replace("duration = 0.01", "duration = 0.0")
+    text_b = text_a.replace("policy_schedule = []", "policy_schedule = [(0.0, F1V2)]")
+    paths = [_write(workdir, "a.ini", text_a), _write(workdir, "b.ini", text_b)]
+    assert main(["compare", *paths]) == 0
+    on_disk = json.loads((workdir / "out" / "compare.json").read_text())
+    config = parse_config(text_a)
+    alone = run_scenario(config.scenario, params=config.params, grid=config.grid)
+    assert alone == SummaryMetrics(window=(0.0, 0.0))
+    assert on_disk["a"] == on_disk["b"] == alone.to_flat()
+    assert on_disk["fs_ratio_b_over_a"] == 1.0
+
+
 def test_compare_refuses_other_differences(workdir, capsys):
     cfg_a = _write(workdir, "a.ini", SMALL_CONFIG)
     cfg_b = _write(
@@ -188,6 +274,18 @@ def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):
     capsys.readouterr()
     assert main(["metrics", str(csv_path)]) == 2
     assert "line 4 has 1 fields" in capsys.readouterr().err
+
+
+def test_metrics_names_a_line_that_is_not_utf8(workdir, capsys):
+    cfg = _write(workdir, "run.ini", SMALL_CONFIG)
+    assert main(["run", cfg]) == 0
+    csv_path = workdir / "out" / "run.csv"
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5][:4] + b"\xff" + lines[5][4:]
+    csv_path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["metrics", str(csv_path)]) == 2
+    assert "line 6 is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_run_rejects_an_unstable_dc_link(workdir, capsys):

@@ -665,6 +665,27 @@ def test_load_refuses_a_whitespace_only_line(tmp_path, tiny_csv, blank):
         load_record_csv(_write_lines(tmp_path / "blank.csv", lines))
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    # The header; a time in the first text chunk; a label, a number and
+    # a policy past it, where the header read has decoded nothing bad.
+    [(1, 0), (6, 0), (200, 1), (200, 4), (201, -1)],
+)
+def test_load_names_a_line_that_is_not_utf8(tmp_path, line, field):
+    params, record = _small_run()
+    path = tmp_path / "run.csv"
+    with TimeSeriesSink(str(path), params.n) as sink:
+        sink.write_record(record)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert sum(map(len, lines[: line - 1])) > 8192 or line < 10
+    fields = lines[line - 1].split(b",")
+    fields[field] = b"\xff" + fields[field]
+    lines[line - 1] = b",".join(fields)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ContractError, match=rf"line {line} is not UTF-8 text"):
+        load_record_csv(str(path))
+
+
 def test_csv_round_trip_keeps_long_labels_and_policies(tmp_path):
     labels = ["a_phase_label_longer_than_any_the_simulator_writes", "b"]
     policy = ["V1F2", "a_policy_name_longer_than_any_the_simulator_writes"]

@@ -9,10 +9,15 @@ constructor.  Power setpoints become current references through the
 reference's ``reference_current``.  Every recorded array must match
 the kernel byte for byte, together with the labels and the policy
 series.
+
+``simulate`` is the batch kernel ``_simulate_batch`` with one row; each
+row of a larger batch must equal its scenario run alone, down to where
+and how it diverges.
 """
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +32,7 @@ from mmcsim.testbench import (
     _PHASE_OFFSETS,
     Scenario,
     _power_feedforward,
+    _simulate_batch,
     build_stock_system,
     simulate,
 )
@@ -142,7 +148,8 @@ def reference_simulate(scenario, *, params, grid, dc_link=None):
 
 def _as_bytes(record):
     return {
-        key: value.tobytes() if isinstance(value, np.ndarray) else value
+        key: (value.shape, value.dtype.str, value.tobytes())
+        if isinstance(value, np.ndarray) else value
         for key, value in vars(record).items()
     }
 
@@ -214,3 +221,84 @@ def test_capacitor_collapse_stops_the_run_at_its_first_step():
     label = record.labels[int(np.argmax(collapsed[first]))]
     assert info.value.step == first
     assert info.value.detail.startswith(f"phase {label} capacitor voltage")
+
+
+# Pairs of schedules for the batch tests: rows that disagree at every
+# step, rows that disagree on some steps only, and identical rows.
+PAIRS = (("V1F2", "F1V2"), ("switch", "V1F2"), ("switch", "switch"))
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", (1, 6, 48))
+def test_batch_rows_match_solo_runs(n, mode, pair):
+    params, grid, link, _ = build_stock_system()
+    params = replace(params, n=n)
+    duration = 0.01
+    power = (13.18e6,) if mode == "ideal_dc" else (13.18e6, -13.18e6)
+    scenarios = [
+        Scenario(duration=duration, events=_schedule(shape, duration), mode=mode, p_set=power)
+        for shape in pair
+    ]
+    kwargs = dict(params=params, grid=grid, dc_link=link)
+    rows = _simulate_batch(scenarios, **kwargs)
+    for row, scenario in zip(rows, scenarios):
+        assert _as_bytes(row) == _as_bytes(simulate(scenario, **kwargs))
+    # The rows are views of the batch's arrays, not copies.
+    assert np.may_share_memory(rows[0].v_c, rows[1].v_c)
+
+
+@pytest.mark.parametrize(
+    "mode, duration, steps",
+    [
+        # Alone, V1F2 collapses at step 274, F1V2 at step 176 and
+        # V1F2 turning F1V2 at step 40 at step 174.
+        ("ideal_dc", 0.05, [274, 176, 174]),
+        # 200 steps: the V1F2 row stays healthy.
+        ("ideal_dc", 0.005, [None, 176, 174]),
+        ("back_to_back", 0.005, [16, 16, 16]),
+    ],
+)
+def test_batch_rows_diverge_as_they_do_alone(mode, duration, steps):
+    params, grid, link, _ = build_stock_system()
+    params = replace(params, C=2.0e-5)
+    i_amp = (5000.0,) if mode == "ideal_dc" else (5000.0, -5000.0)
+    scenarios = [
+        Scenario(duration=duration, events=events, mode=mode, i_amp=i_amp)
+        for events in ([], [(0.0, SortPolicy.F1V2)], [(0.001, SortPolicy.F1V2)])
+    ]
+    kwargs = dict(params=params, grid=grid, dc_link=link)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _simulate_batch(scenarios, **kwargs)
+    for row, scenario, step in zip(rows, scenarios, steps):
+        if step is None:
+            assert _as_bytes(row) == _as_bytes(simulate(scenario, **kwargs))
+            continue
+        with pytest.raises(SimulationDiverged) as alone:
+            simulate(scenario, **kwargs)
+        assert isinstance(row, SimulationDiverged)
+        assert (row.step, row.detail) == (alone.value.step, alone.value.detail)
+        assert row.step == step
+
+
+def test_batch_of_zero_duration_runs_has_empty_rows():
+    params, grid, _, _ = build_stock_system()
+    scenarios = [
+        Scenario(duration=0.0, events=events, mode="ideal_dc", p_set=(13.18e6,))
+        for events in ([], [(0.0, SortPolicy.F1V2)])
+    ]
+    rows = _simulate_batch(scenarios, params=params, grid=grid)
+    for row, scenario in zip(rows, scenarios):
+        assert row.steps == 0
+        assert _as_bytes(row) == _as_bytes(simulate(scenario, params=params, grid=grid))
+
+
+def test_batch_refuses_scenarios_that_differ_beyond_their_events():
+    params, grid, _, _ = build_stock_system()
+    scenarios = [
+        Scenario(duration=duration, mode="ideal_dc", p_set=(13.18e6,))
+        for duration in (0.001, 0.002)
+    ]
+    with pytest.raises(ConfigError, match="differ only in their events"):
+        _simulate_batch(scenarios, params=params, grid=grid)
