@@ -180,10 +180,10 @@ def summarize(
 
     # Each phase's window samples as one contiguous row, so that every
     # phase reduces in sample order, as a 1-D series would.  The rows
-    # are copies, which the deviation and the tracking error overwrite.
-    i, i_ref, i_z = (
-        np.ascontiguousarray(x[mask].T) for x in (record.i, record.i_ref, record.i_z)
-    )
+    # are copies, which the tracking error and the deviation overwrite;
+    # i_z's is taken once i's and i_ref's are dropped, so that at most
+    # two are alive at once.
+    i, i_ref = (np.ascontiguousarray(x[mask].T) for x in (record.i, record.i_ref))
     # The AC amplitude is the peak |i| of the window.
     amp = np.abs(i).max(axis=1)
     if not amp.all():
@@ -191,16 +191,18 @@ def summarize(
     ref_amp = np.abs(i_ref).max(axis=1)
     if not ref_amp.all():
         raise MetricWindowError("reference amplitude is zero inside the window")
-    # The circulating current carries a DC component transferring the
-    # converter power through the bus; the quantity the controller
-    # drives to zero is the deviation from that steady level, so the
-    # ratio is taken on the series less its window mean.
-    i_z -= i_z.mean(axis=1, keepdims=True)
-    out.i_z_max_ratio = float((np.abs(i_z, out=i_z).max(axis=1) / amp).max())
     # RMS AC-current tracking error in percent of the reference amplitude.
     err = np.subtract(i, i_ref, out=i)
     rmse = 100.0 * np.sqrt(np.mean(np.square(err, out=err), axis=1)) / ref_amp
     out.tracking_rmse_pct = float(rmse.max())
+    del i, i_ref, err
+    # The circulating current carries a DC component transferring the
+    # converter power through the bus; the quantity the controller
+    # drives to zero is the deviation from that steady level, so the
+    # ratio is taken on the series less its window mean.
+    i_z = np.ascontiguousarray(record.i_z[mask].T)
+    i_z -= i_z.mean(axis=1, keepdims=True)
+    out.i_z_max_ratio = float((np.abs(i_z, out=i_z).max(axis=1) / amp).max())
 
     # Converter powers: AC side from the synthesized differential voltage,
     # DC side from the bus voltage and the summed circulating currents.

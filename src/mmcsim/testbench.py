@@ -17,19 +17,21 @@ pass computes the deadbeat targets, ranks each arm's SMs, brackets the
 targets, selects the insertion counts and advances the plant, with the
 same arithmetic, in the same order, as a per-phase loop of scalar
 formulas (kept with the tests as the reference the kernel must match
-byte for byte).  Inputs are validated once, at the boundary (the
-constructors of the parameters, grid, link and scenario); inside the
-loop only the divergence guards run.  In back-to-back mode one
-semi-implicit Euler update of the DC link then uses the freshly summed
-converter common-mode currents.  Everything is deterministic; there is
+byte for byte).  In back-to-back mode one semi-implicit Euler update
+of the DC link then uses the freshly summed converter common-mode
+currents.  Inputs are validated once, at the boundary (the constructors
+of the parameters, grid, link and scenario); the loop checks no state,
+and a run that diverges is found from its record, scanned every 1,024
+steps.  Everything is deterministic; there is
 no randomness anywhere in the loop.
 
 The leg axis also spans a batch: scenarios that share the system and
 differ only in their policy schedule (``compare``'s two configs) step
 side by side as rows of one pass, so the per-call overhead of the pass
-is paid once per sample for all of them.  Each row's record is
-byte-identical to its scenario run alone, and :func:`simulate` is the
-same kernel with one row.
+is paid once per sample for all of them.  Each row's record, or error,
+is that of its scenario run alone: no row reads another's state, so a
+row that fails steps on until the scan finds it.  :func:`simulate` is
+the same kernel with one row.
 
 The controller targets alone do not regulate the total energy stored in
 the arm capacitors: tracking the AC reference steadily exports energy
@@ -291,6 +293,7 @@ def simulate(
     :class:`SimulationDiverged`, naming the step, the phase and the
     state variable, when a phase current or a DC-link state turns
     non-finite or a capacitor voltage turns non-finite or non-positive.
+    The run stops within ``_SCAN_STEPS`` steps of it, without a warning.
     """
     (outcome,) = _simulate_batch([scenario], params=params, grid=grid, dc_link=dc_link)
     if isinstance(outcome, SimulationDiverged):
@@ -298,6 +301,11 @@ def simulate(
     return outcome
 
 
+# Steps between two scans of a batch's record for failed rows.
+_SCAN_STEPS = 1024
+
+
+@np.errstate(all="ignore")   # failed rows step on; their errors are read from the record
 def _simulate_batch(
     scenarios: list[Scenario],
     *,
@@ -309,27 +317,10 @@ def _simulate_batch(
 
     Returns, per scenario, what :func:`simulate` would give for it
     alone: its record, or the :class:`SimulationDiverged` that stopped
-    it.  The rows step together in one kernel; when some fail at a
-    step, the others run again from the start without them, so that no
-    row runs on from a failed state.
+    it.  The rows step together in one kernel.  No row reads another's
+    state, so a failed row steps on with the others until the scan of its
+    record, every ``_SCAN_STEPS`` steps and at the last, finds its error.
     """
-    outcome = _step_batch(scenarios, params, grid, dc_link)
-    if isinstance(outcome, list):
-        return outcome
-    rest = [s for row, s in enumerate(scenarios) if row not in outcome]
-    if rest:
-        rerun = iter(_simulate_batch(rest, params=params, grid=grid, dc_link=dc_link))
-    return [outcome[row] if row in outcome else next(rerun) for row in range(len(scenarios))]
-
-
-def _step_batch(
-    scenarios: list[Scenario],
-    params: ConverterParams,
-    grid: GridSource,
-    dc_link: DcLink | None,
-) -> list[RunRecord] | dict[int, SimulationDiverged]:
-    """The stepping kernel: one record per scenario, or, at the first step
-    where any row's state fails, the error of every row that failed there."""
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
     if any((s.duration, s.mode, s.p_set, s.i_amp) != shared for s in scenarios):
@@ -342,7 +333,7 @@ def _step_batch(
         l_total = dc_link.l_total
         labels = ["1a", "1b", "1c", "2a", "2b", "2c"]
     else:
-        dc_link = None
+        dc_link = rec_link = None
         labels = ["a", "b", "c"]
 
     n_mmc = first.n_converters
@@ -433,6 +424,8 @@ def _step_batch(
         rec_link = np.empty((steps + 1, n_rows, 3))
         rec_link[0] = link
 
+    failed: dict[int, SimulationDiverged] = {}
+    k0 = 0   # first step not yet scanned
     for k in range(steps):
         i_ref = rec_i_ref[k]
         v_s_next = v_s_table[k + 1]
@@ -497,14 +490,6 @@ def _step_batch(
         u = u_next
         v_s = v_s_next
 
-        if not (
-            np.isfinite(i).all()
-            and np.isfinite(i_z).all()
-            and v_c.min() > 0.0
-            and v_c.max() < math.inf
-        ):
-            return _failed_rows(k, labels, i, i_z, v_c)
-
         if dc_link is not None:
             # Semi-implicit (symplectic) Euler: the line current is
             # advanced first and the fresh value feeds the bus-capacitor
@@ -513,20 +498,19 @@ def _step_batch(
             # oscillation each step; the symplectic form is neutrally
             # stable at the same cost.
             i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
-            failed = {}
             for row, state in enumerate(link):
                 v_mmc1, v_mmc2, i_link = state
                 i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
                 v_mmc1 += (t_s / c_end) * (i_link - i_conv[2 * row])
                 v_mmc2 += (t_s / c_end) * (-i_link - i_conv[2 * row + 1])
                 state[:] = v_mmc1, v_mmc2, i_link
-                for name, value in (("i_link", i_link), ("v_mmc1", v_mmc1), ("v_mmc2", v_mmc2)):
-                    if not math.isfinite(value):
-                        failed[row] = SimulationDiverged(k, f"DC link {name} non-finite")
-                        break
-            if failed:
-                return failed
             rec_link[k + 1] = link
+
+        if k + 1 == k0 + _SCAN_STEPS or k + 1 == steps:
+            _scan_failures(failed, k0, k + 1, labels, rec_i, rec_i_z, rec_v_c, rec_link)
+            if len(failed) == n_rows:
+                break
+            k0 = k + 1
 
     if dc_link is None:
         bus_v = np.full((steps, n_rows, 1), v_dc)
@@ -542,7 +526,7 @@ def _step_batch(
     rec_v_c = rec_v_c.reshape(*by_row, 2 * n)
     rec_u = rec_u.reshape(*by_row, 2 * n)
     return [
-        RunRecord(
+        failed.get(row) or RunRecord(
             times=times,
             labels=list(labels),
             i=rec_i[:, row],
@@ -560,22 +544,31 @@ def _step_batch(
     ]
 
 
-def _failed_rows(
-    k: int, labels: list[str], i: np.ndarray, i_z: np.ndarray, v_c: np.ndarray
-) -> dict[int, SimulationDiverged]:
-    """SimulationDiverged for each batch row whose state failed at step k,
-    naming the row's first failed leg."""
-    n_legs = len(labels)
-    bad_current = ~(np.isfinite(i) & np.isfinite(i_z)).reshape(-1, n_legs)
-    bad_capacitor = ~((v_c > 0.0) & (v_c < math.inf)).all(axis=(-2, -1)).reshape(-1, n_legs)
-    failed = {}
-    for row, (currents, capacitors) in enumerate(zip(bad_current, bad_capacitor)):
-        for label, current, capacitor in zip(labels, currents, capacitors):
-            if current or capacitor:
-                what = "currents non-finite" if current else "capacitor voltage non-finite or <= 0"
-                failed[row] = SimulationDiverged(k, f"phase {label} {what}")
-                break
-    return failed
+def _scan_failures(
+    failed: dict[int, SimulationDiverged], k0: int, k1: int, labels: list[str],
+    rec_i: np.ndarray, rec_i_z: np.ndarray, rec_v_c: np.ndarray, rec_link: np.ndarray | None,
+) -> None:
+    """Add to ``failed`` each batch row not in it yet whose recorded state
+    fails in steps ``[k0, k1)``, with the error of its first failing step.
+    Each arm's capacitors are reduced to their min and max, so nothing
+    the size of the block's ``v_c`` is allocated."""
+    v_c = rec_v_c[k0:k1]
+    current = ~(np.isfinite(rec_i[k0:k1]) & np.isfinite(rec_i_z[k0:k1]))
+    capacitor = ~((v_c.min(axis=(-2, -1)) > 0.0) & (v_c.max(axis=(-2, -1)) < math.inf))
+    # Each row's checks at each step in the order they are reported:
+    # (currents, capacitors) leg by leg, then the link states, which are
+    # stored (v_mmc1, v_mmc2, i_link) with step k's in row k + 1.
+    checks = [np.stack((current, capacitor), axis=-1).reshape(k1 - k0, -1, 2 * len(labels))]
+    if rec_link is not None:
+        checks.append(~np.isfinite(rec_link[k0 + 1 : k1 + 1][..., [2, 0, 1]]))
+    bad = np.concatenate(checks, axis=-1)
+    names = [f"phase {label} {what}" for label in labels for what in (
+        "currents non-finite", "capacitor voltage non-finite or <= 0")]
+    names += [f"DC link {name} non-finite" for name in ("i_link", "v_mmc1", "v_mmc2")]
+    for row in np.flatnonzero(bad.any(axis=(0, 2))).tolist():
+        if row not in failed:
+            k = int(np.argmax(bad[:, row].any(axis=-1)))
+            failed[row] = SimulationDiverged(k0 + k, names[int(np.argmax(bad[k, row]))])
 
 
 def _run_metrics(

@@ -212,6 +212,26 @@ def test_compare_diverges_as_running_a_then_b_does(workdir, capsys, duration, sc
     assert not (workdir / "out").exists()
 
 
+# Modulation index 0.97 on microhenry chokes: the DC link's v_mmc1
+# overflows at step 206, after the numpy sums that feed the link have.
+LINK_BLOWUP_CONFIG = (
+    "[converter]\nl = 7e-6\nl_arm = 4e-6\nc_sm = 1.27e-3\nw = 5.0\nw_z = 5.0\n\n"
+    "[grid]\namplitude = 29000.0\n\n"
+    "[dc_link]\nlength_km = 1.0\n\n"
+    "[scenario]\nmode = back_to_back\nduration = 0.01\n"
+    "policy_schedule = [(0.0, F1V2)]\ni_amp = 5000.0, -5000.0\n"
+)
+
+
+def test_run_reports_a_link_divergence_without_a_warning(workdir, capsys):
+    cfg = _write(workdir, "link.ini", LINK_BLOWUP_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: simulation diverged at step 206: DC link v_mmc1 non-finite\n"
+
+
 def test_compare_of_zero_duration_runs_reports_zero_metrics(workdir, capsys):
     text_a = SMALL_CONFIG.replace("duration = 0.01", "duration = 0.0")
     text_b = text_a.replace("policy_schedule = []", "policy_schedule = [(0.0, F1V2)]")

@@ -282,6 +282,29 @@ def test_batch_rows_diverge_as_they_do_alone(mode, duration, steps):
         assert row.step == step
 
 
+def test_batch_rows_fail_on_the_dc_link_as_they_do_alone():
+    # Modulation index 0.97 on microhenry chokes: every row's link
+    # overflows at step 206, after the numpy sums feeding it have.
+    params, grid, link, _ = build_stock_system()
+    params = replace(params, L=7e-6, l_arm=4e-6, C=1.27e-3, w=5.0, w_z=5.0)
+    grid = replace(grid, amplitude=29000.0)
+    link = replace(link, length_km=1.0)
+    scenarios = [
+        Scenario(duration=0.01, events=events, mode="back_to_back", i_amp=(5000.0, -5000.0))
+        for events in ([], [(0.0, SortPolicy.F1V2)], [(0.001, SortPolicy.F1V2)])
+    ]
+    kwargs = dict(params=params, grid=grid, dc_link=link)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _simulate_batch(scenarios, **kwargs)
+        for row, scenario in zip(rows, scenarios):
+            with pytest.raises(SimulationDiverged) as alone:
+                simulate(scenario, **kwargs)
+            assert isinstance(row, SimulationDiverged)
+            assert (row.step, row.detail) == (alone.value.step, alone.value.detail)
+            assert (row.step, row.detail) == (206, "DC link v_mmc1 non-finite")
+
+
 def test_batch_of_zero_duration_runs_has_empty_rows():
     params, grid, _, _ = build_stock_system()
     scenarios = [

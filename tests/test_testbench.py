@@ -2,17 +2,24 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmcsim import testbench
+from mmcsim.config import parse_config
 from mmcsim.controller import SortPolicy
-from mmcsim.errors import ConfigError
+from mmcsim.errors import ConfigError, SimulationDiverged
 from mmcsim.metrics import SummaryMetrics
 from mmcsim.testbench import (
+    _SCAN_STEPS,
     DcLink,
     GridSource,
     Scenario,
+    _scan_failures,
     build_stock_system,
     run_scenario,
     simulate,
@@ -275,6 +282,123 @@ def test_link_stability_bound(length_km, stable):
             simulate(scenario, params=params, grid=grid, dc_link=link)
 
 
+# ------------------------------------------------------------ failure scan
+
+B2B_LABELS = ["1a", "1b", "1c", "2a", "2b", "2c"]
+
+
+def _healthy_record(steps, rows, labels):
+    """Hand-made batch record in the kernel's layout, every state sound:
+    legs (rows * converters, 3), one SM per arm, link rows from step -1."""
+    legs = (rows * len(labels) // 3, 3)
+    rec_i = np.zeros((steps, *legs))
+    rec_i_z = np.zeros((steps, *legs))
+    rec_v_c = np.ones((steps, *legs, 2, 1))
+    rec_link = np.ones((steps + 1, rows, 3)) if len(labels) == 6 else None
+    return rec_i, rec_i_z, rec_v_c, rec_link
+
+
+def _scan(record, labels, k0, k1, failed=None):
+    failed = {} if failed is None else failed
+    _scan_failures(failed, k0, k1, labels, *record)
+    return {row: (error.step, error.detail) for row, error in failed.items()}
+
+
+def test_scan_names_currents_before_the_capacitor_of_the_same_leg():
+    record = _healthy_record(8, 1, ["a", "b", "c"])
+    rec_i, rec_i_z, rec_v_c, _ = record
+    rec_v_c[5, 0, 2, 1, 0] = np.nan      # phase c, a later leg
+    rec_v_c[5, 0, 1, 0, 0] = 0.0          # phase b's capacitor and currents
+    rec_i_z[5, 0, 1] = np.inf
+    assert _scan(record, ["a", "b", "c"], 0, 8) == {0: (5, "phase b currents non-finite")}
+    rec_i_z[5, 0, 1] = 0.0
+    assert _scan(record, ["a", "b", "c"], 0, 8) == {
+        0: (5, "phase b capacitor voltage non-finite or <= 0")
+    }
+    rec_v_c[5, 0, 1, 0, 0] = 1.0
+    rec_v_c[5, 0, 2, 1, 0] = np.inf
+    rec_i[5, 0, 0] = np.nan
+    assert _scan(record, ["a", "b", "c"], 0, 8) == {0: (5, "phase a currents non-finite")}
+
+
+def test_scan_names_a_leg_before_the_link_at_the_same_step():
+    record = _healthy_record(8, 1, B2B_LABELS)
+    _, _, rec_v_c, rec_link = record
+    rec_link[4, 0, 2] = np.nan            # step 3's i_link
+    rec_v_c[3, 1, 1, 1, 0] = -1.0         # step 3, phase 2b
+    assert _scan(record, B2B_LABELS, 0, 8) == {
+        0: (3, "phase 2b capacitor voltage non-finite or <= 0")
+    }
+    rec_v_c[3, 1, 1, 1, 0] = 1.0
+    assert _scan(record, B2B_LABELS, 0, 8) == {0: (3, "DC link i_link non-finite")}
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ((0, 1, 2), "i_link"),
+        ((0, 1), "v_mmc1"),
+        ((1, 2), "i_link"),
+        ((1,), "v_mmc2"),
+    ],
+)
+def test_scan_names_link_states_in_order(bad, name):
+    # Stored as (v_mmc1, v_mmc2, i_link); named i_link, v_mmc1, v_mmc2.
+    record = _healthy_record(8, 1, B2B_LABELS)
+    rec_link = record[3]
+    rec_link[7, 0, list(bad)] = np.inf    # step 6
+    rec_link[8, 0, :] = np.nan
+    assert _scan(record, B2B_LABELS, 0, 8) == {0: (6, f"DC link {name} non-finite")}
+
+
+def test_scan_offsets_each_block_by_its_first_step():
+    steps = 2 * _SCAN_STEPS
+    record = _healthy_record(steps, 2, ["a", "b", "c"])
+    rec_i = record[0]
+    rec_i[_SCAN_STEPS - 1 :, 0, 0] = np.nan   # row 0 from the last step of block 1
+    rec_i[_SCAN_STEPS:, 1, 2] = np.nan        # row 1 from the first of block 2
+    failed = {}
+    first = _scan(record, ["a", "b", "c"], 0, _SCAN_STEPS, failed)
+    assert first == {0: (_SCAN_STEPS - 1, "phase a currents non-finite")}
+    reported = failed[0]
+    second = _scan(record, ["a", "b", "c"], _SCAN_STEPS, steps, failed)
+    assert second == {
+        0: (_SCAN_STEPS - 1, "phase a currents non-finite"),
+        1: (_SCAN_STEPS, "phase c currents non-finite"),
+    }
+    # A row already failed is not reported again by a later block.
+    assert failed[0] is reported
+
+
+def test_scan_gives_each_row_its_own_first_step():
+    record = _healthy_record(16, 3, B2B_LABELS)
+    rec_i, _, rec_v_c, rec_link = record
+    rec_link[8:, 0, 0] = np.inf           # row 0: v_mmc1 from step 7
+    rec_v_c[2:, 3, 0, 0, 0] = 0.0         # row 1: phase 2a from step 2
+    rec_i[11:, 2, 1] = np.nan             # row 1: phase 1b from step 11
+    assert _scan(record, B2B_LABELS, 0, 16) == {
+        0: (7, "DC link v_mmc1 non-finite"),
+        1: (2, "phase 2a capacitor voltage non-finite or <= 0"),
+    }
+
+
+def test_a_failed_run_stops_at_the_first_scan_after_its_failure(monkeypatch):
+    params, grid, _, _ = build_stock_system()
+    params = dataclasses.replace(params, C=2.0e-5)
+    scenario = Scenario(duration=3.0, mode="ideal_dc", i_amp=(5000.0,))
+    scans = []
+
+    def scan(failed, k0, k1, *record):
+        scans.append((k0, k1))
+        _scan_failures(failed, k0, k1, *record)
+
+    monkeypatch.setattr(testbench, "_scan_failures", scan)
+    with pytest.raises(SimulationDiverged) as info:
+        simulate(scenario, params=params, grid=grid)
+    assert info.value.step == 274
+    assert scans == [(0, _SCAN_STEPS)]
+
+
 def test_simulate_is_deterministic():
     params, grid, _, _ = build_stock_system()
     a = simulate(_short_scenario(0.005), params=params, grid=grid)
@@ -313,3 +437,48 @@ def test_run_scenario_rejects_bad_decimation():
     params, grid, _, _ = build_stock_system()
     with pytest.raises(ConfigError):
         run_scenario(_short_scenario(0.002), params=params, grid=grid, decimation=0)
+
+
+# ------------------------------------------------------------ envelope
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _envelope_config(draw):
+    """Config text with every drawn value inside the README's envelope."""
+    mode = draw(st.sampled_from(["ideal_dc", "back_to_back"]))
+    p = draw(st.floats(-20e6, 20e6))
+    weights = st.sampled_from([0.0, 1.0, 5.0])
+    return (
+        f"[converter]\nn_sm = {draw(st.sampled_from([1, 2, 6, 12]))}\n"
+        f"r = {draw(_log_uniform(3e-3, 0.3))!r}\n"
+        f"l = {draw(_log_uniform(1e-6, 5e-2))!r}\n"
+        f"l_arm = {draw(_log_uniform(1e-6, 3e-2))!r}\n"
+        f"c_sm = {draw(_log_uniform(2e-5, 2.5e-2))!r}\n"
+        f"t_s = {draw(_log_uniform(2.5e-6, 2.5e-4))!r}\n"
+        f"w = {draw(weights)!r}\nw_z = {draw(weights)!r}\n\n"
+        f"[grid]\namplitude = {draw(st.floats(5e3, 40e3))!r}\n\n"
+        f"[dc_link]\nlength_km = {draw(_log_uniform(0.5, 50.0))!r}\n\n"
+        f"[scenario]\nmode = {mode}\nduration = 0.01\n"
+        f"policy_schedule = {draw(st.sampled_from(['[]', '[(0.0, F1V2)]', '[(0.005, F1V2)]']))}\n"
+        f"p_set = {p!r}" + (f", {-p!r}\n" if mode == "back_to_back" else "\n")
+    )
+
+
+@given(text=_envelope_config())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_envelope_configs_are_refused_diverge_or_run_finite(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = parse_config(text)
+            record = simulate(
+                config.scenario, params=config.params, grid=config.grid, dc_link=config.dc_link
+            )
+        except (ConfigError, SimulationDiverged):
+            return
+    for name in ("i", "i_ref", "i_z", "v_up", "v_low", "v_c", "v_dc_link", "i_dc_link"):
+        assert np.isfinite(getattr(record, name)).all(), name
