@@ -20,6 +20,13 @@ its voltage bit for bit, so writing costs scale with what changed.
 Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
 exact text and the bytes equal those of formatting every cell.
 
+Formatting runs in a writer process that the sink forks at its first
+rows: the caller checks each record it is given and pickles the kept
+rows into a pipe, and the writer formats and appends them, so a run
+that hands its record over block by block steps while its CSV is
+written.  Where ``os.fork`` is missing the caller formats the rows
+itself, with the same function.
+
 The layout is defined once, as a structured row dtype that
 ``csv_columns`` derives from.  The loader parses the file into a table
 of such rows in one ``numpy.loadtxt`` pass, whose C parser rounds like
@@ -30,8 +37,12 @@ line of a refused row.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
+import pickle
+import signal
 from typing import NoReturn
 
 import numpy as np
@@ -96,14 +107,104 @@ def _format_changed(values: np.ndarray) -> np.ndarray:
     return text[source]
 
 
+def _write_rows(file, labels, times, phase_series, v_c, u, v_dc, i_dc, policy) -> None:
+    """Append the text of kept steps to ``file``: ``times`` and
+    ``policy`` per step, the others per step and phase, ``phase_series``
+    being the ``i`` to ``v_low`` arrays in column order."""
+    n_phases = len(labels)
+    n2 = v_c.shape[-1]
+    u_width = 2 * n2 - 1
+    block = max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
+    for b0 in range(0, times.size, block):
+        b1 = min(b0 + block, times.size)
+        # A phase's series and capacitor voltages are compared with
+        # the same phase one kept step earlier, the columns shared
+        # by phases (time, link voltage and current) with the row
+        # before.  The first row of a block is formatted in full.
+        values = np.empty((b1 - b0, n_phases, 5 + n2))
+        for j, series in enumerate(phase_series):
+            values[:, :, j] = series[b0:b1]
+        values[:, :, 5:] = v_c[b0:b1]
+        phase_cells = _format_changed(values.reshape(b1 - b0, -1)).reshape(-1, 5 + n2)
+        phase_text = [",".join(row) for row in phase_cells.tolist()]
+        link = np.empty((b1 - b0, n_phases, 3))
+        link[:, :, 0] = times[b0:b1, None]
+        link[:, :, 1] = v_dc[b0:b1]
+        link[:, :, 2] = i_dc[b0:b1]
+        link_text = _format_changed(link.reshape(-1, 3)).tolist()
+        # Status text: digits interleaved with commas, one byte each.
+        table = np.full((len(phase_text), u_width), ord(","), dtype=np.uint8)
+        np.add(u[b0:b1].reshape(-1, n2), ord("0"), out=table[:, ::2], casting="unsafe")
+        u_text = table.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
+        row_policy = [p for p in policy[b0:b1] for _ in labels]
+        file.write("".join([
+            _ROW_FMT % (t, label, phase, status, v, i, pol)
+            for (t, v, i), label, phase, status, pol
+            in zip(link_text, labels * (b1 - b0), phase_text, u_text, row_policy)
+        ]))
+
+
+# Bytes the pipe to a writer process is asked to hold: the unprivileged
+# limit of Linux, about nine 128-step blocks of a back-to-back run.
+_PIPE_BYTES = 1 << 20
+
+# Write ends of the pipes to this process's live writer processes.  A
+# writer forked later closes its copies, so that each writer sees the
+# end of its rows when its own sink closes.
+_writer_pipes: set[int] = set()
+
+
+def _writer_main(file, rows_fd: int, error_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
+    """Body of a writer process: append the rows read from ``rows_fd``
+    to ``file`` until the pipe ends, then exit.  A failure is pickled to
+    ``error_fd`` for the sink to raise.  It never returns into the
+    caller's stack, so a fork under a test runner cannot run the rest of
+    the tests twice.  Its copies of the parent's pipe ends are closed,
+    so a parent that dies ends the rows."""
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's close() ends it
+        for fd in (*parent_fds, *_writer_pipes):
+            os.close(fd)
+        with file, os.fdopen(rows_fd, "rb") as rows:
+            while True:
+                try:
+                    block = pickle.load(rows)
+                except EOFError:
+                    break
+                _write_rows(file, *block)
+        status = 0
+    except BaseException as exc:   # whatever it is, the parent raises it
+        with os.fdopen(error_fd, "wb") as errors:
+            errors.write(pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
 class TimeSeriesSink:
-    """CSV writer for run records with a schema fixed at creation."""
+    """CSV writer for run records with a schema fixed at creation.
+
+    The rows are formatted in a writer process, forked at the first
+    :meth:`write_record` after the header is written, so that a run
+    steps on one core while its CSV is formatted on another.  Each call
+    checks its rows in the caller, then pickles them into a pipe that
+    the writer reads; :meth:`close` ends the pipe, waits for the writer
+    and raises the exception it failed with, if any.  Where ``os.fork``
+    is missing the same formatting runs in the caller.
+
+    The writer does no BLAS call and no logging: a forked child holds
+    only the forking thread, while numpy's BLAS keeps a thread pool, and
+    Python 3.12 and later warn when a process with threads forks.
+    """
 
     def __init__(self, path: str, n: int):
         self.path = path
         self.n = n
         self.columns = csv_columns(n)
         self._last_t = -np.inf
+        self._pid: int | None = None     # the writer process, once forked
+        self._pipe = None                # rows to it
+        self._errors: int | None = None  # its failure, pickled
         try:
             self._file = open(path, "w", newline="", encoding="utf-8")
         except OSError as exc:
@@ -131,55 +232,78 @@ class TimeSeriesSink:
             raise ContractError("switch statuses must be 0 or 1")
         self._last_t = times[-1]
 
-        labels = record.labels
-        n_phases = len(labels)
-        n2 = 2 * self.n
-        phase_series = [
-            a[kept] for a in (record.i, record.i_ref, record.i_z, record.v_up, record.v_low)
-        ]
-        v_c = record.v_c[kept]
-        v_dc = record.v_dc_link[kept]
-        i_dc = record.i_dc_link[kept]
-        policy = record.policy[kept]
-        u_width = 2 * n2 - 1
-        block = max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
-        for b0 in range(0, times.size, block):
-            b1 = min(b0 + block, times.size)
-            # A phase's series and capacitor voltages are compared with
-            # the same phase one kept step earlier, the columns shared
-            # by phases (time, link voltage and current) with the row
-            # before.  The first row of a block is formatted in full.
-            values = np.empty((b1 - b0, n_phases, 5 + n2))
-            for j, series in enumerate(phase_series):
-                values[:, :, j] = series[b0:b1]
-            values[:, :, 5:] = v_c[b0:b1]
-            phase_cells = _format_changed(values.reshape(b1 - b0, -1)).reshape(-1, 5 + n2)
-            phase_text = [",".join(row) for row in phase_cells.tolist()]
-            link = np.empty((b1 - b0, n_phases, 3))
-            link[:, :, 0] = times[b0:b1, None]
-            link[:, :, 1] = v_dc[b0:b1]
-            link[:, :, 2] = i_dc[b0:b1]
-            link_text = _format_changed(link.reshape(-1, 3)).tolist()
-            # Status text: digits interleaved with commas, one byte each.
-            table = np.full((len(phase_text), u_width), ord(","), dtype=np.uint8)
-            np.add(u[b0:b1].reshape(-1, n2), ord("0"), out=table[:, ::2], casting="unsafe")
-            u_text = table.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
-            row_policy = [p for p in policy[b0:b1] for _ in labels]
-            self._file.write("".join([
-                _ROW_FMT % (t, label, phase, status, v, i, pol)
-                for (t, v, i), label, phase, status, pol
-                in zip(link_text, labels * (b1 - b0), phase_text, u_text, row_policy)
-            ]))
+        rows = (
+            record.labels, times,
+            [a[kept] for a in (record.i, record.i_ref, record.i_z, record.v_up, record.v_low)],
+            record.v_c[kept], u, record.v_dc_link[kept], record.i_dc_link[kept],
+            record.policy[kept],
+        )
+        if self._pid is None and hasattr(os, "fork"):
+            self._fork_writer()
+        if self._pid is None:
+            _write_rows(self._file, *rows)
+            return
+        try:
+            pickle.dump(rows, self._pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            self._pipe.flush()
+        except BrokenPipeError:
+            self.close()   # raises the writer's failure
+            raise
+
+    def _fork_writer(self) -> None:
+        import fcntl   # POSIX, as os.fork is
+
+        self._file.flush()
+        rows_r, rows_w = os.pipe()
+        errors_r, errors_w = os.pipe()
+        # A pipe that holds several blocks (Linux) lets the caller step
+        # on while the writer is a block or two behind.
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(rows_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (rows_r, rows_w, errors_r, errors_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _writer_main(self._file, rows_r, errors_w, (rows_w, errors_r))
+        os.close(rows_r)
+        os.close(errors_w)
+        self._file.close()
+        self._pid, self._errors = pid, errors_r
+        self._pipe = os.fdopen(rows_w, "wb")
+        _writer_pipes.add(rows_w)
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
+        """Finish the file; raise what the writer process failed with."""
+        self._file.close()
+        if self._pid is None:
+            return
+        pid, self._pid = self._pid, None
+        _writer_pipes.discard(self._pipe.fileno())
+        try:
+            self._pipe.close()
+        except BrokenPipeError:
+            pass   # the writer has exited; its error tells why
+        with os.fdopen(self._errors, "rb") as errors:
+            failure = errors.read()
+        _, status = os.waitpid(pid, 0)
+        if failure:
+            raise pickle.loads(failure)
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise OSError(f"the CSV writer of {self.path!r} exited with code {code}")
 
     def __enter__(self) -> "TimeSeriesSink":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.close()
+        except Exception:
+            if exc_type is None:
+                raise   # else the caller's exception goes on unchanged
 
 
 def load_record_csv(path: str) -> RunRecord:

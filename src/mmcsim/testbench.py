@@ -21,9 +21,13 @@ byte for byte).  In back-to-back mode one semi-implicit Euler update
 of the DC link then uses the freshly summed converter common-mode
 currents.  Inputs are validated once, at the boundary (the constructors
 of the parameters, grid, link and scenario); the loop checks no state,
-and a run that diverges is found from its record, scanned every 1,024
-steps.  Everything is deterministic; there is
-no randomness anywhere in the loop.
+and a run that diverges is found from its record, scanned every 128
+steps.  Each block the scan passes goes to the run's sink, if it has
+one, so that a CSV is written while the run steps on (the CSV sink
+formats it in a second process).  The per-step work is numpy calls on
+tables built before the first step: the reference part of the deadbeat
+drive, the grid voltages and each row's policy per step.  Everything is
+deterministic; there is no randomness anywhere in the loop.
 
 The leg axis also spans a batch: scenarios that share the system and
 differ only in their policy schedule (``compare``'s two configs) step
@@ -280,6 +284,8 @@ def simulate(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None = None,
+    sink=None,
+    decimation: int = 1,
 ) -> RunRecord:
     """Run a scenario at full rate and return the recorded series.
 
@@ -288,6 +294,12 @@ def simulate(
     the power feedforward, the capacitor-energy trim, and in
     back-to-back mode the bus-voltage droop.
 
+    ``sink``, when given, receives the run while it steps: each block
+    the failure scan passes goes to ``sink.write_record(block,
+    decimation)``, cut at a multiple of ``decimation`` so that the rows
+    kept are those of the whole record.  A run that diverges has handed
+    off the blocks before the one it fails in.
+
     Raises :class:`ConfigError` when the DC link is outside the
     stability bound of its update (:meth:`DcLink.check_step`), and
     :class:`SimulationDiverged`, naming the step, the phase and the
@@ -295,14 +307,19 @@ def simulate(
     non-finite or a capacitor voltage turns non-finite or non-positive.
     The run stops within ``_SCAN_STEPS`` steps of it, without a warning.
     """
-    (outcome,) = _simulate_batch([scenario], params=params, grid=grid, dc_link=dc_link)
+    if decimation < 1:
+        raise ConfigError(f"decimation must be >= 1, got {decimation}")
+    (outcome,) = _simulate_batch(
+        [scenario], params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation
+    )
     if isinstance(outcome, SimulationDiverged):
         raise outcome
     return outcome
 
 
-# Steps between two scans of a batch's record for failed rows.
-_SCAN_STEPS = 1024
+# Steps between two scans of a batch's record for failed rows: the
+# blocks a sink receives.
+_SCAN_STEPS = 128
 
 
 @np.errstate(all="ignore")   # failed rows step on; their errors are read from the record
@@ -312,6 +329,8 @@ def _simulate_batch(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None = None,
+    sink=None,
+    decimation: int = 1,
 ) -> list[RunRecord | SimulationDiverged]:
     """Run scenarios that differ only in their events side by side.
 
@@ -320,6 +339,8 @@ def _simulate_batch(
     it.  The rows step together in one kernel.  No row reads another's
     state, so a failed row steps on with the others until the scan of its
     record, every ``_SCAN_STEPS`` steps and at the last, finds its error.
+    A ``sink`` takes the blocks of a one-row batch, as :func:`simulate`
+    describes.
     """
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
@@ -365,9 +386,17 @@ def _simulate_batch(
     rec_v_arm = np.empty((steps, *legs, 2, 1, 1))   # matmul's (1, 1) results
     rec_v_c = np.empty((steps, *legs, 2, n))
     rec_u = np.empty((steps, *legs, 2, n), dtype=np.int8)
-    policies = [[s.policy_at(k * t_s) for k in range(steps)] for s in scenarios]
+    # Each row's policy at each decision time k * T_s: that of its last
+    # event with k * T_s >= event time, as Scenario.policy_at reads it.
+    decided = np.arange(steps) * t_s
+    policies, f1v2 = [], []
+    for s in scenarios:
+        choices = [SortPolicy.V1F2, *(p for _, p in s.events)]
+        in_force = np.searchsorted([t for t, _ in s.events], decided, side="right")
+        policies.append(np.array([p.value for p in choices], dtype=object).take(in_force).tolist())
+        f1v2.append(np.array([p is SortPolicy.F1V2 for p in choices]).take(in_force))
     # F1V2 promotion per step: run for any row, kept per row when mixed.
-    f1v2 = np.array([[p is SortPolicy.F1V2 for p in row] for row in policies], dtype=bool)
+    f1v2 = np.array(f1v2).reshape(n_rows, steps)
     any_f1v2 = f1v2.any(axis=0).tolist()
     all_f1v2 = f1v2.all(axis=0).tolist()
     f1v2 = np.repeat(f1v2, n_mmc, axis=0)
@@ -378,13 +407,15 @@ def _simulate_batch(
     ).reshape(steps + 1, 3)
     rec_i_ref = np.array(amps * n_rows).reshape(n_conv, 1) * phase_cos[1:, None, :]
     v_s_table = grid.amplitude * phase_cos
+    k_prime = params.K_prime
+    # The reference part of each step's deadbeat drive, K' * i_ref + v_s.
+    drive_table = k_prime * rec_i_ref + v_s_table[:-1, None, :]
 
     v_c = np.full((*legs, 2, n), params.v_sm_nominal)
     u = np.zeros((*legs, 2, n), dtype=np.int8)
     i = np.zeros(legs)
     i_z = np.zeros(legs)
     i_arm = np.zeros((*legs, 2))
-    v_s = v_s_table[0]
 
     # Flat-index offsets of each arm's run of SMs and of prefix sums.
     arm_index = np.arange(n_conv * 6).reshape(*legs, 2, 1)
@@ -407,7 +438,6 @@ def _simulate_batch(
     v_dc = params.V_dc
     half_v_dc = 0.5 * v_dc
     v_nom_sm = params.v_sm_nominal
-    k_prime = params.K_prime
     l_prime_ts = params.L_prime / t_s
     l_arm_ts = params.l_arm / t_s
     ts_2l_arm = t_s / (2.0 * params.l_arm)
@@ -424,11 +454,45 @@ def _simulate_batch(
         rec_link = np.empty((steps + 1, n_rows, 3))
         rec_link[0] = link
 
+    by_row = (steps, n_rows, n_legs)
+    row_i, row_i_ref, row_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
+    row_v_arm = rec_v_arm.reshape(*by_row, 2)
+    row_v_c = rec_v_c.reshape(*by_row, 2 * n)
+    row_u = rec_u.reshape(*by_row, 2 * n)
+
+    def records(k0: int, k1: int) -> list[RunRecord]:
+        """Each row's record of steps ``[k0, k1)``."""
+        if dc_link is None:
+            bus_v = np.full((k1 - k0, n_rows, 1), v_dc)
+            block_i_z = rec_i_z[k0:k1]
+            i_dc = (0.0 + block_i_z[:, :, 0] + block_i_z[:, :, 1] + block_i_z[:, :, 2])[..., None]
+        else:
+            bus_v = rec_link[k0 + 1 : k1 + 1, :, :2]
+            i_dc = rec_link[k0 + 1 : k1 + 1, :, 2:]
+        row_v_dc = np.repeat(bus_v, 3, axis=-1)
+        row_i_dc = np.repeat(i_dc, n_legs, axis=-1)
+        return [
+            RunRecord(
+                times=times[k0:k1],
+                labels=list(labels),
+                i=row_i[k0:k1, row],
+                i_ref=row_i_ref[k0:k1, row],
+                i_z=row_i_z[k0:k1, row],
+                v_up=np.ascontiguousarray(row_v_arm[k0:k1, row, :, 0]),
+                v_low=np.ascontiguousarray(row_v_arm[k0:k1, row, :, 1]),
+                v_c=row_v_c[k0:k1, row],
+                u=row_u[k0:k1, row],
+                v_dc_link=row_v_dc[:, row],
+                i_dc_link=row_i_dc[:, row],
+                policy=row_policy[k0:k1],
+            )
+            for row, row_policy in enumerate(policies)
+        ]
+
     failed: dict[int, SimulationDiverged] = {}
-    k0 = 0   # first step not yet scanned
+    k0 = 0        # first step not yet scanned
+    handed = 0    # first step not yet handed to the sink
     for k in range(steps):
-        i_ref = rec_i_ref[k]
-        v_s_next = v_s_table[k + 1]
         if dc_link is not None:
             bus = rec_link[k, :, :2].reshape(n_conv, 1)
             i_z_base = ff_col + droop_gain * (bus - v_dc)
@@ -438,27 +502,28 @@ def _simulate_batch(
         v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
         i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
         common = half_v_dc + l_arm_ts * (i_z - i_z_ref)
-        drive = k_prime * i_ref + v_s - l_prime_ts * i
+        l_i = l_prime_ts * i
+        drive = drive_table[k] - l_i
         np.subtract(common, drive, out=v_star[..., 0])
         np.add(common, drive, out=v_star[..., 1])
 
         # Ranking: stable voltage sort, ascending while the arm current
         # charges; F1V2 then stably moves inserted SMs to the front.
-        key = v_c * key_sign[(i_arm >= 0.0).view(np.int8)][..., None]
-        order = np.argsort(key, axis=-1, kind="stable") + sm_base
+        key = v_c * key_sign.take((i_arm >= 0.0).view(np.int8))[..., None]
+        order = key.argsort(axis=-1, kind="stable") + sm_base
         if any_f1v2[k]:
-            promote = np.argsort(-u.reshape(-1)[order], axis=-1, kind="stable")
-            promoted = order.reshape(-1)[promote + sm_base]
+            promote = (-u.take(order)).argsort(axis=-1, kind="stable")
+            promoted = order.take(promote + sm_base)
             if all_f1v2[k]:
                 order = promoted
             else:
                 order = np.where(f1v2[:, k, None, None, None], promoted, order)
-        np.cumsum(v_c.reshape(-1)[order], axis=-1, out=sums[..., 1:])
+        v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
 
         # Bracketing by counting: capacitor voltages are positive, so
         # the prefix sums rise monotonically.
-        counts = bracket[np.add.reduce(sums <= v_star[..., None], -1)]
-        dv = v_star[..., None] - sums.reshape(-1)[counts + sum_base]
+        counts = bracket.take(np.add.reduce(sums <= v_star[..., None], -1), axis=0)
+        dv = v_star[..., None] - sums.take(counts + sum_base)
 
         # Objective on the four (upper, lower) pairs; argmin keeps the
         # first minimizer in scan order (upper ascending, then lower).
@@ -466,21 +531,21 @@ def _simulate_batch(
         dv_low = dv[..., 1, None, :]
         f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
         best = f.reshape(*legs, 4).argmin(axis=-1)
-        n_ins = counts.reshape(-1)[pair_pos[best] + leg_base]
+        n_ins = counts.take(pair_pos.take(best, axis=0) + leg_base)
 
         # Prefix insertion of each ranking.
         u_next = rec_u[k]
-        u_next.reshape(-1)[order] = rank < n_ins[..., None]
+        u_next.put(order, rank < n_ins[..., None])
         u_f = u_next.astype(float)
 
         # Plant: capacitors integrate the start-of-step arm currents,
         # then the synthesized arm voltages drive both leg currents.
-        v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_next, out=rec_v_c[k])
+        v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_f, out=rec_v_c[k])
         v_arm = np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[k])
         v_up = v_arm[..., 0, 0, 0]
         v_low = v_arm[..., 1, 0, 0]
         i = np.divide(
-            0.5 * (v_low - v_up) - v_s_next + l_prime_ts * i, k_prime, out=rec_i[k]
+            0.5 * (v_low - v_up) - v_s_table[k + 1] + l_i, k_prime, out=rec_i[k]
         )
         i_z = np.add(ts_2l_arm * (bus - v_low - v_up), i_z, out=rec_i_z[k])
         half_i = 0.5 * i
@@ -488,7 +553,6 @@ def _simulate_batch(
         np.subtract(i_z, half_i, out=i_arm_next[..., 1])
         i_arm, i_arm_next = i_arm_next, i_arm
         u = u_next
-        v_s = v_s_next
 
         if dc_link is not None:
             # Semi-implicit (symplectic) Euler: the line current is
@@ -511,37 +575,15 @@ def _simulate_batch(
             if len(failed) == n_rows:
                 break
             k0 = k + 1
+            # The scanned steps up to the last multiple of the
+            # decimation go to the sink; the rest wait for the next block.
+            end = k0 - k0 % decimation
+            if sink is not None and end > handed:
+                (block,) = records(handed, end)
+                sink.write_record(block, decimation)
+                handed = end
 
-    if dc_link is None:
-        bus_v = np.full((steps, n_rows, 1), v_dc)
-        i_dc = (0.0 + rec_i_z[:, :, 0] + rec_i_z[:, :, 1] + rec_i_z[:, :, 2])[..., None]
-    else:
-        bus_v = rec_link[1:, :, :2]
-        i_dc = rec_link[1:, :, 2:]
-    rec_v_dc = np.repeat(bus_v, 3, axis=-1)
-    rec_i_dc = np.repeat(i_dc, n_legs, axis=-1)
-    by_row = (steps, n_rows, n_legs)
-    rec_i, rec_i_ref, rec_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
-    rec_v_arm = rec_v_arm.reshape(*by_row, 2)
-    rec_v_c = rec_v_c.reshape(*by_row, 2 * n)
-    rec_u = rec_u.reshape(*by_row, 2 * n)
-    return [
-        failed.get(row) or RunRecord(
-            times=times,
-            labels=list(labels),
-            i=rec_i[:, row],
-            i_ref=rec_i_ref[:, row],
-            i_z=rec_i_z[:, row],
-            v_up=np.ascontiguousarray(rec_v_arm[:, row, :, 0]),
-            v_low=np.ascontiguousarray(rec_v_arm[:, row, :, 1]),
-            v_c=rec_v_c[:, row],
-            u=rec_u[:, row],
-            v_dc_link=rec_v_dc[:, row],
-            i_dc_link=rec_i_dc[:, row],
-            policy=[p.value for p in row_policy],
-        )
-        for row, row_policy in enumerate(policies)
-    ]
+    return [failed.get(row) or record for row, record in enumerate(records(0, steps))]
 
 
 def _scan_failures(
@@ -593,14 +635,13 @@ def run_scenario(
     """Run a scenario, stream rows to a sink, and summarize the run.
 
     ``sink`` is any object with ``write_record(record, decimation)``
-    (see the CSV sink); ``decimation`` thins the persisted rows only,
+    (see the CSV sink), called block by block while the run steps (see
+    :func:`simulate`); ``decimation`` thins the persisted rows only,
     never the metrics.  ``window`` defaults to the whole run, 0 to the
     last sample time.  A zero duration produces no rows and all-zero
     initial-state metrics.
     """
-    if decimation < 1:
-        raise ConfigError(f"decimation must be >= 1, got {decimation}")
-    record = simulate(scenario, params=params, grid=grid, dc_link=dc_link)
-    if sink is not None:
-        sink.write_record(record, decimation)
+    record = simulate(
+        scenario, params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation
+    )
     return _run_metrics(record, window, params)

@@ -5,11 +5,13 @@ import warnings
 
 import pytest
 
+from mmcsim import testbench
 from mmcsim.cli import OUTPUT_DIR_ENV, main
 from mmcsim.config import parse_config
+from mmcsim.csvio import TimeSeriesSink, load_record_csv, write_metrics_report
 from mmcsim.errors import SimulationDiverged
 from mmcsim.metrics import SummaryMetrics, summarize
-from mmcsim.testbench import run_scenario, simulate
+from mmcsim.testbench import _SCAN_STEPS, run_scenario, simulate
 
 SMALL_CONFIG = """
 [scenario]
@@ -282,6 +284,59 @@ def test_run_stops_when_a_capacitor_collapses(workdir, capsys):
     err = capsys.readouterr().err
     assert "diverged at step 274:" in err
     assert "capacitor voltage" in err
+    # The blocks before the failing one reached the CSV: the header and
+    # steps [0, 256), as a run of 256 steps writes them.
+    assert _SCAN_STEPS == 128
+    left = (workdir / "out" / "run.csv").read_bytes()
+    record = load_record_csv(str(workdir / "out" / "run.csv"))
+    assert record.steps == 256 and record.labels == ["a", "b", "c"]
+    cfg = _write(
+        workdir, "collapse_256.ini",
+        "[converter]\nc_sm = 2e-5\n\n"
+        "[scenario]\nmode = ideal_dc\nduration = 0.0064\ni_amp = 5000\n",
+    )
+    assert main(["run", cfg]) == 0
+    assert left == (workdir / "out" / "run.csv").read_bytes()
+
+
+BLOCK_CONFIG = """
+[scenario]
+mode = {mode}
+duration = 0.0101
+policy_schedule = [(0.004, F1V2)]
+
+[output]
+directory = out
+decimation = {decimation}
+"""
+BLOCK_STEPS = 404   # 0.0101 s: no multiple of 3, 7, 50 or 128
+
+
+@pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
+@pytest.mark.parametrize("scan_steps, decimation", [
+    *((scan, dec) for scan in (1, 7, 128, BLOCK_STEPS) for dec in (1, 3)),
+    (7, 50),
+])
+def test_run_writes_the_bytes_of_a_whole_record_write(
+    workdir, monkeypatch, mode, scan_steps, decimation
+):
+    text = BLOCK_CONFIG.format(mode=mode, decimation=decimation)
+    config = parse_config(text)
+    record = simulate(
+        config.scenario, params=config.params, grid=config.grid, dc_link=config.dc_link
+    )
+    assert record.steps == BLOCK_STEPS
+    whole = workdir / "whole"
+    whole.mkdir()
+    with TimeSeriesSink(str(whole / "run.csv"), config.params.n) as sink:
+        sink.write_record(record, decimation)
+    metrics = summarize(record, None, config.params.v_sm_nominal)
+    write_metrics_report(metrics, str(whole / "metrics.txt"), str(whole / "metrics.json"))
+
+    monkeypatch.setattr(testbench, "_SCAN_STEPS", scan_steps)
+    assert main(["run", _write(workdir, "run.ini", text)]) == 0
+    for name in ("run.csv", "metrics.json"):
+        assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):

@@ -7,8 +7,11 @@ for byte and array by array.
 """
 
 import dataclasses
+import errno
 import json
+import os
 import re
+import signal
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mmcsim import csvio
+from mmcsim.cli import main
 from mmcsim.config import _FIELDS, _SCHEMA, RunConfig, parse_config, serialize_config
 from mmcsim.controller import SortPolicy
 from mmcsim.csvio import (
@@ -27,10 +32,17 @@ from mmcsim.csvio import (
     load_record_csv,
     write_metrics_report,
 )
-from mmcsim.errors import ConfigError, ContractError
+from mmcsim.errors import ConfigError, ContractError, SimulationDiverged
 from mmcsim.metrics import RunRecord, summarize
 from mmcsim.model import ConverterParams
-from mmcsim.testbench import DcLink, GridSource, Scenario, build_stock_system, simulate
+from mmcsim.testbench import (
+    DcLink,
+    GridSource,
+    Scenario,
+    build_stock_system,
+    run_scenario,
+    simulate,
+)
 
 RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
                  "v_dc_link", "i_dc_link")
@@ -373,6 +385,163 @@ def test_sink_rejects_time_going_backwards_within_a_record(tmp_path):
         with pytest.raises(ContractError):
             sink.write_record(replace(record, times=times))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
+
+
+# ------------------------------------------------------ writer process
+
+
+def _fork_recording(monkeypatch):
+    """Record the pid of each writer process the sinks fork."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _fail_formatting(monkeypatch):
+    def no_space(values):
+        raise NO_SPACE
+
+    monkeypatch.setattr(csvio, "_format_changed", no_space)
+
+
+def test_sink_writes_in_one_writer_process(tmp_path, monkeypatch):
+    params, record = _small_run()
+    pids = _fork_recording(monkeypatch)
+    with TimeSeriesSink(str(tmp_path / "run.csv"), params.n) as sink:
+        sink.write_record(_steps(record, slice(None, 30)))
+        sink.write_record(_steps(record, slice(30, None)))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    _assert_same_record(load_record_csv(str(tmp_path / "run.csv")), record)
+
+
+def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
+    params, record = _small_run()
+    with TimeSeriesSink(str(tmp_path / "forked.csv"), params.n) as sink:
+        sink.write_record(record, decimation=3)
+    monkeypatch.delattr(os, "fork")
+    with TimeSeriesSink(str(tmp_path / "inline.csv"), params.n) as sink:
+        sink.write_record(record, decimation=3)
+    assert (tmp_path / "inline.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+
+def test_close_raises_the_writer_failure(tmp_path, monkeypatch):
+    params, record = _small_run()
+    _fail_formatting(monkeypatch)
+    pids = _fork_recording(monkeypatch)
+    sink = TimeSeriesSink(str(tmp_path / "run.csv"), params.n)
+    sink.write_record(record)
+    with pytest.raises(OSError) as info:
+        sink.close()
+    assert type(info.value) is OSError
+    assert (info.value.errno, str(info.value)) == (errno.ENOSPC, str(NO_SPACE))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_run_exits_2_when_the_csv_writer_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MMCSIM_OUTPUT_DIR", raising=False)
+    (tmp_path / "run.ini").write_text(
+        "[scenario]\nmode = ideal_dc\nduration = 0.01\n\n[output]\ndirectory = out\n"
+    )
+    _fail_formatting(monkeypatch)
+    pids = _fork_recording(monkeypatch)
+    assert main(["run", "run.ini"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {NO_SPACE}\n")
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_close_names_a_writer_that_was_killed(tmp_path, monkeypatch):
+    params, record = _small_run()
+
+    def killed(values):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(csvio, "_format_changed", killed)
+    pids = _fork_recording(monkeypatch)
+    sink = TimeSeriesSink(str(tmp_path / "run.csv"), params.n)
+    sink.write_record(record)
+    with pytest.raises(OSError, match=r"CSV writer of .*run\.csv' exited with code -9$"):
+        sink.close()
+    _assert_reaped(pids)
+
+
+def test_a_diverging_run_reaps_its_writer(tmp_path, monkeypatch):
+    params, grid, _, _ = build_stock_system()
+    params = dataclasses.replace(params, C=2.0e-5)
+    scenario = Scenario(duration=0.05, mode="ideal_dc", i_amp=(5000.0,))
+    path = str(tmp_path / "run.csv")
+    pids = _fork_recording(monkeypatch)
+    with pytest.raises(SimulationDiverged, match="step 274"):
+        with TimeSeriesSink(path, params.n) as sink:
+            run_scenario(scenario, sink, params=params, grid=grid)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert load_record_csv(path).steps == 256
+
+
+class _CallerError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("writer_fails", [False, True])
+@pytest.mark.parametrize("raised", [_CallerError("stepping failed"), KeyboardInterrupt()])
+def test_a_caller_exception_leaves_the_sink_unchanged(tmp_path, monkeypatch, raised, writer_fails):
+    params, record = _small_run()
+    if writer_fails:
+        _fail_formatting(monkeypatch)
+    pids = _fork_recording(monkeypatch)
+    with pytest.raises(type(raised)) as info:
+        with TimeSeriesSink(str(tmp_path / "run.csv"), params.n) as sink:
+            sink.write_record(record)
+            raise raised
+    assert info.value is raised
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    if not writer_fails:
+        _assert_same_record(load_record_csv(str(tmp_path / "run.csv")), record)
+
+
+def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
+    params, record = _small_run()
+
+    def hung(signum, frame):
+        raise TimeoutError("a writer process did not see the end of its rows")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        first = TimeSeriesSink(str(tmp_path / "first.csv"), params.n)
+        first.write_record(record)
+        second = TimeSeriesSink(str(tmp_path / "second.csv"), params.n)
+        second.write_record(record)
+        first.close()
+        second.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for name in ("first.csv", "second.csv"):
+        _assert_same_record(load_record_csv(str(tmp_path / name)), record)
 
 
 @pytest.mark.parametrize("status", [2, -1, 0.5, np.nan])

@@ -203,6 +203,20 @@ def _short_scenario(duration, events=(), mode="ideal_dc"):
     )
 
 
+def test_policy_events_on_and_one_ulp_off_a_sample():
+    params, grid, _, _ = build_stock_system()
+    t_s = params.T_s
+    events = [
+        (3 * t_s, SortPolicy.F1V2),                          # on sample 3
+        (math.nextafter(7 * t_s, 0.0), SortPolicy.V1F2),     # just before sample 7
+        (math.nextafter(11 * t_s, 1.0), SortPolicy.F1V2),    # just after sample 11
+    ]
+    scenario = _short_scenario(16 * t_s, events)
+    record = simulate(scenario, params=params, grid=grid)
+    assert record.policy == ["V1F2"] * 3 + ["F1V2"] * 4 + ["V1F2"] * 5 + ["F1V2"] * 4
+    assert record.policy == [scenario.policy_at(k * t_s).value for k in range(16)]
+
+
 def test_policy_switch_lands_on_exact_step():
     params, grid, _, _ = build_stock_system()
     event_t = 5 * params.T_s
@@ -396,7 +410,7 @@ def test_a_failed_run_stops_at_the_first_scan_after_its_failure(monkeypatch):
     with pytest.raises(SimulationDiverged) as info:
         simulate(scenario, params=params, grid=grid)
     assert info.value.step == 274
-    assert scans == [(0, _SCAN_STEPS)]
+    assert scans == [(k, k + _SCAN_STEPS) for k in range(0, 275, _SCAN_STEPS)]
 
 
 def test_simulate_is_deterministic():
