@@ -19,6 +19,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -30,12 +31,12 @@ from .config import RunConfig, parse_config, serialize_config
 from .csvio import (
     TimeSeriesSink,
     format_metrics_text,
-    load_record_csv,
+    read_record_blocks,
     write_metrics_report,
 )
-from .errors import ConfigError, SimulationDiverged
-from .metrics import SummaryMetrics, summarize
-from .testbench import _run_metrics, _simulate_batch, run_scenario
+from .errors import ConfigError
+from .metrics import SummaryAccumulator, SummaryMetrics
+from .testbench import _summarize_batch, run_scenario
 
 __all__ = ["main"]
 
@@ -107,19 +108,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "compare requires configs that differ only in policy_schedule;"
             f" found other differences:\n{listing}"
         )
-    rows = _simulate_batch(
+    # a, then b: the first error is the one running them in turn gives.
+    metrics_a, metrics_b = _summarize_batch(
         [config_a.scenario, config_b.scenario],
+        config_a.window,
         params=config_a.params,
         grid=config_a.grid,
         dc_link=config_a.dc_link,
     )
-    # a, then b: the first error is the one running them in turn gives.
-    metrics = []
-    for row in rows:
-        if isinstance(row, SimulationDiverged):
-            raise row
-        metrics.append(_run_metrics(row, config_a.window, config_a.params))
-    metrics_a, metrics_b = metrics
     flat_a = metrics_a.to_flat()
     flat_b = metrics_b.to_flat()
     fs_a, fs_b = metrics_a.fs_mean, metrics_b.fs_mean
@@ -155,13 +151,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    record = load_record_csv(args.csv)
+    # The CSV is summarized block by block as it is read.
+    blocks = read_record_blocks(args.csv)
+    first = next(blocks)
     if args.sm_nominal is not None:
         nominal = args.sm_nominal
     else:
         # In ideal-dc runs the recorded link voltage is the nominal bus.
-        nominal = float(record.v_dc_link[0, 0]) / record.n
-    metrics = summarize(record, tuple(args.window) if args.window else None, nominal)
+        nominal = float(first.v_dc_link[0, 0]) / first.n
+    summary = SummaryAccumulator(tuple(args.window) if args.window else None, nominal)
+    for block in itertools.chain([first], blocks):
+        summary.add(block)
+    metrics = summary.result()
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or os.path.dirname(args.csv) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -20,19 +20,24 @@ its voltage bit for bit, so writing costs scale with what changed.
 Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
 exact text and the bytes equal those of formatting every cell.
 
-Formatting runs in a writer process that the sink forks at its first
-rows: the caller checks each record it is given and pickles the kept
-rows into a pipe, and the writer formats and appends them, so a run
-that hands its record over block by block steps while its CSV is
-written.  Where ``os.fork`` is missing the caller formats the rows
-itself, with the same function.
+Formatting runs in a writer process that the sink forks once a run's
+rows need more than one block of formatting: the caller checks each
+record it is given and pickles the kept rows into a pipe, and the
+writer formats and appends them, so a run that hands its record over
+chunk by chunk steps while its CSV is written.  A run of one block is
+formatted in the caller, which costs less than the fork.  Where
+``os.fork`` is missing the caller formats the rows itself, with the
+same function.
 
 The layout is defined once, as a structured row dtype that
-``csv_columns`` derives from.  The loader parses the file into a table
-of such rows in one ``numpy.loadtxt`` pass, whose C parser rounds like
-``float()``, checks the table with array operations, takes the record's
-arrays by field name, and reads the file line by line only to name the
-line of a refused row.
+``csv_columns`` derives from.  The loader reads the file in blocks of
+whole steps, each a table of such rows parsed by one ``numpy.loadtxt``
+call on the open file, whose C parser rounds like ``float()``.  It
+checks each block with array operations as it comes, takes the
+record's arrays by field name, and reads the file again line by line
+only to name the line of a refused row.  ``mmcsim metrics`` summarizes
+the blocks as they are read (:func:`read_record_blocks`), so its memory
+holds one block of per-SM state; :func:`load_record_csv` joins them.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import json
 import os
 import pickle
 import signal
+import warnings
+from collections.abc import Iterator
 from typing import NoReturn
 
 import numpy as np
@@ -54,6 +61,7 @@ __all__ = [
     "csv_columns",
     "TimeSeriesSink",
     "load_record_csv",
+    "read_record_blocks",
     "format_metrics_text",
     "write_metrics_report",
 ]
@@ -107,6 +115,11 @@ def _format_changed(values: np.ndarray) -> np.ndarray:
     return text[source]
 
 
+def _block_steps(n_phases: int, n2: int) -> int:
+    """Kept steps formatted at once, for ``n2`` SMs per phase."""
+    return max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
+
+
 def _write_rows(file, labels, times, phase_series, v_c, u, v_dc, i_dc, policy) -> None:
     """Append the text of kept steps to ``file``: ``times`` and
     ``policy`` per step, the others per step and phase, ``phase_series``
@@ -114,7 +127,7 @@ def _write_rows(file, labels, times, phase_series, v_c, u, v_dc, i_dc, policy) -
     n_phases = len(labels)
     n2 = v_c.shape[-1]
     u_width = 2 * n2 - 1
-    block = max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
+    block = _block_steps(n_phases, n2)
     for b0 in range(0, times.size, block):
         b1 = min(b0 + block, times.size)
         # A phase's series and capacitor voltages are compared with
@@ -184,13 +197,16 @@ def _writer_main(file, rows_fd: int, error_fd: int, parent_fds: tuple[int, ...])
 class TimeSeriesSink:
     """CSV writer for run records with a schema fixed at creation.
 
-    The rows are formatted in a writer process, forked at the first
-    :meth:`write_record` after the header is written, so that a run
-    steps on one core while its CSV is formatted on another.  Each call
-    checks its rows in the caller, then pickles them into a pipe that
-    the writer reads; :meth:`close` ends the pipe, waits for the writer
-    and raises the exception it failed with, if any.  Where ``os.fork``
-    is missing the same formatting runs in the caller.
+    The rows are formatted in a writer process, so that a run steps on
+    one core while its CSV is formatted on another.  Each call checks
+    its rows in the caller, then pickles them into a pipe that the
+    writer reads; :meth:`close` ends the pipe, waits for the writer and
+    raises the exception it failed with, if any.  Formatting one block
+    (``_block_steps``) in the caller costs less than forking, so a
+    first call whose kept steps fit one block is held, pickled, and
+    sent at the next call, or formatted in the caller by :meth:`close`:
+    a short run forks nothing.  Where ``os.fork`` is missing the same
+    formatting runs in the caller.
 
     The writer does no BLAS call and no logging: a forked child holds
     only the forking thread, while numpy's BLAS keeps a thread pool, and
@@ -205,6 +221,7 @@ class TimeSeriesSink:
         self._pid: int | None = None     # the writer process, once forked
         self._pipe = None                # rows to it
         self._errors: int | None = None  # its failure, pickled
+        self._held: bytes | None = None  # a first call's rows, pickled
         try:
             self._file = open(path, "w", newline="", encoding="utf-8")
         except OSError as exc:
@@ -238,13 +255,19 @@ class TimeSeriesSink:
             record.v_c[kept], u, record.v_dc_link[kept], record.i_dc_link[kept],
             record.policy[kept],
         )
-        if self._pid is None and hasattr(os, "fork"):
-            self._fork_writer()
-        if self._pid is None:
+        if not hasattr(os, "fork"):
             _write_rows(self._file, *rows)
             return
+        block = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+        if self._pid is None:
+            if self._held is None and times.size <= _block_steps(len(record.labels), 2 * self.n):
+                self._held = block
+                return
+            self._fork_writer()
+            if self._held is not None:
+                block, self._held = self._held + block, None
         try:
-            pickle.dump(rows, self._pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            self._pipe.write(block)
             self._pipe.flush()
         except BrokenPipeError:
             self.close()   # raises the writer's failure
@@ -277,6 +300,10 @@ class TimeSeriesSink:
 
     def close(self) -> None:
         """Finish the file; raise what the writer process failed with."""
+        held, self._held = self._held, None
+        if held is not None:
+            with self._file:
+                _write_rows(self._file, *pickle.loads(held))
         self._file.close()
         if self._pid is None:
             return
@@ -307,7 +334,8 @@ class TimeSeriesSink:
 
 
 def load_record_csv(path: str) -> RunRecord:
-    """Reload a persisted run into a RunRecord (bit-exact floats).
+    """Reload a persisted run into a RunRecord (bit-exact floats): the
+    blocks of :func:`read_record_blocks`, joined.
 
     Raises ContractError, naming the 1-based line of the file, when a line
     is not UTF-8 text, a row has the wrong number of fields, breaks the
@@ -315,54 +343,136 @@ def load_record_csv(path: str) -> RunRecord:
     than 0 or 1, has a time or a policy other than the first row of its
     step, or starts a step earlier than the step before.
     """
+    blocks = list(read_record_blocks(path))
+    return RunRecord(
+        labels=blocks[0].labels,
+        policy=[p for block in blocks for p in block.policy],
+        **{name: np.concatenate([getattr(block, name) for block in blocks])
+           for name in ("times", *_row_dtype(1).names[2:-1])},
+    )
+
+
+# Fields parsed at once, about: blocks of whole steps of three or six
+# phases, whatever the number of SMs, which bounds a block's memory.
+_LOAD_CELLS = 1 << 15
+
+
+def _block_rows(n_fields: int) -> int:
+    """Data rows parsed at once, for rows of ``n_fields`` fields."""
+    return max(6, _LOAD_CELLS // n_fields // 6 * 6)
+
+
+def read_record_blocks(path: str) -> Iterator[RunRecord]:
+    """Yield the record of a run CSV as the file is read, in blocks of
+    whole steps, each checked as :func:`load_record_csv` describes.
+
+    A block is about ``_LOAD_CELLS`` fields of whole rows, parsed in one
+    ``numpy.loadtxt`` call on the open file.  Its ``v_c`` and ``u`` are
+    views of the block's table; its other arrays are its own.  A defect
+    is named when its block is read, after the blocks before it.
+    """
     try:
-        return _parse_record_csv(path)
+        yield from _parse_blocks(path)
     except UnicodeDecodeError:
         _name_undecodable_line(path)
 
 
-def _parse_record_csv(path: str) -> RunRecord:
+def _parse_blocks(path: str) -> Iterator[RunRecord]:
     with open(path, newline="", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split(",")
-    n2 = sum(1 for c in header if c.startswith("v_c_"))
-    if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
-        raise ContractError(f"{path!r} does not match the run CSV schema")
-    if next(_data_lines(path), None) is None:
-        raise ContractError(f"{path!r} contains no data rows")
-    dtype = _row_dtype(n2 // 2)
-    try:
-        table = np.loadtxt(
-            path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="utf-8"
-        )
-    except ValueError:
-        _name_bad_line(path, dtype, len(header))
+        n2 = sum(1 for c in header if c.startswith("v_c_"))
+        if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
+            raise ContractError(f"{path!r} does not match the run CSV schema")
+        dtype = _row_dtype(n2 // 2)
+        rows = _block_rows(len(header))
+        labels = None                # the phase labels, once a label repeats
+        held = np.empty(0, dtype)    # rows of a step not yet whole
+        first = 0                    # data row of the table's first row
+        at_end = False
+        last_t = -np.inf
+        while not at_end:
+            block = _load_rows(f, path, dtype, len(header), rows, first + held.size)
+            at_end = block.size < rows
+            table = np.concatenate([held, block]) if held.size else block
+            if not table.size:
+                if labels is None:
+                    raise ContractError(f"{path!r} contains no data rows")
+                return
 
-    phase = table["phase"]
-    # The phase labels are those before the first repeated one.
-    n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), phase.size)
-    labels = phase[:n_cols].tolist()
-    _refuse(path, phase != np.resize(phase[:n_cols], phase.size), "breaks the phase ordering")
-    if phase.size % n_cols:
-        _refuse(path, np.arange(phase.size) == phase.size - 1,
-                f"ends the file inside a step of {n_cols} phases")
-    step = table.reshape(-1, n_cols)
-    policy = step["policy"]
-    _refuse(path, policy != policy[:, :1], "has a policy other than its step's first row")
-    u = table["u"]
-    _refuse(path, ((u != 0) & (u != 1)).any(axis=1), "has a switch status other than 0 or 1")
-    # Every row of a step repeats the step's time text, hence its bits.
-    t_bits = step["t"].view(np.int64)
-    _refuse(path, t_bits != t_bits[:, :1], "has a time other than its step's first row")
-    times = step["t"][:, 0]
-    _refuse(path, np.r_[False, times[1:] < times[:-1]].repeat(n_cols), "goes back in time")
-    # The fields between the phase label and the policy are the
-    # RunRecord arrays of the same names.
-    return RunRecord(
-        times=times.copy(),
-        labels=labels,
-        policy=policy[:, 0].tolist(),
-        **{name: step[name].copy() for name in dtype.names[2:-1]},
-    )
+            phase = table["phase"]
+            if labels is None:
+                # The phase labels are those before the first repeated one.
+                n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), None)
+                if n_cols is None and not at_end:
+                    held = table   # no step is known whole yet
+                    continue
+                labels = phase[: n_cols or phase.size].copy()
+            n_cols = labels.size
+            _refuse(path, first, phase != np.resize(labels, phase.size),
+                    "breaks the phase ordering")
+            whole = phase.size - phase.size % n_cols
+            if at_end and whole < phase.size:
+                _refuse(path, first, np.arange(phase.size) == phase.size - 1,
+                        f"ends the file inside a step of {n_cols} phases")
+            held, table = table[whole:], table[:whole]
+            if not table.size:
+                continue
+            step = table.reshape(-1, n_cols)
+            policy = step["policy"]
+            _refuse(path, first, policy != policy[:, :1],
+                    "has a policy other than its step's first row")
+            u = table["u"]
+            _refuse(path, first, ((u != 0) & (u != 1)).any(axis=1),
+                    "has a switch status other than 0 or 1")
+            # Every row of a step repeats the step's time text, hence its bits.
+            t_bits = step["t"].view(np.int64)
+            _refuse(path, first, t_bits != t_bits[:, :1],
+                    "has a time other than its step's first row")
+            times = step["t"][:, 0]
+            _refuse(path, first, (times < np.r_[last_t, times[:-1]]).repeat(n_cols),
+                    "goes back in time")
+            # The fields between the phase label and the policy are the
+            # RunRecord arrays of the same names; the per-phase ones are
+            # copied, so that a consumer keeping them does not keep the
+            # block's table.
+            yield RunRecord(
+                times=times.copy(),
+                labels=labels.tolist(),
+                policy=policy[:, 0].tolist(),
+                **{name: step[name] if name in ("v_c", "u") else step[name].copy()
+                   for name in dtype.names[2:-1]},
+            )
+            last_t = times[-1]
+            first += whole
+            del block, table, phase, step, u   # before the next block is read
+
+
+def _load_rows(f, path: str, dtype: np.dtype, n_fields: int, rows: int,
+               first: int) -> np.ndarray:
+    """The table of up to ``rows`` data rows read from ``f``, whose
+    first is data row ``first`` of ``path``.  Raises ContractError naming
+    the first line whose field count is wrong or that does not parse on
+    its own."""
+    try:
+        with warnings.catch_warnings():
+            # Notes on the empty lines skipped and, at the end, on no rows read.
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                              max_rows=rows)
+    except ValueError:
+        pass
+    for no, line in itertools.islice(_data_lines(path), first, None):
+        fields = line.count(",") + 1
+        if fields != n_fields:
+            raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
+        try:
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+        except ValueError as exc:
+            raise ContractError(
+                f"{path!r}: line {no} has a field that does not parse ({exc})"
+            ) from None
+    raise ContractError(f"{path!r}: numeric fields do not parse")
 
 
 def _data_lines(path: str):
@@ -373,12 +483,12 @@ def _data_lines(path: str):
         yield from ((no, line) for no, line in enumerate(f, start=2) if line != "\n")
 
 
-def _refuse(path: str, bad: np.ndarray, what: str) -> None:
-    """Raise ContractError naming the file line of the first data row
-    flagged in ``bad``, a boolean array in row order, if any is."""
+def _refuse(path: str, first: int, bad: np.ndarray, what: str) -> None:
+    """Raise ContractError naming the file line of the first row flagged
+    in ``bad``, a boolean array over the data rows from row ``first``."""
     rows = np.flatnonzero(bad)
     if rows.size:
-        no, _ = next(itertools.islice(_data_lines(path), int(rows[0]), None))
+        no, _ = next(itertools.islice(_data_lines(path), first + int(rows[0]), None))
         raise ContractError(f"{path!r}: line {no} {what}")
 
 
@@ -394,22 +504,6 @@ def _name_undecodable_line(path: str) -> NoReturn:
                     f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
                 ) from None
     raise ContractError(f"{path!r} is not UTF-8 text")
-
-
-def _name_bad_line(path: str, dtype: np.dtype, n_fields: int) -> NoReturn:
-    """Raise ContractError naming the first data line whose field count is
-    wrong or that does not parse on its own."""
-    for no, line in _data_lines(path):
-        fields = line.count(",") + 1
-        if fields != n_fields:
-            raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
-        try:
-            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
-        except ValueError as exc:
-            raise ContractError(
-                f"{path!r}: line {no} has a field that does not parse ({exc})"
-            ) from None
-    raise ContractError(f"{path!r}: numeric fields do not parse")
 
 
 def format_metrics_text(metrics: SummaryMetrics) -> str:

@@ -20,12 +20,16 @@ formulas (kept with the tests as the reference the kernel must match
 byte for byte).  In back-to-back mode one semi-implicit Euler update
 of the DC link then uses the freshly summed converter common-mode
 currents.  Inputs are validated once, at the boundary (the constructors
-of the parameters, grid, link and scenario); the loop checks no state,
-and a run that diverges is found from its record, scanned every 128
-steps.  Each block the scan passes goes to the run's sink, if it has
-one, so that a CSV is written while the run steps on (the CSV sink
-formats it in a second process).  The per-step work is numpy calls on
-tables built before the first step: the reference part of the deadbeat
+of the parameters, grid, link and scenario); the loop checks no state.
+It steps in chunks of 128 steps, into buffers that each chunk reuses,
+and a run that diverges is found from the chunk's record when the chunk
+ends.  Each chunk then goes to the run's consumers: the CSV sink, if
+the run has one, which formats it in a second process while the run
+steps on; the summary of ``run_scenario`` and ``compare``, which keeps
+the per-phase series and reduces the per-SM ones; or the collector that
+gives :func:`simulate` its whole record.  So a run that is summarized holds
+one chunk of per-SM state, not the run's.  The per-step work is numpy
+calls on tables built per chunk: the reference part of the deadbeat
 drive, the grid voltages and each row's policy per step.  Everything is
 deterministic; there is no randomness anywhere in the loop.
 
@@ -51,13 +55,13 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .controller import SortPolicy
 from .errors import ConfigError, SimulationDiverged
-from .metrics import RunRecord, SummaryMetrics, summarize
+from .metrics import RunRecord, SummaryAccumulator, SummaryMetrics
 from .model import ConverterParams
 
 __all__ = [
@@ -214,16 +218,6 @@ class Scenario:
     def n_converters(self) -> int:
         return 2 if self.mode == "back_to_back" else 1
 
-    def policy_at(self, t: float) -> SortPolicy:
-        """Active policy for a decision taken at time t."""
-        active = SortPolicy.V1F2
-        for event_time, policy in self.events:
-            if t >= event_time:
-                active = policy
-            else:
-                break
-        return active
-
 
 def build_stock_system() -> tuple[ConverterParams, GridSource, DcLink, Scenario]:
     """Stock back-to-back HVDC test system.
@@ -294,21 +288,21 @@ def simulate(
     the power feedforward, the capacitor-energy trim, and in
     back-to-back mode the bus-voltage droop.
 
-    ``sink``, when given, receives the run while it steps: each block
+    ``sink``, when given, receives the run while it steps: each chunk
     the failure scan passes goes to ``sink.write_record(block,
-    decimation)``, cut at a multiple of ``decimation`` so that the rows
-    kept are those of the whole record.  A run that diverges has handed
-    off the blocks before the one it fails in.
+    decimation)``, or, for a chunk that starts inside a decimation
+    period, the chunk's steps that a write of the whole record keeps go
+    to ``sink.write_record(kept, 1)``.  Chunks are ``_SCAN_STEPS`` long.
+    A run that diverges has handed off the chunks before the one it
+    fails in.
 
     Raises :class:`ConfigError` when the DC link is outside the
     stability bound of its update (:meth:`DcLink.check_step`), and
     :class:`SimulationDiverged`, naming the step, the phase and the
     state variable, when a phase current or a DC-link state turns
     non-finite or a capacitor voltage turns non-finite or non-positive.
-    The run stops within ``_SCAN_STEPS`` steps of it, without a warning.
+    The run stops within a chunk of it, without a warning.
     """
-    if decimation < 1:
-        raise ConfigError(f"decimation must be >= 1, got {decimation}")
     (outcome,) = _simulate_batch(
         [scenario], params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation
     )
@@ -317,12 +311,33 @@ def simulate(
     return outcome
 
 
-# Steps between two scans of a batch's record for failed rows: the
-# blocks a sink receives.
-_SCAN_STEPS = 128
+def run_scenario(
+    scenario: Scenario,
+    sink=None,
+    *,
+    params: ConverterParams,
+    grid: GridSource,
+    dc_link: DcLink | None = None,
+    decimation: int = 1,
+    window: tuple[float, float] | None = None,
+) -> SummaryMetrics:
+    """Run a scenario, stream rows to a sink, and summarize the run.
+
+    ``sink`` is any object with ``write_record(record, decimation)``
+    (see the CSV sink), called chunk by chunk while the run steps (see
+    :func:`simulate`); ``decimation`` thins the persisted rows only,
+    never the metrics.  The summary is taken chunk by chunk as well, so
+    no whole record of the run is held.  ``window`` defaults to the
+    whole run, 0 to the last sample time.  A zero duration produces no
+    rows and all-zero initial-state metrics.
+    """
+    (metrics,) = _summarize_batch(
+        [scenario], window, params=params, grid=grid, dc_link=dc_link, sink=sink,
+        decimation=decimation,
+    )
+    return metrics
 
 
-@np.errstate(all="ignore")   # failed rows step on; their errors are read from the record
 def _simulate_batch(
     scenarios: list[Scenario],
     *,
@@ -336,12 +351,117 @@ def _simulate_batch(
 
     Returns, per scenario, what :func:`simulate` would give for it
     alone: its record, or the :class:`SimulationDiverged` that stopped
-    it.  The rows step together in one kernel.  No row reads another's
-    state, so a failed row steps on with the others until the scan of its
-    record, every ``_SCAN_STEPS`` steps and at the last, finds its error.
-    A ``sink`` takes the blocks of a one-row batch, as :func:`simulate`
+    it.  The chunks are gathered into one array per field with a row
+    axis, of which each record is a view.  A ``sink`` takes the chunks
+    of a one-row batch, as :func:`simulate` describes.
+    """
+    labels = _labels(scenarios[0])
+    shape = (_steps(scenarios[0], params), len(scenarios), len(labels))
+    times = np.empty(shape[0])
+    arrays = {
+        name: np.empty(shape)
+        for name in ("i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link", "i_dc_link")
+    }
+    arrays["v_c"] = np.empty((*shape, 2 * params.n))
+    arrays["u"] = np.empty((*shape, 2 * params.n), dtype=np.int8)
+    policies: list[list[str]] = [[] for _ in scenarios]
+
+    def collector(row: int):
+        def collect(record: RunRecord) -> None:
+            k0 = len(policies[row])
+            k1 = k0 + record.steps
+            times[k0:k1] = record.times
+            for name, array in arrays.items():
+                array[k0:k1, row] = getattr(record, name)
+            policies[row] += record.policy
+
+        return collect
+
+    failed = _step_batch(
+        scenarios, [[collector(row)] for row in range(len(scenarios))],
+        params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation,
+    )
+    return [
+        failed.get(row) or RunRecord(
+            times=times, labels=list(labels), policy=policy,
+            **{name: array[:, row] for name, array in arrays.items()},
+        )
+        for row, policy in enumerate(policies)
+    ]
+
+
+def _summarize_batch(
+    scenarios: list[Scenario],
+    window: tuple[float, float] | None,
+    *,
+    params: ConverterParams,
+    grid: GridSource,
+    dc_link: DcLink | None = None,
+    sink=None,
+    decimation: int = 1,
+) -> list[SummaryMetrics]:
+    """Run scenarios as :func:`_simulate_batch` does and return each
+    one's summary over ``window``, all zero for a run without steps,
+    taken chunk by chunk.  The first row that failed, in row order
+    after the summaries before it, raises its error."""
+    summaries = [SummaryAccumulator(window, params.v_sm_nominal) for _ in scenarios]
+    failed = _step_batch(
+        scenarios, [[summary.add] for summary in summaries],
+        params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation,
+    )
+    metrics = []
+    for row, summary in enumerate(summaries):
+        if row in failed:
+            raise failed[row]
+        metrics.append(summary.result() if summary.steps else SummaryMetrics(window=(0.0, 0.0)))
+    return metrics
+
+
+def _steps(scenario: Scenario, params: ConverterParams) -> int:
+    return int(round(scenario.duration / params.T_s))
+
+
+def _labels(scenario: Scenario) -> list[str]:
+    """Phase labels of a scenario's legs, converter by converter."""
+    if scenario.mode == "back_to_back":
+        return ["1a", "1b", "1c", "2a", "2b", "2c"]
+    return ["a", "b", "c"]
+
+
+# Steps between two scans of a batch's record for failed rows: the
+# chunks the kernel steps in and hands to its consumers.
+_SCAN_STEPS = 128
+
+
+@np.errstate(all="ignore")   # failed rows step on; their errors are read from the record
+def _step_batch(
+    scenarios: list[Scenario],
+    consumers: list[list],
+    *,
+    params: ConverterParams,
+    grid: GridSource,
+    dc_link: DcLink | None,
+    sink,
+    decimation: int,
+) -> dict[int, SimulationDiverged]:
+    """Step scenarios that differ only in their events side by side, a
+    chunk of steps at a time, and return the rows that failed, each
+    with the :class:`SimulationDiverged` of its first failing step.
+
+    The rows step together in one kernel.  No row reads another's
+    state, so a failed row steps on with the others until the scan of
+    its chunk finds its error.  After each scan, every row that has not
+    failed hands its record of the chunk to each callable in
+    ``consumers[row]``, in order, after ``sink.write_record(record,
+    decimation)`` for row 0 when a ``sink`` is given.  The record's
+    ``v_c`` and ``u`` are views of buffers that the next chunk
+    overwrites; its other arrays are its own.  Chunks are
+    ``_SCAN_STEPS`` long; the sink is given each chunk, or the steps of
+    it that a write of the whole record keeps, as :func:`simulate`
     describes.
     """
+    if decimation < 1:
+        raise ConfigError(f"decimation must be >= 1, got {decimation}")
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
     if any((s.duration, s.mode, s.p_set, s.i_amp) != shared for s in scenarios):
@@ -352,10 +472,9 @@ def _simulate_batch(
         dc_link.check_step(params.T_s)
         c_end = 0.5 * dc_link.c_total
         l_total = dc_link.l_total
-        labels = ["1a", "1b", "1c", "2a", "2b", "2c"]
     else:
         dc_link = rec_link = None
-        labels = ["a", "b", "c"]
+    labels = _labels(first)
 
     n_mmc = first.n_converters
     amps = _signed_amplitudes(first, grid)
@@ -367,7 +486,8 @@ def _simulate_batch(
         droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
 
     t_s = params.T_s
-    steps = int(round(first.duration / t_s))
+    steps = _steps(first, params)
+    chunk = _SCAN_STEPS
     n = params.n
     n_legs = len(labels)
     n_rows = len(scenarios)
@@ -376,40 +496,24 @@ def _simulate_batch(
     # broadcast over converters and bus quantities over phases; arm
     # axes are (upper, lower) and SM axes physical positions.  A single
     # row thus has no batch axis to pay for.  The new plant state of
-    # each step is written straight into that step's row of the record,
-    # and each scenario's record is a view of its batch row.
+    # each step is written straight into that step's row of the chunk
+    # buffers, and each row's record of a chunk is a view of its batch
+    # row.
     n_conv = n_rows * n_mmc
     legs = (n_conv, 3)
-    times = np.arange(1, steps + 1, dtype=float) * t_s
-    rec_i = np.empty((steps, *legs))
-    rec_i_z = np.empty((steps, *legs))
-    rec_v_arm = np.empty((steps, *legs, 2, 1, 1))   # matmul's (1, 1) results
-    rec_v_c = np.empty((steps, *legs, 2, n))
-    rec_u = np.empty((steps, *legs, 2, n), dtype=np.int8)
-    # Each row's policy at each decision time k * T_s: that of its last
-    # event with k * T_s >= event time, as Scenario.policy_at reads it.
-    decided = np.arange(steps) * t_s
-    policies, f1v2 = [], []
-    for s in scenarios:
-        choices = [SortPolicy.V1F2, *(p for _, p in s.events)]
-        in_force = np.searchsorted([t for t, _ in s.events], decided, side="right")
-        policies.append(np.array([p.value for p in choices], dtype=object).take(in_force).tolist())
-        f1v2.append(np.array([p is SortPolicy.F1V2 for p in choices]).take(in_force))
-    # F1V2 promotion per step: run for any row, kept per row when mixed.
-    f1v2 = np.array(f1v2).reshape(n_rows, steps)
-    any_f1v2 = f1v2.any(axis=0).tolist()
-    all_f1v2 = f1v2.all(axis=0).tolist()
-    f1v2 = np.repeat(f1v2, n_mmc, axis=0)
-    # Grid cosines at t = k * T_s for k = 0..steps, one per phase.
+    buffer = min(chunk, steps)
+    rec_v_arm = np.empty((buffer, *legs, 2, 1, 1))   # matmul's (1, 1) results
+    rec_v_c = np.empty((buffer, *legs, 2, n))
+    rec_u = np.empty((buffer, *legs, 2, n), dtype=np.int8)
+    # Each row's policy at a decision time k * T_s is that of its last
+    # event with k * T_s >= event time.
+    event_times = [[t for t, _ in s.events] for s in scenarios]
+    choices = [[SortPolicy.V1F2, *(p for _, p in s.events)] for s in scenarios]
+    choice_names = [np.array([p.value for p in c], dtype=object) for c in choices]
+    choice_f1v2 = [np.array([p is SortPolicy.F1V2 for p in c]) for c in choices]
     omega = grid.omega
-    phase_cos = np.array(
-        [math.cos(omega * (k * t_s) + off) for k in range(steps + 1) for off in _PHASE_OFFSETS]
-    ).reshape(steps + 1, 3)
-    rec_i_ref = np.array(amps * n_rows).reshape(n_conv, 1) * phase_cos[1:, None, :]
-    v_s_table = grid.amplitude * phase_cos
+    amp_col = np.array(amps * n_rows).reshape(n_conv, 1)
     k_prime = params.K_prime
-    # The reference part of each step's deadbeat drive, K' * i_ref + v_s.
-    drive_table = k_prime * rec_i_ref + v_s_table[:-1, None, :]
 
     v_c = np.full((*legs, 2, n), params.v_sm_nominal)
     u = np.zeros((*legs, 2, n), dtype=np.int8)
@@ -448,161 +552,203 @@ def _simulate_batch(
     i_z_base = ff_col + droop_gain * (bus - v_dc)
     if dc_link is not None:
         # Each row's link state (v_mmc1, v_mmc2, i_link) as Python
-        # floats, and the table of its values after every step, row 0
-        # holding the start: both buses at V_dc, the line at 0 A.
+        # floats, and the table of its values after each step of the
+        # chunk, row 0 holding the state before the chunk: at the
+        # start both buses at V_dc, the line at 0 A.
         link = [[v_dc, v_dc, 0.0] for _ in scenarios]
-        rec_link = np.empty((steps + 1, n_rows, 3))
+        rec_link = np.empty((buffer + 1, n_rows, 3))
         rec_link[0] = link
 
-    by_row = (steps, n_rows, n_legs)
-    row_i, row_i_ref, row_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
-    row_v_arm = rec_v_arm.reshape(*by_row, 2)
-    row_v_c = rec_v_c.reshape(*by_row, 2 * n)
-    row_u = rec_u.reshape(*by_row, 2 * n)
-
-    def records(k0: int, k1: int) -> list[RunRecord]:
-        """Each row's record of steps ``[k0, k1)``."""
+    def records(m: int, k0: int, rec_i, rec_i_ref, rec_i_z, policies) -> list[RunRecord]:
+        """Each row's record of the chunk's first ``m`` steps, from step ``k0``."""
+        by_row = (m, n_rows, n_legs)
         if dc_link is None:
-            bus_v = np.full((k1 - k0, n_rows, 1), v_dc)
-            block_i_z = rec_i_z[k0:k1]
-            i_dc = (0.0 + block_i_z[:, :, 0] + block_i_z[:, :, 1] + block_i_z[:, :, 2])[..., None]
+            bus_v = np.full((m, n_rows, 1), v_dc)
+            i_dc = (0.0 + rec_i_z[:, :, 0] + rec_i_z[:, :, 1] + rec_i_z[:, :, 2])[..., None]
         else:
-            bus_v = rec_link[k0 + 1 : k1 + 1, :, :2]
-            i_dc = rec_link[k0 + 1 : k1 + 1, :, 2:]
+            bus_v = rec_link[1 : m + 1, :, :2]
+            i_dc = rec_link[1 : m + 1, :, 2:]
         row_v_dc = np.repeat(bus_v, 3, axis=-1)
         row_i_dc = np.repeat(i_dc, n_legs, axis=-1)
+        row_v_arm = rec_v_arm[:m].reshape(*by_row, 2)
+        row_v_c = rec_v_c[:m].reshape(*by_row, 2 * n)
+        row_u = rec_u[:m].reshape(*by_row, 2 * n)
+        row_i, row_i_ref, row_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
         return [
             RunRecord(
-                times=times[k0:k1],
+                times=np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s,
                 labels=list(labels),
-                i=row_i[k0:k1, row],
-                i_ref=row_i_ref[k0:k1, row],
-                i_z=row_i_z[k0:k1, row],
-                v_up=np.ascontiguousarray(row_v_arm[k0:k1, row, :, 0]),
-                v_low=np.ascontiguousarray(row_v_arm[k0:k1, row, :, 1]),
-                v_c=row_v_c[k0:k1, row],
-                u=row_u[k0:k1, row],
+                i=row_i[:, row],
+                i_ref=row_i_ref[:, row],
+                i_z=row_i_z[:, row],
+                v_up=np.ascontiguousarray(row_v_arm[:, row, :, 0]),
+                v_low=np.ascontiguousarray(row_v_arm[:, row, :, 1]),
+                v_c=row_v_c[:, row],
+                u=row_u[:, row],
                 v_dc_link=row_v_dc[:, row],
                 i_dc_link=row_i_dc[:, row],
-                policy=row_policy[k0:k1],
+                policy=row_policy,
             )
             for row, row_policy in enumerate(policies)
         ]
 
     failed: dict[int, SimulationDiverged] = {}
-    k0 = 0        # first step not yet scanned
-    handed = 0    # first step not yet handed to the sink
-    for k in range(steps):
+    for k0 in range(0, steps, chunk):
+        m = min(chunk, steps - k0)
+        # The chunk's tables: the grid cosines at t = k * T_s for
+        # k = k0..k0+m, one per phase, the current references and the
+        # reference part of each step's deadbeat drive, K' * i_ref + v_s,
+        # and each row's policy per step.
+        phase_cos = np.array(
+            [math.cos(omega * (k * t_s) + off) for k in range(k0, k0 + m + 1)
+             for off in _PHASE_OFFSETS]
+        ).reshape(m + 1, 3)
+        rec_i_ref = amp_col * phase_cos[1:, None, :]
+        v_s_table = grid.amplitude * phase_cos
+        drive_table = k_prime * rec_i_ref + v_s_table[:-1, None, :]
+        in_force = [
+            np.searchsorted(times, np.arange(k0, k0 + m) * t_s, side="right")
+            for times in event_times
+        ]
+        policies = [names.take(f).tolist() for names, f in zip(choice_names, in_force)]
+        # F1V2 promotion per step: run for any row, kept per row when mixed.
+        f1v2 = np.array([is_f1v2.take(f) for is_f1v2, f in zip(choice_f1v2, in_force)])
+        any_f1v2 = f1v2.any(axis=0).tolist()
+        all_f1v2 = f1v2.all(axis=0).tolist()
+        f1v2 = np.repeat(f1v2, n_mmc, axis=0)
+        rec_i = np.empty((m, *legs))
+        rec_i_z = np.empty((m, *legs))
+
+        for j in range(m):
+            if dc_link is not None:
+                bus = rec_link[j, :, :2].reshape(n_conv, 1)
+                i_z_base = ff_col + droop_gain * (bus - v_dc)
+
+            # Deadbeat targets for both arms of every leg.
+            v_mean = np.add.reduce(v_c, -1) / n
+            v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
+            i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
+            common = half_v_dc + l_arm_ts * (i_z - i_z_ref)
+            l_i = l_prime_ts * i
+            drive = drive_table[j] - l_i
+            np.subtract(common, drive, out=v_star[..., 0])
+            np.add(common, drive, out=v_star[..., 1])
+
+            # Ranking: stable voltage sort, ascending while the arm current
+            # charges; F1V2 then stably moves inserted SMs to the front.
+            key = v_c * key_sign.take((i_arm >= 0.0).view(np.int8))[..., None]
+            order = key.argsort(axis=-1, kind="stable") + sm_base
+            if any_f1v2[j]:
+                promote = (-u.take(order)).argsort(axis=-1, kind="stable")
+                promoted = order.take(promote + sm_base)
+                if all_f1v2[j]:
+                    order = promoted
+                else:
+                    order = np.where(f1v2[:, j, None, None, None], promoted, order)
+            v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
+
+            # Bracketing by counting: capacitor voltages are positive, so
+            # the prefix sums rise monotonically.
+            counts = bracket.take(np.add.reduce(sums <= v_star[..., None], -1), axis=0)
+            dv = v_star[..., None] - sums.take(counts + sum_base)
+
+            # Objective on the four (upper, lower) pairs; argmin keeps the
+            # first minimizer in scan order (upper ascending, then lower).
+            dv_up = dv[..., 0, :, None]
+            dv_low = dv[..., 1, None, :]
+            f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
+            best = f.reshape(*legs, 4).argmin(axis=-1)
+            n_ins = counts.take(pair_pos.take(best, axis=0) + leg_base)
+
+            # Prefix insertion of each ranking.
+            u_next = rec_u[j]
+            u_next.put(order, rank < n_ins[..., None])
+            u_f = u_next.astype(float)
+
+            # Plant: capacitors integrate the start-of-step arm currents,
+            # then the synthesized arm voltages drive both leg currents.
+            v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_f, out=rec_v_c[j])
+            v_arm = np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[j])
+            v_up = v_arm[..., 0, 0, 0]
+            v_low = v_arm[..., 1, 0, 0]
+            i = np.divide(
+                0.5 * (v_low - v_up) - v_s_table[j + 1] + l_i, k_prime, out=rec_i[j]
+            )
+            i_z = np.add(ts_2l_arm * (bus - v_low - v_up), i_z, out=rec_i_z[j])
+            half_i = 0.5 * i
+            np.add(i_z, half_i, out=i_arm_next[..., 0])
+            np.subtract(i_z, half_i, out=i_arm_next[..., 1])
+            i_arm, i_arm_next = i_arm_next, i_arm
+            u = u_next
+
+            if dc_link is not None:
+                # Semi-implicit (symplectic) Euler: the line current is
+                # advanced first and the fresh value feeds the bus-capacitor
+                # update.  The link's end-to-end LC mode has omega*T_s of
+                # order one, where the fully explicit update amplifies the
+                # oscillation each step; the symplectic form is neutrally
+                # stable at the same cost.
+                i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
+                for row, state in enumerate(link):
+                    v_mmc1, v_mmc2, i_link = state
+                    i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
+                    v_mmc1 += (t_s / c_end) * (i_link - i_conv[2 * row])
+                    v_mmc2 += (t_s / c_end) * (-i_link - i_conv[2 * row + 1])
+                    state[:] = v_mmc1, v_mmc2, i_link
+                rec_link[j + 1] = link
+
+        _scan_failures(failed, k0, k0 + m, labels, rec_i, rec_i_z, rec_v_c, rec_link, k0)
+        if len(failed) == n_rows:
+            break
+        # A write of the whole record keeps the steps k with
+        # (k + 1) % decimation == 0: those of the chunk from its step
+        # ``kept`` on.  A chunk that starts a decimation period goes to
+        # the sink as it is, and otherwise only the steps it keeps.
+        kept = (-k0 - 1) % decimation
+        for row, record in enumerate(records(m, k0, rec_i, rec_i_ref, rec_i_z, policies)):
+            if row in failed:
+                continue
+            if row == 0 and sink is not None and kept < m:
+                if kept == decimation - 1:
+                    sink.write_record(record, decimation)
+                else:
+                    sink.write_record(_record_steps(record, slice(kept, None, decimation)), 1)
+            for consume in consumers[row]:
+                consume(record)
         if dc_link is not None:
-            bus = rec_link[k, :, :2].reshape(n_conv, 1)
-            i_z_base = ff_col + droop_gain * (bus - v_dc)
+            rec_link[0] = rec_link[m]
+    return failed
 
-        # Deadbeat targets for both arms of every leg.
-        v_mean = np.add.reduce(v_c, -1) / n
-        v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
-        i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
-        common = half_v_dc + l_arm_ts * (i_z - i_z_ref)
-        l_i = l_prime_ts * i
-        drive = drive_table[k] - l_i
-        np.subtract(common, drive, out=v_star[..., 0])
-        np.add(common, drive, out=v_star[..., 1])
 
-        # Ranking: stable voltage sort, ascending while the arm current
-        # charges; F1V2 then stably moves inserted SMs to the front.
-        key = v_c * key_sign.take((i_arm >= 0.0).view(np.int8))[..., None]
-        order = key.argsort(axis=-1, kind="stable") + sm_base
-        if any_f1v2[k]:
-            promote = (-u.take(order)).argsort(axis=-1, kind="stable")
-            promoted = order.take(promote + sm_base)
-            if all_f1v2[k]:
-                order = promoted
-            else:
-                order = np.where(f1v2[:, k, None, None, None], promoted, order)
-        v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
-
-        # Bracketing by counting: capacitor voltages are positive, so
-        # the prefix sums rise monotonically.
-        counts = bracket.take(np.add.reduce(sums <= v_star[..., None], -1), axis=0)
-        dv = v_star[..., None] - sums.take(counts + sum_base)
-
-        # Objective on the four (upper, lower) pairs; argmin keeps the
-        # first minimizer in scan order (upper ascending, then lower).
-        dv_up = dv[..., 0, :, None]
-        dv_low = dv[..., 1, None, :]
-        f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
-        best = f.reshape(*legs, 4).argmin(axis=-1)
-        n_ins = counts.take(pair_pos.take(best, axis=0) + leg_base)
-
-        # Prefix insertion of each ranking.
-        u_next = rec_u[k]
-        u_next.put(order, rank < n_ins[..., None])
-        u_f = u_next.astype(float)
-
-        # Plant: capacitors integrate the start-of-step arm currents,
-        # then the synthesized arm voltages drive both leg currents.
-        v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_f, out=rec_v_c[k])
-        v_arm = np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[k])
-        v_up = v_arm[..., 0, 0, 0]
-        v_low = v_arm[..., 1, 0, 0]
-        i = np.divide(
-            0.5 * (v_low - v_up) - v_s_table[k + 1] + l_i, k_prime, out=rec_i[k]
-        )
-        i_z = np.add(ts_2l_arm * (bus - v_low - v_up), i_z, out=rec_i_z[k])
-        half_i = 0.5 * i
-        np.add(i_z, half_i, out=i_arm_next[..., 0])
-        np.subtract(i_z, half_i, out=i_arm_next[..., 1])
-        i_arm, i_arm_next = i_arm_next, i_arm
-        u = u_next
-
-        if dc_link is not None:
-            # Semi-implicit (symplectic) Euler: the line current is
-            # advanced first and the fresh value feeds the bus-capacitor
-            # update.  The link's end-to-end LC mode has omega*T_s of
-            # order one, where the fully explicit update amplifies the
-            # oscillation each step; the symplectic form is neutrally
-            # stable at the same cost.
-            i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
-            for row, state in enumerate(link):
-                v_mmc1, v_mmc2, i_link = state
-                i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
-                v_mmc1 += (t_s / c_end) * (i_link - i_conv[2 * row])
-                v_mmc2 += (t_s / c_end) * (-i_link - i_conv[2 * row + 1])
-                state[:] = v_mmc1, v_mmc2, i_link
-            rec_link[k + 1] = link
-
-        if k + 1 == k0 + _SCAN_STEPS or k + 1 == steps:
-            _scan_failures(failed, k0, k + 1, labels, rec_i, rec_i_z, rec_v_c, rec_link)
-            if len(failed) == n_rows:
-                break
-            k0 = k + 1
-            # The scanned steps up to the last multiple of the
-            # decimation go to the sink; the rest wait for the next block.
-            end = k0 - k0 % decimation
-            if sink is not None and end > handed:
-                (block,) = records(handed, end)
-                sink.write_record(block, decimation)
-                handed = end
-
-    return [failed.get(row) or record for row, record in enumerate(records(0, steps))]
+def _record_steps(record: RunRecord, steps: slice) -> RunRecord:
+    """The steps of ``record`` in the slice ``steps``, as views."""
+    return RunRecord(**{
+        f.name: record.labels if f.name == "labels" else getattr(record, f.name)[steps]
+        for f in fields(RunRecord)
+    })
 
 
 def _scan_failures(
     failed: dict[int, SimulationDiverged], k0: int, k1: int, labels: list[str],
     rec_i: np.ndarray, rec_i_z: np.ndarray, rec_v_c: np.ndarray, rec_link: np.ndarray | None,
+    first: int = 0,
 ) -> None:
     """Add to ``failed`` each batch row not in it yet whose recorded state
     fails in steps ``[k0, k1)``, with the error of its first failing step.
-    Each arm's capacitors are reduced to their min and max, so nothing
-    the size of the block's ``v_c`` is allocated."""
-    v_c = rec_v_c[k0:k1]
-    current = ~(np.isfinite(rec_i[k0:k1]) & np.isfinite(rec_i_z[k0:k1]))
+    The ``rec_*`` arrays hold step ``first`` in their row 0, and
+    ``rec_link`` the link state before it.  Each arm's capacitors are
+    reduced to their min and max, so nothing the size of the block's
+    ``v_c`` is allocated."""
+    a, b = k0 - first, k1 - first
+    v_c = rec_v_c[a:b]
+    current = ~(np.isfinite(rec_i[a:b]) & np.isfinite(rec_i_z[a:b]))
     capacitor = ~((v_c.min(axis=(-2, -1)) > 0.0) & (v_c.max(axis=(-2, -1)) < math.inf))
     # Each row's checks at each step in the order they are reported:
     # (currents, capacitors) leg by leg, then the link states, which are
     # stored (v_mmc1, v_mmc2, i_link) with step k's in row k + 1.
-    checks = [np.stack((current, capacitor), axis=-1).reshape(k1 - k0, -1, 2 * len(labels))]
+    checks = [np.stack((current, capacitor), axis=-1).reshape(b - a, -1, 2 * len(labels))]
     if rec_link is not None:
-        checks.append(~np.isfinite(rec_link[k0 + 1 : k1 + 1][..., [2, 0, 1]]))
+        checks.append(~np.isfinite(rec_link[a + 1 : b + 1][..., [2, 0, 1]]))
     bad = np.concatenate(checks, axis=-1)
     names = [f"phase {label} {what}" for label in labels for what in (
         "currents non-finite", "capacitor voltage non-finite or <= 0")]
@@ -611,37 +757,3 @@ def _scan_failures(
         if row not in failed:
             k = int(np.argmax(bad[:, row].any(axis=-1)))
             failed[row] = SimulationDiverged(k0 + k, names[int(np.argmax(bad[k, row]))])
-
-
-def _run_metrics(
-    record: RunRecord, window: tuple[float, float] | None, params: ConverterParams
-) -> SummaryMetrics:
-    """Summary of a run's record; all zero for a run without steps."""
-    if record.steps == 0:
-        return SummaryMetrics(window=(0.0, 0.0))
-    return summarize(record, window, params.v_sm_nominal)
-
-
-def run_scenario(
-    scenario: Scenario,
-    sink=None,
-    *,
-    params: ConverterParams,
-    grid: GridSource,
-    dc_link: DcLink | None = None,
-    decimation: int = 1,
-    window: tuple[float, float] | None = None,
-) -> SummaryMetrics:
-    """Run a scenario, stream rows to a sink, and summarize the run.
-
-    ``sink`` is any object with ``write_record(record, decimation)``
-    (see the CSV sink), called block by block while the run steps (see
-    :func:`simulate`); ``decimation`` thins the persisted rows only,
-    never the metrics.  ``window`` defaults to the whole run, 0 to the
-    last sample time.  A zero duration produces no rows and all-zero
-    initial-state metrics.
-    """
-    record = simulate(
-        scenario, params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation
-    )
-    return _run_metrics(record, window, params)

@@ -11,30 +11,37 @@ kernel and the paper's formulas against:
   ``SwitchDecision`` and ``advance_phase`` with its helpers;
 * controller: ``compute_targets``, ``sort_arm``, ``select_submodules``
   and ``control_step`` (targets, ranking, selection);
-* references: ``grid_voltage``, the grid's instantaneous phase
-  voltages, and ``reference_current``, the three-phase current
-  reference for a power setpoint;
+* references: ``policy_at``, a scenario's policy at a decision time,
+  ``grid_voltage``, the grid's instantaneous phase voltages, and
+  ``reference_current``, the three-phase current reference for a
+  power setpoint;
 * switch traces: ``SwitchTrace``, ``effective_switching_frequency`` and
   ``switch_traces_from_history``, the event-list counterpart of
   ``summarize``'s transition counts;
 * window metrics: ``ripple_percent``, ``circulating_ratio`` and
   ``tracking_rmse``, one SM or phase series at a time, and
   ``reference_summarize``, the per-phase, per-SM loop over them that
-  ``mmcsim.metrics.summarize`` replaces with one array pass.
+  ``mmcsim.metrics.summarize`` replaces with one array pass;
+* the run CSV: ``oracle_load``, the per-field loader, and
+  ``whole_file_load_record_csv``, the loader that parses and checks the
+  whole file at once, whose errors the block-wise loader must repeat.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from mmcsim.controller import SortPolicy
+from mmcsim.csvio import _name_undecodable_line, _row_dtype, csv_columns
 from mmcsim.errors import ConfigError, ContractError, MetricWindowError
 from mmcsim.metrics import RunRecord, SummaryMetrics, _check_window, _mmc_groups
 from mmcsim.model import ConverterParams
-from mmcsim.testbench import _PHASE_OFFSETS, GridSource
+from mmcsim.testbench import _PHASE_OFFSETS, GridSource, Scenario
 
 
 # ===== STATE CONTAINERS =====
@@ -444,6 +451,18 @@ def control_step(
 # ===== REFERENCES =====
 
 
+def policy_at(scenario: Scenario, t: float) -> SortPolicy:
+    """Active policy of ``scenario`` for a decision taken at time t: that
+    of its last event with t >= event time, V1F2 before the first."""
+    active = SortPolicy.V1F2
+    for event_time, policy in scenario.events:
+        if t >= event_time:
+            active = policy
+        else:
+            break
+    return active
+
+
 def grid_voltage(grid: GridSource, t: float) -> np.ndarray:
     """Instantaneous phase voltages (a, b, c) at time t [V]."""
     wt = grid.omega * t
@@ -680,3 +699,121 @@ def reference_summarize(
         out.p_ac[key] = p_ac
         out.p_dc[key] = p_dc
     return out
+
+
+# ===== RUN CSV =====
+
+
+def oracle_load(path):
+    """The per-field CSV loader: every field parsed with float() or int()."""
+    with open(path, newline="") as f:
+        header = f.readline().rstrip("\n").split(",")
+        n2 = sum(1 for c in header if c.startswith("v_c_"))
+        raw_rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+    labels = []
+    for row in raw_rows:
+        if row[1] in labels:
+            break
+        labels.append(row[1])
+    n_cols = len(labels)
+    steps = len(raw_rows) // n_cols
+    times = np.empty(steps)
+    shape = (steps, n_cols)
+    series = {name: np.empty(shape) for name in
+              ("i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link", "i_dc_link")}
+    v_c = np.empty((steps, n_cols, n2))
+    u = np.empty((steps, n_cols, n2), dtype=np.int8)
+    policy = []
+    for r, row in enumerate(raw_rows):
+        k, p = divmod(r, n_cols)
+        if p == 0:
+            times[k] = float(row[0])
+            policy.append(row[-1])
+        for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
+            series[name][k, p] = float(row[2 + j])
+        v_c[k, p] = [float(x) for x in row[7 : 7 + n2]]
+        u[k, p] = [int(x) for x in row[7 + n2 : 7 + 2 * n2]]
+        series["v_dc_link"][k, p] = float(row[7 + 2 * n2])
+        series["i_dc_link"][k, p] = float(row[8 + 2 * n2])
+    return RunRecord(times=times, labels=labels, v_c=v_c, u=u, policy=policy, **series)
+
+
+def whole_file_load_record_csv(path: str) -> RunRecord:
+    """The run CSV loader that parses the whole file in one
+    ``numpy.loadtxt`` pass and then checks it, raising the ContractError
+    of ``mmcsim.csvio.load_record_csv`` for a file with one defect."""
+    try:
+        return _whole_file_parse(path)
+    except UnicodeDecodeError:
+        _name_undecodable_line(path)
+
+
+def _whole_file_parse(path: str) -> RunRecord:
+    with open(path, newline="", encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split(",")
+    n2 = sum(1 for c in header if c.startswith("v_c_"))
+    if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
+        raise ContractError(f"{path!r} does not match the run CSV schema")
+    if next(_data_lines(path), None) is None:
+        raise ContractError(f"{path!r} contains no data rows")
+    dtype = _row_dtype(n2 // 2)
+    try:
+        table = np.loadtxt(
+            path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="utf-8"
+        )
+    except ValueError:
+        _name_bad_line(path, dtype, len(header))
+
+    phase = table["phase"]
+    # The phase labels are those before the first repeated one.
+    n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), phase.size)
+    labels = phase[:n_cols].tolist()
+    _refuse(path, phase != np.resize(phase[:n_cols], phase.size), "breaks the phase ordering")
+    if phase.size % n_cols:
+        _refuse(path, np.arange(phase.size) == phase.size - 1,
+                f"ends the file inside a step of {n_cols} phases")
+    step = table.reshape(-1, n_cols)
+    policy = step["policy"]
+    _refuse(path, policy != policy[:, :1], "has a policy other than its step's first row")
+    u = table["u"]
+    _refuse(path, ((u != 0) & (u != 1)).any(axis=1), "has a switch status other than 0 or 1")
+    # Every row of a step repeats the step's time text, hence its bits.
+    t_bits = step["t"].view(np.int64)
+    _refuse(path, t_bits != t_bits[:, :1], "has a time other than its step's first row")
+    times = step["t"][:, 0]
+    _refuse(path, np.r_[False, times[1:] < times[:-1]].repeat(n_cols), "goes back in time")
+    return RunRecord(
+        times=times.copy(),
+        labels=labels,
+        policy=policy[:, 0].tolist(),
+        **{name: step[name].copy() for name in dtype.names[2:-1]},
+    )
+
+
+def _data_lines(path: str):
+    """``(1-based line number, text)`` of each data row of ``path`` as
+    ``numpy.loadtxt`` reads it: every line after the header but empty ones."""
+    with open(path, encoding="utf-8") as f:
+        next(f)
+        yield from ((no, line) for no, line in enumerate(f, start=2) if line != "\n")
+
+
+def _refuse(path: str, bad: np.ndarray, what: str) -> None:
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        no, _ = next(itertools.islice(_data_lines(path), int(rows[0]), None))
+        raise ContractError(f"{path!r}: line {no} {what}")
+
+
+def _name_bad_line(path: str, dtype: np.dtype, n_fields: int) -> NoReturn:
+    for no, line in _data_lines(path):
+        fields = line.count(",") + 1
+        if fields != n_fields:
+            raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
+        try:
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+        except ValueError as exc:
+            raise ContractError(
+                f"{path!r}: line {no} has a field that does not parse ({exc})"
+            ) from None
+    raise ContractError(f"{path!r}: numeric fields do not parse")

@@ -12,6 +12,7 @@ from mmcsim.csvio import TimeSeriesSink, load_record_csv, write_metrics_report
 from mmcsim.errors import SimulationDiverged
 from mmcsim.metrics import SummaryMetrics, summarize
 from mmcsim.testbench import _SCAN_STEPS, run_scenario, simulate
+from per_phase_reference import oracle_load, reference_summarize
 
 SMALL_CONFIG = """
 [scenario]
@@ -299,6 +300,33 @@ def test_run_stops_when_a_capacitor_collapses(workdir, capsys):
     assert left == (workdir / "out" / "run.csv").read_bytes()
 
 
+@pytest.mark.parametrize("decimation", [3, 300])
+def test_a_diverging_decimated_run_stops_in_the_chunk_it_fails_in(
+    workdir, monkeypatch, capsys, decimation
+):
+    scanned = []
+
+    def scan(failed, k0, k1, *args):
+        scanned.append(k1)
+        scan_failures(failed, k0, k1, *args)
+
+    scan_failures = testbench._scan_failures
+    monkeypatch.setattr(testbench, "_scan_failures", scan)
+    text = (
+        "[converter]\nc_sm = 2e-5\n\n"
+        "[scenario]\nmode = ideal_dc\nduration = {duration}\ni_amp = 5000\n\n"
+        f"[output]\ndirectory = out\ndecimation = {decimation}\n"
+    )
+    assert main(["run", _write(workdir, "collapse.ini", text.format(duration=0.05))]) == 3
+    assert "diverged at step 274:" in capsys.readouterr().err
+    # Step 274 is in the chunk [256, 384), the last one stepped, whatever
+    # the decimation; the CSV holds the rows a run of 256 steps keeps.
+    assert _SCAN_STEPS == 128 and scanned == [128, 256, 384]
+    left = (workdir / "out" / "run.csv").read_bytes()
+    assert main(["run", _write(workdir, "collapse_256.ini", text.format(duration=0.0064))]) == 0
+    assert left == (workdir / "out" / "run.csv").read_bytes()
+
+
 BLOCK_CONFIG = """
 [scenario]
 mode = {mode}
@@ -316,6 +344,8 @@ BLOCK_STEPS = 404   # 0.0101 s: no multiple of 3, 7, 50 or 128
 @pytest.mark.parametrize("scan_steps, decimation", [
     *((scan, dec) for scan in (1, 7, 128, BLOCK_STEPS) for dec in (1, 3)),
     (7, 50),
+    # A decimation above the chunk: kept rows 129, 259 and 389, or 299.
+    (128, 130), (128, 300), (7, 300),
 ])
 def test_run_writes_the_bytes_of_a_whole_record_write(
     workdir, monkeypatch, mode, scan_steps, decimation
@@ -336,6 +366,18 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     monkeypatch.setattr(testbench, "_SCAN_STEPS", scan_steps)
     assert main(["run", _write(workdir, "run.ini", text)]) == 0
     for name in ("run.csv", "metrics.json"):
+        assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
+
+    # ``metrics`` reads the CSV block by block; its report is that of the
+    # scalar oracle on the per-field load of the whole file.
+    csv_path = str(workdir / "out" / "run.csv")
+    assert main(["metrics", csv_path]) == 0
+    loaded = oracle_load(csv_path)
+    expected = reference_summarize(
+        loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
+    )
+    write_metrics_report(expected, str(whole / "run.metrics.txt"), str(whole / "run.metrics.json"))
+    for name in ("run.metrics.txt", "run.metrics.json"):
         assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
 
 

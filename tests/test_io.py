@@ -1,9 +1,10 @@
 """Unit tests for configuration parsing and the CSV/report persistence.
 
 The CSV writer formats only the cells that changed and the loader
-parses in C; ``OracleSink`` and ``oracle_load`` below are the per-field
-writer and loader they replaced, and the new ones must match them byte
-for byte and array by array.
+parses in C; ``OracleSink`` below and ``oracle_load`` (in
+``per_phase_reference``) are the per-field writer and loader they
+replaced, and the new ones must match them byte for byte and array by
+array.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from mmcsim.csvio import (
     csv_columns,
     format_metrics_text,
     load_record_csv,
+    read_record_blocks,
     write_metrics_report,
 )
 from mmcsim.errors import ConfigError, ContractError, SimulationDiverged
@@ -43,6 +45,7 @@ from mmcsim.testbench import (
     run_scenario,
     simulate,
 )
+from per_phase_reference import oracle_load, whole_file_load_record_csv
 
 RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
                  "v_dc_link", "i_dc_link")
@@ -432,6 +435,27 @@ def test_sink_writes_in_one_writer_process(tmp_path, monkeypatch):
     _assert_same_record(load_record_csv(str(tmp_path / "run.csv")), record)
 
 
+def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, capsys):
+    # One step fits one formatting block: it is formatted in the caller
+    # at close(), with the writer's bytes; so is a one-step stock `run`.
+    params, record = _small_run()
+    pids = _fork_recording(monkeypatch)
+    one_step = _steps(record, slice(None, 1))
+    with TimeSeriesSink(str(tmp_path / "held.csv"), params.n) as sink:
+        sink.write_record(one_step)
+    assert pids == []
+    with OracleSink(str(tmp_path / "oracle.csv"), params.n) as sink:
+        sink.write_record(one_step)
+    assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MMCSIM_OUTPUT_DIR", raising=False)
+    (tmp_path / "one.ini").write_text("[scenario]\nduration = 2.5e-5\n\n[output]\ndirectory = out\n")
+    assert main(["run", "one.ini"]) == 0
+    capsys.readouterr()
+    assert pids == []
+    assert load_record_csv(str(tmp_path / "out" / "run.csv")).steps == 1
+
+
 def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
     params, record = _small_run()
     with TimeSeriesSink(str(tmp_path / "forked.csv"), params.n) as sink:
@@ -600,40 +624,6 @@ class OracleSink:
 
     def __exit__(self, *exc_info):
         self._file.close()
-
-
-def oracle_load(path):
-    """The per-field CSV loader: every field parsed with float() or int()."""
-    with open(path, newline="") as f:
-        header = f.readline().rstrip("\n").split(",")
-        n2 = sum(1 for c in header if c.startswith("v_c_"))
-        raw_rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    labels = []
-    for row in raw_rows:
-        if row[1] in labels:
-            break
-        labels.append(row[1])
-    n_cols = len(labels)
-    steps = len(raw_rows) // n_cols
-    times = np.empty(steps)
-    shape = (steps, n_cols)
-    series = {name: np.empty(shape) for name in
-              ("i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link", "i_dc_link")}
-    v_c = np.empty((steps, n_cols, n2))
-    u = np.empty((steps, n_cols, n2), dtype=np.int8)
-    policy = []
-    for r, row in enumerate(raw_rows):
-        k, p = divmod(r, n_cols)
-        if p == 0:
-            times[k] = float(row[0])
-            policy.append(row[-1])
-        for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
-            series[name][k, p] = float(row[2 + j])
-        v_c[k, p] = [float(x) for x in row[7 : 7 + n2]]
-        u[k, p] = [int(x) for x in row[7 + n2 : 7 + 2 * n2]]
-        series["v_dc_link"][k, p] = float(row[7 + 2 * n2])
-        series["i_dc_link"][k, p] = float(row[8 + 2 * n2])
-    return RunRecord(times=times, labels=labels, v_c=v_c, u=u, policy=policy, **series)
 
 
 def _run(n, mode):
@@ -919,6 +909,104 @@ def test_mangled_csv_raises_contract_error_only(tmp_path, tiny_csv, data):
     lines = data.draw(_mangled(tiny_csv))
     with pytest.raises(ContractError):
         load_record_csv(_write_lines(tmp_path / "mangled.csv", lines))
+
+# ------------------------------------------------- block-wise loading
+
+
+@pytest.fixture(scope="module")
+def twelve_steps(tmp_path_factory):
+    """Byte lines of a valid 12-step, 3-phase, n = 1 run CSV, header first."""
+    params, grid, _, _ = build_stock_system()
+    record = simulate(
+        Scenario(duration=3e-4, mode="ideal_dc", p_set=(13.18e6,)),
+        params=replace(params, n=1), grid=grid,
+    )
+    path = tmp_path_factory.mktemp("twelve") / "twelve.csv"
+    with TimeSeriesSink(str(path), 1) as sink:
+        sink.write_record(record)
+    return path.read_bytes().splitlines()
+
+
+def _write_byte_lines(path, lines):
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return str(path)
+
+
+def _with_field(line, j, text):
+    fields = line.split(b",")
+    fields[j] = text
+    return b",".join(fields)
+
+
+# Defects of the data row r, which starts a step; line 1 is the header.
+def _drop_a_field(lines, r):
+    lines[1 + r] = lines[1 + r].rsplit(b",", 1)[0]
+
+
+def _bad_status(lines, r):
+    lines[1 + r] = _with_field(lines[1 + r], 9, b"2")
+
+
+def _swapped_phases(lines, r):
+    lines[1 + r], lines[2 + r] = lines[2 + r], lines[1 + r]
+
+
+def _step_back_in_time(lines, r):
+    for q in range(r, r + 3):
+        lines[1 + q] = _with_field(lines[1 + q], 0, b"0")
+
+
+def _not_utf8(lines, r):
+    lines[1 + r] = b"\xff" + lines[1 + r]
+
+
+@pytest.mark.parametrize(
+    "defect", [_drop_a_field, _bad_status, _swapped_phases, _step_back_in_time, _not_utf8]
+)
+@pytest.mark.parametrize("block", ["second", "last"])
+@pytest.mark.parametrize("block_rows", [3, 4, 8])
+def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
+    tmp_path, monkeypatch, capsys, twelve_steps, block_rows, block, defect
+):
+    lines = list(twelve_steps)
+    n_rows = len(lines) - 1
+    start = block_rows if block == "second" else (n_rows - 1) // block_rows * block_rows
+    r = start + (-start) % 3   # the first step to start in the block
+    defect(lines, r)
+    lines[1 + r : 1 + r] = [b"", b""]
+    path = _write_byte_lines(tmp_path / "bad.csv", lines)
+    with pytest.raises(ContractError) as whole:
+        whole_file_load_record_csv(path)
+    # The header and two empty lines come before data row r.
+    assert f": line {r + 4} " in str(whole.value)
+
+    monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    with pytest.raises(ContractError) as blocks:
+        load_record_csv(path)
+    assert str(blocks.value) == str(whole.value)
+    capsys.readouterr()
+    assert main(["metrics", path]) == 2
+    assert capsys.readouterr().err == f"error: {whole.value}\n"
+
+
+@pytest.mark.parametrize("block_rows", [3, 4, 6, 8, 36])
+def test_block_wise_load_matches_the_per_field_load_without_a_warning(
+    tmp_path, monkeypatch, twelve_steps, block_rows
+):
+    # 36 data rows: the last block of most sizes ends on the last line,
+    # so the next read finds no rows, where numpy.loadtxt warns.
+    lines = list(twelve_steps)
+    gapped = lines[:5] + [b""] + lines[5:] + [b"", b""]
+    path = _write_byte_lines(tmp_path / "gapped.csv", gapped)
+    monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = list(read_record_blocks(path))
+        loaded = load_record_csv(path)
+    _assert_same_record(loaded, oracle_load(path))
+    assert sum(block.steps for block in blocks) == 12
+    assert all(block.labels == ["a", "b", "c"] for block in blocks)
+
 
 # --------------------------------------------------------------- reports
 

@@ -41,6 +41,7 @@ from per_phase_reference import (
     control_step,
     grid_voltage,
     initial_phase_state,
+    policy_at,
     reference_current,
 )
 
@@ -94,7 +95,7 @@ def reference_simulate(scenario, *, params, grid, dc_link=None):
     for k in range(steps):
         t = k * t_s
         t_next = (k + 1) * t_s
-        policy = scenario.policy_at(t)
+        policy = policy_at(scenario, t)
         wt_next = grid.omega * t_next
 
         i_conv = [0.0] * n_mmc

@@ -24,7 +24,7 @@ from mmcsim.testbench import (
     run_scenario,
     simulate,
 )
-from per_phase_reference import grid_voltage, reference_current
+from per_phase_reference import grid_voltage, policy_at, reference_current
 
 
 # ------------------------------------------------------------ stock system
@@ -185,12 +185,12 @@ def test_policy_schedule_lookup():
         mode="back_to_back",
         p_set=(1e6, -1e6),
     )
-    assert scenario.policy_at(0.0) is SortPolicy.V1F2
-    assert scenario.policy_at(1.1999) is SortPolicy.V1F2
-    assert scenario.policy_at(1.2) is SortPolicy.F1V2
-    assert scenario.policy_at(1.3) is SortPolicy.F1V2
-    assert scenario.policy_at(1.4) is SortPolicy.V1F2
-    assert scenario.policy_at(2.9) is SortPolicy.V1F2
+    assert policy_at(scenario, 0.0) is SortPolicy.V1F2
+    assert policy_at(scenario, 1.1999) is SortPolicy.V1F2
+    assert policy_at(scenario, 1.2) is SortPolicy.F1V2
+    assert policy_at(scenario, 1.3) is SortPolicy.F1V2
+    assert policy_at(scenario, 1.4) is SortPolicy.V1F2
+    assert policy_at(scenario, 2.9) is SortPolicy.V1F2
 
 
 # ------------------------------------------------------------- run engine
@@ -214,7 +214,7 @@ def test_policy_events_on_and_one_ulp_off_a_sample():
     scenario = _short_scenario(16 * t_s, events)
     record = simulate(scenario, params=params, grid=grid)
     assert record.policy == ["V1F2"] * 3 + ["F1V2"] * 4 + ["V1F2"] * 5 + ["F1V2"] * 4
-    assert record.policy == [scenario.policy_at(k * t_s).value for k in range(16)]
+    assert record.policy == [policy_at(scenario, k * t_s).value for k in range(16)]
 
 
 def test_policy_switch_lands_on_exact_step():
