@@ -33,7 +33,7 @@ def main():
           f"{'n_up':>4} {'n_low':>5} {'i [A]':>8} {'i_ref [A]':>9} "
           f"{'spread [V]':>10}")
 
-    p = record.phase_index("a")
+    p = record.labels.index("a")
     n = params.n
     report_every = int(2e-3 / params.T_s)
     for k in range(0, record.steps, report_every):

@@ -35,7 +35,7 @@ from .csvio import (
     write_metrics_report,
 )
 from .errors import ConfigError
-from .metrics import SummaryAccumulator, SummaryMetrics
+from .metrics import SummaryAccumulator
 from .testbench import _summarize_batch, run_scenario
 
 __all__ = ["main"]
@@ -56,25 +56,20 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _run_config(config: RunConfig, sink: TimeSeriesSink | None) -> SummaryMetrics:
-    return run_scenario(
-        config.scenario,
-        sink,
-        params=config.params,
-        grid=config.grid,
-        dc_link=config.dc_link,
-        decimation=config.decimation,
-        window=config.window,
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     out_dir = _output_dir(config)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "run.csv")
-    with TimeSeriesSink(csv_path, config.params.n) as sink:
-        metrics = _run_config(config, sink)
+    with TimeSeriesSink(csv_path, config.params.n, config.decimation) as sink:
+        metrics = run_scenario(
+            config.scenario,
+            sink,
+            params=config.params,
+            grid=config.grid,
+            dc_link=config.dc_link,
+            window=config.window,
+        )
     write_metrics_report(
         metrics,
         os.path.join(out_dir, "metrics.txt"),

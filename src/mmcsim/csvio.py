@@ -8,7 +8,9 @@ bit for bit.  The column layout is fixed at sink creation:
     v_dc_link,i_dc_link,policy
 
 Switch statuses ``u_*`` are 0 or 1: the writer refuses to write and the
-loader refuses to load anything else.
+loader refuses to load anything else.  The sink keeps every k-th step
+(its decimation), counting steps across its calls, so a run handed over
+in chunks writes the bytes of one call with the whole record.
 
 The writer formats a float cell only when its bit pattern differs from
 the cell it is compared with and otherwise repeats that cell's text.
@@ -213,10 +215,14 @@ class TimeSeriesSink:
     Python 3.12 and later warn when a process with threads forks.
     """
 
-    def __init__(self, path: str, n: int):
+    def __init__(self, path: str, n: int, decimation: int = 1):
+        if decimation < 1:
+            raise ConfigError(f"decimation must be >= 1, got {decimation}")
         self.path = path
         self.n = n
+        self.decimation = decimation
         self.columns = csv_columns(n)
+        self._steps = 0                  # steps given so far, kept or not
         self._last_t = -np.inf
         self._pid: int | None = None     # the writer process, once forked
         self._pipe = None                # rows to it
@@ -228,25 +234,25 @@ class TimeSeriesSink:
             raise ConfigError(f"cannot open {path!r} for writing: {exc}") from exc
         self._file.write(",".join(self.columns) + "\n")
 
-    def write_record(self, record: RunRecord, decimation: int = 1) -> None:
-        """Append a record's rows, keeping every ``decimation``-th step.
+    def write_record(self, record: RunRecord) -> None:
+        """Append the rows of the steps the sink keeps: step k of all
+        those given, counted across calls, when (k + 1) % decimation == 0.
 
         Raises ContractError, before writing anything, when the kept rows
         would go backwards in time or hold a status other than 0 or 1.
         """
-        if decimation < 1:
-            raise ConfigError(f"decimation must be >= 1, got {decimation}")
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
-        kept = slice(decimation - 1, None, decimation)
+        kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
         times = record.times[kept]
-        if times.size == 0:
-            return
-        if times[0] < self._last_t or (times[1:] < times[:-1]).any():
+        if times.size and (times[0] < self._last_t or (times[1:] < times[:-1]).any()):
             raise ContractError("record rows would go backwards in time")
         u = record.u[kept]
         if np.count_nonzero(u == 0) + np.count_nonzero(u == 1) != u.size:
             raise ContractError("switch statuses must be 0 or 1")
+        self._steps += record.steps
+        if times.size == 0:
+            return
         self._last_t = times[-1]
 
         rows = (

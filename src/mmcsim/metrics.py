@@ -2,8 +2,8 @@
 
 Every metric is a pure function of a recorded series and a time window,
 computed as reductions over the time axis, so recomputing from a
-persisted CSV reproduces the in-memory values bit-exactly (at recording
-decimation 1).  The reductions live in one place,
+persisted CSV reproduces the in-memory values bit-exactly (from a CSV
+that keeps every step).  The reductions live in one place,
 :class:`SummaryAccumulator`, which takes a record chunk by chunk: runs
 and ``mmcsim metrics`` feed it as they step or read, and
 :func:`summarize` feeds it a whole record at once.  It holds the
@@ -65,12 +65,6 @@ class RunRecord:
     @property
     def steps(self) -> int:
         return self.times.shape[0]
-
-    def phase_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ContractError(f"unknown phase label {label!r}") from None
 
 
 # ===== RUN SUMMARY =====

@@ -23,14 +23,15 @@ currents.  Inputs are validated once, at the boundary (the constructors
 of the parameters, grid, link and scenario); the loop checks no state.
 It steps in chunks of 128 steps, into buffers that each chunk reuses,
 and a run that diverges is found from the chunk's record when the chunk
-ends.  Each chunk then goes to the run's consumers: the CSV sink, if
-the run has one, which formats it in a second process while the run
-steps on; the summary of ``run_scenario`` and ``compare``, which keeps
-the per-phase series and reduces the per-SM ones; or the collector that
-gives :func:`simulate` its whole record.  So a run that is summarized holds
-one chunk of per-SM state, not the run's.  The per-step work is numpy
-calls on tables built per chunk: the reference part of the deadbeat
-drive, the grid voltages and each row's policy per step.  Everything is
+ends.  Each chunk then goes, whole, to the run's consumers: the CSV
+sink, if the run has one, which keeps every k-th step and formats them
+in a second process while the run steps on; the summary of
+``run_scenario`` and ``compare``, which keeps the per-phase series and
+reduces the per-SM ones; or the collector that gives :func:`simulate`
+its whole record.  So a run that is summarized holds one chunk of
+per-SM state, not the run's.  The per-step work is numpy calls on
+tables built per chunk: the reference part of the deadbeat drive, the
+grid voltages and each row's policy per step.  Everything is
 deterministic; there is no randomness anywhere in the loop.
 
 The leg axis also spans a batch: scenarios that share the system and
@@ -55,7 +56,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -278,8 +279,6 @@ def simulate(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None = None,
-    sink=None,
-    decimation: int = 1,
 ) -> RunRecord:
     """Run a scenario at full rate and return the recorded series.
 
@@ -288,14 +287,6 @@ def simulate(
     the power feedforward, the capacitor-energy trim, and in
     back-to-back mode the bus-voltage droop.
 
-    ``sink``, when given, receives the run while it steps: each chunk
-    the failure scan passes goes to ``sink.write_record(block,
-    decimation)``, or, for a chunk that starts inside a decimation
-    period, the chunk's steps that a write of the whole record keeps go
-    to ``sink.write_record(kept, 1)``.  Chunks are ``_SCAN_STEPS`` long.
-    A run that diverges has handed off the chunks before the one it
-    fails in.
-
     Raises :class:`ConfigError` when the DC link is outside the
     stability bound of its update (:meth:`DcLink.check_step`), and
     :class:`SimulationDiverged`, naming the step, the phase and the
@@ -303,9 +294,7 @@ def simulate(
     non-finite or a capacitor voltage turns non-finite or non-positive.
     The run stops within a chunk of it, without a warning.
     """
-    (outcome,) = _simulate_batch(
-        [scenario], params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation
-    )
+    (outcome,) = _simulate_batch([scenario], params=params, grid=grid, dc_link=dc_link)
     if isinstance(outcome, SimulationDiverged):
         raise outcome
     return outcome
@@ -318,22 +307,21 @@ def run_scenario(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None = None,
-    decimation: int = 1,
     window: tuple[float, float] | None = None,
 ) -> SummaryMetrics:
     """Run a scenario, stream rows to a sink, and summarize the run.
 
-    ``sink`` is any object with ``write_record(record, decimation)``
-    (see the CSV sink), called chunk by chunk while the run steps (see
-    :func:`simulate`); ``decimation`` thins the persisted rows only,
-    never the metrics.  The summary is taken chunk by chunk as well, so
-    no whole record of the run is held.  ``window`` defaults to the
-    whole run, 0 to the last sample time.  A zero duration produces no
-    rows and all-zero initial-state metrics.
+    ``sink`` is any object with ``write_record(record)``, such as the
+    CSV sink, which keeps the steps it persists; it is given each chunk
+    of ``_SCAN_STEPS`` steps while the run steps, and a run that
+    diverges hands it the chunks before the one it fails in.  The
+    summary, at full rate, is taken chunk by chunk too, so no whole
+    record of the run is held.  ``window`` defaults to the whole run, 0
+    to the last sample time.  A zero duration produces no rows and
+    all-zero initial-state metrics.
     """
     (metrics,) = _summarize_batch(
-        [scenario], window, params=params, grid=grid, dc_link=dc_link, sink=sink,
-        decimation=decimation,
+        [scenario], window, params=params, grid=grid, dc_link=dc_link, sink=sink
     )
     return metrics
 
@@ -344,16 +332,13 @@ def _simulate_batch(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None = None,
-    sink=None,
-    decimation: int = 1,
 ) -> list[RunRecord | SimulationDiverged]:
     """Run scenarios that differ only in their events side by side.
 
     Returns, per scenario, what :func:`simulate` would give for it
     alone: its record, or the :class:`SimulationDiverged` that stopped
     it.  The chunks are gathered into one array per field with a row
-    axis, of which each record is a view.  A ``sink`` takes the chunks
-    of a one-row batch, as :func:`simulate` describes.
+    axis, of which each record is a view.
     """
     labels = _labels(scenarios[0])
     shape = (_steps(scenarios[0], params), len(scenarios), len(labels))
@@ -379,7 +364,7 @@ def _simulate_batch(
 
     failed = _step_batch(
         scenarios, [[collector(row)] for row in range(len(scenarios))],
-        params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation,
+        params=params, grid=grid, dc_link=dc_link,
     )
     return [
         failed.get(row) or RunRecord(
@@ -398,17 +383,17 @@ def _summarize_batch(
     grid: GridSource,
     dc_link: DcLink | None = None,
     sink=None,
-    decimation: int = 1,
 ) -> list[SummaryMetrics]:
     """Run scenarios as :func:`_simulate_batch` does and return each
     one's summary over ``window``, all zero for a run without steps,
-    taken chunk by chunk.  The first row that failed, in row order
-    after the summaries before it, raises its error."""
+    taken chunk by chunk.  A ``sink`` takes row 0's chunks, before its
+    summary does.  The first row that failed, in row order after the
+    summaries before it, raises its error."""
     summaries = [SummaryAccumulator(window, params.v_sm_nominal) for _ in scenarios]
-    failed = _step_batch(
-        scenarios, [[summary.add] for summary in summaries],
-        params=params, grid=grid, dc_link=dc_link, sink=sink, decimation=decimation,
-    )
+    consumers = [[summary.add] for summary in summaries]
+    if sink is not None:
+        consumers[0].insert(0, sink.write_record)
+    failed = _step_batch(scenarios, consumers, params=params, grid=grid, dc_link=dc_link)
     metrics = []
     for row, summary in enumerate(summaries):
         if row in failed:
@@ -441,8 +426,6 @@ def _step_batch(
     params: ConverterParams,
     grid: GridSource,
     dc_link: DcLink | None,
-    sink,
-    decimation: int,
 ) -> dict[int, SimulationDiverged]:
     """Step scenarios that differ only in their events side by side, a
     chunk of steps at a time, and return the rows that failed, each
@@ -452,16 +435,10 @@ def _step_batch(
     state, so a failed row steps on with the others until the scan of
     its chunk finds its error.  After each scan, every row that has not
     failed hands its record of the chunk to each callable in
-    ``consumers[row]``, in order, after ``sink.write_record(record,
-    decimation)`` for row 0 when a ``sink`` is given.  The record's
-    ``v_c`` and ``u`` are views of buffers that the next chunk
-    overwrites; its other arrays are its own.  Chunks are
-    ``_SCAN_STEPS`` long; the sink is given each chunk, or the steps of
-    it that a write of the whole record keeps, as :func:`simulate`
-    describes.
+    ``consumers[row]``, in order.  The record's ``v_c`` and ``u`` are
+    views of buffers that the next chunk overwrites; its other arrays
+    are its own.  Chunks are ``_SCAN_STEPS`` long.
     """
-    if decimation < 1:
-        raise ConfigError(f"decimation must be >= 1, got {decimation}")
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
     if any((s.duration, s.mode, s.p_set, s.i_amp) != shared for s in scenarios):
@@ -700,32 +677,14 @@ def _step_batch(
         _scan_failures(failed, k0, k0 + m, labels, rec_i, rec_i_z, rec_v_c, rec_link, k0)
         if len(failed) == n_rows:
             break
-        # A write of the whole record keeps the steps k with
-        # (k + 1) % decimation == 0: those of the chunk from its step
-        # ``kept`` on.  A chunk that starts a decimation period goes to
-        # the sink as it is, and otherwise only the steps it keeps.
-        kept = (-k0 - 1) % decimation
         for row, record in enumerate(records(m, k0, rec_i, rec_i_ref, rec_i_z, policies)):
             if row in failed:
                 continue
-            if row == 0 and sink is not None and kept < m:
-                if kept == decimation - 1:
-                    sink.write_record(record, decimation)
-                else:
-                    sink.write_record(_record_steps(record, slice(kept, None, decimation)), 1)
             for consume in consumers[row]:
                 consume(record)
         if dc_link is not None:
             rec_link[0] = rec_link[m]
     return failed
-
-
-def _record_steps(record: RunRecord, steps: slice) -> RunRecord:
-    """The steps of ``record`` in the slice ``steps``, as views."""
-    return RunRecord(**{
-        f.name: record.labels if f.name == "labels" else getattr(record, f.name)[steps]
-        for f in fields(RunRecord)
-    })
 
 
 def _scan_failures(

@@ -17,7 +17,8 @@ kernel and the paper's formulas against:
   power setpoint;
 * switch traces: ``SwitchTrace``, ``effective_switching_frequency`` and
   ``switch_traces_from_history``, the event-list counterpart of
-  ``summarize``'s transition counts;
+  ``summarize``'s transition counts, with ``phase_index``, a phase
+  label's index in a record;
 * window metrics: ``ripple_percent``, ``circulating_ratio`` and
   ``tracking_rmse``, one SM or phase series at a time, and
   ``reference_summarize``, the per-phase, per-SM loop over them that
@@ -541,9 +542,17 @@ def effective_switching_frequency(
     return count / (2.0 * (t1 - t0))
 
 
+def phase_index(record: RunRecord, label: str) -> int:
+    """Index of the phase ``label`` on the record's phase axis."""
+    try:
+        return record.labels.index(label)
+    except ValueError:
+        raise ContractError(f"unknown phase label {label!r}") from None
+
+
 def switch_traces_from_history(record: RunRecord, phase: str) -> list[SwitchTrace]:
     """Per-SM switch traces of one phase, from consecutive recorded rows."""
-    p = record.phase_index(phase)
+    p = phase_index(record, phase)
     return [
         SwitchTrace.from_samples(record.times, record.u[:, p, j])
         for j in range(2 * record.n)

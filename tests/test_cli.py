@@ -358,8 +358,8 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     assert record.steps == BLOCK_STEPS
     whole = workdir / "whole"
     whole.mkdir()
-    with TimeSeriesSink(str(whole / "run.csv"), config.params.n) as sink:
-        sink.write_record(record, decimation)
+    with TimeSeriesSink(str(whole / "run.csv"), config.params.n, decimation) as sink:
+        sink.write_record(record)
     metrics = summarize(record, None, config.params.v_sm_nominal)
     write_metrics_report(metrics, str(whole / "metrics.txt"), str(whole / "metrics.json"))
 

@@ -336,8 +336,8 @@ def test_csv_round_trip_awkward_floats(tmp_path):
 def test_csv_decimation_keeps_every_nth_step(tmp_path):
     params, record = _small_run()
     path = tmp_path / "thin.csv"
-    with TimeSeriesSink(str(path), params.n) as sink:
-        sink.write_record(record, decimation=40)
+    with TimeSeriesSink(str(path), params.n, decimation=40) as sink:
+        sink.write_record(record)
     loaded = load_record_csv(str(path))
     assert loaded.steps == 2
     assert np.array_equal(loaded.times, record.times[[39, 79]])
@@ -458,11 +458,11 @@ def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, ca
 
 def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
     params, record = _small_run()
-    with TimeSeriesSink(str(tmp_path / "forked.csv"), params.n) as sink:
-        sink.write_record(record, decimation=3)
+    with TimeSeriesSink(str(tmp_path / "forked.csv"), params.n, decimation=3) as sink:
+        sink.write_record(record)
     monkeypatch.delattr(os, "fork")
-    with TimeSeriesSink(str(tmp_path / "inline.csv"), params.n) as sink:
-        sink.write_record(record, decimation=3)
+    with TimeSeriesSink(str(tmp_path / "inline.csv"), params.n, decimation=3) as sink:
+        sink.write_record(record)
     assert (tmp_path / "inline.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
 
 
@@ -654,18 +654,18 @@ def _assert_same_record(loaded, expected):
 
 
 def _check_against_oracles(tmp_path, record, decimation=1, split=None):
-    """Write with both sinks (in two calls when ``split`` is a step
-    index) and load with both loaders; everything must agree."""
+    """Write with the sink (in two calls when ``split`` is a step index)
+    and with the oracle (in one call with the whole record), and load
+    with both loaders; everything must agree."""
     parts = [record] if split is None else [
         _steps(record, slice(None, split)), _steps(record, slice(split, None))
     ]
     new_path, oracle_path = tmp_path / "new.csv", tmp_path / "oracle.csv"
-    with TimeSeriesSink(str(new_path), record.n) as sink:
+    with TimeSeriesSink(str(new_path), record.n, decimation) as sink:
         for part in parts:
-            sink.write_record(part, decimation=decimation)
+            sink.write_record(part)
     with OracleSink(str(oracle_path), record.n) as sink:
-        for part in parts:
-            sink.write_record(part, decimation=decimation)
+        sink.write_record(record, decimation=decimation)
     assert new_path.read_bytes() == oracle_path.read_bytes()
     _assert_same_record(load_record_csv(str(new_path)), oracle_load(str(oracle_path)))
 
@@ -680,6 +680,25 @@ def test_writer_and_loader_match_oracles(tmp_path, n, mode, decimation):
 @pytest.mark.parametrize("decimation", [1, 3])
 def test_writer_matches_oracle_across_two_calls(tmp_path, decimation):
     _check_against_oracles(tmp_path, _run(6, "back_to_back"), decimation, split=59)
+
+
+@pytest.fixture(scope="module")
+def split_record():
+    """A 200-step run with a policy change: longer than a kernel chunk."""
+    params, grid, _, _ = build_stock_system()
+    scenario = Scenario(duration=0.005, mode="ideal_dc", p_set=(13.18e6,),
+                        events=[(0.0025, SortPolicy.F1V2)])
+    record = simulate(scenario, params=params, grid=grid)
+    assert record.steps == 200
+    return record
+
+
+@pytest.mark.parametrize("decimation", [1, 3, 50])
+@pytest.mark.parametrize("split", [1, 59, 60, 128])
+def test_split_writes_equal_one_whole_write(tmp_path, split_record, split, decimation):
+    # The sink counts steps across calls, so a split inside a decimation
+    # period (or one whose first part keeps no step) changes no byte.
+    _check_against_oracles(tmp_path, split_record, decimation, split=split)
 
 
 def test_writer_keeps_exact_text_of_signed_zeros_and_nan(tmp_path):

@@ -17,6 +17,7 @@ from per_phase_reference import (
     SwitchTrace,
     circulating_ratio,
     effective_switching_frequency,
+    phase_index,
     reference_summarize,
     ripple_percent,
     switch_traces_from_history,
@@ -259,9 +260,9 @@ def _tiny_record():
 
 def test_phase_index_unknown_label():
     record = _tiny_record()
-    assert record.phase_index("a") == 0
+    assert phase_index(record, "a") == 0
     with pytest.raises(ContractError):
-        record.phase_index("b")
+        phase_index(record, "b")
 
 
 def test_switch_traces_from_history():
@@ -404,8 +405,8 @@ def test_summarize_matches_scalar_oracle(n, mode):
 def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
     record, params = _stock_record(6, "back_to_back")
     path = tmp_path / "run.csv"
-    with TimeSeriesSink(str(path), params.n) as sink:
-        sink.write_record(record, 3)
+    with TimeSeriesSink(str(path), params.n, 3) as sink:
+        sink.write_record(record)
     loaded = load_record_csv(str(path))
     assert loaded.steps == record.steps // 3
     for window in _windows(loaded):

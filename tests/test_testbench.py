@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mmcsim import testbench
 from mmcsim.config import parse_config
 from mmcsim.controller import SortPolicy
+from mmcsim.csvio import TimeSeriesSink
 from mmcsim.errors import ConfigError, SimulationDiverged
 from mmcsim.metrics import SummaryMetrics
 from mmcsim.testbench import (
@@ -434,23 +435,24 @@ class _CountingSink:
     def __init__(self):
         self.calls = []
 
-    def write_record(self, record, decimation):
-        self.calls.append((record.steps, decimation))
+    def write_record(self, record):
+        self.calls.append(record.steps)
 
 
 def test_run_scenario_streams_to_sink():
     params, grid, _, _ = build_stock_system()
     sink = _CountingSink()
-    run_scenario(
-        _short_scenario(0.002), sink, params=params, grid=grid, decimation=4
-    )
-    assert sink.calls == [(80, 4)]
+    run_scenario(_short_scenario(0.002), sink, params=params, grid=grid)
+    assert sink.calls == [80]
 
 
-def test_run_scenario_rejects_bad_decimation():
-    params, grid, _, _ = build_stock_system()
+def test_run_scenario_rejects_bad_decimation(tmp_path):
+    # The decimation belongs to the CSV sink, which refuses it unopened.
+    params, _, _, _ = build_stock_system()
+    path = tmp_path / "run.csv"
     with pytest.raises(ConfigError):
-        run_scenario(_short_scenario(0.002), params=params, grid=grid, decimation=0)
+        TimeSeriesSink(str(path), params.n, decimation=0)
+    assert not path.exists()
 
 
 # ------------------------------------------------------------ envelope
