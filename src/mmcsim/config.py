@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .controller import SortPolicy
 from .errors import ConfigError
 from .model import ConverterParams
-from .testbench import DcLink, GridSource, Scenario, build_stock_system
+from .testbench import DcLink, GridSource, Scenario, _signed_amplitudes, build_stock_system
 
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
@@ -192,6 +192,7 @@ def parse_config(text: str) -> RunConfig:
         scenario = Scenario(
             duration=duration, events=events, mode=mode, p_set=p_set, i_amp=i_amp
         )
+        _signed_amplitudes(scenario, grid)
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from exc
     if mode == "back_to_back":

@@ -22,14 +22,15 @@ its voltage bit for bit, so writing costs scale with what changed.
 Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
 exact text and the bytes equal those of formatting every cell.
 
-Formatting runs in a writer process that the sink forks once a run's
-rows need more than one block of formatting: the caller checks each
-record it is given and pickles the kept rows into a pipe, and the
-writer formats and appends them, so a run that hands its record over
-chunk by chunk steps while its CSV is written.  A run of one block is
-formatted in the caller, which costs less than the fork.  Where
-``os.fork`` is missing the caller formats the rows itself, with the
-same function.
+A run hands the sink its record chunk by chunk, each a
+:class:`RunRecord`, and the sink hands its writer one too: the kept
+rows of the chunk, sliced into a record of their own and checked in
+the caller.  A first call whose kept rows fit one block of formatting
+is formatted in the caller at once, which costs less than a fork;
+every other call pickles its record into a pipe to a writer process,
+forked at the first such call, which formats and appends it, so a run
+steps while its CSV is written.  Where ``os.fork`` is missing the
+caller formats every call itself, with the same function.
 
 The layout is defined once, as a structured row dtype that
 ``csv_columns`` derives from.  The loader reads the file in blocks of
@@ -57,7 +58,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .metrics import RunRecord, SummaryMetrics
+from .metrics import RunRecord, SummaryMetrics, _row_dtype
 
 __all__ = [
     "csv_columns",
@@ -70,16 +71,8 @@ __all__ = [
 
 _FLOAT_FMT = "%.17g"
 
-
-def _row_dtype(n: int) -> np.dtype:
-    """One CSV row, its fields in column order; an array field spans one
-    column per SM.  The text fields are objects, so no label is cut short."""
-    return np.dtype([
-        ("t", np.float64), ("phase", object),
-        *[(name, np.float64) for name in ("i", "i_ref", "i_z", "v_up", "v_low")],
-        ("v_c", np.float64, (2 * n,)), ("u", np.int8, (2 * n,)),
-        ("v_dc_link", np.float64), ("i_dc_link", np.float64), ("policy", object),
-    ])
+# The RunRecord arrays, by name.
+_ARRAYS = ("times", *_row_dtype(1).names[2:-1])
 
 
 def csv_columns(n: int) -> list[str]:
@@ -122,36 +115,35 @@ def _block_steps(n_phases: int, n2: int) -> int:
     return max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
 
 
-def _write_rows(file, labels, times, phase_series, v_c, u, v_dc, i_dc, policy) -> None:
-    """Append the text of kept steps to ``file``: ``times`` and
-    ``policy`` per step, the others per step and phase, ``phase_series``
-    being the ``i`` to ``v_low`` arrays in column order."""
+def _write_rows(file, record: RunRecord) -> None:
+    """Append the text of every step of ``record`` to ``file``."""
+    labels = record.labels
     n_phases = len(labels)
-    n2 = v_c.shape[-1]
+    n2 = 2 * record.n
     u_width = 2 * n2 - 1
     block = _block_steps(n_phases, n2)
-    for b0 in range(0, times.size, block):
-        b1 = min(b0 + block, times.size)
+    for b0 in range(0, record.steps, block):
+        b1 = min(b0 + block, record.steps)
         # A phase's series and capacitor voltages are compared with
         # the same phase one kept step earlier, the columns shared
         # by phases (time, link voltage and current) with the row
         # before.  The first row of a block is formatted in full.
         values = np.empty((b1 - b0, n_phases, 5 + n2))
-        for j, series in enumerate(phase_series):
-            values[:, :, j] = series[b0:b1]
-        values[:, :, 5:] = v_c[b0:b1]
+        for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
+            values[:, :, j] = getattr(record, name)[b0:b1]
+        values[:, :, 5:] = record.v_c[b0:b1]
         phase_cells = _format_changed(values.reshape(b1 - b0, -1)).reshape(-1, 5 + n2)
         phase_text = [",".join(row) for row in phase_cells.tolist()]
         link = np.empty((b1 - b0, n_phases, 3))
-        link[:, :, 0] = times[b0:b1, None]
-        link[:, :, 1] = v_dc[b0:b1]
-        link[:, :, 2] = i_dc[b0:b1]
+        link[:, :, 0] = record.times[b0:b1, None]
+        link[:, :, 1] = record.v_dc_link[b0:b1]
+        link[:, :, 2] = record.i_dc_link[b0:b1]
         link_text = _format_changed(link.reshape(-1, 3)).tolist()
         # Status text: digits interleaved with commas, one byte each.
         table = np.full((len(phase_text), u_width), ord(","), dtype=np.uint8)
-        np.add(u[b0:b1].reshape(-1, n2), ord("0"), out=table[:, ::2], casting="unsafe")
+        np.add(record.u[b0:b1].reshape(-1, n2), ord("0"), out=table[:, ::2], casting="unsafe")
         u_text = table.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
-        row_policy = [p for p in policy[b0:b1] for _ in labels]
+        row_policy = [p for p in record.policy[b0:b1] for _ in labels]
         file.write("".join([
             _ROW_FMT % (t, label, phase, status, v, i, pol)
             for (t, v, i), label, phase, status, pol
@@ -184,10 +176,10 @@ def _writer_main(file, rows_fd: int, error_fd: int, parent_fds: tuple[int, ...])
         with file, os.fdopen(rows_fd, "rb") as rows:
             while True:
                 try:
-                    block = pickle.load(rows)
+                    record = pickle.load(rows)
                 except EOFError:
                     break
-                _write_rows(file, *block)
+                _write_rows(file, record)
         status = 0
     except BaseException as exc:   # whatever it is, the parent raises it
         with os.fdopen(error_fd, "wb") as errors:
@@ -201,14 +193,16 @@ class TimeSeriesSink:
 
     The rows are formatted in a writer process, so that a run steps on
     one core while its CSV is formatted on another.  Each call checks
-    its rows in the caller, then pickles them into a pipe that the
-    writer reads; :meth:`close` ends the pipe, waits for the writer and
-    raises the exception it failed with, if any.  Formatting one block
+    its kept rows in the caller, as a :class:`RunRecord` of their own,
+    then pickles that record into a pipe that the writer reads;
+    :meth:`close` ends the pipe, waits for the writer and raises the
+    exception it failed with, if any.  Formatting one block
     (``_block_steps``) in the caller costs less than forking, so a
-    first call whose kept steps fit one block is held, pickled, and
-    sent at the next call, or formatted in the caller by :meth:`close`:
-    a short run forks nothing.  Where ``os.fork`` is missing the same
-    formatting runs in the caller.
+    first call whose kept steps fit one block is formatted in the
+    caller at once, and only a later call, or a larger first one, forks
+    the writer: a short run forks nothing.  Where ``os.fork`` is
+    missing every call is formatted in the caller, with the same
+    function.
 
     The writer does no BLAS call and no logging: a forked child holds
     only the forking thread, while numpy's BLAS keeps a thread pool, and
@@ -223,11 +217,10 @@ class TimeSeriesSink:
         self.decimation = decimation
         self.columns = csv_columns(n)
         self._steps = 0                  # steps given so far, kept or not
-        self._last_t = -np.inf
+        self._last_t = -np.inf           # of the last kept step; -inf before one
         self._pid: int | None = None     # the writer process, once forked
         self._pipe = None                # rows to it
         self._errors: int | None = None  # its failure, pickled
-        self._held: bytes | None = None  # a first call's rows, pickled
         try:
             self._file = open(path, "w", newline="", encoding="utf-8")
         except OSError as exc:
@@ -244,36 +237,26 @@ class TimeSeriesSink:
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
-        times = record.times[kept]
+        rows = RunRecord(labels=record.labels, policy=record.policy[kept],
+                         **{name: getattr(record, name)[kept] for name in _ARRAYS})
+        times, u = rows.times, rows.u
         if times.size and (times[0] < self._last_t or (times[1:] < times[:-1]).any()):
             raise ContractError("record rows would go backwards in time")
-        u = record.u[kept]
         if np.count_nonzero(u == 0) + np.count_nonzero(u == 1) != u.size:
             raise ContractError("switch statuses must be 0 or 1")
         self._steps += record.steps
         if times.size == 0:
             return
-        self._last_t = times[-1]
-
-        rows = (
-            record.labels, times,
-            [a[kept] for a in (record.i, record.i_ref, record.i_z, record.v_up, record.v_low)],
-            record.v_c[kept], u, record.v_dc_link[kept], record.i_dc_link[kept],
-            record.policy[kept],
-        )
-        if not hasattr(os, "fork"):
-            _write_rows(self._file, *rows)
+        first, self._last_t = self._last_t == -np.inf, times[-1]
+        if not hasattr(os, "fork") or (
+            first and times.size <= _block_steps(len(rows.labels), 2 * self.n)
+        ):
+            _write_rows(self._file, rows)
             return
-        block = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
         if self._pid is None:
-            if self._held is None and times.size <= _block_steps(len(record.labels), 2 * self.n):
-                self._held = block
-                return
             self._fork_writer()
-            if self._held is not None:
-                block, self._held = self._held + block, None
         try:
-            self._pipe.write(block)
+            pickle.dump(rows, self._pipe, protocol=pickle.HIGHEST_PROTOCOL)
             self._pipe.flush()
         except BrokenPipeError:
             self.close()   # raises the writer's failure
@@ -306,10 +289,6 @@ class TimeSeriesSink:
 
     def close(self) -> None:
         """Finish the file; raise what the writer process failed with."""
-        held, self._held = self._held, None
-        if held is not None:
-            with self._file:
-                _write_rows(self._file, *pickle.loads(held))
         self._file.close()
         if self._pid is None:
             return
@@ -354,7 +333,7 @@ def load_record_csv(path: str) -> RunRecord:
         labels=blocks[0].labels,
         policy=[p for block in blocks for p in block.policy],
         **{name: np.concatenate([getattr(block, name) for block in blocks])
-           for name in ("times", *_row_dtype(1).names[2:-1])},
+           for name in _ARRAYS},
     )
 
 

@@ -67,6 +67,19 @@ class RunRecord:
         return self.times.shape[0]
 
 
+def _row_dtype(n: int) -> np.dtype:
+    """One step of one phase of a record, one CSV row, in column order; an
+    array field spans one column per SM, and those between ``phase`` and
+    ``policy`` are the RunRecord arrays.  Text fields are objects, so no
+    label is cut short."""
+    return np.dtype([
+        ("t", np.float64), ("phase", object),
+        *[(name, np.float64) for name in ("i", "i_ref", "i_z", "v_up", "v_low")],
+        ("v_c", np.float64, (2 * n,)), ("u", np.int8, (2 * n,)),
+        ("v_dc_link", np.float64), ("i_dc_link", np.float64), ("policy", object),
+    ])
+
+
 # ===== RUN SUMMARY =====
 
 

@@ -23,16 +23,18 @@ currents.  Inputs are validated once, at the boundary (the constructors
 of the parameters, grid, link and scenario); the loop checks no state.
 It steps in chunks of 128 steps, into buffers that each chunk reuses,
 and a run that diverges is found from the chunk's record when the chunk
-ends.  Each chunk then goes, whole, to the run's consumers: the CSV
-sink, if the run has one, which keeps every k-th step and formats them
-in a second process while the run steps on; the summary of
-``run_scenario`` and ``compare``, which keeps the per-phase series and
-reduces the per-SM ones; or the collector that gives :func:`simulate`
-its whole record.  So a run that is summarized holds one chunk of
-per-SM state, not the run's.  The per-step work is numpy calls on
-tables built per chunk: the reference part of the deadbeat drive, the
-grid voltages and each row's policy per step.  Everything is
-deterministic; there is no randomness anywhere in the loop.
+ends.  Each healthy row's chunk then goes, whole, as a
+:class:`RunRecord`, to one callable, ``consume(row, record)``.  In
+``run_scenario`` and ``compare`` it hands row 0's chunk to the CSV
+sink, if any, which keeps every k-th step and formats them in a second
+process while the run steps on, then adds the chunk to the row's
+summary, which keeps the per-phase series and reduces the per-SM ones;
+in :func:`simulate` it copies the chunk into the whole record.  So a
+summarized run holds one chunk of per-SM state, not the run's.  The
+per-step work is numpy calls on tables built per chunk: the reference
+part of the deadbeat drive, the grid voltages and each row's policy
+per step.  Everything is deterministic; there is no randomness
+anywhere in the loop.
 
 The leg axis also spans a batch: scenarios that share the system and
 differ only in their policy schedule (``compare``'s two configs) step
@@ -62,7 +64,7 @@ import numpy as np
 
 from .controller import SortPolicy
 from .errors import ConfigError, SimulationDiverged
-from .metrics import RunRecord, SummaryAccumulator, SummaryMetrics
+from .metrics import RunRecord, SummaryAccumulator, SummaryMetrics, _row_dtype
 from .model import ConverterParams
 
 __all__ = [
@@ -312,13 +314,14 @@ def run_scenario(
     """Run a scenario, stream rows to a sink, and summarize the run.
 
     ``sink`` is any object with ``write_record(record)``, such as the
-    CSV sink, which keeps the steps it persists; it is given each chunk
-    of ``_SCAN_STEPS`` steps while the run steps, and a run that
-    diverges hands it the chunks before the one it fails in.  The
-    summary, at full rate, is taken chunk by chunk too, so no whole
-    record of the run is held.  ``window`` defaults to the whole run, 0
-    to the last sample time.  A zero duration produces no rows and
-    all-zero initial-state metrics.
+    CSV sink, which keeps the steps it persists.  As the run steps, the
+    kernel hands each chunk of ``_SCAN_STEPS`` steps, as a
+    :class:`RunRecord`, to ``sink.write_record`` and then to the
+    summary, which is taken at full rate chunk by chunk, so no whole
+    record of the run is held.  A run that diverges hands the sink the
+    chunks before the one it fails in.  ``window`` defaults to the whole
+    run, 0 to the last sample time.  A zero duration produces no rows
+    and all-zero initial-state metrics.
     """
     (metrics,) = _summarize_batch(
         [scenario], window, params=params, grid=grid, dc_link=dc_link, sink=sink
@@ -337,35 +340,28 @@ def _simulate_batch(
 
     Returns, per scenario, what :func:`simulate` would give for it
     alone: its record, or the :class:`SimulationDiverged` that stopped
-    it.  The chunks are gathered into one array per field with a row
-    axis, of which each record is a view.
+    it.  The chunks are gathered into one array per record field with a
+    row axis, of which each record is a view.
     """
     labels = _labels(scenarios[0])
     shape = (_steps(scenarios[0], params), len(scenarios), len(labels))
     times = np.empty(shape[0])
+    fields = _row_dtype(params.n)
     arrays = {
-        name: np.empty(shape)
-        for name in ("i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link", "i_dc_link")
+        name: np.empty((*shape, *fields[name].shape), fields[name].base)
+        for name in fields.names[2:-1]
     }
-    arrays["v_c"] = np.empty((*shape, 2 * params.n))
-    arrays["u"] = np.empty((*shape, 2 * params.n), dtype=np.int8)
     policies: list[list[str]] = [[] for _ in scenarios]
 
-    def collector(row: int):
-        def collect(record: RunRecord) -> None:
-            k0 = len(policies[row])
-            k1 = k0 + record.steps
-            times[k0:k1] = record.times
-            for name, array in arrays.items():
-                array[k0:k1, row] = getattr(record, name)
-            policies[row] += record.policy
+    def collect(row: int, record: RunRecord) -> None:
+        k0 = len(policies[row])
+        k1 = k0 + record.steps
+        times[k0:k1] = record.times
+        for name, array in arrays.items():
+            array[k0:k1, row] = getattr(record, name)
+        policies[row] += record.policy
 
-        return collect
-
-    failed = _step_batch(
-        scenarios, [[collector(row)] for row in range(len(scenarios))],
-        params=params, grid=grid, dc_link=dc_link,
-    )
+    failed = _step_batch(scenarios, collect, params=params, grid=grid, dc_link=dc_link)
     return [
         failed.get(row) or RunRecord(
             times=times, labels=list(labels), policy=policy,
@@ -390,10 +386,13 @@ def _summarize_batch(
     summary does.  The first row that failed, in row order after the
     summaries before it, raises its error."""
     summaries = [SummaryAccumulator(window, params.v_sm_nominal) for _ in scenarios]
-    consumers = [[summary.add] for summary in summaries]
-    if sink is not None:
-        consumers[0].insert(0, sink.write_record)
-    failed = _step_batch(scenarios, consumers, params=params, grid=grid, dc_link=dc_link)
+
+    def consume(row: int, record: RunRecord) -> None:
+        if row == 0 and sink is not None:
+            sink.write_record(record)
+        summaries[row].add(record)
+
+    failed = _step_batch(scenarios, consume, params=params, grid=grid, dc_link=dc_link)
     metrics = []
     for row, summary in enumerate(summaries):
         if row in failed:
@@ -414,14 +413,14 @@ def _labels(scenario: Scenario) -> list[str]:
 
 
 # Steps between two scans of a batch's record for failed rows: the
-# chunks the kernel steps in and hands to its consumers.
+# chunks the kernel steps in and hands to its consumer.
 _SCAN_STEPS = 128
 
 
 @np.errstate(all="ignore")   # failed rows step on; their errors are read from the record
 def _step_batch(
     scenarios: list[Scenario],
-    consumers: list[list],
+    consume,
     *,
     params: ConverterParams,
     grid: GridSource,
@@ -433,11 +432,13 @@ def _step_batch(
 
     The rows step together in one kernel.  No row reads another's
     state, so a failed row steps on with the others until the scan of
-    its chunk finds its error.  After each scan, every row that has not
-    failed hands its record of the chunk to each callable in
-    ``consumers[row]``, in order.  The record's ``v_c`` and ``u`` are
-    views of buffers that the next chunk overwrites; its other arrays
-    are its own.  Chunks are ``_SCAN_STEPS`` long.
+    its chunk finds its error.  After each scan, for every row that has
+    not failed, in row order, it calls ``consume(row, record)`` with the
+    row's :class:`RunRecord` of the chunk.  The record's ``v_c`` and
+    ``u`` are views of buffers that the next chunk overwrites; its other
+    arrays are its own.  Chunks are ``_SCAN_STEPS`` long.  It is no
+    generator, so the ``errstate`` holds while the records are built,
+    where failed rows' sums overflow.
     """
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
@@ -535,39 +536,6 @@ def _step_batch(
         link = [[v_dc, v_dc, 0.0] for _ in scenarios]
         rec_link = np.empty((buffer + 1, n_rows, 3))
         rec_link[0] = link
-
-    def records(m: int, k0: int, rec_i, rec_i_ref, rec_i_z, policies) -> list[RunRecord]:
-        """Each row's record of the chunk's first ``m`` steps, from step ``k0``."""
-        by_row = (m, n_rows, n_legs)
-        if dc_link is None:
-            bus_v = np.full((m, n_rows, 1), v_dc)
-            i_dc = (0.0 + rec_i_z[:, :, 0] + rec_i_z[:, :, 1] + rec_i_z[:, :, 2])[..., None]
-        else:
-            bus_v = rec_link[1 : m + 1, :, :2]
-            i_dc = rec_link[1 : m + 1, :, 2:]
-        row_v_dc = np.repeat(bus_v, 3, axis=-1)
-        row_i_dc = np.repeat(i_dc, n_legs, axis=-1)
-        row_v_arm = rec_v_arm[:m].reshape(*by_row, 2)
-        row_v_c = rec_v_c[:m].reshape(*by_row, 2 * n)
-        row_u = rec_u[:m].reshape(*by_row, 2 * n)
-        row_i, row_i_ref, row_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
-        return [
-            RunRecord(
-                times=np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s,
-                labels=list(labels),
-                i=row_i[:, row],
-                i_ref=row_i_ref[:, row],
-                i_z=row_i_z[:, row],
-                v_up=np.ascontiguousarray(row_v_arm[:, row, :, 0]),
-                v_low=np.ascontiguousarray(row_v_arm[:, row, :, 1]),
-                v_c=row_v_c[:, row],
-                u=row_u[:, row],
-                v_dc_link=row_v_dc[:, row],
-                i_dc_link=row_i_dc[:, row],
-                policy=row_policy,
-            )
-            for row, row_policy in enumerate(policies)
-        ]
 
     failed: dict[int, SimulationDiverged] = {}
     for k0 in range(0, steps, chunk):
@@ -674,40 +642,58 @@ def _step_batch(
                     state[:] = v_mmc1, v_mmc2, i_link
                 rec_link[j + 1] = link
 
-        _scan_failures(failed, k0, k0 + m, labels, rec_i, rec_i_z, rec_v_c, rec_link, k0)
+        chunk_link = None if dc_link is None else rec_link[: m + 1]
+        _scan_failures(failed, k0, labels, rec_i, rec_i_z, rec_v_c[:m], chunk_link)
         if len(failed) == n_rows:
             break
-        for row, record in enumerate(records(m, k0, rec_i, rec_i_ref, rec_i_z, policies)):
-            if row in failed:
-                continue
-            for consume in consumers[row]:
-                consume(record)
+        # Each healthy row's record of the chunk.
+        if dc_link is None:
+            bus_v = np.full((m, n_rows, 1), v_dc)
+            i_dc = (0.0 + rec_i_z[:, :, 0] + rec_i_z[:, :, 1] + rec_i_z[:, :, 2])[..., None]
+        else:
+            bus_v = chunk_link[1:, :, :2]
+            i_dc = chunk_link[1:, :, 2:]
+        by_row = (m, n_rows, n_legs)
+        row_v_dc = np.repeat(bus_v, 3, axis=-1)
+        row_i_dc = np.repeat(i_dc, n_legs, axis=-1)
+        row_v_arm = rec_v_arm[:m].reshape(*by_row, 2)
+        row_v_c = rec_v_c[:m].reshape(*by_row, 2 * n)
+        row_u = rec_u[:m].reshape(*by_row, 2 * n)
+        row_i, row_i_ref, row_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
+        for row, row_policy in enumerate(policies):
+            if row not in failed:
+                consume(row, RunRecord(
+                    times=np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s,
+                    labels=list(labels), policy=row_policy,
+                    i=row_i[:, row], i_ref=row_i_ref[:, row], i_z=row_i_z[:, row],
+                    v_up=np.ascontiguousarray(row_v_arm[:, row, :, 0]),
+                    v_low=np.ascontiguousarray(row_v_arm[:, row, :, 1]),
+                    v_c=row_v_c[:, row], u=row_u[:, row],
+                    v_dc_link=row_v_dc[:, row], i_dc_link=row_i_dc[:, row],
+                ))
         if dc_link is not None:
             rec_link[0] = rec_link[m]
     return failed
 
 
 def _scan_failures(
-    failed: dict[int, SimulationDiverged], k0: int, k1: int, labels: list[str],
+    failed: dict[int, SimulationDiverged], k0: int, labels: list[str],
     rec_i: np.ndarray, rec_i_z: np.ndarray, rec_v_c: np.ndarray, rec_link: np.ndarray | None,
-    first: int = 0,
 ) -> None:
     """Add to ``failed`` each batch row not in it yet whose recorded state
-    fails in steps ``[k0, k1)``, with the error of its first failing step.
-    The ``rec_*`` arrays hold step ``first`` in their row 0, and
-    ``rec_link`` the link state before it.  Each arm's capacitors are
-    reduced to their min and max, so nothing the size of the block's
-    ``v_c`` is allocated."""
-    a, b = k0 - first, k1 - first
-    v_c = rec_v_c[a:b]
-    current = ~(np.isfinite(rec_i[a:b]) & np.isfinite(rec_i_z[a:b]))
-    capacitor = ~((v_c.min(axis=(-2, -1)) > 0.0) & (v_c.max(axis=(-2, -1)) < math.inf))
+    fails in the steps the ``rec_*`` arrays hold, from step ``k0`` in
+    their row 0, with the error of its first failing step.  ``rec_link``
+    has one row more, the link state before step ``k0``.  Each arm's
+    capacitors are reduced to their min and max, so nothing the size of
+    the chunk's ``v_c`` is allocated."""
+    current = ~(np.isfinite(rec_i) & np.isfinite(rec_i_z))
+    capacitor = ~((rec_v_c.min(axis=(-2, -1)) > 0.0) & (rec_v_c.max(axis=(-2, -1)) < math.inf))
     # Each row's checks at each step in the order they are reported:
     # (currents, capacitors) leg by leg, then the link states, which are
     # stored (v_mmc1, v_mmc2, i_link) with step k's in row k + 1.
-    checks = [np.stack((current, capacitor), axis=-1).reshape(b - a, -1, 2 * len(labels))]
+    checks = [np.stack((current, capacitor), axis=-1).reshape(len(rec_i), -1, 2 * len(labels))]
     if rec_link is not None:
-        checks.append(~np.isfinite(rec_link[a + 1 : b + 1][..., [2, 0, 1]]))
+        checks.append(~np.isfinite(rec_link[1:, :, [2, 0, 1]]))
     bad = np.concatenate(checks, axis=-1)
     names = [f"phase {label} {what}" for label in labels for what in (
         "currents non-finite", "capacitor voltage non-finite or <= 0")]

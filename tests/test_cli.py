@@ -1,6 +1,7 @@
 """End-to-end tests of the run / compare / metrics commands."""
 
 import json
+import re
 import warnings
 
 import pytest
@@ -90,6 +91,20 @@ def test_metrics_reproduces_run_report(workdir, capsys):
     assert recomputed == run_report
     assert (workdir / "out" / "run.metrics.txt").exists()
     assert (workdir / "out" / "run.metrics.json").exists()
+
+
+def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys):
+    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
+    out = workdir / "out"
+    csv_path = str(out / "run.csv")
+    # Not the guess, the 60 kV bus over n = 6 SMs.
+    assert main(["metrics", csv_path, "--sm-nominal", "9000"]) == 0
+    expected = (str(workdir / "expected.txt"), str(workdir / "expected.json"))
+    write_metrics_report(summarize(load_record_csv(csv_path), None, 9000.0), *expected)
+    for ext in ("txt", "json"):
+        report = (out / f"run.metrics.{ext}").read_bytes()
+        assert report == (workdir / f"expected.{ext}").read_bytes()
+        assert report != (out / f"metrics.{ext}").read_bytes()
 
 
 def test_metrics_default_window_is_the_run_window(workdir, capsys):
@@ -270,6 +285,20 @@ def test_invalid_config_fails_cleanly(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_refuses_a_zero_amplitude_grid_before_writing(workdir, capsys):
+    text = "[grid]\namplitude = 0\n\n[scenario]\nmode = ideal_dc\np_set = 1e6\n"
+    assert main(["run", _write(workdir, "zero.ini", text)]) == 2
+    assert ("error: [scenario] cannot derive current references from a zero-amplitude grid\n"
+            in capsys.readouterr().err)
+    assert not (workdir / "out" / "run.csv").exists()
+
+
+def test_run_refuses_a_csv_path_that_is_a_directory(workdir, capsys):
+    (workdir / "out" / "run.csv").mkdir(parents=True)
+    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 2
+    assert re.search(r"error: cannot open '.*run\.csv' for writing", capsys.readouterr().err)
+
+
 def test_metrics_missing_csv_fails_cleanly(workdir, capsys):
     assert main(["metrics", str(workdir / "absent.csv")]) == 2
     assert "absent.csv" in capsys.readouterr().err
@@ -306,9 +335,9 @@ def test_a_diverging_decimated_run_stops_in_the_chunk_it_fails_in(
 ):
     scanned = []
 
-    def scan(failed, k0, k1, *args):
-        scanned.append(k1)
-        scan_failures(failed, k0, k1, *args)
+    def scan(failed, k0, labels, rec_i, *args):
+        scanned.append(k0 + len(rec_i))
+        scan_failures(failed, k0, labels, rec_i, *args)
 
     scan_failures = testbench._scan_failures
     monkeypatch.setattr(testbench, "_scan_failures", scan)

@@ -15,6 +15,7 @@ import re
 import signal
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmcsim import csvio
+from mmcsim import cli, csvio
 from mmcsim.cli import main
 from mmcsim.config import _FIELDS, _SCHEMA, RunConfig, parse_config, serialize_config
 from mmcsim.controller import SortPolicy
@@ -90,6 +91,13 @@ window_end = 0.3
     assert first == second
     assert second.scenario.duration == 0.30000000000000004
     assert second.window == (0.1, 0.3)
+
+
+def test_config_round_trip_keeps_current_references():
+    first = parse_config("[scenario]\nduration = 0.1\ni_amp = 359.25, -359.25\n")
+    text = serialize_config(first)
+    assert "i_amp = 359.25, -359.25\n" in text and "p_set" not in text
+    assert parse_config(text) == first
 
 
 STOCK_CONFIG_TEXT = """\
@@ -213,6 +221,27 @@ def test_policy_schedule_parsing():
 def test_bad_policy_schedule_rejected(schedule):
     with pytest.raises(ConfigError):
         parse_config(f"[scenario]\npolicy_schedule = {schedule}\n")
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(partial(parse_config, f"[scenario]\n{line}\n"), key, id=line)
+    for line, key in [
+        ("policy_schedule = (0.1, F1V2)", "policy_schedule"),
+        ("p_set = 1e6,", r"\[scenario\] p_set"),
+        ("i_amp = , 120", r"\[scenario\] i_amp"),
+        ("p_set = 1e6 W", r"\[scenario\] p_set"),
+        ("i_amp = 1x20", r"\[scenario\] i_amp"),
+    ]
+] + [
+    pytest.param(partial(Scenario, 1.0, [(0.5, "F1V2")], p_set=(1e6,)), "event policy",
+                 id="event policy F1V2 as text"),
+])
+def test_config_errors_exit_2_naming_their_key(monkeypatch, capsys, make, key):
+    with pytest.raises(ConfigError, match=key):
+        make()
+    monkeypatch.setattr(cli, "_load_config", lambda path: make())
+    assert main(["run", "any.ini"]) == 2
+    assert re.search(f"error: .*{key}", capsys.readouterr().err)
 
 
 def test_default_schedule_trims_to_duration():
@@ -437,7 +466,7 @@ def test_sink_writes_in_one_writer_process(tmp_path, monkeypatch):
 
 def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, capsys):
     # One step fits one formatting block: it is formatted in the caller
-    # at close(), with the writer's bytes; so is a one-step stock `run`.
+    # at once, with the writer's bytes; so is a one-step stock `run`.
     params, record = _small_run()
     pids = _fork_recording(monkeypatch)
     one_step = _steps(record, slice(None, 1))
@@ -454,6 +483,23 @@ def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, ca
     capsys.readouterr()
     assert pids == []
     assert load_record_csv(str(tmp_path / "out" / "run.csv")).steps == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_fork_raises_and_closes_its_pipes(tmp_path, monkeypatch):
+    params, record = _small_run()
+    no_process = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def failing_fork():
+        raise no_process
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with TimeSeriesSink(str(tmp_path / "run.csv"), params.n) as sink:
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as info:
+            sink.write_record(record)
+        assert info.value is no_process
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):

@@ -314,8 +314,12 @@ def _healthy_record(steps, rows, labels):
 
 
 def _scan(record, labels, k0, k1, failed=None):
+    """Scan steps [k0, k1) of a record that starts at step 0, with the
+    link state before step k0."""
     failed = {} if failed is None else failed
-    _scan_failures(failed, k0, k1, labels, *record)
+    rec_i, rec_i_z, rec_v_c, rec_link = record
+    link = None if rec_link is None else rec_link[k0 : k1 + 1]
+    _scan_failures(failed, k0, labels, rec_i[k0:k1], rec_i_z[k0:k1], rec_v_c[k0:k1], link)
     return {row: (error.step, error.detail) for row, error in failed.items()}
 
 
@@ -403,9 +407,9 @@ def test_a_failed_run_stops_at_the_first_scan_after_its_failure(monkeypatch):
     scenario = Scenario(duration=3.0, mode="ideal_dc", i_amp=(5000.0,))
     scans = []
 
-    def scan(failed, k0, k1, *record):
-        scans.append((k0, k1))
-        _scan_failures(failed, k0, k1, *record)
+    def scan(failed, k0, labels, rec_i, *record):
+        scans.append((k0, k0 + len(rec_i)))
+        _scan_failures(failed, k0, labels, rec_i, *record)
 
     monkeypatch.setattr(testbench, "_scan_failures", scan)
     with pytest.raises(SimulationDiverged) as info:
