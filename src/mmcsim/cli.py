@@ -1,14 +1,15 @@
 """Command-line front end: ``run``, ``compare`` and ``metrics``.
 
-* ``run <config>`` simulates one configuration, writes ``run.csv`` plus
-  a metrics report into the output directory, and prints the report.
+* ``run <config>`` simulates one configuration, writes ``run.csv``, its
+  sidecar and a metrics report into the output directory, and prints
+  the report.
 * ``compare <config_a> <config_b>`` runs two configurations that may
   differ only in their policy schedule (anything else is refused with a
   listing of the offending keys), stepping both in one pass, and reports
   both metric sets side by side together with the switching-frequency
   ratio b/a.
 * ``metrics <csv> [--window t0 t1]`` recomputes the summary metrics of
-  a persisted run.
+  a persisted run, from the sidecar ``<csv>.rec`` if it matches the CSV.
 
 The environment variable ``MMCSIM_OUTPUT_DIR`` overrides the configured
 output directory of ``run`` and ``compare`` and the report location of
@@ -30,6 +31,7 @@ from dataclasses import replace
 from .config import RunConfig, parse_config, serialize_config
 from .csvio import (
     TimeSeriesSink,
+    _sidecar_blocks,
     format_metrics_text,
     read_record_blocks,
     write_metrics_report,
@@ -39,6 +41,8 @@ from .metrics import SummaryAccumulator
 from .testbench import _summarize_batch, run_scenario
 
 __all__ = ["main"]
+
+log = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "MMCSIM_OUTPUT_DIR"
 
@@ -146,9 +150,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    # The CSV is summarized block by block as it is read.
-    blocks = read_record_blocks(args.csv)
-    first = next(blocks)
+    # Summarized block by block as read: from the sidecar if it matches, else the CSV.
+    blocks = _sidecar_blocks(args.csv)
+    first = next(blocks, None)
+    log.info("metrics: %s %s", "parsing" if first is None else "reading the sidecar of", args.csv)
+    if first is None:
+        blocks = read_record_blocks(args.csv)
+        first = next(blocks)
     if args.sm_nominal is not None:
         nominal = args.sm_nominal
     else:

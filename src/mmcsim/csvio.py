@@ -23,14 +23,14 @@ Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
 exact text and the bytes equal those of formatting every cell.
 
 A run hands the sink its record chunk by chunk, each a
-:class:`RunRecord`, and the sink hands its writer one too: the kept
-rows of the chunk, sliced into a record of their own and checked in
-the caller.  A first call whose kept rows fit one block of formatting
-is formatted in the caller at once, which costs less than a fork;
-every other call pickles its record into a pipe to a writer process,
-forked at the first such call, which formats and appends it, so a run
-steps while its CSV is written.  Where ``os.fork`` is missing the
-caller formats every call itself, with the same function.
+:class:`RunRecord`, and the sink hands the kept rows of each, checked
+in the caller, to a writer process (see :class:`TimeSeriesSink`), so a
+run steps while its CSV is written.  What writes the rows writes their
+steps to a sidecar too, the CSV's path plus ``.rec``: fixed-layout
+records (``_step_dtype``), then, once the sink closes unless a write
+failed, JSON metadata (the byte size and CRC-32 of the CSV as written,
+``n``, the labels, the policy names) and a footer.  ``mmcsim metrics`` reads
+it (:func:`_sidecar_blocks`) when it names the CSV's size and CRC-32.
 
 The layout is defined once, as a structured row dtype that
 ``csv_columns`` derives from.  The loader reads the file in blocks of
@@ -52,13 +52,14 @@ import os
 import pickle
 import signal
 import warnings
+import zlib
 from collections.abc import Iterator
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .metrics import RunRecord, SummaryMetrics, _row_dtype
+from .metrics import RunRecord, SummaryMetrics, _binary_statuses, _row_dtype
 
 __all__ = [
     "csv_columns",
@@ -73,6 +74,28 @@ _FLOAT_FMT = "%.17g"
 
 # The RunRecord arrays, by name.
 _ARRAYS = ("times", *_row_dtype(1).names[2:-1])
+
+
+# A sidecar ends: JSON metadata, their length, the CRC-32 of all before, _MAGIC.
+_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-1"
+_FOOTER = 8 + 4 + len(_MAGIC)
+# Bytes read at once for a CRC-32: 1 MiB reads cost 2 MiB of peak RSS.
+_IO_BYTES = 1 << 16
+
+
+def _step_dtype(n: int, n_phases: int) -> np.dtype:
+    """One kept step of a sidecar: the RunRecord arrays, then its policy's index."""
+    row = _row_dtype(n)
+    arrays = [(name, row[name].base, (n_phases, *row[name].shape)) for name in _ARRAYS[1:]]
+    return np.dtype([("times", "f8"), *arrays, ("policy", "u4")]).newbyteorder("<")
+
+
+def _crc32(f, size: int) -> int:
+    """CRC-32 of the next ``size`` bytes of ``f`` (fewer where it ends)."""
+    crc = 0
+    for k in range(0, size, _IO_BYTES):
+        crc = zlib.crc32(f.read(min(_IO_BYTES, size - k)), crc)
+    return crc
 
 
 def csv_columns(n: int) -> list[str]:
@@ -115,8 +138,8 @@ def _block_steps(n_phases: int, n2: int) -> int:
     return max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
 
 
-def _write_rows(file, record: RunRecord) -> None:
-    """Append the text of every step of ``record`` to ``file``."""
+def _write_rows(file, record: RunRecord, crc: int) -> int:
+    """Append the text of ``record``'s steps to ``file``; return ``crc`` continued over it."""
     labels = record.labels
     n_phases = len(labels)
     n2 = 2 * record.n
@@ -144,11 +167,14 @@ def _write_rows(file, record: RunRecord) -> None:
         np.add(record.u[b0:b1].reshape(-1, n2), ord("0"), out=table[:, ::2], casting="unsafe")
         u_text = table.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
         row_policy = [p for p in record.policy[b0:b1] for _ in labels]
-        file.write("".join([
+        text = "".join([
             _ROW_FMT % (t, label, phase, status, v, i, pol)
             for (t, v, i), label, phase, status, pol
             in zip(link_text, labels * (b1 - b0), phase_text, u_text, row_policy)
-        ]))
+        ]).encode()
+        file.write(text)
+        crc = zlib.crc32(text, crc)
+    return crc
 
 
 # Bytes the pipe to a writer process is asked to hold: the unprivileged
@@ -161,25 +187,23 @@ _PIPE_BYTES = 1 << 20
 _writer_pipes: set[int] = set()
 
 
-def _writer_main(file, rows_fd: int, error_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
+def _writer_main(sink, rows_fd: int, error_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
     """Body of a writer process: append the rows read from ``rows_fd``
-    to ``file`` until the pipe ends, then exit.  A failure is pickled to
-    ``error_fd`` for the sink to raise.  It never returns into the
-    caller's stack, so a fork under a test runner cannot run the rest of
-    the tests twice.  Its copies of the parent's pipe ends are closed,
-    so a parent that dies ends the rows."""
+    to ``sink``'s files until a ``None`` comes, end them, exit.  A
+    failure is pickled to ``error_fd`` for the sink to raise.  It never
+    returns into the caller's stack, so a fork under a test runner cannot
+    run the rest of the tests twice.  Its copies of the parent's pipe
+    ends are closed, so a parent that dies ends the rows, without the
+    ``None``: the sidecar gets no metadata."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's close() ends it
         for fd in (*parent_fds, *_writer_pipes):
             os.close(fd)
-        with file, os.fdopen(rows_fd, "rb") as rows:
-            while True:
-                try:
-                    record = pickle.load(rows)
-                except EOFError:
-                    break
-                _write_rows(file, record)
+        with sink._file, sink._rec, os.fdopen(rows_fd, "rb") as rows:
+            while (record := pickle.load(rows)) is not None:   # None ends the rows
+                sink._append(record)
+            sink._finish()
         status = 0
     except BaseException as exc:   # whatever it is, the parent raises it
         with os.fdopen(error_fd, "wb") as errors:
@@ -202,7 +226,8 @@ class TimeSeriesSink:
     caller at once, and only a later call, or a larger first one, forks
     the writer: a short run forks nothing.  Where ``os.fork`` is
     missing every call is formatted in the caller, with the same
-    function.
+    function.  What writes a call's rows writes its steps to the sidecar
+    too; only :meth:`close` makes the sidecar's metadata be written.
 
     The writer does no BLAS call and no logging: a forked child holds
     only the forking thread, while numpy's BLAS keeps a thread pool, and
@@ -221,37 +246,53 @@ class TimeSeriesSink:
         self._pid: int | None = None     # the writer process, once forked
         self._pipe = None                # rows to it
         self._errors: int | None = None  # its failure, pickled
+        self._labels: list[str] | None = None   # of the first kept step
+        self._policies: dict[str, int] = {}     # policy names, by sidecar index
+        self._rec_crc = 0                       # of the sidecar so far
+        self._broken = False                    # a write in the caller failed
+        self._rec = None
         try:
-            self._file = open(path, "w", newline="", encoding="utf-8")
+            self._rec = open(path + _SIDECAR, "wb")   # first: a refused sink keeps the CSV
+            self._file = open(path, "wb")
         except OSError as exc:
+            if self._rec:
+                self._rec.close()
             raise ConfigError(f"cannot open {path!r} for writing: {exc}") from exc
-        self._file.write(",".join(self.columns) + "\n")
+        header = (",".join(self.columns) + "\n").encode()
+        self._file.write(header)
+        self._csv_crc = zlib.crc32(header)      # of the CSV so far
 
     def write_record(self, record: RunRecord) -> None:
         """Append the rows of the steps the sink keeps: step k of all
         those given, counted across calls, when (k + 1) % decimation == 0.
 
         Raises ContractError, before writing anything, when the kept rows
-        would go backwards in time or hold a status other than 0 or 1.
+        would go backwards in time, hold a status other than 0 or 1, or
+        name other phases than the rows before them.
         """
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
+        if self._labels not in (None, record.labels):
+            raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
         rows = RunRecord(labels=record.labels, policy=record.policy[kept],
                          **{name: getattr(record, name)[kept] for name in _ARRAYS})
         times, u = rows.times, rows.u
         if times.size and (times[0] < self._last_t or (times[1:] < times[:-1]).any()):
             raise ContractError("record rows would go backwards in time")
-        if np.count_nonzero(u == 0) + np.count_nonzero(u == 1) != u.size:
+        if not _binary_statuses(u).all():
             raise ContractError("switch statuses must be 0 or 1")
         self._steps += record.steps
         if times.size == 0:
             return
         first, self._last_t = self._last_t == -np.inf, times[-1]
+        self._labels = rows.labels
         if not hasattr(os, "fork") or (
             first and times.size <= _block_steps(len(rows.labels), 2 * self.n)
         ):
-            _write_rows(self._file, rows)
+            self._broken = True   # until the rows are in both files
+            self._append(rows)
+            self._broken = False
             return
         if self._pid is None:
             self._fork_writer()
@@ -262,10 +303,30 @@ class TimeSeriesSink:
             self.close()   # raises the writer's failure
             raise
 
+    def _append(self, rows: RunRecord) -> None:
+        """Write the kept ``rows`` to the CSV, then to the sidecar."""
+        self._csv_crc = _write_rows(self._file, rows, self._csv_crc)
+        table = np.empty(rows.steps, _step_dtype(self.n, len(rows.labels)))
+        for name in _ARRAYS:
+            table[name] = getattr(rows, name)
+        table["policy"] = [self._policies.setdefault(p, len(self._policies)) for p in rows.policy]
+        self._rec_crc = zlib.crc32(table, self._rec_crc)
+        self._rec.write(table)
+
+    def _finish(self) -> None:
+        """End the sidecar with its metadata and footer, unless a write failed."""
+        if not self._broken:
+            meta = {"csv": [self._file.tell(), self._csv_crc],   # byte size, CRC-32
+                    "n": self.n, "labels": self._labels, "policies": list(self._policies)}
+            tail = json.dumps(meta, sort_keys=True).encode()
+            tail += len(tail).to_bytes(8, "little")
+            self._rec.write(tail + zlib.crc32(tail, self._rec_crc).to_bytes(4, "little") + _MAGIC)
+
     def _fork_writer(self) -> None:
         import fcntl   # POSIX, as os.fork is
 
         self._file.flush()
+        self._rec.flush()
         rows_r, rows_w = os.pipe()
         errors_r, errors_w = os.pipe()
         # A pipe that holds several blocks (Linux) lets the caller step
@@ -279,25 +340,29 @@ class TimeSeriesSink:
                 os.close(fd)
             raise
         if pid == 0:
-            _writer_main(self._file, rows_r, errors_w, (rows_w, errors_r))
+            _writer_main(self, rows_r, errors_w, (rows_w, errors_r))
         os.close(rows_r)
         os.close(errors_w)
         self._file.close()
+        self._rec.close()
         self._pid, self._errors = pid, errors_r
         self._pipe = os.fdopen(rows_w, "wb")
         _writer_pipes.add(rows_w)
 
     def close(self) -> None:
-        """Finish the file; raise what the writer process failed with."""
-        self._file.close()
+        """Finish the CSV and its sidecar; raise what the writer process failed with."""
         if self._pid is None:
+            if not self._rec.closed:
+                with self._file, self._rec:
+                    self._finish()
             return
         pid, self._pid = self._pid, None
         _writer_pipes.discard(self._pipe.fileno())
-        try:
-            self._pipe.close()
-        except BrokenPipeError:
-            pass   # the writer has exited; its error tells why
+        with contextlib.suppress(BrokenPipeError):   # the writer has exited; its error tells why
+            try:
+                pickle.dump(None, self._pipe)   # a writer that sees no end writes no metadata
+            finally:
+                self._pipe.close()
         with os.fdopen(self._errors, "rb") as errors:
             failure = errors.read()
         _, status = os.waitpid(pid, 0)
@@ -362,6 +427,44 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
         _name_undecodable_line(path)
 
 
+def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
+    """The blocks of :func:`read_record_blocks`, from the sidecar of the CSV
+    at ``path``; none unless the sidecar matches its CRC-32, holds a step
+    and names the CSV's byte size and CRC-32."""
+    try:
+        f = open(path + _SIDECAR, "rb")
+    except OSError:
+        return
+    with f:
+        try:
+            body = f.seek(-_FOOTER, os.SEEK_END)   # OSError when the file is shorter
+            footer = f.read()
+            f.seek(0)
+            if footer[12:] != _MAGIC or _crc32(f, body + 8).to_bytes(4, "little") != footer[8:12]:
+                return
+            length = int.from_bytes(footer[:8], "little")
+            f.seek(body - length)
+            meta = json.loads(f.read(length))
+            with open(path, "rb") as csv:
+                size = os.fstat(csv.fileno()).st_size
+                if not meta["labels"] or meta["csv"] != [size, _crc32(csv, size)]:
+                    return
+        except OSError:
+            return
+        labels, policies = meta["labels"], meta["policies"]
+        dtype = _step_dtype(meta["n"], len(labels))
+        steps = (body - length) // dtype.itemsize
+        block = max(1, _block_rows(len(csv_columns(meta["n"]))) // len(labels))
+        f.seek(0)
+        for k0 in range(0, steps, block):
+            table = np.empty(min(block, steps - k0), dtype)
+            if f.readinto(table) != table.nbytes:
+                raise ContractError(f"{path + _SIDECAR!r} ended while it was read")
+            yield RunRecord(labels=labels, policy=[policies[j] for j in table["policy"].tolist()],
+                            **{name: table[name] if name in ("v_c", "u") else table[name].copy()
+                               for name in _ARRAYS})
+
+
 def _parse_blocks(path: str) -> Iterator[RunRecord]:
     with open(path, newline="", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split(",")
@@ -407,8 +510,7 @@ def _parse_blocks(path: str) -> Iterator[RunRecord]:
             _refuse(path, first, policy != policy[:, :1],
                     "has a policy other than its step's first row")
             u = table["u"]
-            _refuse(path, first, ((u != 0) & (u != 1)).any(axis=1),
-                    "has a switch status other than 0 or 1")
+            _refuse(path, first, ~_binary_statuses(u), "has a switch status other than 0 or 1")
             # Every row of a step repeats the step's time text, hence its bits.
             t_bits = step["t"].view(np.int64)
             _refuse(path, first, t_bits != t_bits[:, :1],

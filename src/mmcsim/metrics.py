@@ -80,6 +80,13 @@ def _row_dtype(n: int) -> np.dtype:
     ])
 
 
+def _binary_statuses(u: np.ndarray) -> np.ndarray:
+    """Per entry of ``u``'s first axis: does it hold statuses of 0 or 1 only?"""
+    binary = u == 0
+    binary |= u == 1   # in place: a third array cost 0.1 MiB of peak RSS in `compare`
+    return binary.all(axis=tuple(range(1, u.ndim)))
+
+
 # ===== RUN SUMMARY =====
 
 
@@ -201,7 +208,7 @@ class SummaryAccumulator:
         reduce its statuses and capacitor voltages.  The first chunk's
         per-phase arrays are kept as they are, not copied."""
         u = record.u
-        if np.count_nonzero(u == 0) + np.count_nonzero(u == 1) != u.size:
+        if not _binary_statuses(u).all():
             raise ContractError("switch statuses must be 0 or 1")
         if self._transitions is None:
             self.labels = record.labels

@@ -265,7 +265,7 @@ def _signed_amplitudes(scenario: Scenario, grid: GridSource) -> list[float]:
     if scenario.i_amp is not None:
         return list(scenario.i_amp)
     if grid.amplitude == 0.0:
-        raise ConfigError("cannot derive current references from a zero-amplitude grid")
+        raise ConfigError("p_set needs a non-zero [grid] amplitude to derive current references")
     return [2.0 * p / (3.0 * grid.amplitude) for p in scenario.p_set]
 
 

@@ -1,15 +1,27 @@
 """End-to-end tests of the run / compare / metrics commands."""
 
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mmcsim
 from mmcsim import testbench
 from mmcsim.cli import OUTPUT_DIR_ENV, main
 from mmcsim.config import parse_config
-from mmcsim.csvio import TimeSeriesSink, load_record_csv, write_metrics_report
+from mmcsim.csvio import (
+    TimeSeriesSink,
+    _sidecar_blocks,
+    load_record_csv,
+    read_record_blocks,
+    write_metrics_report,
+)
 from mmcsim.errors import SimulationDiverged
 from mmcsim.metrics import SummaryMetrics, summarize
 from mmcsim.testbench import _SCAN_STEPS, run_scenario, simulate
@@ -41,6 +53,35 @@ def _write(workdir, name, text):
     return str(path)
 
 
+def _metrics(capsys, caplog, csv_path, *options, reads_sidecar=True):
+    """Run ``mmcsim metrics`` on a CSV that ``run`` wrote, twice: with the
+    sidecar beside it (read unless ``reads_sidecar`` is false), then, with
+    the sidecar deleted, from the CSV text.  Each must name the source it
+    read; both must exit alike, print the same text and leave the same
+    report bytes, or none.  Returns the exit code and the captured output
+    of the parse, whose report stays."""
+    csv_path = str(csv_path)
+    out = os.environ.get(OUTPUT_DIR_ENV) or os.path.dirname(csv_path)
+    stem = os.path.splitext(os.path.basename(csv_path))[0]
+    reports = [os.path.join(out, f"{stem}.metrics.{ext}") for ext in ("txt", "json")]
+    caplog.set_level(logging.INFO, logger="mmcsim.cli")
+    capsys.readouterr()
+    runs = []
+    for source in ("reading the sidecar of" if reads_sidecar else "parsing", "parsing"):
+        for path in reports:
+            if os.path.exists(path):
+                os.remove(path)
+        caplog.clear()
+        code = main(["metrics", csv_path, *options])
+        assert caplog.messages == [f"metrics: {source} {csv_path}"]
+        written = [Path(path).read_bytes() if os.path.exists(path) else None for path in reports]
+        runs.append((code, capsys.readouterr(), written))
+        if os.path.exists(csv_path + ".rec"):
+            os.remove(csv_path + ".rec")
+    assert runs[0] == runs[1]
+    return runs[1][:2]
+
+
 def _parse_report(text):
     values = {}
     for line in text.splitlines():
@@ -53,7 +94,7 @@ def _parse_report(text):
 def test_run_writes_artifacts(workdir, capsys):
     cfg = _write(workdir, "run.ini", SMALL_CONFIG)
     assert main(["run", cfg]) == 0
-    for name in ("run.csv", "metrics.txt", "metrics.json"):
+    for name in ("run.csv", "run.csv.rec", "metrics.txt", "metrics.json"):
         assert (workdir / "out" / name).exists()
     report = _parse_report(capsys.readouterr().out)
     assert report["fs_mean_hz"] > 0.0
@@ -74,31 +115,34 @@ def test_run_twice_is_byte_identical(workdir, capsys):
     cfg = _write(workdir, "run.ini", SMALL_CONFIG)
     assert main(["run", cfg]) == 0
     first_csv = (workdir / "out" / "run.csv").read_bytes()
+    first_rec = (workdir / "out" / "run.csv.rec").read_bytes()
     first_json = (workdir / "out" / "metrics.json").read_bytes()
     capsys.readouterr()
     assert main(["run", cfg]) == 0
     assert (workdir / "out" / "run.csv").read_bytes() == first_csv
+    assert (workdir / "out" / "run.csv.rec").read_bytes() == first_rec
     assert (workdir / "out" / "metrics.json").read_bytes() == first_json
 
 
-def test_metrics_reproduces_run_report(workdir, capsys):
+def test_metrics_reproduces_run_report(workdir, capsys, caplog):
     cfg = _write(workdir, "run.ini", SMALL_CONFIG)
     assert main(["run", cfg]) == 0
     run_report = _parse_report(capsys.readouterr().out)
     csv_path = str(workdir / "out" / "run.csv")
-    assert main(["metrics", csv_path, "--window", "0.0", "0.01"]) == 0
-    recomputed = _parse_report(capsys.readouterr().out)
+    code, captured = _metrics(capsys, caplog, csv_path, "--window", "0.0", "0.01")
+    assert code == 0
+    recomputed = _parse_report(captured.out)
     assert recomputed == run_report
     assert (workdir / "out" / "run.metrics.txt").exists()
     assert (workdir / "out" / "run.metrics.json").exists()
 
 
-def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys):
+def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys, caplog):
     assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
     out = workdir / "out"
     csv_path = str(out / "run.csv")
     # Not the guess, the 60 kV bus over n = 6 SMs.
-    assert main(["metrics", csv_path, "--sm-nominal", "9000"]) == 0
+    assert _metrics(capsys, caplog, csv_path, "--sm-nominal", "9000")[0] == 0
     expected = (str(workdir / "expected.txt"), str(workdir / "expected.json"))
     write_metrics_report(summarize(load_record_csv(csv_path), None, 9000.0), *expected)
     for ext in ("txt", "json"):
@@ -107,32 +151,32 @@ def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys):
         assert report != (out / f"metrics.{ext}").read_bytes()
 
 
-def test_metrics_default_window_is_the_run_window(workdir, capsys):
+def test_metrics_default_window_is_the_run_window(workdir, capsys, caplog):
     # Back-to-back, no [output] window: run evaluates (0, duration).
     cfg = _write(workdir, "run.ini", "[scenario]\nduration = 0.04\n")
     assert main(["run", cfg]) == 0
     out = workdir / "out"
-    assert main(["metrics", str(out / "run.csv")]) == 0
+    assert _metrics(capsys, caplog, out / "run.csv")[0] == 0
     assert (out / "run.metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
     assert (out / "run.metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
 
 
-def test_metrics_default_window_includes_the_last_sample(workdir, capsys):
+def test_metrics_default_window_includes_the_last_sample(workdir, capsys, caplog):
     # 0.06 s at t_s = 25e-6 ends at 0.060000000000000005, past the duration.
     cfg = _write(workdir, "run.ini", "[scenario]\nduration = 0.06\n")
     assert main(["run", cfg]) == 0
     out = workdir / "out"
     assert json.loads((out / "metrics.json").read_text())["window_end_s"] > 0.06
-    assert main(["metrics", str(out / "run.csv")]) == 0
+    assert _metrics(capsys, caplog, out / "run.csv")[0] == 0
     assert (out / "run.metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
 
-def test_metrics_refuses_an_infinite_window(workdir, capsys):
+def test_metrics_refuses_an_infinite_window(workdir, capsys, caplog):
     cfg = _write(workdir, "run.ini", SMALL_CONFIG)
     assert main(["run", cfg]) == 0
-    capsys.readouterr()
-    assert main(["metrics", str(workdir / "out" / "run.csv"), "--window", "0", "inf"]) == 2
-    assert "window must be finite" in capsys.readouterr().err
+    code, captured = _metrics(capsys, caplog, workdir / "out" / "run.csv", "--window", "0", "inf")
+    assert code == 2
+    assert "window must be finite" in captured.err
     assert not (workdir / "out" / "run.metrics.json").exists()
 
 
@@ -288,8 +332,8 @@ def test_invalid_config_fails_cleanly(workdir, capsys):
 def test_run_refuses_a_zero_amplitude_grid_before_writing(workdir, capsys):
     text = "[grid]\namplitude = 0\n\n[scenario]\nmode = ideal_dc\np_set = 1e6\n"
     assert main(["run", _write(workdir, "zero.ini", text)]) == 2
-    assert ("error: [scenario] cannot derive current references from a zero-amplitude grid\n"
-            in capsys.readouterr().err)
+    assert ("error: [scenario] p_set needs a non-zero [grid] amplitude to derive current"
+            " references\n" in capsys.readouterr().err)
     assert not (workdir / "out" / "run.csv").exists()
 
 
@@ -377,7 +421,7 @@ BLOCK_STEPS = 404   # 0.0101 s: no multiple of 3, 7, 50 or 128
     (128, 130), (128, 300), (7, 300),
 ])
 def test_run_writes_the_bytes_of_a_whole_record_write(
-    workdir, monkeypatch, mode, scan_steps, decimation
+    workdir, monkeypatch, capsys, caplog, mode, scan_steps, decimation
 ):
     text = BLOCK_CONFIG.format(mode=mode, decimation=decimation)
     config = parse_config(text)
@@ -397,10 +441,10 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     for name in ("run.csv", "metrics.json"):
         assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
 
-    # ``metrics`` reads the CSV block by block; its report is that of the
-    # scalar oracle on the per-field load of the whole file.
+    # ``metrics`` reads the sidecar, or the CSV, block by block; its report
+    # is that of the scalar oracle on the per-field load of the whole file.
     csv_path = str(workdir / "out" / "run.csv")
-    assert main(["metrics", csv_path]) == 0
+    assert _metrics(capsys, caplog, csv_path)[0] == 0
     loaded = oracle_load(csv_path)
     expected = reference_summarize(
         loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
@@ -432,6 +476,144 @@ def test_metrics_names_a_line_that_is_not_utf8(workdir, capsys):
     capsys.readouterr()
     assert main(["metrics", str(csv_path)]) == 2
     assert "line 6 is not UTF-8 text" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- sidecar
+
+
+def _run_small(workdir, text=SMALL_CONFIG, code=0):
+    assert main(["run", _write(workdir, "run.ini", text)]) == code
+    return str(workdir / "out" / "run.csv")
+
+
+def test_metrics_parses_a_csv_edited_to_the_same_size(workdir, capsys, caplog):
+    csv_path = _run_small(workdir)
+    lines = Path(csv_path).read_text().splitlines(keepends=True)
+    fields = lines[10].split(",")
+    digit = next(c for c in fields[2] if c.isdigit())
+    fields[2] = fields[2].replace(digit, "5" if digit != "5" else "6", 1)
+    lines[10] = ",".join(fields)
+    Path(csv_path).write_text("".join(lines))
+    assert os.path.getsize(csv_path) == sum(map(len, lines))
+    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+    # The sidecar holds the run's record, whose report the edit changes.
+    report = (workdir / "out" / "run.metrics.txt").read_bytes()
+    assert report != (workdir / "out" / "metrics.txt").read_bytes()
+
+
+def _cut(data, at):
+    return data[:at]
+
+
+def _flip(data, at):
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("spoil", [
+    None,                               # deleted
+    lambda data: b"",
+    lambda data: _cut(data, len(data) - 1),
+    lambda data: _cut(data, len(data) // 2),
+    lambda data: _flip(data, len(data) - 1),    # the magic
+    lambda data: _flip(data, len(data) - 14),   # the CRC-32
+    lambda data: _flip(data, len(data) - 24),   # the metadata's length
+    lambda data: _flip(data, len(data) - 40),   # the metadata
+    lambda data: _flip(data, 100),              # a record
+], ids=["deleted", "empty", "cut_by_a_byte", "cut_in_half", "magic", "crc", "length",
+        "metadata", "record"])
+def test_metrics_parses_when_the_sidecar_is_spoilt(workdir, capsys, caplog, spoil):
+    csv_path = _run_small(workdir)
+    sidecar = Path(csv_path + ".rec")
+    if spoil is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_bytes(spoil(sidecar.read_bytes()))
+    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+
+
+def test_metrics_parses_when_the_sidecar_is_of_another_run(workdir, monkeypatch, capsys, caplog):
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(workdir / "other"))
+    _run_small(workdir, SMALL_CONFIG.replace("p_set = 13.18e6", "p_set = 12e6"))
+    monkeypatch.delenv(OUTPUT_DIR_ENV)
+    csv_path = _run_small(workdir)
+    Path(csv_path + ".rec").write_bytes((workdir / "other" / "run.csv.rec").read_bytes())
+    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+
+
+def test_metrics_of_a_csv_without_data_rows_exits_2_as_the_parser(workdir, capsys, caplog):
+    # 4 steps at decimation 50 keep none: a header, and a sidecar without steps.
+    text = SMALL_CONFIG.replace("duration = 0.01", "duration = 0.0001")
+    csv_path = _run_small(workdir, text.replace("decimation = 1", "decimation = 50"))
+    assert os.path.exists(csv_path + ".rec")
+    code, captured = _metrics(capsys, caplog, csv_path, reads_sidecar=False)
+    assert code == 2
+    assert "contains no data rows" in captured.err
+
+
+@pytest.mark.parametrize("text, code", [
+    # Diverges at step 274 and leaves steps 0-255.
+    ("[converter]\nc_sm = 2e-5\n\n[scenario]\nmode = ideal_dc\nduration = 0.05\n"
+     "i_amp = 5000\n", 3),
+    ("[scenario]\nduration = 0.05\npolicy_schedule = [(0.02, F1V2)]\n\n"
+     "[output]\ndecimation = 50\n", 0),
+    ("[converter]\nn_sm = 48\n\n[scenario]\nmode = ideal_dc\nduration = 0.01\n"
+     "policy_schedule = [(0.0, F1V2)]\n", 0),
+], ids=["diverged", "back_to_back_decimation_50", "n_48"])
+def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog, text, code):
+    csv_path = _run_small(workdir, text, code)
+    sidecar, parsed = list(_sidecar_blocks(csv_path)), list(read_record_blocks(csv_path))
+    assert len(sidecar) == len(parsed) > 0
+    for a, b in zip(sidecar, parsed):
+        assert (a.labels, a.policy) == (b.labels, b.policy)
+        for name in ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
+                     "v_dc_link", "i_dc_link"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert _metrics(capsys, caplog, csv_path)[0] == 0
+
+
+def test_run_and_metrics_load_no_openssl(tmp_path):
+    # hashlib loads OpenSSL, about 3.6 MiB of resident memory; zlib does not.
+    (tmp_path / "run.ini").write_text(SMALL_CONFIG)
+    script = (
+        "import sys\n"
+        "from mmcsim.cli import main\n"
+        "assert main(['run', 'run.ini']) == 0\n"
+        "assert main(['metrics', 'out/run.csv']) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != OUTPUT_DIR_ENV}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mmcsim.__file__))
+    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"
+    assert "mmcsim.cli: metrics: reading the sidecar of out/run.csv\n" in child.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_run_refuses_a_sidecar_path_that_is_a_directory(workdir, capsys):
+    (workdir / "out" / "run.csv.rec").mkdir(parents=True)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 2
+    assert re.search(r"error: cannot open '.*run\.csv' for writing: .*run\.csv\.rec",
+                     capsys.readouterr().err)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert not (workdir / "out" / "run.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_run_and_metrics_leave_no_file_descriptor_open(workdir, capsys):
+    fds = len(os.listdir("/proc/self/fd"))
+    csv_path = _run_small(workdir)
+    assert main(["metrics", csv_path]) == 0
+    # Stopped after the sidecar's first block.
+    assert main(["metrics", csv_path, "--window", "0", "inf"]) == 2
+    rec = Path(csv_path + ".rec")
+    rec.write_bytes(_flip(rec.read_bytes(), 100))
+    assert main(["metrics", csv_path]) == 0
+    _run_small(workdir, "[scenario]\nduration = 0.01\n\n[output]\ndirectory = out\n")
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_run_rejects_an_unstable_dc_link(workdir, capsys):

@@ -29,6 +29,7 @@ from mmcsim.config import _FIELDS, _SCHEMA, RunConfig, parse_config, serialize_c
 from mmcsim.controller import SortPolicy
 from mmcsim.csvio import (
     TimeSeriesSink,
+    _sidecar_blocks,
     csv_columns,
     format_metrics_text,
     load_record_csv,
@@ -494,12 +495,40 @@ def test_a_failed_fork_raises_and_closes_its_pipes(tmp_path, monkeypatch):
         raise no_process
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    with TimeSeriesSink(str(tmp_path / "run.csv"), params.n) as sink:
+    path = str(tmp_path / "run.csv")
+    before = len(os.listdir("/proc/self/fd"))
+    with TimeSeriesSink(path, params.n) as sink:
         open_fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError) as info:
             sink.write_record(record)
         assert info.value is no_process
         assert len(os.listdir("/proc/self/fd")) == open_fds
+    # The CSV and its sidecar are closed too, and the sidecar holds no
+    # step the CSV lacks.
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert list(_sidecar_blocks(path)) == []
+    with pytest.raises(ContractError, match="contains no data rows"):
+        load_record_csv(path)
+
+
+@pytest.mark.parametrize("raised", [NO_SPACE, KeyboardInterrupt()])
+def test_a_write_failed_in_the_caller_leaves_no_sidecar_metadata(tmp_path, monkeypatch, raised):
+    params, record = _small_run()
+    monkeypatch.delattr(os, "fork")   # every call is written in the caller
+
+    def failing(n, n_phases):
+        raise raised
+
+    path = str(tmp_path / "run.csv")
+    with pytest.raises(type(raised)):
+        with TimeSeriesSink(path, params.n) as sink:
+            sink.write_record(_steps(record, slice(None, 5)))
+            monkeypatch.setattr(csvio, "_step_dtype", failing)
+            sink.write_record(_steps(record, slice(5, None)))
+    monkeypatch.undo()
+    # The second call's rows reached the CSV but not the sidecar.
+    _assert_same_record(load_record_csv(path), record)
+    assert list(_sidecar_blocks(path)) == []
 
 
 def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
@@ -524,6 +553,22 @@ def test_close_raises_the_writer_failure(tmp_path, monkeypatch):
     assert (info.value.errno, str(info.value)) == (errno.ENOSPC, str(NO_SPACE))
     assert len(pids) == 1
     _assert_reaped(pids)
+
+
+def test_rows_that_end_before_the_sink_closes_end_no_sidecar(tmp_path, monkeypatch):
+    params, record = _small_run()
+    pids = _fork_recording(monkeypatch)
+    path = str(tmp_path / "run.csv")
+    sink = TimeSeriesSink(path, params.n)
+    sink.write_record(record)
+    # As when the caller dies: the writer sees the pipe end without the sink closing.
+    monkeypatch.setattr(csvio.pickle, "dump", lambda *args: None)
+    with pytest.raises(EOFError):
+        sink.close()
+    _assert_reaped(pids)
+    monkeypatch.undo()
+    _assert_same_record(load_record_csv(path), record)
+    assert list(_sidecar_blocks(path)) == []
 
 
 def test_run_exits_2_when_the_csv_writer_fails(tmp_path, monkeypatch, capsys):
@@ -588,8 +633,13 @@ def test_a_caller_exception_leaves_the_sink_unchanged(tmp_path, monkeypatch, rai
     assert info.value is raised
     assert len(pids) == 1
     _assert_reaped(pids)
+    path = str(tmp_path / "run.csv")
     if not writer_fails:
-        _assert_same_record(load_record_csv(str(tmp_path / "run.csv")), record)
+        _assert_same_record(load_record_csv(path), record)
+        _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+    else:
+        # The writer failed: the sidecar has no metadata.
+        assert list(_sidecar_blocks(path)) == []
 
 
 def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
@@ -612,6 +662,17 @@ def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
         signal.signal(signal.SIGALRM, previous)
     for name in ("first.csv", "second.csv"):
         _assert_same_record(load_record_csv(str(tmp_path / name)), record)
+
+
+def test_sink_rejects_a_record_with_other_phases(tmp_path):
+    _, record = _small_run()
+    path = tmp_path / "phases.csv"
+    with TimeSeriesSink(str(path), record.n) as sink:
+        sink.write_record(_steps(record, slice(None, 5)))
+        with pytest.raises(ContractError, match="record has phases"):
+            sink.write_record(replace(_steps(record, slice(5, None)), labels=["x", "y", "z"]))
+    _assert_same_record(load_record_csv(str(path)), _steps(record, slice(None, 5)))
+    _assert_same_blocks(_sidecar_blocks(str(path)), read_record_blocks(str(path)))
 
 
 @pytest.mark.parametrize("status", [2, -1, 0.5, np.nan])
@@ -714,6 +775,15 @@ def _check_against_oracles(tmp_path, record, decimation=1, split=None):
         sink.write_record(record, decimation=decimation)
     assert new_path.read_bytes() == oracle_path.read_bytes()
     _assert_same_record(load_record_csv(str(new_path)), oracle_load(str(oracle_path)))
+    _assert_same_blocks(_sidecar_blocks(str(new_path)), read_record_blocks(str(new_path)))
+
+
+def _assert_same_blocks(sidecar_blocks, parsed_blocks):
+    """The sidecar's blocks are the parsed blocks, array by array."""
+    sidecar, parsed = list(sidecar_blocks), list(parsed_blocks)
+    assert len(sidecar) == len(parsed) > 0
+    for a, b in zip(sidecar, parsed):
+        _assert_same_record(a, b)
 
 
 @pytest.mark.parametrize("decimation", [1, 3])

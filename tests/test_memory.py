@@ -11,6 +11,8 @@ times the slack.  The runs are short because tracing every allocation
 slows the stepping about twentyfold.
 """
 
+import logging
+import shutil
 import tracemalloc
 
 import pytest
@@ -94,9 +96,18 @@ def test_a_compare_batch_holds_a_chunk_of_per_sm_state():
     _assert_bounded(peaks, rows=2)
 
 
-def test_metrics_on_a_csv_holds_a_block_of_per_sm_state(run_csvs, tmp_path, monkeypatch, capsys):
+def test_metrics_on_a_csv_holds_a_block_of_per_sm_state(
+    run_csvs, tmp_path, monkeypatch, capsys, caplog
+):
+    # From the sidecar the sink wrote beside each CSV, then from the text
+    # of a copy of the CSV that has none.
     _, paths = run_csvs
     monkeypatch.setenv("MMCSIM_OUTPUT_DIR", str(tmp_path))
-    peaks = [_peak(lambda: main(["metrics", path])) for path in paths]
-    capsys.readouterr()
-    _assert_bounded(peaks)
+    caplog.set_level(logging.INFO, logger="mmcsim.cli")
+    copies = [shutil.copy(path, tmp_path) for path in paths]
+    for source, csvs in (("reading the sidecar of", paths), ("parsing", copies)):
+        caplog.clear()
+        peaks = [_peak(lambda: main(["metrics", path])) for path in csvs]
+        assert caplog.messages == [f"metrics: {source} {path}" for path in csvs]
+        capsys.readouterr()
+        _assert_bounded(peaks)
