@@ -24,13 +24,14 @@ exact text and the bytes equal those of formatting every cell.
 
 A run hands the sink its record chunk by chunk, each a
 :class:`RunRecord`, and the sink hands the kept rows of each, checked
-in the caller, to a writer process (see :class:`TimeSeriesSink`), so a
-run steps while its CSV is written.  What writes the rows writes their
-steps to a sidecar too, the CSV's path plus ``.rec``: fixed-layout
-records (``_step_dtype``), then, once the sink closes unless a write
-failed, JSON metadata (the byte size and CRC-32 of the CSV as written,
-``n``, the labels, the policy names) and a footer.  ``mmcsim metrics`` reads
-it (:func:`_sidecar_blocks`) when it names the CSV's size and CRC-32.
+in the caller, to a writer process that only formats them (see
+:class:`TimeSeriesSink`), so a run steps while its CSV is written.  The
+caller writes their steps to a sidecar, the CSV's path plus ``.rec``:
+fixed-layout records (``_step_dtype``), then, once the sink closes
+unless a write failed, JSON metadata (the byte size and CRC-32 of the
+CSV as written, ``n``, the labels, the policy names) and a footer.
+``mmcsim metrics`` reads it (:func:`_sidecar_blocks`) when it names the
+CSV's size and CRC-32.
 
 The layout is defined once, as a structured row dtype that
 ``csv_columns`` derives from.  The loader reads the file in blocks of
@@ -181,33 +182,32 @@ def _write_rows(file, record: RunRecord, crc: int) -> int:
 # limit of Linux, about nine 128-step blocks of a back-to-back run.
 _PIPE_BYTES = 1 << 20
 
-# Write ends of the pipes to this process's live writer processes.  A
-# writer forked later closes its copies, so that each writer sees the
-# end of its rows when its own sink closes.
-_writer_pipes: set[int] = set()
 
-
-def _writer_main(sink, rows_fd: int, error_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
-    """Body of a writer process: append the rows read from ``rows_fd``
-    to ``sink``'s files until a ``None`` comes, end them, exit.  A
-    failure is pickled to ``error_fd`` for the sink to raise.  It never
-    returns into the caller's stack, so a fork under a test runner cannot
-    run the rest of the tests twice.  Its copies of the parent's pipe
-    ends are closed, so a parent that dies ends the rows, without the
-    ``None``: the sidecar gets no metadata."""
+def _writer_main(file, crc: int, rows_fd: int, result_fd: int,
+                 parent_fds: tuple[int, ...]) -> NoReturn:
+    """Body of a writer process: format the records read from ``rows_fd``
+    into the CSV ``file``, whose bytes so far have the CRC-32 ``crc``,
+    until a ``None`` comes; then pickle the CSV's byte size and CRC-32,
+    or the exception that ended the rows, to ``result_fd`` for the sink.
+    It exits even when that pipe is broken, and never returns into the
+    caller's stack, so a fork under a test runner cannot run the rest of
+    the tests twice.  Its copies of the caller's pipe ends are closed,
+    so a caller that dies ends the rows, without the ``None``."""
     status = 1
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent's close() ends it
-        for fd in (*parent_fds, *_writer_pipes):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller's close() ends it
+        for fd in parent_fds:
             os.close(fd)
-        with sink._file, sink._rec, os.fdopen(rows_fd, "rb") as rows:
-            while (record := pickle.load(rows)) is not None:   # None ends the rows
-                sink._append(record)
-            sink._finish()
-        status = 0
-    except BaseException as exc:   # whatever it is, the parent raises it
-        with os.fdopen(error_fd, "wb") as errors:
-            errors.write(pickle.dumps(exc))
+        try:
+            with file, os.fdopen(rows_fd, "rb") as rows:
+                while (record := pickle.load(rows)) is not None:   # None ends the rows
+                    crc = _write_rows(file, record, crc)
+                size = file.tell()
+            result, status = (size, crc), 0
+        except BaseException as exc:   # whatever it is, the caller raises it
+            result = exc
+        with os.fdopen(result_fd, "wb") as out:
+            out.write(pickle.dumps(result))
     finally:
         os._exit(status)
 
@@ -218,16 +218,17 @@ class TimeSeriesSink:
     The rows are formatted in a writer process, so that a run steps on
     one core while its CSV is formatted on another.  Each call checks
     its kept rows in the caller, as a :class:`RunRecord` of their own,
-    then pickles that record into a pipe that the writer reads;
-    :meth:`close` ends the pipe, waits for the writer and raises the
-    exception it failed with, if any.  Formatting one block
-    (``_block_steps``) in the caller costs less than forking, so a
-    first call whose kept steps fit one block is formatted in the
+    pickles that record into a pipe that the writer reads, then appends
+    its steps to the sidecar; :meth:`close` ends the pipe, waits for the
+    writer and raises the exception it failed with, if any.  Formatting
+    one block (``_block_steps``) in the caller costs less than forking,
+    so a first call whose kept steps fit one block is formatted in the
     caller at once, and only a later call, or a larger first one, forks
-    the writer: a short run forks nothing.  Where ``os.fork`` is
-    missing every call is formatted in the caller, with the same
-    function.  What writes a call's rows writes its steps to the sidecar
-    too; only :meth:`close` makes the sidecar's metadata be written.
+    the writer: a short run forks nothing.  Where ``os.fork`` is missing
+    every call is formatted in the caller, with the same function.  The
+    sidecar's metadata is written by :meth:`close` alone, once every
+    call has returned and the writer, if any, has reported the CSV's
+    size and CRC-32.
 
     The writer does no BLAS call and no logging: a forked child holds
     only the forking thread, while numpy's BLAS keeps a thread pool, and
@@ -245,7 +246,7 @@ class TimeSeriesSink:
         self._last_t = -np.inf           # of the last kept step; -inf before one
         self._pid: int | None = None     # the writer process, once forked
         self._pipe = None                # rows to it
-        self._errors: int | None = None  # its failure, pickled
+        self._result: int | None = None  # its CSV size and CRC-32, or failure, pickled
         self._labels: list[str] | None = None   # of the first kept step
         self._policies: dict[str, int] = {}     # policy names, by sidecar index
         self._rec_crc = 0                       # of the sidecar so far
@@ -260,7 +261,7 @@ class TimeSeriesSink:
             raise ConfigError(f"cannot open {path!r} for writing: {exc}") from exc
         header = (",".join(self.columns) + "\n").encode()
         self._file.write(header)
-        self._csv_crc = zlib.crc32(header)      # of the CSV so far
+        self._csv_crc = zlib.crc32(header)      # of the CSV so far, until a writer takes it
 
     def write_record(self, record: RunRecord) -> None:
         """Append the rows of the steps the sink keeps: step k of all
@@ -287,48 +288,35 @@ class TimeSeriesSink:
             return
         first, self._last_t = self._last_t == -np.inf, times[-1]
         self._labels = rows.labels
+        self._broken = True   # until the rows are in both files
         if not hasattr(os, "fork") or (
             first and times.size <= _block_steps(len(rows.labels), 2 * self.n)
         ):
-            self._broken = True   # until the rows are in both files
-            self._append(rows)
-            self._broken = False
-            return
-        if self._pid is None:
-            self._fork_writer()
-        try:
-            pickle.dump(rows, self._pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            self._pipe.flush()
-        except BrokenPipeError:
-            self.close()   # raises the writer's failure
-            raise
-
-    def _append(self, rows: RunRecord) -> None:
-        """Write the kept ``rows`` to the CSV, then to the sidecar."""
-        self._csv_crc = _write_rows(self._file, rows, self._csv_crc)
+            self._csv_crc = _write_rows(self._file, rows, self._csv_crc)
+        else:
+            if self._pid is None:
+                self._fork_writer()
+            try:
+                pickle.dump(rows, self._pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                self._pipe.flush()
+            except BrokenPipeError:
+                self.close()   # raises the writer's failure
+                raise
         table = np.empty(rows.steps, _step_dtype(self.n, len(rows.labels)))
         for name in _ARRAYS:
             table[name] = getattr(rows, name)
         table["policy"] = [self._policies.setdefault(p, len(self._policies)) for p in rows.policy]
         self._rec_crc = zlib.crc32(table, self._rec_crc)
         self._rec.write(table)
-
-    def _finish(self) -> None:
-        """End the sidecar with its metadata and footer, unless a write failed."""
-        if not self._broken:
-            meta = {"csv": [self._file.tell(), self._csv_crc],   # byte size, CRC-32
-                    "n": self.n, "labels": self._labels, "policies": list(self._policies)}
-            tail = json.dumps(meta, sort_keys=True).encode()
-            tail += len(tail).to_bytes(8, "little")
-            self._rec.write(tail + zlib.crc32(tail, self._rec_crc).to_bytes(4, "little") + _MAGIC)
+        self._broken = False
 
     def _fork_writer(self) -> None:
         import fcntl   # POSIX, as os.fork is
 
         self._file.flush()
-        self._rec.flush()
+        self._rec.flush()   # so that the writer's copy of it holds no buffered record
         rows_r, rows_w = os.pipe()
-        errors_r, errors_w = os.pipe()
+        result_r, result_w = os.pipe()
         # A pipe that holds several blocks (Linux) lets the caller step
         # on while the writer is a block or two behind.
         with contextlib.suppress(AttributeError, OSError):
@@ -336,41 +324,52 @@ class TimeSeriesSink:
         try:
             pid = os.fork()
         except OSError:
-            for fd in (rows_r, rows_w, errors_r, errors_w):
+            for fd in (rows_r, rows_w, result_r, result_w):
                 os.close(fd)
             raise
         if pid == 0:
-            _writer_main(self, rows_r, errors_w, (rows_w, errors_r))
+            _writer_main(self._file, self._csv_crc, rows_r, result_w, (rows_w, result_r))
         os.close(rows_r)
-        os.close(errors_w)
+        os.close(result_w)
         self._file.close()
-        self._rec.close()
-        self._pid, self._errors = pid, errors_r
+        self._pid, self._result = pid, result_r
         self._pipe = os.fdopen(rows_w, "wb")
-        _writer_pipes.add(rows_w)
 
     def close(self) -> None:
-        """Finish the CSV and its sidecar; raise what the writer process failed with."""
-        if self._pid is None:
-            if not self._rec.closed:
-                with self._file, self._rec:
-                    self._finish()
+        """Finish the CSV and, unless a write failed, end the sidecar with
+        its metadata; raise what the writer process failed with."""
+        if self._rec.closed:
             return
-        pid, self._pid = self._pid, None
-        _writer_pipes.discard(self._pipe.fileno())
-        with contextlib.suppress(BrokenPipeError):   # the writer has exited; its error tells why
+        with self._rec:
+            if self._pid is None:
+                with self._file:
+                    csv = (self._file.tell(), self._csv_crc)
+            else:
+                csv = self._reap()
+            if not self._broken:
+                meta = {"csv": csv,   # byte size, CRC-32
+                        "n": self.n, "labels": self._labels, "policies": list(self._policies)}
+                tail = json.dumps(meta, sort_keys=True).encode()
+                tail += len(tail).to_bytes(8, "little")
+                tail += zlib.crc32(tail, self._rec_crc).to_bytes(4, "little")
+                self._rec.write(tail + _MAGIC)
+
+    def _reap(self) -> tuple[int, int]:
+        """End the writer's rows and reap it: its CSV's byte size and CRC-32, or raise its failure."""
+        with contextlib.suppress(BrokenPipeError):   # the writer has exited; its result tells why
             try:
-                pickle.dump(None, self._pipe)   # a writer that sees no end writes no metadata
+                pickle.dump(None, self._pipe)
             finally:
                 self._pipe.close()
-        with os.fdopen(self._errors, "rb") as errors:
-            failure = errors.read()
-        _, status = os.waitpid(pid, 0)
-        if failure:
-            raise pickle.loads(failure)
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise OSError(f"the CSV writer of {self.path!r} exited with code {code}")
+        with os.fdopen(self._result, "rb") as result:
+            result = result.read()
+        _, status = os.waitpid(self._pid, 0)
+        if not status:
+            return pickle.loads(result)
+        if result:
+            raise pickle.loads(result)
+        code = os.waitstatus_to_exitcode(status)
+        raise OSError(f"the CSV writer of {self.path!r} exited with code {code}")
 
     def __enter__(self) -> "TimeSeriesSink":
         return self
@@ -460,9 +459,17 @@ def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
             table = np.empty(min(block, steps - k0), dtype)
             if f.readinto(table) != table.nbytes:
                 raise ContractError(f"{path + _SIDECAR!r} ended while it was read")
-            yield RunRecord(labels=labels, policy=[policies[j] for j in table["policy"].tolist()],
-                            **{name: table[name] if name in ("v_c", "u") else table[name].copy()
-                               for name in _ARRAYS})
+            yield _block_record(table, labels, [policies[j] for j in table["policy"].tolist()],
+                                table["times"])
+
+
+def _block_record(table, labels: list[str], policy: list[str], times: np.ndarray) -> RunRecord:
+    """The RunRecord of a block read into ``table``: ``v_c`` and ``u`` are
+    views of it, the per-phase arrays and ``times`` copies, so that a
+    consumer keeping them does not keep the table."""
+    return RunRecord(times=times.copy(), labels=labels, policy=policy,
+                     **{name: table[name] if name in ("v_c", "u") else table[name].copy()
+                        for name in _ARRAYS[1:]})
 
 
 def _parse_blocks(path: str) -> Iterator[RunRecord]:
@@ -519,16 +526,8 @@ def _parse_blocks(path: str) -> Iterator[RunRecord]:
             _refuse(path, first, (times < np.r_[last_t, times[:-1]]).repeat(n_cols),
                     "goes back in time")
             # The fields between the phase label and the policy are the
-            # RunRecord arrays of the same names; the per-phase ones are
-            # copied, so that a consumer keeping them does not keep the
-            # block's table.
-            yield RunRecord(
-                times=times.copy(),
-                labels=labels.tolist(),
-                policy=policy[:, 0].tolist(),
-                **{name: step[name] if name in ("v_c", "u") else step[name].copy()
-                   for name in dtype.names[2:-1]},
-            )
+            # RunRecord arrays of the same names.
+            yield _block_record(step, labels.tolist(), policy[:, 0].tolist(), times)
             last_t = times[-1]
             first += whole
             del block, table, phase, step, u   # before the next block is read

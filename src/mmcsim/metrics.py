@@ -160,8 +160,11 @@ def summarize(
     :class:`SummaryAccumulator` fed the whole record at once.
 
     ``window`` None is the whole record: 0 to the last sample time.
+    Raises ContractError when a switch status is not 0 or 1.
     """
     summary = SummaryAccumulator(window, nominal_sm_voltage)
+    if not _binary_statuses(record.u).all():
+        raise ContractError("switch statuses must be 0 or 1")
     summary.add(record)
     return summary.result()
 
@@ -205,11 +208,9 @@ class SummaryAccumulator:
 
     def add(self, record: RunRecord) -> None:
         """Take the record's next chunk: keep its per-phase series and
-        reduce its statuses and capacitor voltages.  The first chunk's
-        per-phase arrays are kept as they are, not copied."""
+        reduce its capacitor voltages and statuses, taken to be 0 or 1.
+        The first chunk's per-phase arrays are kept as they are, not copied."""
         u = record.u
-        if not _binary_statuses(u).all():
-            raise ContractError("switch statuses must be 0 or 1")
         if self._transitions is None:
             self.labels = record.labels
             self._transitions = np.zeros(u.shape[1:], dtype=np.int64)

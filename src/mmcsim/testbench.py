@@ -480,7 +480,7 @@ def _step_batch(
     n_conv = n_rows * n_mmc
     legs = (n_conv, 3)
     buffer = min(chunk, steps)
-    rec_v_arm = np.empty((buffer, *legs, 2, 1, 1))   # matmul's (1, 1) results
+    rec_v_arm = np.empty((buffer, *legs, 2))
     rec_v_c = np.empty((buffer, *legs, 2, n))
     rec_u = np.empty((buffer, *legs, 2, n), dtype=np.int8)
     # Each row's policy at a decision time k * T_s is that of its last
@@ -613,9 +613,8 @@ def _step_batch(
             # Plant: capacitors integrate the start-of-step arm currents,
             # then the synthesized arm voltages drive both leg currents.
             v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_f, out=rec_v_c[j])
-            v_arm = np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[j])
-            v_up = v_arm[..., 0, 0, 0]
-            v_low = v_arm[..., 1, 0, 0]
+            np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[j][..., None, None])
+            v_up, v_low = rec_v_arm[j][..., 0], rec_v_arm[j][..., 1]
             i = np.divide(
                 0.5 * (v_low - v_up) - v_s_table[j + 1] + l_i, k_prime, out=rec_i[j]
             )

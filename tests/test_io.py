@@ -7,12 +7,14 @@ replaced, and the new ones must match them byte for byte and array by
 array.
 """
 
+import contextlib
 import dataclasses
 import errno
 import json
 import os
 import re
 import signal
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -642,26 +644,112 @@ def test_a_caller_exception_leaves_the_sink_unchanged(tmp_path, monkeypatch, rai
         assert list(_sidecar_blocks(path)) == []
 
 
-def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
-    params, record = _small_run()
-
+@contextlib.contextmanager
+def _writers_end_within(seconds):
+    """Raise TimeoutError in the body after ``seconds``: a writer process
+    that does not see the end of its rows hangs its sink's close()."""
     def hung(signum, frame):
         raise TimeoutError("a writer process did not see the end of its rows")
 
     previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
+    signal.alarm(seconds)
     try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
+    params, record = _small_run()
+    with _writers_end_within(30):
         first = TimeSeriesSink(str(tmp_path / "first.csv"), params.n)
         first.write_record(record)
         second = TimeSeriesSink(str(tmp_path / "second.csv"), params.n)
         second.write_record(record)
         first.close()
         second.close()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     for name in ("first.csv", "second.csv"):
         _assert_same_record(load_record_csv(str(tmp_path / name)), record)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)], ids=["in-creation-order", "in-reverse"])
+def test_three_open_sinks_close_in_either_order(tmp_path, monkeypatch, order):
+    # Each writer forked later holds copies of the earlier writers' pipe
+    # ends; each still ends at its own sink's close().
+    params, record = _small_run()
+    pids = _fork_recording(monkeypatch)
+    paths = [str(tmp_path / f"{k}.csv") for k in range(3)]
+    with _writers_end_within(30):
+        sinks = [TimeSeriesSink(path, params.n) for path in paths]
+        for sink in sinks:
+            sink.write_record(record)
+        for k in order:
+            sinks[k].close()
+    assert len(pids) == 3
+    _assert_reaped(pids)
+    for path in paths:
+        _assert_same_record(load_record_csv(path), record)
+        _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+
+
+@pytest.mark.parametrize("raised", [NO_SPACE, KeyboardInterrupt()])
+def test_a_sidecar_write_failed_after_the_fork_leaves_no_metadata(tmp_path, monkeypatch, raised):
+    params, record = _small_run()
+    pids = _fork_recording(monkeypatch)
+
+    def failing(n, n_phases):
+        raise raised
+
+    path = str(tmp_path / "run.csv")
+    with pytest.raises(type(raised)):
+        with TimeSeriesSink(path, params.n) as sink:
+            sink.write_record(_steps(record, slice(None, 75)))   # more than a block: forks
+            assert len(pids) == 1
+            monkeypatch.setattr(csvio, "_step_dtype", failing)
+            sink.write_record(_steps(record, slice(75, None)))
+    monkeypatch.undo()
+    _assert_reaped(pids)
+    # The second call's rows reached the writer, and so the CSV, but not the sidecar.
+    _assert_same_record(load_record_csv(path), record)
+    assert list(_sidecar_blocks(path)) == []
+
+
+def _gone(pid):
+    """Has process ``pid`` exited?  A zombie that its parent has not reaped has."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_a_writer_whose_caller_dies_exits_without_returning(tmp_path):
+    params, record = _small_run()
+    path, after = str(tmp_path / "run.csv"), tmp_path / "after"
+    caller = os.fork()
+    if caller == 0:
+        sink = None
+        try:
+            sink = TimeSeriesSink(path, params.n)
+            sink.write_record(record)   # forks the writer
+        finally:
+            # Runs in every process that leaves write_record, by return or raise.
+            with contextlib.suppress(BaseException), after.open("a") as f:
+                f.write(f"{os.getpid()} {sink and sink._pid}\n")
+            os._exit(0)   # dies without closing the sink
+    assert os.waitpid(caller, 0)[1] == 0
+    writer = int(after.read_text().split()[1])
+    # The writer reads the rows left in the pipe, then finds its result
+    # pipe broken: it must exit rather than return into the caller's stack.
+    deadline = time.monotonic() + 30
+    while not _gone(writer):
+        assert time.monotonic() < deadline, "the writer outlived its caller"
+        time.sleep(0.01)
+    assert after.read_text() == f"{caller} {writer}\n"
+    _assert_same_record(load_record_csv(path), record)
+    assert list(_sidecar_blocks(path)) == []
 
 
 def test_sink_rejects_a_record_with_other_phases(tmp_path):
