@@ -34,12 +34,13 @@ CSV as written, ``n``, the labels, the policy names) and a footer.
 CSV's size and CRC-32.
 
 The layout is defined once, as a structured row dtype that
-``csv_columns`` derives from.  The loader reads the file in blocks of
-whole steps, each a table of such rows parsed by one ``numpy.loadtxt``
-call on the open file, whose C parser rounds like ``float()``.  It
-checks each block with array operations as it comes, takes the
-record's arrays by field name, and reads the file again line by line
-only to name the line of a refused row.  ``mmcsim metrics`` summarizes
+``csv_columns`` derives from.  The loader reads the file once, in lines
+split where ``numpy.loadtxt`` splits rows, and parses it in blocks of
+whole steps, the lines of each in one ``numpy.loadtxt`` call, whose C
+parser rounds like ``float()``.  It checks each block with array
+operations as it comes, names a refused row's line from the lines it
+holds (a file that is not UTF-8 alone is scanned again, in bytes), and
+takes the record's arrays by field name.  ``mmcsim metrics`` summarizes
 the blocks as they are read (:func:`read_record_blocks`), so its memory
 holds one block of per-SM state; :func:`load_record_csv` joins them.
 """
@@ -52,7 +53,6 @@ import json
 import os
 import pickle
 import signal
-import warnings
 import zlib
 from collections.abc import Iterator
 from typing import NoReturn
@@ -302,19 +302,21 @@ class TimeSeriesSink:
             except BrokenPipeError:
                 self.close()   # raises the writer's failure
                 raise
-        table = np.empty(rows.steps, _step_dtype(self.n, len(rows.labels)))
-        for name in _ARRAYS:
-            table[name] = getattr(rows, name)
-        table["policy"] = [self._policies.setdefault(p, len(self._policies)) for p in rows.policy]
-        self._rec_crc = zlib.crc32(table, self._rec_crc)
-        self._rec.write(table)
+        policy = [self._policies.setdefault(p, len(self._policies)) for p in rows.policy]
+        piece = _block_steps(len(rows.labels), 2 * self.n)   # bounds the table held at once
+        for k in range(0, rows.steps, piece):
+            table = np.empty(min(piece, rows.steps - k), _step_dtype(self.n, len(rows.labels)))
+            for name in _ARRAYS:
+                table[name] = getattr(rows, name)[k:k + piece]
+            table["policy"] = policy[k:k + piece]
+            self._rec_crc = zlib.crc32(table, self._rec_crc)
+            self._rec.write(table)
         self._broken = False
 
     def _fork_writer(self) -> None:
         import fcntl   # POSIX, as os.fork is
 
         self._file.flush()
-        self._rec.flush()   # so that the writer's copy of it holds no buffered record
         rows_r, rows_w = os.pipe()
         result_r, result_w = os.pipe()
         # A pipe that holds several blocks (Linux) lets the caller step
@@ -416,9 +418,9 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
     whole steps, each checked as :func:`load_record_csv` describes.
 
     A block is about ``_LOAD_CELLS`` fields of whole rows, parsed in one
-    ``numpy.loadtxt`` call on the open file.  Its ``v_c`` and ``u`` are
-    views of the block's table; its other arrays are its own.  A defect
-    is named when its block is read, after the blocks before it.
+    ``numpy.loadtxt`` call from the lines it holds.  Its ``v_c`` and
+    ``u`` are views of the block's table; its other arrays are its own.
+    A defect is named when its block is read, after the blocks before it.
     """
     try:
         yield from _parse_blocks(path)
@@ -480,75 +482,75 @@ def _parse_blocks(path: str) -> Iterator[RunRecord]:
             raise ContractError(f"{path!r} does not match the run CSV schema")
         dtype = _row_dtype(n2 // 2)
         rows = _block_rows(len(header))
-        labels = None                # the phase labels, once a label repeats
-        held = np.empty(0, dtype)    # rows of a step not yet whole
-        first = 0                    # data row of the table's first row
-        at_end = False
+
+        def refuse(bad: np.ndarray, what: str) -> None:
+            """Raise ContractError naming the line of the first row flagged in ``bad``."""
+            if bad.any():
+                raise ContractError(f"{path!r}: line {block[np.argmax(bad)][0]} {what}")
+
+        # Lines end at \n, \r\n or \r, where numpy.loadtxt ends rows,
+        # and, as it does, a line that is a line ending alone is skipped.
+        lines = ((no, line) for no, line in enumerate(f, start=2) if line.rstrip("\r\n"))
+        labels = None   # the phase labels, once a label repeats
+        block = []      # (line number, text) of each row of the table: row k is block[k]
         last_t = -np.inf
-        while not at_end:
-            block = _load_rows(f, path, dtype, len(header), rows, first + held.size)
-            at_end = block.size < rows
-            table = np.concatenate([held, block]) if held.size else block
-            if not table.size:
+        while True:
+            held = len(block)
+            try:
+                block += itertools.islice(lines, rows)   # keeps the lines read before a failure
+            except UnicodeDecodeError:
+                # As numpy.loadtxt on the file: a row read before names its defect.
+                _name_bad_line(block, path, dtype, len(header))
+                raise
+            at_end = len(block) - held < rows
+            if not block:
                 if labels is None:
                     raise ContractError(f"{path!r} contains no data rows")
                 return
+            try:
+                table = np.loadtxt([line for _, line in block], dtype=dtype, delimiter=",",
+                                   comments=None, ndmin=1)
+            except ValueError:
+                _name_bad_line(block, path, dtype, len(header))
+                raise ContractError(f"{path!r}: numeric fields do not parse") from None
 
             phase = table["phase"]
             if labels is None:
                 # The phase labels are those before the first repeated one.
                 n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), None)
                 if n_cols is None and not at_end:
-                    held = table   # no step is known whole yet
-                    continue
+                    continue   # no step is known whole yet
                 labels = phase[: n_cols or phase.size].copy()
             n_cols = labels.size
-            _refuse(path, first, phase != np.resize(labels, phase.size),
-                    "breaks the phase ordering")
+            refuse(phase != np.resize(labels, phase.size), "breaks the phase ordering")
             whole = phase.size - phase.size % n_cols
             if at_end and whole < phase.size:
-                _refuse(path, first, np.arange(phase.size) == phase.size - 1,
-                        f"ends the file inside a step of {n_cols} phases")
-            held, table = table[whole:], table[:whole]
-            if not table.size:
+                refuse(np.arange(phase.size) == phase.size - 1,
+                       f"ends the file inside a step of {n_cols} phases")
+            if not whole:
                 continue
+            table = table[:whole]
             step = table.reshape(-1, n_cols)
             policy = step["policy"]
-            _refuse(path, first, policy != policy[:, :1],
-                    "has a policy other than its step's first row")
-            u = table["u"]
-            _refuse(path, first, ~_binary_statuses(u), "has a switch status other than 0 or 1")
+            refuse(policy != policy[:, :1], "has a policy other than its step's first row")
+            refuse(~_binary_statuses(table["u"]), "has a switch status other than 0 or 1")
             # Every row of a step repeats the step's time text, hence its bits.
             t_bits = step["t"].view(np.int64)
-            _refuse(path, first, t_bits != t_bits[:, :1],
-                    "has a time other than its step's first row")
+            refuse(t_bits != t_bits[:, :1], "has a time other than its step's first row")
             times = step["t"][:, 0]
-            _refuse(path, first, (times < np.r_[last_t, times[:-1]]).repeat(n_cols),
-                    "goes back in time")
+            refuse((times < np.r_[last_t, times[:-1]]).repeat(n_cols), "goes back in time")
             # The fields between the phase label and the policy are the
             # RunRecord arrays of the same names.
             yield _block_record(step, labels.tolist(), policy[:, 0].tolist(), times)
             last_t = times[-1]
-            first += whole
-            del block, table, phase, step, u   # before the next block is read
+            block = block[whole:]   # the rows of a step not yet whole carry over
+            del table, phase, step   # before the next block is read
 
 
-def _load_rows(f, path: str, dtype: np.dtype, n_fields: int, rows: int,
-               first: int) -> np.ndarray:
-    """The table of up to ``rows`` data rows read from ``f``, whose
-    first is data row ``first`` of ``path``.  Raises ContractError naming
-    the first line whose field count is wrong or that does not parse on
-    its own."""
-    try:
-        with warnings.catch_warnings():
-            # Notes on the empty lines skipped and, at the end, on no rows read.
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                              max_rows=rows)
-    except ValueError:
-        pass
-    for no, line in itertools.islice(_data_lines(path), first, None):
+def _name_bad_line(block: list, path: str, dtype: np.dtype, n_fields: int) -> None:
+    """Raise ContractError naming the first line of ``block``, if any,
+    whose field count is wrong or that does not parse on its own."""
+    for no, line in block:
         fields = line.count(",") + 1
         if fields != n_fields:
             raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
@@ -558,24 +560,6 @@ def _load_rows(f, path: str, dtype: np.dtype, n_fields: int, rows: int,
             raise ContractError(
                 f"{path!r}: line {no} has a field that does not parse ({exc})"
             ) from None
-    raise ContractError(f"{path!r}: numeric fields do not parse")
-
-
-def _data_lines(path: str):
-    """``(1-based line number, text)`` of each data row of ``path`` as
-    ``numpy.loadtxt`` reads it: every line after the header but empty ones."""
-    with open(path, encoding="utf-8") as f:
-        next(f)
-        yield from ((no, line) for no, line in enumerate(f, start=2) if line != "\n")
-
-
-def _refuse(path: str, first: int, bad: np.ndarray, what: str) -> None:
-    """Raise ContractError naming the file line of the first row flagged
-    in ``bad``, a boolean array over the data rows from row ``first``."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        no, _ = next(itertools.islice(_data_lines(path), first + int(rows[0]), None))
-        raise ContractError(f"{path!r}: line {no} {what}")
 
 
 def _name_undecodable_line(path: str) -> NoReturn:

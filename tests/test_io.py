@@ -557,6 +557,21 @@ def test_close_raises_the_writer_failure(tmp_path, monkeypatch):
     _assert_reaped(pids)
 
 
+def test_a_with_body_that_returns_raises_the_writer_failure(tmp_path, monkeypatch):
+    params, record = _small_run()
+    _fail_formatting(monkeypatch)
+    pids = _fork_recording(monkeypatch)
+    path = str(tmp_path / "run.csv")
+    with pytest.raises(OSError) as info:
+        with TimeSeriesSink(path, params.n) as sink:
+            sink.write_record(record)
+    assert type(info.value) is OSError
+    assert (info.value.errno, str(info.value)) == (errno.ENOSPC, str(NO_SPACE))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert list(_sidecar_blocks(path)) == []
+
+
 def test_rows_that_end_before_the_sink_closes_end_no_sidecar(tmp_path, monkeypatch):
     params, record = _small_run()
     pids = _fork_recording(monkeypatch)
@@ -968,20 +983,20 @@ def test_tiny_csv_is_valid(tmp_path, tiny_csv):
 
 # Columns of the n = 1 CSV: 0 t, 1 phase, 2-6 phase series, 7-8 v_c,
 # 9-10 u, 11-12 link, 13 policy.
-@pytest.mark.parametrize(
-    "line, mangle, message",
-    [
-        (3, lambda row: row.split(",")[0], "line 3 has 1 fields"),
-        (4, lambda row: row + ",0", "line 4 has 15 fields, expected 14"),
-        (5, lambda row: _set_field(row, 2, "x"), "line 5 has a field that does not parse"),
-        (2, lambda row: _set_field(row, 9, "0.5"), "line 2 has a field that does not parse"),
-        (6, lambda row: _set_field(row, 10, "2"),
-         "line 6 has a switch status other than 0 or 1"),
-        (5, lambda row: _set_field(row, 1, "b"), "line 5 breaks the phase ordering"),
-        (3, lambda row: _set_field(row, 0, "1"),
-         "line 3 has a time other than its step's first row"),
-    ],
-)
+MANGLED_ROWS = [
+    (3, lambda row: row.split(",")[0], "line 3 has 1 fields"),
+    (4, lambda row: row + ",0", "line 4 has 15 fields, expected 14"),
+    (5, lambda row: _set_field(row, 2, "x"), "line 5 has a field that does not parse"),
+    (2, lambda row: _set_field(row, 9, "0.5"), "line 2 has a field that does not parse"),
+    (6, lambda row: _set_field(row, 10, "2"),
+     "line 6 has a switch status other than 0 or 1"),
+    (5, lambda row: _set_field(row, 1, "b"), "line 5 breaks the phase ordering"),
+    (3, lambda row: _set_field(row, 0, "1"),
+     "line 3 has a time other than its step's first row"),
+]
+
+
+@pytest.mark.parametrize("line, mangle, message", MANGLED_ROWS)
 def test_load_names_the_line_of_a_mangled_row(tmp_path, tiny_csv, line, mangle, message):
     lines = list(tiny_csv)
     lines[line - 1] = mangle(lines[line - 1])
@@ -989,16 +1004,16 @@ def test_load_names_the_line_of_a_mangled_row(tmp_path, tiny_csv, line, mangle, 
         load_record_csv(_write_lines(tmp_path / "bad.csv", lines))
 
 
-@pytest.mark.parametrize(
-    "swap, message",
-    [
-        # Phase a of steps 1 and 2, then phase c of steps 1 and 4.
-        (((2, 5),), "line 3 has a time other than its step's first row"),
-        (((4, 13),), "line 4 has a time other than its step's first row"),
-        # Steps 1 and 2 whole: every row agrees with its step.
-        (((2, 5), (3, 6), (4, 7)), "line 5 goes back in time"),
-    ],
-)
+SWAPPED_ROWS = [
+    # Phase a of steps 1 and 2, then phase c of steps 1 and 4.
+    (((2, 5),), "line 3 has a time other than its step's first row"),
+    (((4, 13),), "line 4 has a time other than its step's first row"),
+    # Steps 1 and 2 whole: every row agrees with its step.
+    (((2, 5), (3, 6), (4, 7)), "line 5 goes back in time"),
+]
+
+
+@pytest.mark.parametrize("swap, message", SWAPPED_ROWS)
 def test_load_names_the_line_of_swapped_rows(tmp_path, tiny_csv, swap, message):
     lines = list(tiny_csv)
     for a, b in swap:
@@ -1017,6 +1032,45 @@ def test_load_names_a_row_whose_policy_differs_from_its_step(tmp_path, tiny_csv)
 def test_load_rejects_a_file_ending_inside_a_step(tmp_path, tiny_csv):
     with pytest.raises(ContractError, match="inside a step"):
         load_record_csv(_write_lines(tmp_path / "cut.csv", tiny_csv[:-1]))
+
+
+def _mangle_row(lines, line, mangle):
+    lines[line - 1] = mangle(lines[line - 1])
+
+
+def _swap_rows(lines, swap):
+    for a, b in swap:
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+
+
+@pytest.mark.parametrize(
+    "defect, message, opens",
+    [
+        *((partial(_mangle_row, line=line, mangle=mangle), message, 1)
+          for line, mangle, message in MANGLED_ROWS),
+        *((partial(_swap_rows, swap=swap), message, 1) for swap, message in SWAPPED_ROWS),
+        (list.pop, "inside a step", 1),
+        # Written as the byte 0xff.  Text decoding fails on a whole chunk,
+        # so a binary scan names the line.
+        (partial(_mangle_row, line=4, mangle=lambda row: "\udcff" + row),
+         "line 4 is not UTF-8 text", 2),
+    ],
+)
+def test_a_refused_csv_is_read_once(tmp_path, monkeypatch, tiny_csv, defect, message, opens):
+    lines = list(tiny_csv)
+    defect(lines)
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode(errors="surrogateescape"))
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(csvio, "open", counted_open, raising=False)
+    with pytest.raises(ContractError, match=message):
+        load_record_csv(str(path))
+    assert opened == [str(path)] * opens
 
 
 def test_load_skips_empty_lines_and_counts_them_in_line_numbers(tmp_path, tiny_csv):
@@ -1066,6 +1120,25 @@ def test_load_names_a_line_that_is_not_utf8(tmp_path, line, field):
     path.write_bytes(b"".join(lines))
     with pytest.raises(ContractError, match=rf"line {line} is not UTF-8 text"):
         load_record_csv(str(path))
+
+
+def test_a_row_read_before_text_that_does_not_decode_names_its_defect(tmp_path):
+    params, record = _small_run()
+    path = tmp_path / "run.csv"
+    with TimeSeriesSink(str(path), params.n) as sink:
+        sink.write_record(record)
+    lines = path.read_bytes().splitlines(keepends=True)
+    # Line 200 is in a later 8 KiB text chunk than line 3, in the same block.
+    assert sum(map(len, lines[:199])) > 8192
+    lines[2] = _with_field(lines[2], 2, b"x")
+    lines[199] = b"\xff" + lines[199]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ContractError) as whole:
+        whole_file_load_record_csv(str(path))
+    assert "line 3 has a field that does not parse" in str(whole.value)
+    with pytest.raises(ContractError) as blocks:
+        load_record_csv(str(path))
+    assert str(blocks.value) == str(whole.value)
 
 
 def test_csv_round_trip_keeps_long_labels_and_policies(tmp_path):
@@ -1210,6 +1283,79 @@ def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
     capsys.readouterr()
     assert main(["metrics", path]) == 2
     assert capsys.readouterr().err == f"error: {whole.value}\n"
+
+
+@st.composite
+def _line_ending_defect(draw, lines):
+    """Byte lines ``lines`` with one line-ending defect, which numpy.loadtxt
+    may read as a valid CSV."""
+    lines = list(lines)
+    r = draw(st.integers(1, len(lines) - 1))
+    kind = draw(st.sampled_from(["cr line", "cr in row", "joined", "crlf", "space cr"]))
+    if kind == "cr line":
+        lines.insert(r, draw(st.sampled_from([b"\r", b"\r\r"])))
+    elif kind == "cr in row":
+        # Up to the last comma: a \r after it makes two defects, which
+        # test_a_cr_in_the_policy_field_is_named_in_block_order covers.
+        k = draw(st.integers(0, lines[r].rindex(b",")))
+        lines[r] = lines[r][:k] + b"\r" + lines[r][k:]
+    elif kind == "joined":   # with the header, when r is 1
+        lines[r - 1 : r + 1] = [lines[r - 1] + b"\r" + lines[r]]
+    elif kind == "crlf":
+        lines[r] += b"\r"
+    else:
+        lines.insert(r, b" \r")
+    return lines
+
+
+@pytest.mark.parametrize("block_rows", [3, 4, 8, None])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_line_ending_defect_loads_as_the_whole_file_load_does(
+    tmp_path, monkeypatch, twelve_steps, block_rows, data
+):
+    path = _write_byte_lines(tmp_path / "ends.csv", data.draw(_line_ending_defect(twelve_steps)))
+    try:
+        expected = whole_file_load_record_csv(path)
+    except ContractError as exc:
+        expected = exc
+    if block_rows:
+        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    if isinstance(expected, ContractError):
+        with pytest.raises(ContractError) as blocks:
+            load_record_csv(path)
+        assert str(blocks.value) == str(expected)
+    else:
+        _assert_same_record(load_record_csv(path), expected)
+
+
+@pytest.mark.parametrize("block_rows", [3, None])
+def test_a_cr_in_the_policy_field_is_named_in_block_order(
+    tmp_path, monkeypatch, twelve_steps, block_rows
+):
+    # At 3 rows, the first block takes two steps to find the labels, and
+    # data row 8 ends the next block and the third step.  A \r after its
+    # last comma splits it into a whole row whose policy is cut (line 10)
+    # and a line of one field (line 11): two defects.
+    lines = list(twelve_steps)
+    cut = lines[9].rindex(b",") + 2
+    lines[9] = lines[9][:cut] + b"\r" + lines[9][cut:]
+    path = _write_byte_lines(tmp_path / "policy.csv", lines)
+    with pytest.raises(ContractError) as whole:
+        whole_file_load_record_csv(path)
+    assert ": line 11 has 1 fields, expected 14" in str(whole.value)
+    if block_rows:
+        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    with pytest.raises(ContractError) as blocks:
+        load_record_csv(path)
+    if block_rows:
+        # The block that holds line 10 is checked before line 11 is parsed.
+        assert str(blocks.value) == (
+            f"{path!r}: line 10 has a policy other than its step's first row"
+        )
+    else:
+        assert str(blocks.value) == str(whole.value)
 
 
 @pytest.mark.parametrize("block_rows", [3, 4, 6, 8, 36])
