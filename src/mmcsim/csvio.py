@@ -23,15 +23,15 @@ Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
 exact text and the bytes equal those of formatting every cell.
 
 A run hands the sink its record chunk by chunk, each a
-:class:`RunRecord`, and the sink hands the kept rows of each, checked
-in the caller, to a writer process that only formats them (see
-:class:`TimeSeriesSink`), so a run steps while its CSV is written.  The
-caller writes their steps to a sidecar, the CSV's path plus ``.rec``:
-fixed-layout records (``_step_dtype``), then, once the sink closes
-unless a write failed, JSON metadata (the byte size and CRC-32 of the
-CSV as written, ``n``, the labels, the policy names) and a footer.
-``mmcsim metrics`` reads it (:func:`_sidecar_blocks`) when it names the
-CSV's size and CRC-32.
+:class:`RunRecord`.  The sink checks each chunk's kept steps and packs
+them into a sidecar, the CSV's path plus ``.rec``: fixed-layout records
+(``_step_dtype``), then, once the sink closes unless a write failed,
+JSON metadata (the byte size and CRC-32 of the CSV as written, ``n``,
+the labels, the policy names) and a footer.  The CSV is formatted from
+the sidecar's tables, by a writer process that reads them back (see
+:class:`TimeSeriesSink`), so a run steps while its CSV is written.
+``mmcsim metrics`` reads the sidecar (:func:`_sidecar_blocks`) when it
+names the CSV's size and CRC-32.
 
 The layout is defined once, as a structured row dtype that
 ``csv_columns`` derives from.  The loader reads the file once, in lines
@@ -39,7 +39,7 @@ split where ``numpy.loadtxt`` splits rows, and parses it in blocks of
 whole steps, the lines of each in one ``numpy.loadtxt`` call, whose C
 parser rounds like ``float()``.  It checks each block with array
 operations as it comes, names a refused row's line from the lines it
-holds (a file that is not UTF-8 alone is scanned again, in bytes), and
+holds (bytes that are not UTF-8 too, read as lone surrogates), and
 takes the record's arrays by field name.  ``mmcsim metrics`` summarizes
 the blocks as they are read (:func:`read_record_blocks`), so its memory
 holds one block of per-SM state; :func:`load_record_csv` joins them.
@@ -111,8 +111,8 @@ def csv_columns(n: int) -> list[str]:
     return columns
 
 
-# Kept steps are formatted and written in blocks of about this many
-# cells, which bounds the text held in memory at once.
+# Kept steps are packed and formatted in tables of about this many
+# cells, which bounds the memory held at once.
 _BLOCK_CELLS = 1 << 12
 _ROW_FMT = "%s,%s,%s,%s,%s,%s,%s\n"
 
@@ -135,73 +135,78 @@ def _format_changed(values: np.ndarray) -> np.ndarray:
 
 
 def _block_steps(n_phases: int, n2: int) -> int:
-    """Kept steps formatted at once, for ``n2`` SMs per phase."""
+    """Kept steps packed and formatted at once, for ``n2`` SMs per phase."""
     return max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
 
 
-def _write_rows(file, record: RunRecord, crc: int) -> int:
-    """Append the text of ``record``'s steps to ``file``; return ``crc`` continued over it."""
-    labels = record.labels
-    n_phases = len(labels)
-    n2 = 2 * record.n
+def _write_rows(file, table: np.ndarray, labels: list[str], names: list[str], crc: int) -> int:
+    """Append the text of the steps of the sidecar ``table`` to ``file``,
+    whose phases are ``labels`` and whose policies index ``names``;
+    return ``crc`` continued over it."""
+    steps, n_phases, n2 = table["v_c"].shape
+    # A phase's series and capacitor voltages are compared with the same
+    # phase one kept step earlier, the columns shared by phases (time,
+    # link voltage and current) with the row before.  The first row of a
+    # table is formatted in full.
+    values = np.empty((steps, n_phases, 5 + n2))
+    for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
+        values[:, :, j] = table[name]
+    values[:, :, 5:] = table["v_c"]
+    phase_cells = _format_changed(values.reshape(steps, -1)).reshape(-1, 5 + n2)
+    phase_text = [",".join(row) for row in phase_cells.tolist()]
+    link = np.empty((steps, n_phases, 3))
+    link[:, :, 0] = table["times"][:, None]
+    link[:, :, 1] = table["v_dc_link"]
+    link[:, :, 2] = table["i_dc_link"]
+    link_text = _format_changed(link.reshape(-1, 3)).tolist()
+    # Status text: digits interleaved with commas, one byte each.
     u_width = 2 * n2 - 1
-    block = _block_steps(n_phases, n2)
-    for b0 in range(0, record.steps, block):
-        b1 = min(b0 + block, record.steps)
-        # A phase's series and capacitor voltages are compared with
-        # the same phase one kept step earlier, the columns shared
-        # by phases (time, link voltage and current) with the row
-        # before.  The first row of a block is formatted in full.
-        values = np.empty((b1 - b0, n_phases, 5 + n2))
-        for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
-            values[:, :, j] = getattr(record, name)[b0:b1]
-        values[:, :, 5:] = record.v_c[b0:b1]
-        phase_cells = _format_changed(values.reshape(b1 - b0, -1)).reshape(-1, 5 + n2)
-        phase_text = [",".join(row) for row in phase_cells.tolist()]
-        link = np.empty((b1 - b0, n_phases, 3))
-        link[:, :, 0] = record.times[b0:b1, None]
-        link[:, :, 1] = record.v_dc_link[b0:b1]
-        link[:, :, 2] = record.i_dc_link[b0:b1]
-        link_text = _format_changed(link.reshape(-1, 3)).tolist()
-        # Status text: digits interleaved with commas, one byte each.
-        table = np.full((len(phase_text), u_width), ord(","), dtype=np.uint8)
-        np.add(record.u[b0:b1].reshape(-1, n2), ord("0"), out=table[:, ::2], casting="unsafe")
-        u_text = table.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
-        row_policy = [p for p in record.policy[b0:b1] for _ in labels]
-        text = "".join([
-            _ROW_FMT % (t, label, phase, status, v, i, pol)
-            for (t, v, i), label, phase, status, pol
-            in zip(link_text, labels * (b1 - b0), phase_text, u_text, row_policy)
-        ]).encode()
-        file.write(text)
-        crc = zlib.crc32(text, crc)
-    return crc
+    digits = np.full((len(phase_text), u_width), ord(","), dtype=np.uint8)
+    np.add(table["u"].reshape(-1, n2), ord("0"), out=digits[:, ::2], casting="unsafe")
+    u_text = digits.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
+    row_policy = [names[p] for p in table["policy"].tolist() for _ in labels]
+    text = "".join([
+        _ROW_FMT % (t, label, phase, status, v, i, pol)
+        for (t, v, i), label, phase, status, pol
+        in zip(link_text, labels * steps, phase_text, u_text, row_policy)
+    ]).encode()
+    file.write(text)
+    return zlib.crc32(text, crc)
 
 
-# Bytes the pipe to a writer process is asked to hold: the unprivileged
-# limit of Linux, about nine 128-step blocks of a back-to-back run.
-_PIPE_BYTES = 1 << 20
+def _tables(f, dtype: np.dtype, steps: int, block: int) -> Iterator[np.ndarray]:
+    """The next ``steps`` steps of the sidecar ``f``, in tables of ``block`` steps."""
+    for k in range(0, steps, block):
+        table = np.empty(min(block, steps - k), dtype)
+        if f.readinto(table) != table.nbytes:
+            raise ContractError(f"{f.name!r} ended while it was read")
+        yield table
 
 
-def _writer_main(file, crc: int, rows_fd: int, result_fd: int,
-                 parent_fds: tuple[int, ...]) -> NoReturn:
-    """Body of a writer process: format the records read from ``rows_fd``
-    into the CSV ``file``, whose bytes so far have the CRC-32 ``crc``,
-    until a ``None`` comes; then pickle the CSV's byte size and CRC-32,
-    or the exception that ended the rows, to ``result_fd`` for the sink.
-    It exits even when that pipe is broken, and never returns into the
-    caller's stack, so a fork under a test runner cannot run the rest of
-    the tests twice.  Its copies of the caller's pipe ends are closed,
-    so a caller that dies ends the rows, without the ``None``."""
+def _writer_main(file, crc: int, rec, dtype: np.dtype, labels: list[str],
+                 rows_fd: int, result_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
+    """Body of a writer process: for each ``(first step, end step, policy
+    names)`` read from ``rows_fd``, format those steps of the sidecar
+    ``rec``, of ``dtype`` and phases ``labels``, into the CSV ``file``,
+    whose bytes so far have the CRC-32 ``crc``, until a ``None`` comes;
+    then pickle the CSV's byte size and CRC-32, or the exception that
+    ended the rows, to ``result_fd`` for the sink.  It exits even when
+    that pipe is broken, and never returns into the caller's stack, so a
+    fork under a test runner cannot run the rest of the tests twice.
+    Its copies of the caller's pipe ends are closed, so a caller that
+    dies ends the rows, without the ``None``."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller's close() ends it
         for fd in parent_fds:
             os.close(fd)
+        block = _block_steps(len(labels), dtype["v_c"].shape[-1])
         try:
-            with file, os.fdopen(rows_fd, "rb") as rows:
-                while (record := pickle.load(rows)) is not None:   # None ends the rows
-                    crc = _write_rows(file, record, crc)
+            with file, rec, os.fdopen(rows_fd, "rb") as rows:
+                for first, end, names in iter(lambda: pickle.load(rows), None):   # None ends them
+                    rec.seek(first * dtype.itemsize)
+                    for table in _tables(rec, dtype, end - first, block):
+                        crc = _write_rows(file, table, labels, names, crc)
                 size = file.tell()
             result, status = (size, crc), 0
         except BaseException as exc:   # whatever it is, the caller raises it
@@ -216,19 +221,19 @@ class TimeSeriesSink:
     """CSV writer for run records with a schema fixed at creation.
 
     The rows are formatted in a writer process, so that a run steps on
-    one core while its CSV is formatted on another.  Each call checks
-    its kept rows in the caller, as a :class:`RunRecord` of their own,
-    pickles that record into a pipe that the writer reads, then appends
-    its steps to the sidecar; :meth:`close` ends the pipe, waits for the
-    writer and raises the exception it failed with, if any.  Formatting
-    one block (``_block_steps``) in the caller costs less than forking,
-    so a first call whose kept steps fit one block is formatted in the
-    caller at once, and only a later call, or a larger first one, forks
+    one core while its CSV is formatted on another.  Each call checks its
+    kept steps and appends them to the sidecar in tables of
+    ``_block_steps`` steps, then sends the writer their range and the
+    policy names; the writer reads the tables back and formats them, so
+    both files hold the same steps.  :meth:`close` ends the pipe, waits
+    for the writer and raises the exception it failed with, if any.
+    Formatting one block in the caller costs less than forking, so a
+    first call whose kept steps fit one block is formatted in the caller,
+    table by table, and only a later call, or a larger first one, forks
     the writer: a short run forks nothing.  Where ``os.fork`` is missing
-    every call is formatted in the caller, with the same function.  The
-    sidecar's metadata is written by :meth:`close` alone, once every
-    call has returned and the writer, if any, has reported the CSV's
-    size and CRC-32.
+    every call is formatted in the caller.  The sidecar's metadata is
+    written by :meth:`close` alone, once every call has returned and the
+    writer, if any, has reported the CSV's size and CRC-32.
 
     The writer does no BLAS call and no logging: a forked child holds
     only the forking thread, while numpy's BLAS keeps a thread pool, and
@@ -245,19 +250,23 @@ class TimeSeriesSink:
         self._steps = 0                  # steps given so far, kept or not
         self._last_t = -np.inf           # of the last kept step; -inf before one
         self._pid: int | None = None     # the writer process, once forked
-        self._pipe = None                # rows to it
+        self._pipe = None                # the ranges of steps it formats
         self._result: int | None = None  # its CSV size and CRC-32, or failure, pickled
         self._labels: list[str] | None = None   # of the first kept step
         self._policies: dict[str, int] = {}     # policy names, by sidecar index
         self._rec_crc = 0                       # of the sidecar so far
         self._broken = False                    # a write in the caller failed
-        self._rec = None
+        self._rec = self._rec_in = None
         try:
             self._rec = open(path + _SIDECAR, "wb")   # first: a refused sink keeps the CSV
+            # A writer's own read of the sidecar: the descriptor it inherits
+            # shares the caller's file offset.
+            self._rec_in = open(path + _SIDECAR, "rb")
             self._file = open(path, "wb")
         except OSError as exc:
-            if self._rec:
-                self._rec.close()
+            for f in (self._rec, self._rec_in):
+                if f:
+                    f.close()
             raise ConfigError(f"cannot open {path!r} for writing: {exc}") from exc
         header = (",".join(self.columns) + "\n").encode()
         self._file.write(header)
@@ -276,53 +285,48 @@ class TimeSeriesSink:
         if self._labels not in (None, record.labels):
             raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
-        rows = RunRecord(labels=record.labels, policy=record.policy[kept],
-                         **{name: getattr(record, name)[kept] for name in _ARRAYS})
-        times, u = rows.times, rows.u
+        times = record.times[kept]
         if times.size and (times[0] < self._last_t or (times[1:] < times[:-1]).any()):
             raise ContractError("record rows would go backwards in time")
-        if not _binary_statuses(u).all():
+        if not _binary_statuses(record.u[kept]).all():
             raise ContractError("switch statuses must be 0 or 1")
         self._steps += record.steps
         if times.size == 0:
             return
         first, self._last_t = self._last_t == -np.inf, times[-1]
-        self._labels = rows.labels
-        self._broken = True   # until the rows are in both files
-        if not hasattr(os, "fork") or (
-            first and times.size <= _block_steps(len(rows.labels), 2 * self.n)
-        ):
-            self._csv_crc = _write_rows(self._file, rows, self._csv_crc)
-        else:
+        labels = self._labels = record.labels
+        policy = [self._policies.setdefault(p, len(self._policies)) for p in record.policy[kept]]
+        names = list(self._policies)
+        block = _block_steps(len(labels), 2 * self.n)   # bounds the table held at once
+        inline = not hasattr(os, "fork") or (first and times.size <= block)
+        self._broken = True   # until the steps are in both files
+        dtype = _step_dtype(self.n, len(labels))
+        start = self._rec.tell() // dtype.itemsize
+        for k in range(0, times.size, block):
+            table = np.empty(min(block, times.size - k), dtype)
+            for name in _ARRAYS:
+                table[name] = getattr(record, name)[kept][k:k + block]
+            table["policy"] = policy[k:k + block]
+            self._rec_crc = zlib.crc32(table, self._rec_crc)
+            self._rec.write(table)
+            if inline:
+                self._csv_crc = _write_rows(self._file, table, labels, names, self._csv_crc)
+        if not inline:
             if self._pid is None:
-                self._fork_writer()
+                self._fork_writer(dtype)
+            self._rec.flush()   # the writer reads these steps from the file
             try:
-                pickle.dump(rows, self._pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((start, start + times.size, names), self._pipe)
                 self._pipe.flush()
             except BrokenPipeError:
                 self.close()   # raises the writer's failure
                 raise
-        policy = [self._policies.setdefault(p, len(self._policies)) for p in rows.policy]
-        piece = _block_steps(len(rows.labels), 2 * self.n)   # bounds the table held at once
-        for k in range(0, rows.steps, piece):
-            table = np.empty(min(piece, rows.steps - k), _step_dtype(self.n, len(rows.labels)))
-            for name in _ARRAYS:
-                table[name] = getattr(rows, name)[k:k + piece]
-            table["policy"] = policy[k:k + piece]
-            self._rec_crc = zlib.crc32(table, self._rec_crc)
-            self._rec.write(table)
         self._broken = False
 
-    def _fork_writer(self) -> None:
-        import fcntl   # POSIX, as os.fork is
-
+    def _fork_writer(self, dtype: np.dtype) -> None:
         self._file.flush()
         rows_r, rows_w = os.pipe()
         result_r, result_w = os.pipe()
-        # A pipe that holds several blocks (Linux) lets the caller step
-        # on while the writer is a block or two behind.
-        with contextlib.suppress(AttributeError, OSError):
-            fcntl.fcntl(rows_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         try:
             pid = os.fork()
         except OSError:
@@ -330,10 +334,12 @@ class TimeSeriesSink:
                 os.close(fd)
             raise
         if pid == 0:
-            _writer_main(self._file, self._csv_crc, rows_r, result_w, (rows_w, result_r))
+            _writer_main(self._file, self._csv_crc, self._rec_in, dtype, self._labels,
+                         rows_r, result_w, (rows_w, result_r))
         os.close(rows_r)
         os.close(result_w)
         self._file.close()
+        self._rec_in.close()
         self._pid, self._result = pid, result_r
         self._pipe = os.fdopen(rows_w, "wb")
 
@@ -344,7 +350,7 @@ class TimeSeriesSink:
             return
         with self._rec:
             if self._pid is None:
-                with self._file:
+                with self._file, self._rec_in:
                     csv = (self._file.tell(), self._csv_crc)
             else:
                 csv = self._reap()
@@ -413,21 +419,6 @@ def _block_rows(n_fields: int) -> int:
     return max(6, _LOAD_CELLS // n_fields // 6 * 6)
 
 
-def read_record_blocks(path: str) -> Iterator[RunRecord]:
-    """Yield the record of a run CSV as the file is read, in blocks of
-    whole steps, each checked as :func:`load_record_csv` describes.
-
-    A block is about ``_LOAD_CELLS`` fields of whole rows, parsed in one
-    ``numpy.loadtxt`` call from the lines it holds.  Its ``v_c`` and
-    ``u`` are views of the block's table; its other arrays are its own.
-    A defect is named when its block is read, after the blocks before it.
-    """
-    try:
-        yield from _parse_blocks(path)
-    except UnicodeDecodeError:
-        _name_undecodable_line(path)
-
-
 def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
     """The blocks of :func:`read_record_blocks`, from the sidecar of the CSV
     at ``path``; none unless the sidecar matches its CRC-32, holds a step
@@ -457,10 +448,7 @@ def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
         steps = (body - length) // dtype.itemsize
         block = max(1, _block_rows(len(csv_columns(meta["n"]))) // len(labels))
         f.seek(0)
-        for k0 in range(0, steps, block):
-            table = np.empty(min(block, steps - k0), dtype)
-            if f.readinto(table) != table.nbytes:
-                raise ContractError(f"{path + _SIDECAR!r} ended while it was read")
+        for table in _tables(f, dtype, steps, block):
             yield _block_record(table, labels, [policies[j] for j in table["policy"].tolist()],
                                 table["times"])
 
@@ -474,9 +462,21 @@ def _block_record(table, labels: list[str], policy: list[str], times: np.ndarray
                         for name in _ARRAYS[1:]})
 
 
-def _parse_blocks(path: str) -> Iterator[RunRecord]:
-    with open(path, newline="", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
+def read_record_blocks(path: str) -> Iterator[RunRecord]:
+    """Yield the record of a run CSV as the file is read, in blocks of
+    whole steps, each checked as :func:`load_record_csv` describes.
+
+    A block is about ``_LOAD_CELLS`` fields of whole rows, parsed in one
+    ``numpy.loadtxt`` call from the lines it holds.  Its ``v_c`` and
+    ``u`` are views of the block's table; its other arrays are its own.
+    A defect is named when its block is read, after the blocks before it.
+    """
+    # Bytes that are not UTF-8 decode to lone surrogates, which a block
+    # finds when it encodes its lines again.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        header = f.readline()
+        _check_utf8(path, 1, header)
+        header = header.rstrip("\n").split(",")
         n2 = sum(1 for c in header if c.startswith("v_c_"))
         if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
             raise ContractError(f"{path!r} does not match the run CSV schema")
@@ -496,20 +496,17 @@ def _parse_blocks(path: str) -> Iterator[RunRecord]:
         last_t = -np.inf
         while True:
             held = len(block)
-            try:
-                block += itertools.islice(lines, rows)   # keeps the lines read before a failure
-            except UnicodeDecodeError:
-                # As numpy.loadtxt on the file: a row read before names its defect.
-                _name_bad_line(block, path, dtype, len(header))
-                raise
+            block += itertools.islice(lines, rows)
             at_end = len(block) - held < rows
             if not block:
                 if labels is None:
                     raise ContractError(f"{path!r} contains no data rows")
                 return
+            text = [line for _, line in block]
             try:
-                table = np.loadtxt([line for _, line in block], dtype=dtype, delimiter=",",
-                                   comments=None, ndmin=1)
+                if not all(map(str.isascii, text)):
+                    "".join(text).encode()   # UnicodeEncodeError, a ValueError, if not UTF-8
+                table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError:
                 _name_bad_line(block, path, dtype, len(header))
                 raise ContractError(f"{path!r}: numeric fields do not parse") from None
@@ -544,13 +541,26 @@ def _parse_blocks(path: str) -> Iterator[RunRecord]:
             yield _block_record(step, labels.tolist(), policy[:, 0].tolist(), times)
             last_t = times[-1]
             block = block[whole:]   # the rows of a step not yet whole carry over
-            del table, phase, step   # before the next block is read
+            del text, table, phase, step   # before the next block is read
+
+
+def _check_utf8(path: str, no: int, line: str) -> None:
+    """Raise ContractError when ``line``, line ``no`` of ``path`` as read
+    with ``surrogateescape``, is not UTF-8 text."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(
+            f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
+        ) from None
 
 
 def _name_bad_line(block: list, path: str, dtype: np.dtype, n_fields: int) -> None:
     """Raise ContractError naming the first line of ``block``, if any,
-    whose field count is wrong or that does not parse on its own."""
+    that is not UTF-8 text, whose field count is wrong or that does not
+    parse on its own."""
     for no, line in block:
+        _check_utf8(path, no, line)
         fields = line.count(",") + 1
         if fields != n_fields:
             raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
@@ -560,20 +570,6 @@ def _name_bad_line(block: list, path: str, dtype: np.dtype, n_fields: int) -> No
             raise ContractError(
                 f"{path!r}: line {no} has a field that does not parse ({exc})"
             ) from None
-
-
-def _name_undecodable_line(path: str) -> NoReturn:
-    """Raise ContractError naming the first line of ``path`` that is not
-    UTF-8 text."""
-    with open(path, "rb") as f:
-        for no, line in enumerate(f, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ContractError(
-                    f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
-                ) from None
-    raise ContractError(f"{path!r} is not UTF-8 text")
 
 
 def format_metrics_text(metrics: SummaryMetrics) -> str:

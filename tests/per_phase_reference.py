@@ -38,7 +38,7 @@ from typing import NoReturn
 import numpy as np
 
 from mmcsim.controller import SortPolicy
-from mmcsim.csvio import _name_undecodable_line, _row_dtype, csv_columns
+from mmcsim.csvio import _row_dtype, csv_columns
 from mmcsim.errors import ConfigError, ContractError, MetricWindowError
 from mmcsim.metrics import RunRecord, SummaryMetrics, _check_window, _mmc_groups
 from mmcsim.model import ConverterParams
@@ -755,6 +755,22 @@ def whole_file_load_record_csv(path: str) -> RunRecord:
         return _whole_file_parse(path)
     except UnicodeDecodeError:
         _name_undecodable_line(path)
+
+
+def _name_undecodable_line(path: str) -> NoReturn:
+    """Raise ContractError naming the first line of ``path`` that is not
+    UTF-8 text, numbering the lines as numpy.loadtxt splits rows: at
+    ``\n``, ``\r\n`` and a bare ``\r``."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+    for no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContractError(
+                f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
+            ) from None
+    raise ContractError(f"{path!r} is not UTF-8 text")
 
 
 def _whole_file_parse(path: str) -> RunRecord:

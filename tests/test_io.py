@@ -12,6 +12,7 @@ import dataclasses
 import errno
 import json
 import os
+import pickle
 import re
 import signal
 import time
@@ -528,8 +529,9 @@ def test_a_write_failed_in_the_caller_leaves_no_sidecar_metadata(tmp_path, monke
             monkeypatch.setattr(csvio, "_step_dtype", failing)
             sink.write_record(_steps(record, slice(5, None)))
     monkeypatch.undo()
-    # The second call's rows reached the CSV but not the sidecar.
-    _assert_same_record(load_record_csv(path), record)
+    # The second call's steps reached neither file: the CSV is formatted
+    # from the sidecar's tables.
+    _assert_same_record(load_record_csv(path), _steps(record, slice(None, 5)))
     assert list(_sidecar_blocks(path)) == []
 
 
@@ -725,9 +727,60 @@ def test_a_sidecar_write_failed_after_the_fork_leaves_no_metadata(tmp_path, monk
             sink.write_record(_steps(record, slice(75, None)))
     monkeypatch.undo()
     _assert_reaped(pids)
-    # The second call's rows reached the writer, and so the CSV, but not the sidecar.
-    _assert_same_record(load_record_csv(path), record)
+    # The second call's steps reached neither the sidecar nor, since the
+    # writer reads them from it, the CSV.
+    _assert_same_record(load_record_csv(path), _steps(record, slice(None, 75)))
     assert list(_sidecar_blocks(path)) == []
+
+
+def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
+    # The writer reads the steps from the sidecar: the caller sends only
+    # (first step, end step, policy names), whatever n is.
+    record = _run(48, "ideal_dc")
+    pids = _fork_recording(monkeypatch)
+    sent = []
+    dump = csvio.pickle.dump
+
+    def recording_dump(obj, file, *args, **kwargs):
+        sent.append(obj)
+        return dump(obj, file, *args, **kwargs)
+
+    monkeypatch.setattr(csvio.pickle, "dump", recording_dump)
+    path = str(tmp_path / "run.csv")
+    with TimeSeriesSink(path, record.n) as sink:
+        # The first call fits a block and is formatted in the caller; the
+        # policy changes in the last one.
+        for part in (slice(None, 10), slice(10, 60), slice(60, None)):
+            sink.write_record(_steps(record, part))
+    monkeypatch.undo()
+    assert len(pids) == 1
+    assert sent[-1] is None and len(sent) == 3
+    for message in sent[:-1]:
+        first, end, names = message
+        assert (type(first), type(end)) == (int, int) and first < end
+        assert type(names) is list and all(type(name) is str for name in names)
+        assert len(pickle.dumps(message)) < 1024
+    assert sent[-2][2] == ["V1F2", "F1V2"]
+    _assert_same_record(load_record_csv(path), record)
+    _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+
+
+def test_a_sink_writes_both_files_after_the_working_directory_changes(tmp_path, monkeypatch):
+    # The writer reads the sidecar through a file the sink opened, not by
+    # its path, which may name another file by the time the writer forks.
+    params, record = _small_run()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    pids = _fork_recording(monkeypatch)
+    with TimeSeriesSink("run.csv", params.n) as sink:
+        sink.write_record(_steps(record, slice(None, 1)))
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        sink.write_record(_steps(record, slice(1, None)))   # forks the writer
+    assert len(pids) == 1
+    path = str(tmp_path / "run.csv")
+    _assert_same_record(load_record_csv(path), record)
+    _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+    assert os.listdir(tmp_path / "elsewhere") == []
 
 
 def _gone(pid):
@@ -1050,10 +1103,9 @@ def _swap_rows(lines, swap):
           for line, mangle, message in MANGLED_ROWS),
         *((partial(_swap_rows, swap=swap), message, 1) for swap, message in SWAPPED_ROWS),
         (list.pop, "inside a step", 1),
-        # Written as the byte 0xff.  Text decoding fails on a whole chunk,
-        # so a binary scan names the line.
+        # Written as the byte 0xff, which is read as a lone surrogate.
         (partial(_mangle_row, line=4, mangle=lambda row: "\udcff" + row),
-         "line 4 is not UTF-8 text", 2),
+         "line 4 is not UTF-8 text", 1),
     ],
 )
 def test_a_refused_csv_is_read_once(tmp_path, monkeypatch, tiny_csv, defect, message, opens):
@@ -1256,6 +1308,10 @@ def _not_utf8(lines, r):
     lines[1 + r] = b"\xff" + lines[1 + r]
 
 
+def _bad_field(lines, r):
+    lines[1 + r] = _with_field(lines[1 + r], 2, b"x")
+
+
 @pytest.mark.parametrize(
     "defect", [_drop_a_field, _bad_status, _swapped_phases, _step_back_in_time, _not_utf8]
 )
@@ -1288,10 +1344,16 @@ def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
 @st.composite
 def _line_ending_defect(draw, lines):
     """Byte lines ``lines`` with one line-ending defect, which numpy.loadtxt
-    may read as a valid CSV."""
+    may read as a valid CSV, and maybe a line that is not UTF-8 before it."""
     lines = list(lines)
     r = draw(st.integers(1, len(lines) - 1))
     kind = draw(st.sampled_from(["cr line", "cr in row", "joined", "crlf", "space cr"]))
+    if draw(st.booleans()):
+        # At or before the first line the defect may refuse, so that it is
+        # the first defect: of two, the whole-file load names the one its
+        # text decoder reaches first.  Row r follows an inserted \r line.
+        q = draw(st.integers(0, r - (kind in ("joined", "space cr"))))
+        lines[q] = b"\xff" + lines[q]
     if kind == "cr line":
         lines.insert(r, draw(st.sampled_from([b"\r", b"\r\r"])))
     elif kind == "cr in row":
@@ -1328,6 +1390,24 @@ def test_a_line_ending_defect_loads_as_the_whole_file_load_does(
         assert str(blocks.value) == str(expected)
     else:
         _assert_same_record(load_record_csv(path), expected)
+
+
+@pytest.mark.parametrize("defect", [_not_utf8, _bad_field])
+def test_a_row_after_a_bare_cr_has_one_line_number_whatever_its_defect(
+    tmp_path, twelve_steps, defect
+):
+    # "\r\r" before data row 2, with no "\n", ends two more text lines,
+    # as numpy.loadtxt counts rows: data row 4 is line 7.
+    lines = list(twelve_steps)
+    lines[2] = b"\r\r" + lines[2]
+    defect(lines, 3)
+    path = _write_byte_lines(tmp_path / "cr.csv", lines)
+    with pytest.raises(ContractError) as whole:
+        whole_file_load_record_csv(path)
+    with pytest.raises(ContractError) as blocks:
+        load_record_csv(path)
+    assert str(blocks.value) == str(whole.value)
+    assert f"{path!r}: line 7 " in str(blocks.value)
 
 
 @pytest.mark.parametrize("block_rows", [3, None])
