@@ -1349,9 +1349,10 @@ def _line_ending_defect(draw, lines):
     r = draw(st.integers(1, len(lines) - 1))
     kind = draw(st.sampled_from(["cr line", "cr in row", "joined", "crlf", "space cr"]))
     if draw(st.booleans()):
-        # At or before the first line the defect may refuse, so that it is
-        # the first defect: of two, the whole-file load names the one its
-        # text decoder reaches first.  Row r follows an inserted \r line.
+        # At or before the first line the defect may refuse, so that the
+        # file has one first defect: of two, the whole-file load names
+        # whichever numpy decodes first.  With "cr line", row r is the
+        # row right after the inserted line.
         q = draw(st.integers(0, r - (kind in ("joined", "space cr"))))
         lines[q] = b"\xff" + lines[q]
     if kind == "cr line":
