@@ -6,10 +6,11 @@ persisted CSV reproduces the in-memory values bit-exactly (from a CSV
 that keeps every step).  The reductions live in one place,
 :class:`SummaryAccumulator`, which takes a record chunk by chunk: runs
 and ``mmcsim metrics`` feed it as they step or read, and
-:func:`summarize` feeds it a whole record at once.  It holds the
-per-phase series of the run whole and reduces the per-SM series
-(capacitor voltages and statuses) as they come, so memory grows with
-the phases, not with the SMs.
+:func:`summarize` feeds it a whole record at once.  It reduces the
+per-SM series (capacitor voltages and statuses) and the current peaks
+as they come and keeps, of the window's samples only, the four
+per-phase series that the window means sum, so memory grows with the
+phases and the window, not with the SMs or the steps outside it.
 
 Window conventions, pinned so that partitioned windows add up cleanly:
 
@@ -177,22 +178,22 @@ _SM_STEPS = 1024
 class SummaryAccumulator:
     """The metrics of a run over one window, taken chunk by chunk.
 
-    :meth:`add` takes consecutive chunks of the record in time order.
-    The per-SM metrics are reduced as the chunks come, exactly under
-    any chunking: transition counts are integers, summed with the last
-    statuses of the chunk before carried, and the ripple is a running
-    max and min.  The per-phase series (times, ``i``, ``i_ref``,
-    ``i_z``, ``v_up``, ``v_low`` and ``v_dc_link``) are kept whole, in
-    one array each, and :meth:`result` reduces them over the time axis,
-    taken for every phase at once, so that each mean is that of one
-    pass over the window's samples.
+    :meth:`add` takes consecutive chunks of the record in time order and
+    reduces each as it comes, exactly under any chunking: transition
+    counts are integers, summed with the last statuses of the chunk
+    before carried, and the ripple and the peak ``|i|`` and ``|i_ref|``
+    are running maxima and minima.  That leaves four window means, which
+    ``np.mean`` sums pairwise in an order fixed by the sample count, so
+    their series are kept, for the window's samples only: ``(i -
+    i_ref)**2``, ``i_z``, ``0.5 * (v_low - v_up) * i`` and ``v_dc_link *
+    i_z``, formed per chunk with the operations of the whole-record
+    formulas, in one array that doubles when full.  :meth:`result`
+    means each phase's samples as one contiguous row, so that each mean
+    is that of one pass over the window's samples.
 
-    ``window`` None is the whole record, 0 to the last sample time; the
-    per-SM part reads it as (0, +inf), which is the same for a record
-    whose times rise.
+    ``window`` None is the whole record, 0 to the last sample time,
+    which is (0, +inf) for chunks whose times do not fall.
     """
-
-    _SERIES = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link")
 
     def __init__(self, window: tuple[float, float] | None, nominal_sm_voltage: float):
         if window is not None:
@@ -203,37 +204,42 @@ class SummaryAccumulator:
         self.nominal_sm_voltage = nominal_sm_voltage
         self.steps = 0
         self.labels: list[str] = []
-        self._series: dict[str, np.ndarray] = {}
+        self._t_last = -np.inf
+        self._kept = 0   # window samples in _products
+        self._products = self._peaks = None
         self._transitions = self._v_max = self._v_min = self._last_u = None
 
     def add(self, record: RunRecord) -> None:
-        """Take the record's next chunk: keep its per-phase series and
-        reduce its capacitor voltages and statuses, taken to be 0 or 1.
-        The first chunk's per-phase arrays are kept as they are, not copied."""
+        """Take the record's next chunk, whose statuses are taken to be 0
+        or 1.  Raises ContractError when its times fall, also from the
+        chunk before, or are NaN."""
+        if record.steps == 0:
+            return
+        t = record.times
+        if not (t[0] >= self._t_last and (t[1:] >= t[:-1]).all()):
+            raise ContractError("record times must not fall or be NaN")
         u = record.u
         if self._transitions is None:
             self.labels = record.labels
             self._transitions = np.zeros(u.shape[1:], dtype=np.int64)
             self._v_max = np.full(u.shape[1:], -np.inf)
             self._v_min = np.full(u.shape[1:], np.inf)
-        k1 = self.steps + record.steps
-        for name in self._SERIES:
-            chunk = getattr(record, name)
-            kept = self._series.get(name)
-            if kept is None:
-                self._series[name] = chunk   # a record fed once is not copied
-                continue
-            if k1 > len(kept):
-                # Doubled when full, so each step is copied a bounded number
-                # of times, into one array per series: chunks kept apart
-                # would be small blocks that the allocator does not hand back
-                # to the system once they are joined.
-                grown = np.empty((max(k1, 2 * len(kept)), *chunk.shape[1:]), chunk.dtype)
-                grown[: self.steps] = kept[: self.steps]
-                self._series[name] = kept = grown
-            kept[self.steps : k1] = chunk
-        self.steps = k1
+            self._peaks = np.zeros((2, u.shape[1]))   # max |i| and max |i_ref|
+            self._products = np.empty((0, 4, u.shape[1]))
+        self.steps += record.steps
+        self._t_last = float(t[-1])
         t0, t1 = self.window if self.window is not None else (0.0, np.inf)
+        # The chunk's samples in [t0, t1] are consecutive, as its times do not fall.
+        inside = slice(t.searchsorted(t0, "left"), t.searchsorted(t1, "right"))
+        i, i_ref, i_z = record.i[inside], record.i_ref[inside], record.i_z[inside]
+        if len(i):
+            for peak, series in zip(self._peaks, (i, i_ref)):
+                np.maximum(peak, np.maximum.reduce(np.abs(series), axis=0), out=peak)
+            rows = self._grow(len(i))
+            np.square(i - i_ref, out=rows[:, 0])
+            rows[:, 1] = i_z
+            np.multiply(0.5 * (record.v_low[inside] - record.v_up[inside]), i, out=rows[:, 2])
+            np.multiply(record.v_dc_link[inside], i_z, out=rows[:, 3])
         for k0 in range(0, record.steps, _SM_STEPS):
             t = record.times[k0 : k0 + _SM_STEPS]
             u = record.u[k0 : k0 + _SM_STEPS]
@@ -254,16 +260,26 @@ class SummaryAccumulator:
             np.minimum(self._v_min, np.min(v_c, axis=0, where=sampled, initial=np.inf),
                        out=self._v_min)
 
+    def _grow(self, rows: int) -> np.ndarray:
+        """The next ``rows`` rows of ``_products``.  It doubles when full,
+        so each sample is copied a bounded number of times, into one
+        array: chunks kept apart would be small blocks that the allocator
+        does not hand back to the system once they are joined."""
+        k0, k1 = self._kept, self._kept + rows
+        if k1 > len(self._products):
+            grown = np.empty((max(k1, 2 * len(self._products)), *self._products.shape[1:]))
+            grown[:k0] = self._products[:k0]
+            self._products = grown
+        self._kept = k1
+        return self._products[k0:k1]
+
     def result(self) -> SummaryMetrics:
         """The metrics of the chunks taken so far."""
         if self.steps == 0:
             raise MetricWindowError("cannot summarize an empty record")
-        record = {name: series[: self.steps] for name, series in self._series.items()}
-        t = record["times"]
-        window = self.window if self.window is not None else (0.0, float(t[-1]))
+        window = self.window if self.window is not None else (0.0, self._t_last)
         t0, t1 = _check_window(window)
-        mask = (t >= t0) & (t <= t1)
-        if not mask.any():
+        if not self._kept:
             raise MetricWindowError(f"no samples inside window ({t0}, {t1})")
         out = SummaryMetrics(window=window)
         n = self._transitions.shape[-1] // 2
@@ -279,41 +295,40 @@ class SummaryAccumulator:
         out.fs_mean = float(fs.mean())
         out.ripple_mean_pct = float(ripple.mean())
 
-        # Each phase's window samples as one contiguous row, so that every
-        # phase reduces in sample order, as a 1-D series would.  The rows
-        # are copies, which the tracking error and the deviation overwrite;
-        # i_z's is taken once i's and i_ref's are dropped, so that at most
-        # two are alive at once.
-        i, i_ref = (np.ascontiguousarray(record[name][mask].T) for name in ("i", "i_ref"))
         # The AC amplitude is the peak |i| of the window.
-        amp = np.abs(i).max(axis=1)
+        amp, ref_amp = self._peaks
         if not amp.all():
             raise MetricWindowError("AC amplitude is zero inside the window")
-        ref_amp = np.abs(i_ref).max(axis=1)
         if not ref_amp.all():
             raise MetricWindowError("reference amplitude is zero inside the window")
+
+        def rows(j: int) -> np.ndarray:
+            """Product ``j``'s window samples, each phase's as one
+            contiguous row, so that every phase reduces in sample order,
+            as a 1-D series would; one copy is taken at a time."""
+            return np.ascontiguousarray(self._products[: self._kept, j].T)
+
         # RMS AC-current tracking error in percent of the reference amplitude.
-        err = np.subtract(i, i_ref, out=i)
-        rmse = 100.0 * np.sqrt(np.mean(np.square(err, out=err), axis=1)) / ref_amp
+        rmse = 100.0 * np.sqrt(np.mean(rows(0), axis=1)) / ref_amp
         out.tracking_rmse_pct = float(rmse.max())
-        del i, i_ref, err
         # The circulating current carries a DC component transferring the
         # converter power through the bus; the quantity the controller
         # drives to zero is the deviation from that steady level, so the
         # ratio is taken on the series less its window mean.
-        i_z = np.ascontiguousarray(record["i_z"][mask].T)
+        i_z = rows(1)
         i_z -= i_z.mean(axis=1, keepdims=True)
         out.i_z_max_ratio = float((np.abs(i_z, out=i_z).max(axis=1) / amp).max())
+        del i_z
 
         # Converter powers: AC side from the synthesized differential voltage,
         # DC side from the bus voltage and the summed circulating currents.
+        p_ac_phase, p_dc_phase = rows(2).mean(axis=1), rows(3).mean(axis=1)
         for key, cols in _mmc_groups(self.labels).items():
             p_ac = 0.0
             p_dc = 0.0
             for p in cols:
-                e_conv = 0.5 * (record["v_low"][mask, p] - record["v_up"][mask, p])
-                p_ac += float(np.mean(e_conv * record["i"][mask, p]))
-                p_dc += float(np.mean(record["v_dc_link"][mask, p] * record["i_z"][mask, p]))
+                p_ac += float(p_ac_phase[p])
+                p_dc += float(p_dc_phase[p])
             out.p_ac[key] = p_ac
             out.p_dc[key] = p_dc
         return out

@@ -750,44 +750,57 @@ def oracle_load(path):
 def whole_file_load_record_csv(path: str) -> RunRecord:
     """The run CSV loader that parses the whole file in one
     ``numpy.loadtxt`` pass and then checks it, raising the ContractError
-    of ``mmcsim.csvio.load_record_csv`` for a file with one defect."""
+    of ``mmcsim.csvio.load_record_csv`` for a file with one defect, or
+    with a line that is not UTF-8 and a row that does not parse, named
+    in line order."""
     try:
         return _whole_file_parse(path)
     except UnicodeDecodeError:
-        _name_undecodable_line(path)
+        _name_first_bad_line(path)
 
 
-def _name_undecodable_line(path: str) -> NoReturn:
-    """Raise ContractError naming the first line of ``path`` that is not
-    UTF-8 text, numbering the lines as numpy.loadtxt splits rows: at
-    ``\n``, ``\r\n`` and a bare ``\r``."""
+def _name_first_bad_line(path: str) -> NoReturn:
+    """Raise the ContractError of the first line of ``path`` that is not
+    UTF-8 text or that the parse refuses on its own, before any check of
+    the table: the header, or a row with a wrong field count or a field
+    that does not parse.  Lines are numbered as numpy.loadtxt splits
+    rows: at ``\n``, ``\r\n`` and a bare ``\r``."""
     with open(path, "rb") as f:
         lines = f.read().splitlines(keepends=True)
     for no, line in enumerate(lines, start=1):
         try:
-            line.decode("utf-8")
+            text = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ContractError(
                 f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
             ) from None
+        if no == 1:
+            dtype, n_fields = _schema(path, text)
+        elif text.rstrip("\r\n"):
+            _check_row(path, no, text, dtype, n_fields)
     raise ContractError(f"{path!r} is not UTF-8 text")
+
+
+def _schema(path: str, header: str) -> tuple[np.dtype, int]:
+    """The row dtype and the field count of a CSV whose first line is ``header``."""
+    header = header.rstrip("\n").split(",")
+    n2 = sum(1 for c in header if c.startswith("v_c_"))
+    if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
+        raise ContractError(f"{path!r} does not match the run CSV schema")
+    return _row_dtype(n2 // 2), len(header)
 
 
 def _whole_file_parse(path: str) -> RunRecord:
     with open(path, newline="", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-    n2 = sum(1 for c in header if c.startswith("v_c_"))
-    if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
-        raise ContractError(f"{path!r} does not match the run CSV schema")
+        dtype, n_fields = _schema(path, f.readline())
     if next(_data_lines(path), None) is None:
         raise ContractError(f"{path!r} contains no data rows")
-    dtype = _row_dtype(n2 // 2)
     try:
         table = np.loadtxt(
             path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="utf-8"
         )
     except ValueError:
-        _name_bad_line(path, dtype, len(header))
+        _name_bad_line(path, dtype, n_fields)
 
     phase = table["phase"]
     # The phase labels are those before the first repeated one.
@@ -832,13 +845,19 @@ def _refuse(path: str, bad: np.ndarray, what: str) -> None:
 
 def _name_bad_line(path: str, dtype: np.dtype, n_fields: int) -> NoReturn:
     for no, line in _data_lines(path):
-        fields = line.count(",") + 1
-        if fields != n_fields:
-            raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
-        try:
-            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
-        except ValueError as exc:
-            raise ContractError(
-                f"{path!r}: line {no} has a field that does not parse ({exc})"
-            ) from None
+        _check_row(path, no, line, dtype, n_fields)
     raise ContractError(f"{path!r}: numeric fields do not parse")
+
+
+def _check_row(path: str, no: int, line: str, dtype: np.dtype, n_fields: int) -> None:
+    """Raise ContractError when data row ``line``, line ``no`` of ``path``,
+    has a wrong field count or does not parse on its own."""
+    fields = line.count(",") + 1
+    if fields != n_fields:
+        raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
+    try:
+        np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+    except ValueError as exc:
+        raise ContractError(
+            f"{path!r}: line {no} has a field that does not parse ({exc})"
+        ) from None

@@ -1344,16 +1344,13 @@ def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
 @st.composite
 def _line_ending_defect(draw, lines):
     """Byte lines ``lines`` with one line-ending defect, which numpy.loadtxt
-    may read as a valid CSV, and maybe a line that is not UTF-8 before it."""
+    may read as a valid CSV, and maybe a line that is not UTF-8, before or
+    after it."""
     lines = list(lines)
     r = draw(st.integers(1, len(lines) - 1))
     kind = draw(st.sampled_from(["cr line", "cr in row", "joined", "crlf", "space cr"]))
     if draw(st.booleans()):
-        # At or before the first line the defect may refuse, so that the
-        # file has one first defect: of two, the whole-file load names
-        # whichever numpy decodes first.  With "cr line", row r is the
-        # row right after the inserted line.
-        q = draw(st.integers(0, r - (kind in ("joined", "space cr"))))
+        q = draw(st.integers(0, len(lines) - 1))
         lines[q] = b"\xff" + lines[q]
     if kind == "cr line":
         lines.insert(r, draw(st.sampled_from([b"\r", b"\r\r"])))

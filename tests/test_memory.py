@@ -1,25 +1,30 @@
-"""Memory bounded by the chunk, not the run.
+"""Memory bounded by the chunk and the window, not the run.
 
-``run``, ``compare`` and ``metrics`` keep the per-phase series of a run
-whole (7 floats per phase per step, the times counted as one) and only a
-chunk of its per-SM state (``v_c`` and ``u``, 2n of each per phase per
-step).  So from a 0.0125 s to a 0.05 s run of the n = 48 ideal-bus
-system their peak traced memory may grow by the per-phase series bytes
-of the extra steps, and a fixed slack, but not by the per-SM state of
-them: 2.6 kB per step, 3.9 MB over the 1,500 extra steps, nearly four
-times the slack.  The runs are short because tracing every allocation
-slows the stepping about twentyfold.
+``run``, ``compare`` and ``metrics`` keep four per-phase series of the
+window's samples (4 floats per phase per step) and only a chunk of a
+run's per-SM state (``v_c`` and ``u``, 2n of each per phase per step).
+So from a 0.0125 s to a 0.05 s run of the n = 48 ideal-bus system, whose
+window is the whole run, their peak traced memory may grow by the
+per-phase series bytes of the extra steps, and a fixed slack, but not by
+the per-SM state of them: 2.6 kB per step, 3.9 MB over the 1,500 extra
+steps, nearly four times the slack.  The runs are short because tracing
+every allocation slows the stepping about twentyfold.  The summary
+accumulator alone is fed synthetic chunks, which is fast enough to
+bound its growth per window step and to show that steps outside the
+window add nothing.
 """
 
 import logging
 import shutil
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mmcsim.cli import main
 from mmcsim.config import parse_config
 from mmcsim.csvio import TimeSeriesSink
+from mmcsim.metrics import RunRecord, SummaryAccumulator
 from mmcsim.testbench import _summarize_batch, run_scenario
 
 CONFIG = """
@@ -32,9 +37,9 @@ duration = {duration}
 policy_schedule = [({event}, F1V2)]
 """
 DURATIONS = (0.0125, 0.05)
-# Bytes per step and batch row of the per-phase series: 7 floats for
-# each of the 3 phases.
-SERIES_BYTES = 7 * 3 * 8
+# Bytes per window step and batch row of the per-phase series: 4 floats
+# for each of the 3 phases.
+SERIES_BYTES = 4 * 3 * 8
 SLACK = 1 << 20
 
 
@@ -111,3 +116,52 @@ def test_metrics_on_a_csv_holds_a_block_of_per_sm_state(
         assert caplog.messages == [f"metrics: {source} {path}" for path in csvs]
         capsys.readouterr()
         _assert_bounded(peaks)
+
+
+CHUNK = 128
+
+
+def _chunks(count):
+    """``count`` consecutive 128-step chunks of a synthetic three-phase
+    n = 1 record, one step per millisecond."""
+    rng = np.random.default_rng(0)
+    chunks = []
+    for c in range(count):
+        def series(*sms):
+            return rng.standard_normal((CHUNK, 3, *sms))
+
+        chunks.append(RunRecord(
+            times=np.arange(c * CHUNK, (c + 1) * CHUNK) * 1e-3, labels=["a", "b", "c"],
+            i=series(), i_ref=series(), i_z=series(), v_up=series(), v_low=series(),
+            v_c=series(2), u=rng.integers(0, 2, (CHUNK, 3, 2), dtype=np.int8),
+            v_dc_link=series(), i_dc_link=series(), policy=["F1V2"] * CHUNK,
+        ))
+    return chunks
+
+
+def _summary_peak(chunks, first, last):
+    """Peak traced bytes of summarizing ``chunks`` over the window from
+    step ``first`` to step ``last``."""
+    times = np.concatenate([chunk.times for chunk in chunks])
+    window = (float(times[first]), float(times[last]))
+
+    def summarize():
+        summary = SummaryAccumulator(window, 1.0)
+        for chunk in chunks:
+            summary.add(chunk)
+        summary.result()
+
+    return _peak(summarize)
+
+
+def test_the_summary_grows_by_the_window_steps_alone():
+    # 1,024 and 8,192 window steps: powers of two, as the kept series
+    # double when full; the third summary has 1,024 window steps of
+    # 8,192, with 28 chunks before the window and 28 after it.
+    slack = 64 << 10
+    chunks = _chunks(64)
+    small = _summary_peak(chunks[:8], 0, 1023)
+    large = _summary_peak(chunks, 0, 8191)
+    assert large - small <= 2 * SERIES_BYTES * (8192 - 1024) + slack, (small, large)
+    padded = _summary_peak(chunks, 28 * CHUNK, 36 * CHUNK - 1)
+    assert padded - small <= slack, (small, padded)

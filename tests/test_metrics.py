@@ -1,17 +1,18 @@
 """Unit tests for switching, ripple, circulating and tracking metrics."""
 
+import functools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmcsim.controller import SortPolicy
 from mmcsim.csvio import TimeSeriesSink, load_record_csv
 from mmcsim.errors import ContractError, MetricWindowError
-from mmcsim.metrics import RunRecord, summarize
+from mmcsim.metrics import RunRecord, SummaryAccumulator, summarize
 from mmcsim.testbench import Scenario, build_stock_system, simulate
 from per_phase_reference import (
     SwitchTrace,
@@ -361,6 +362,30 @@ def test_summarize_reports_a_nan_sample_as_nan(series, metric):
     assert math.isnan(getattr(metrics, metric))
 
 
+@pytest.mark.parametrize("times", [(5e-3, 4e-3), (4e-3, math.nan)], ids=["swapped", "nan"])
+def test_summarize_refuses_times_that_fall(times):
+    record = _tiny_record()
+    record.times[[3, 4]] = times
+    with pytest.raises(ContractError, match="times must not fall"):
+        summarize(record, (0.0, 0.01), 10e3)
+
+
+def test_a_chunk_that_starts_before_the_last_one_ended_is_refused():
+    record = _tiny_record()
+    summary = SummaryAccumulator(None, 10e3)
+    summary.add(_chunk(record, 0, 5))
+    with pytest.raises(ContractError, match="times must not fall"):
+        summary.add(_chunk(record, 3, 8))
+
+
+def _chunk(record, k0, k1):
+    """Steps ``k0`` to ``k1`` of ``record``, as a record."""
+    return RunRecord(**{
+        f.name: getattr(record, f.name) if f.name == "labels" else getattr(record, f.name)[k0:k1]
+        for f in fields(RunRecord)
+    })
+
+
 def _stock_record(n, mode):
     params, grid, link, _ = build_stock_system()
     params = replace(params, n=n)
@@ -400,6 +425,52 @@ def test_summarize_matches_scalar_oracle(n, mode):
         got = summarize(record, window, params.v_sm_nominal)
         want = reference_summarize(record, window, params.v_sm_nominal)
         assert _summary_bytes(got) == _summary_bytes(want)
+
+
+@functools.cache
+def _cached_stock_record(n, mode):
+    return _stock_record(n, mode)
+
+
+@st.composite
+def _window_and_cuts(draw, steps):
+    """A window of a ``steps``-step record, or None, and the step indices
+    at which to cut the record into chunks.  A drawn window has whole
+    chunks before ``t0`` and after ``t1``, and a chunk across each edge;
+    each edge is a sample time or falls between two."""
+    cuts = draw(st.sets(st.integers(1, steps - 1), max_size=8))
+    if draw(st.booleans()):
+        return None, sorted(cuts)
+    a = draw(st.integers(2, steps - 24))     # the first sample in the window
+    b = draw(st.integers(a + 20, steps - 2))  # the last
+    edges = (draw(st.integers(1, a - 1)), draw(st.integers(a + 1, b)),
+             draw(st.integers(a + 1, b)), draw(st.integers(b + 1, steps - 1)))
+    lo, hi = min(edges[1:3]), max(edges[1:3])
+    # No cut inside the chunks across the edges.
+    cuts = {c for c in cuts if not (edges[0] < c < lo or hi < c < edges[3])} | set(edges)
+    return (a, draw(st.booleans()), b, draw(st.booleans())), sorted(cuts)
+
+
+@pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
+@pytest.mark.parametrize("n", [1, 6])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_summary_accumulator_matches_the_oracle_in_any_chunking(n, mode, data):
+    record, params = _cached_stock_record(n, mode)
+    t = record.times
+    drawn, cuts = data.draw(_window_and_cuts(record.steps))
+    if drawn is None:
+        window, oracle_window = None, (0.0, float(t[-1]))
+    else:
+        a, a_between, b, b_between = drawn
+        t0 = 0.5 * (t[a - 1] + t[a]) if a_between else t[a]
+        t1 = 0.5 * (t[b] + t[b + 1]) if b_between else t[b]
+        window = oracle_window = (float(t0), float(t1))
+    summary = SummaryAccumulator(window, params.v_sm_nominal)
+    for k0, k1 in zip([0, *cuts], [*cuts, record.steps]):
+        summary.add(_chunk(record, k0, k1))
+    want = reference_summarize(record, oracle_window, params.v_sm_nominal)
+    assert _summary_bytes(summary.result()) == _summary_bytes(want)
 
 
 def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
