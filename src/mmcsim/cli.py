@@ -11,9 +11,12 @@
 * ``metrics <csv> [--window t0 t1]`` recomputes the summary metrics of
   a persisted run, from the sidecar ``<csv>.rec`` if it matches the CSV.
 
-The environment variable ``MMCSIM_OUTPUT_DIR`` overrides the configured
-output directory of ``run`` and ``compare`` and the report location of
-``metrics``.  There is no randomness anywhere: identical inputs produce
+Each command ends in one report path (:func:`_report`): it writes the
+report text to ``<stem>.txt`` and its numbers to ``<stem>.json`` in the
+output directory, then prints the text.  The output directory is the
+configured one for ``run`` and ``compare`` and the CSV's directory for
+``metrics``; the environment variable ``MMCSIM_OUTPUT_DIR`` overrides
+all three.  There is no randomness anywhere: identical inputs produce
 byte-identical outputs.
 """
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import logging
 import math
 import os
@@ -34,7 +36,7 @@ from .csvio import (
     _sidecar_blocks,
     format_metrics_text,
     read_record_blocks,
-    write_metrics_report,
+    write_report,
 )
 from .errors import ConfigError
 from .metrics import SummaryAccumulator
@@ -47,8 +49,20 @@ log = logging.getLogger(__name__)
 OUTPUT_DIR_ENV = "MMCSIM_OUTPUT_DIR"
 
 
-def _output_dir(config: RunConfig) -> str:
-    return os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
+def _output_dir(default: str) -> str:
+    """The output directory, ``MMCSIM_OUTPUT_DIR`` or else ``default``, made."""
+    out_dir = os.environ.get(OUTPUT_DIR_ENV) or default
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def _report(default: str, stem: str, text: str, payload) -> int:
+    """Write ``text`` and ``payload`` as ``<stem>.txt`` and ``<stem>.json``
+    into the output directory, print ``text`` and return exit code 0."""
+    path = os.path.join(_output_dir(default), stem)
+    write_report(text, payload, path + ".txt", path + ".json")
+    sys.stdout.write(text)
+    return 0
 
 
 def _load_config(path: str) -> RunConfig:
@@ -62,8 +76,7 @@ def _load_config(path: str) -> RunConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    out_dir = _output_dir(config)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(config.output_dir)
     csv_path = os.path.join(out_dir, "run.csv")
     with TimeSeriesSink(csv_path, config.params.n, config.decimation) as sink:
         metrics = run_scenario(
@@ -74,13 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             dc_link=config.dc_link,
             window=config.window,
         )
-    write_metrics_report(
-        metrics,
-        os.path.join(out_dir, "metrics.txt"),
-        os.path.join(out_dir, "metrics.json"),
-    )
-    sys.stdout.write(format_metrics_text(metrics))
-    return 0
+    return _report(out_dir, "metrics", format_metrics_text(metrics), metrics.to_flat())
 
 
 def _schedule_stripped(config: RunConfig) -> RunConfig:
@@ -115,8 +122,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         grid=config_a.grid,
         dc_link=config_a.dc_link,
     )
-    flat_a = metrics_a.to_flat()
-    flat_b = metrics_b.to_flat()
+    flat_a, flat_b = metrics_a.to_flat(), metrics_b.to_flat()
     fs_a, fs_b = metrics_a.fs_mean, metrics_b.fs_mean
     if fs_a == fs_b:
         ratio = 1.0
@@ -126,27 +132,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ratio = fs_b / fs_a
 
     lines = [f"# a = {args.config_a}", f"# b = {args.config_b}"]
-    lines += [
-        f"{key} = {flat_a[key]:.17g} | {flat_b[key]:.17g}"
-        for key in sorted(flat_a)
-    ]
+    lines += [f"{key} = {flat_a[key]:.17g} | {flat_b[key]:.17g}" for key in sorted(flat_a)]
     lines.append(f"fs_ratio_b_over_a = {ratio:.17g}")
-    report = "\n".join(lines) + "\n"
-
-    out_dir = _output_dir(config_a)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "compare.txt"), "w") as f:
-        f.write(report)
-    with open(os.path.join(out_dir, "compare.json"), "w") as f:
-        json.dump(
-            {"a": flat_a, "b": flat_b, "fs_ratio_b_over_a": ratio},
-            f,
-            sort_keys=True,
-            indent=2,
-        )
-        f.write("\n")
-    sys.stdout.write(report)
-    return 0
+    payload = {"a": flat_a, "b": flat_b, "fs_ratio_b_over_a": ratio}
+    return _report(config_a.output_dir, "compare", "\n".join(lines) + "\n", payload)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -166,17 +155,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for block in itertools.chain([first], blocks):
         summary.add(block)
     metrics = summary.result()
-
-    out_dir = os.environ.get(OUTPUT_DIR_ENV) or os.path.dirname(args.csv) or "."
-    os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.csv))[0]
-    write_metrics_report(
-        metrics,
-        os.path.join(out_dir, f"{stem}.metrics.txt"),
-        os.path.join(out_dir, f"{stem}.metrics.json"),
-    )
-    sys.stdout.write(format_metrics_text(metrics))
-    return 0
+    return _report(os.path.dirname(args.csv) or ".", f"{stem}.metrics",
+                   format_metrics_text(metrics), metrics.to_flat())
 
 
 def _build_parser() -> argparse.ArgumentParser:

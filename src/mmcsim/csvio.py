@@ -1,4 +1,4 @@
-"""Deterministic CSV persistence of run records and metrics reports.
+"""Deterministic CSV persistence of run records, and the report files.
 
 One row per (time step, phase); floats are serialized with 17
 significant digits so a reloaded file reproduces the in-memory doubles
@@ -42,7 +42,10 @@ operations as it comes, names a refused row's line from the lines it
 holds (bytes that are not UTF-8 too, read as lone surrogates), and
 takes the record's arrays by field name.  ``mmcsim metrics`` summarizes
 the blocks as they are read (:func:`read_record_blocks`), so its memory
-holds one block of per-SM state; :func:`load_record_csv` joins them.
+holds one block of per-SM state; :func:`load_record_csv` joins them.  A
+block's arrays, from the CSV or the sidecar, are views of its table.
+:func:`write_report` writes each command's report files: the text it
+prints, and its numbers as sorted JSON.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ __all__ = [
     "load_record_csv",
     "read_record_blocks",
     "format_metrics_text",
-    "write_metrics_report",
+    "write_report",
 ]
 
 _FLOAT_FMT = "%.17g"
@@ -277,8 +280,9 @@ class TimeSeriesSink:
         those given, counted across calls, when (k + 1) % decimation == 0.
 
         Raises ContractError, before writing anything, when the kept rows
-        would go backwards in time, hold a status other than 0 or 1, or
-        name other phases than the rows before them.
+        have a time that is not finite, would go backwards in time, hold a
+        status other than 0 or 1, or name other phases than the rows before
+        them.
         """
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
@@ -286,6 +290,8 @@ class TimeSeriesSink:
             raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
         times = record.times[kept]
+        if not np.isfinite(times).all():
+            raise ContractError("record rows would have a time that is not finite")
         if times.size and (times[0] < self._last_t or (times[1:] < times[:-1]).any()):
             raise ContractError("record rows would go backwards in time")
         if not _binary_statuses(record.u[kept]).all():
@@ -398,7 +404,8 @@ def load_record_csv(path: str) -> RunRecord:
     is not UTF-8 text, a row has the wrong number of fields, breaks the
     phase order, holds a field that is not a number or a status other
     than 0 or 1, has a time or a policy other than the first row of its
-    step, or starts a step earlier than the step before.
+    step, has a time that is not finite, or starts a step earlier than the
+    step before.
     """
     blocks = list(read_record_blocks(path))
     return RunRecord(
@@ -454,12 +461,9 @@ def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
 
 
 def _block_record(table, labels: list[str], policy: list[str], times: np.ndarray) -> RunRecord:
-    """The RunRecord of a block read into ``table``: ``v_c`` and ``u`` are
-    views of it, the per-phase arrays and ``times`` copies, so that a
-    consumer keeping them does not keep the table."""
-    return RunRecord(times=times.copy(), labels=labels, policy=policy,
-                     **{name: table[name] if name in ("v_c", "u") else table[name].copy()
-                        for name in _ARRAYS[1:]})
+    """The RunRecord of a block read into ``table``, whose arrays are views of it."""
+    return RunRecord(times=times, labels=labels, policy=policy,
+                     **{name: table[name] for name in _ARRAYS[1:]})
 
 
 def read_record_blocks(path: str) -> Iterator[RunRecord]:
@@ -467,16 +471,16 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
     whole steps, each checked as :func:`load_record_csv` describes.
 
     A block is about ``_LOAD_CELLS`` fields of whole rows, parsed in one
-    ``numpy.loadtxt`` call from the lines it holds.  Its ``v_c`` and
-    ``u`` are views of the block's table; its other arrays are its own.
-    A defect is named when its block is read, after the blocks before it.
+    ``numpy.loadtxt`` call from the lines it holds.  Its arrays are views
+    of the block's table.  A defect is named when its block is read,
+    after the blocks before it.
     """
     # Bytes that are not UTF-8 decode to lone surrogates, which a block
     # finds when it encodes its lines again.
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
         header = f.readline()
         _check_utf8(path, 1, header)
-        header = header.rstrip("\n").split(",")
+        header = header.rstrip("\r\n").split(",")
         n2 = sum(1 for c in header if c.startswith("v_c_"))
         if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
             raise ContractError(f"{path!r} does not match the run CSV schema")
@@ -535,6 +539,7 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
             t_bits = step["t"].view(np.int64)
             refuse(t_bits != t_bits[:, :1], "has a time other than its step's first row")
             times = step["t"][:, 0]
+            refuse((~np.isfinite(times)).repeat(n_cols), "has a time that is not finite")
             refuse((times < np.r_[last_t, times[:-1]]).repeat(n_cols), "goes back in time")
             # The fields between the phase label and the policy are the
             # RunRecord arrays of the same names.
@@ -580,13 +585,10 @@ def format_metrics_text(metrics: SummaryMetrics) -> str:
     )
 
 
-def write_metrics_report(
-    metrics: SummaryMetrics, text_path: str, json_path: str
-) -> None:
-    """Persist a metrics summary as flat text plus machine-readable JSON."""
-    text = format_metrics_text(metrics)
+def write_report(text: str, payload, text_path: str, json_path: str) -> None:
+    """Persist a report: ``text`` as it is, ``payload`` as sorted JSON."""
     with open(text_path, "w") as f:
         f.write(text)
     with open(json_path, "w") as f:
-        json.dump(metrics.to_flat(), f, sort_keys=True, indent=2)
+        json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -212,12 +212,12 @@ class SummaryAccumulator:
     def add(self, record: RunRecord) -> None:
         """Take the record's next chunk, whose statuses are taken to be 0
         or 1.  Raises ContractError when its times fall, also from the
-        chunk before, or are NaN."""
+        chunk before, or are not finite."""
         if record.steps == 0:
             return
         t = record.times
-        if not (t[0] >= self._t_last and (t[1:] >= t[:-1]).all()):
-            raise ContractError("record times must not fall or be NaN")
+        if not (np.isfinite(t).all() and t[0] >= self._t_last and (t[1:] >= t[:-1]).all()):
+            raise ContractError("record times must not fall and must be finite")
         u = record.u
         if self._transitions is None:
             self.labels = record.labels

@@ -314,14 +314,15 @@ def run_scenario(
     """Run a scenario, stream rows to a sink, and summarize the run.
 
     ``sink`` is any object with ``write_record(record)``, such as the
-    CSV sink, which keeps the steps it persists.  As the run steps, the
-    kernel hands each chunk of ``_SCAN_STEPS`` steps, as a
-    :class:`RunRecord`, to ``sink.write_record`` and then to the
-    summary, which is taken at full rate chunk by chunk, so no whole
-    record of the run is held.  A run that diverges hands the sink the
-    chunks before the one it fails in.  ``window`` defaults to the whole
-    run, 0 to the last sample time.  A zero duration produces no rows
-    and all-zero initial-state metrics.
+    CSV sink.  As the run steps, the kernel hands each chunk of
+    ``_SCAN_STEPS`` steps, as a :class:`RunRecord`, to
+    ``sink.write_record`` and then to the summary, which is taken at
+    full rate chunk by chunk, so no whole record of the run is held.  A
+    chunk's arrays are valid during the call, and a sink copies what it
+    keeps.  A run that diverges hands the sink the chunks before the one
+    it fails in.  ``window`` defaults to the whole run, 0 to the last
+    sample time.  A zero duration produces no rows and all-zero
+    initial-state metrics.
     """
     (metrics,) = _summarize_batch(
         [scenario], window, params=params, grid=grid, dc_link=dc_link, sink=sink
@@ -434,11 +435,11 @@ def _step_batch(
     state, so a failed row steps on with the others until the scan of
     its chunk finds its error.  After each scan, for every row that has
     not failed, in row order, it calls ``consume(row, record)`` with the
-    row's :class:`RunRecord` of the chunk.  The record's ``v_c`` and
-    ``u`` are views of buffers that the next chunk overwrites; its other
-    arrays are its own.  Chunks are ``_SCAN_STEPS`` long.  It is no
-    generator, so the ``errstate`` holds while the records are built,
-    where failed rows' sums overflow.
+    row's :class:`RunRecord` of the chunk.  A chunk's arrays are valid
+    during the call, and a consumer copies what it keeps: some are views
+    of buffers that the next chunk overwrites.  Chunks are
+    ``_SCAN_STEPS`` long.  It is no generator, so the ``errstate`` holds
+    while the records are built, where failed rows' sums overflow.
     """
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
@@ -665,8 +666,7 @@ def _step_batch(
                     times=np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s,
                     labels=list(labels), policy=row_policy,
                     i=row_i[:, row], i_ref=row_i_ref[:, row], i_z=row_i_z[:, row],
-                    v_up=np.ascontiguousarray(row_v_arm[:, row, :, 0]),
-                    v_low=np.ascontiguousarray(row_v_arm[:, row, :, 1]),
+                    v_up=row_v_arm[:, row, :, 0], v_low=row_v_arm[:, row, :, 1],
                     v_c=row_v_c[:, row], u=row_u[:, row],
                     v_dc_link=row_v_dc[:, row], i_dc_link=row_i_dc[:, row],
                 ))

@@ -716,9 +716,9 @@ def reference_summarize(
 def oracle_load(path):
     """The per-field CSV loader: every field parsed with float() or int()."""
     with open(path, newline="") as f:
-        header = f.readline().rstrip("\n").split(",")
+        header = f.readline().rstrip("\r\n").split(",")
         n2 = sum(1 for c in header if c.startswith("v_c_"))
-        raw_rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+        raw_rows = [line.rstrip("\r\n").split(",") for line in f if line.strip()]
     labels = []
     for row in raw_rows:
         if row[1] in labels:
@@ -783,7 +783,7 @@ def _name_first_bad_line(path: str) -> NoReturn:
 
 def _schema(path: str, header: str) -> tuple[np.dtype, int]:
     """The row dtype and the field count of a CSV whose first line is ``header``."""
-    header = header.rstrip("\n").split(",")
+    header = header.rstrip("\r\n").split(",")
     n2 = sum(1 for c in header if c.startswith("v_c_"))
     if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
         raise ContractError(f"{path!r} does not match the run CSV schema")
@@ -819,6 +819,7 @@ def _whole_file_parse(path: str) -> RunRecord:
     t_bits = step["t"].view(np.int64)
     _refuse(path, t_bits != t_bits[:, :1], "has a time other than its step's first row")
     times = step["t"][:, 0]
+    _refuse(path, (~np.isfinite(times)).repeat(n_cols), "has a time that is not finite")
     _refuse(path, np.r_[False, times[1:] < times[:-1]].repeat(n_cols), "goes back in time")
     return RunRecord(
         times=times.copy(),

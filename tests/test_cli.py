@@ -18,9 +18,10 @@ from mmcsim.config import parse_config
 from mmcsim.csvio import (
     TimeSeriesSink,
     _sidecar_blocks,
+    format_metrics_text,
     load_record_csv,
     read_record_blocks,
-    write_metrics_report,
+    write_report,
 )
 from mmcsim.errors import SimulationDiverged
 from mmcsim.metrics import SummaryMetrics, summarize
@@ -82,6 +83,11 @@ def _metrics(capsys, caplog, csv_path, *options, reads_sidecar=True):
     return runs[1][:2]
 
 
+def _write_metrics_report(metrics, text_path, json_path):
+    """Write the report files that ``run`` and ``metrics`` write for ``metrics``."""
+    write_report(format_metrics_text(metrics), metrics.to_flat(), text_path, json_path)
+
+
 def _parse_report(text):
     values = {}
     for line in text.splitlines():
@@ -109,6 +115,55 @@ def test_run_respects_output_dir_env(workdir, monkeypatch):
     assert main(["run", cfg]) == 0
     assert (workdir / "elsewhere" / "run.csv").exists()
     assert not (workdir / "out").exists()
+
+
+def _report_numbers(text):
+    """The numbers of a printed report by key: one, or ``compare``'s a and b."""
+    return {
+        key: [float(v) for v in values.split(" | ")]
+        for key, _, values in (line.partition(" = ") for line in text.splitlines())
+        if not key.startswith("#")
+    }
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["config_dir", "env_dir"])
+@pytest.mark.parametrize("command", ["run", "compare", "metrics_sidecar", "metrics_parse"])
+def test_each_report_file_holds_what_its_command_prints(
+    workdir, monkeypatch, capsys, caplog, command, env
+):
+    cfg = _write(workdir, "a.ini", SMALL_CONFIG)
+    out = workdir / "out"
+    csv_path = str(out / "run.csv")
+    if command.startswith("metrics"):
+        assert main(["run", cfg]) == 0
+        if command == "metrics_parse":
+            os.remove(csv_path + ".rec")
+    if env:
+        out = workdir / "elsewhere"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(out))
+    if command == "run":
+        args, stem = ["run", cfg], "metrics"
+    elif command == "compare":
+        b = SMALL_CONFIG.replace("policy_schedule = []", "policy_schedule = [(0.005, F1V2)]")
+        args, stem = ["compare", cfg, _write(workdir, "b.ini", b)], "compare"
+    else:
+        args, stem = ["metrics", csv_path], "run.metrics"
+    caplog.set_level(logging.INFO, logger="mmcsim.cli")
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    if command.startswith("metrics"):
+        source = "parsing" if command == "metrics_parse" else "reading the sidecar of"
+        assert caplog.messages[-1] == f"metrics: {source} {csv_path}"
+    assert (out / f"{stem}.txt").read_bytes() == printed.encode()
+    payload = json.loads((out / f"{stem}.json").read_text())
+    if command == "compare":
+        assert printed.startswith(f"# a = {args[1]}\n# b = {args[2]}\n")
+        expected = {key: [value, payload["b"][key]] for key, value in payload["a"].items()}
+        expected["fs_ratio_b_over_a"] = [payload["fs_ratio_b_over_a"]]
+    else:
+        expected = {key: [value] for key, value in payload.items()}
+    assert _report_numbers(printed) == expected
 
 
 def test_run_twice_is_byte_identical(workdir, capsys):
@@ -144,7 +199,7 @@ def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys, caplo
     # Not the guess, the 60 kV bus over n = 6 SMs.
     assert _metrics(capsys, caplog, csv_path, "--sm-nominal", "9000")[0] == 0
     expected = (str(workdir / "expected.txt"), str(workdir / "expected.json"))
-    write_metrics_report(summarize(load_record_csv(csv_path), None, 9000.0), *expected)
+    _write_metrics_report(summarize(load_record_csv(csv_path), None, 9000.0), *expected)
     for ext in ("txt", "json"):
         report = (out / f"run.metrics.{ext}").read_bytes()
         assert report == (workdir / f"expected.{ext}").read_bytes()
@@ -434,7 +489,7 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     with TimeSeriesSink(str(whole / "run.csv"), config.params.n, decimation) as sink:
         sink.write_record(record)
     metrics = summarize(record, None, config.params.v_sm_nominal)
-    write_metrics_report(metrics, str(whole / "metrics.txt"), str(whole / "metrics.json"))
+    _write_metrics_report(metrics, str(whole / "metrics.txt"), str(whole / "metrics.json"))
 
     monkeypatch.setattr(testbench, "_SCAN_STEPS", scan_steps)
     assert main(["run", _write(workdir, "run.ini", text)]) == 0
@@ -449,7 +504,7 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     expected = reference_summarize(
         loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
     )
-    write_metrics_report(expected, str(whole / "run.metrics.txt"), str(whole / "run.metrics.json"))
+    _write_metrics_report(expected, str(whole / "run.metrics.txt"), str(whole / "run.metrics.json"))
     for name in ("run.metrics.txt", "run.metrics.json"):
         assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
 

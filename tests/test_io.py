@@ -37,7 +37,7 @@ from mmcsim.csvio import (
     format_metrics_text,
     load_record_csv,
     read_record_blocks,
-    write_metrics_report,
+    write_report,
 )
 from mmcsim.errors import ConfigError, ContractError, SimulationDiverged
 from mmcsim.metrics import RunRecord, summarize
@@ -421,6 +421,20 @@ def test_sink_rejects_time_going_backwards_within_a_record(tmp_path):
         with pytest.raises(ContractError):
             sink.write_record(replace(record, times=times))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
+
+
+@pytest.mark.parametrize("k", [0, 5, -1])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_sink_refuses_a_time_that_is_not_finite(tmp_path, t, k):
+    _, record = _small_run()
+    times = record.times.copy()
+    times[k] = t
+    path = tmp_path / "time.csv"
+    with TimeSeriesSink(str(path), record.n) as sink:
+        with pytest.raises(ContractError, match="a time that is not finite"):
+            sink.write_record(replace(record, times=times))
+    assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
+    assert list(_sidecar_blocks(str(path))) == []
 
 
 # ------------------------------------------------------ writer process
@@ -1341,6 +1355,53 @@ def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
     assert capsys.readouterr().err == f"error: {whole.value}\n"
 
 
+@pytest.mark.parametrize("text", [b"nan", b"inf", b"-inf"])
+@pytest.mark.parametrize("step", [0, 5, 11])
+@pytest.mark.parametrize("block_rows", [3, None])
+def test_a_time_that_is_not_finite_is_named_by_its_line(
+    tmp_path, monkeypatch, capsys, twelve_steps, block_rows, step, text
+):
+    lines = list(twelve_steps)
+    for q in range(3 * step, 3 * step + 3):
+        lines[1 + q] = _with_field(lines[1 + q], 0, text)
+    path = _write_byte_lines(tmp_path / "time.csv", lines)
+    message = f"{path!r}: line {3 * step + 2} has a time that is not finite"
+    with pytest.raises(ContractError) as whole:
+        whole_file_load_record_csv(path)
+    assert str(whole.value) == message
+    if block_rows:
+        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    with pytest.raises(ContractError) as blocks:
+        load_record_csv(path)
+    assert str(blocks.value) == message
+    # With a window that holds the finite steps too.
+    for window in ([], ["--window", "0", "0.01"]):
+        capsys.readouterr()
+        assert main(["metrics", path, *window]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_csv_whose_lines_end_in_crlf_loads_as_with_lf(tmp_path, monkeypatch, capsys):
+    # A 0.02 s stock back-to-back run.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "run.ini").write_text("[scenario]\nduration = 0.02\n")
+    assert main(["run", "run.ini"]) == 0
+    lf = tmp_path / "out" / "run.csv"
+    os.remove(str(lf) + ".rec")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    expected = load_record_csv(str(lf))
+    _assert_same_record(load_record_csv(str(crlf)), expected)
+    _assert_same_record(whole_file_load_record_csv(str(crlf)), expected)
+    _assert_same_record(oracle_load(str(crlf)), expected)
+    capsys.readouterr()
+    assert main(["metrics", str(lf)]) == 0
+    report = capsys.readouterr().out
+    assert main(["metrics", str(crlf)]) == 0
+    assert capsys.readouterr().out == report
+
+
 @st.composite
 def _line_ending_defect(draw, lines):
     """Byte lines ``lines`` with one line-ending defect, which numpy.loadtxt
@@ -1463,7 +1524,7 @@ def test_metrics_report_round_trip(tmp_path):
     metrics = summarize(record, (0.0, 0.002), params.v_sm_nominal)
     text_path = tmp_path / "metrics.txt"
     json_path = tmp_path / "metrics.json"
-    write_metrics_report(metrics, str(text_path), str(json_path))
+    write_report(format_metrics_text(metrics), metrics.to_flat(), str(text_path), str(json_path))
 
     text = text_path.read_text()
     lines = [line for line in text.splitlines() if line]

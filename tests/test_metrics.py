@@ -370,6 +370,14 @@ def test_summarize_refuses_times_that_fall(times):
         summarize(record, (0.0, 0.01), 10e3)
 
 
+@pytest.mark.parametrize("k, t", [(0, -math.inf), (-1, math.inf), (0, math.nan)])
+def test_the_accumulator_refuses_times_that_are_not_finite(k, t):
+    record = _tiny_record()
+    record.times[k] = t
+    with pytest.raises(ContractError, match="times must not fall and must be finite"):
+        SummaryAccumulator(None, 10e3).add(record)
+
+
 def test_a_chunk_that_starts_before_the_last_one_ended_is_refused():
     record = _tiny_record()
     summary = SummaryAccumulator(None, 10e3)
