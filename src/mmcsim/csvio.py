@@ -12,15 +12,11 @@ loader refuses to load anything else.  The sink keeps every k-th step
 (its decimation), counting steps across its calls, so a run handed over
 in chunks writes the bytes of one call with the whole record.
 
-The writer formats a float cell only when its bit pattern differs from
-the cell it is compared with and otherwise repeats that cell's text.
-A phase's series (``i`` to ``v_low``) and its ``v_c`` cells are compared
-with the same phase one kept step earlier; the time and the link
-voltage and current with the row before.  Only the inserted SMs of an
-arm change their capacitor voltage in a sample, and a bypassed SM holds
-its voltage bit for bit, so writing costs scale with what changed.
-Bits are compared, not values, so ``0.0``, ``-0.0`` and NaN keep their
-exact text and the bytes equal those of formatting every cell.
+The writer builds each table's text as one byte array: every float
+cell is the ``%.17g`` text of :func:`._float_text.float_text`, computed
+in numpy, in a slot of 24 bytes padded with NUL; the labels, statuses,
+commas, policies and line ends fill columns of their own; the NULs are
+dropped from the whole table at once.
 
 A run hands the sink its record chunk by chunk, each a
 :class:`RunRecord`.  The sink checks each chunk's kept steps and packs
@@ -115,26 +111,11 @@ def csv_columns(n: int) -> list[str]:
 
 
 # Kept steps are packed and formatted in tables of about this many
-# cells, which bounds the memory held at once.
+# cells, which bounds the memory held at once: formatting one takes
+# about 125 bytes a cell.  With twice as many, the writer's heap is
+# given back and faulted in again table by table (3 times its page
+# faults at n = 48, 2 times at n = 400).
 _BLOCK_CELLS = 1 << 12
-_ROW_FMT = "%s,%s,%s,%s,%s,%s,%s\n"
-
-
-def _format_changed(values: np.ndarray) -> np.ndarray:
-    """``%.17g`` text of each cell of a 2-D float64 array.
-
-    A cell is formatted only where its bit pattern differs from the cell
-    above it; elsewhere it takes the text of the cell above.
-    """
-    bits = values.view(np.int64)
-    changed = np.empty(values.shape, dtype=bool)
-    changed[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
-    text = np.empty(values.size, dtype=object)
-    text[changed.ravel()] = [_FLOAT_FMT % x for x in values[changed].tolist()]
-    source = np.where(changed, np.arange(values.size).reshape(values.shape), 0)
-    np.maximum.accumulate(source, axis=0, out=source)
-    return text[source]
 
 
 def _block_steps(n_phases: int, n2: int) -> int:
@@ -142,37 +123,42 @@ def _block_steps(n_phases: int, n2: int) -> int:
     return max(1, _BLOCK_CELLS // (n_phases * (n2 + 8)))
 
 
+def _padded(strings: list[str], end: str) -> np.ndarray:
+    """The UTF-8 bytes of each of ``strings`` then ``end``, one row each, padded with NUL."""
+    encoded = [(text + end).encode() for text in strings]
+    return np.array(encoded, f"S{max(map(len, encoded))}").view(np.uint8).reshape(len(encoded), -1)
+
+
 def _write_rows(file, table: np.ndarray, labels: list[str], names: list[str], crc: int) -> int:
     """Append the text of the steps of the sidecar ``table`` to ``file``,
     whose phases are ``labels`` and whose policies index ``names``;
     return ``crc`` continued over it."""
+    # Imported on first use: its tables add 1.2 MB to the RSS of `compare` and `metrics`.
+    from ._float_text import float_text
+
     steps, n_phases, n2 = table["v_c"].shape
-    # A phase's series and capacitor voltages are compared with the same
-    # phase one kept step earlier, the columns shared by phases (time,
-    # link voltage and current) with the row before.  The first row of a
-    # table is formatted in full.
-    values = np.empty((steps, n_phases, 5 + n2))
-    for j, name in enumerate(("i", "i_ref", "i_z", "v_up", "v_low")):
-        values[:, :, j] = table[name]
-    values[:, :, 5:] = table["v_c"]
-    phase_cells = _format_changed(values.reshape(steps, -1)).reshape(-1, 5 + n2)
-    phase_text = [",".join(row) for row in phase_cells.tolist()]
-    link = np.empty((steps, n_phases, 3))
-    link[:, :, 0] = table["times"][:, None]
-    link[:, :, 1] = table["v_dc_link"]
-    link[:, :, 2] = table["i_dc_link"]
-    link_text = _format_changed(link.reshape(-1, 3)).tolist()
-    # Status text: digits interleaved with commas, one byte each.
-    u_width = 2 * n2 - 1
-    digits = np.full((len(phase_text), u_width), ord(","), dtype=np.uint8)
-    np.add(table["u"].reshape(-1, n2), ord("0"), out=digits[:, ::2], casting="unsafe")
-    u_text = digits.view(f"S{u_width}").astype(f"U{u_width}").ravel().tolist()
-    row_policy = [names[p] for p in table["policy"].tolist() for _ in labels]
-    text = "".join([
-        _ROW_FMT % (t, label, phase, status, v, i, pol)
-        for (t, v, i), label, phase, status, pol
-        in zip(link_text, labels * steps, phase_text, u_text, row_policy)
-    ]).encode()
+    # The rows are built as bytes padded with NUL: a float cell is its 24
+    # bytes of text and a comma, a status its digit and a comma.
+    series = [np.broadcast_to(table["times"][:, None], (steps, n_phases)),
+              *(table[name] for name in ("i", "i_ref", "i_z", "v_up", "v_low"))]
+    values = np.concatenate([np.stack(series, axis=2), table["v_c"],
+                             np.stack([table["v_dc_link"], table["i_dc_link"]], axis=2)], axis=2)
+    comma = np.uint8(ord(","))
+    cells = np.concatenate([float_text(values).reshape(*values.shape, 24),
+                            np.full((*values.shape, 1), comma)], axis=3)
+    status = np.stack([table["u"].astype(np.uint8) + np.uint8(ord("0")),
+                       np.full(table["u"].shape, comma)], axis=3)
+    label = _padded(labels, ",")
+    policy = _padded(names, "\n")[table["policy"]]
+    rows = np.concatenate([
+        cells[:, :, 0],
+        np.broadcast_to(label, (steps, *label.shape)),
+        cells[:, :, 1:-2].reshape(steps, n_phases, -1),
+        status.reshape(steps, n_phases, -1),
+        cells[:, :, -2:].reshape(steps, n_phases, -1),
+        np.broadcast_to(policy[:, None], (steps, n_phases, policy.shape[1])),
+    ], axis=2)
+    text = rows.tobytes().translate(None, b"\0")
     file.write(text)
     return zlib.crc32(text, crc)
 
@@ -282,10 +268,12 @@ class TimeSeriesSink:
         Raises ContractError, before writing anything, when the kept rows
         have a time that is not finite, would go backwards in time, hold a
         status other than 0 or 1, or name other phases than the rows before
-        them.
+        them, or when a label or policy name holds a NUL character.
         """
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
+        if "\0" in "".join([*record.labels, *record.policy]):   # the rows' text pads with NUL
+            raise ContractError("record labels and policy names must not hold a NUL character")
         if self._labels not in (None, record.labels):
             raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)

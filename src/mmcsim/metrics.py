@@ -161,7 +161,8 @@ def summarize(
     :class:`SummaryAccumulator` fed the whole record at once.
 
     ``window`` None is the whole record: 0 to the last sample time.
-    Raises ContractError when a switch status is not 0 or 1.
+    Raises ContractError when a switch status is not 0 or 1, or when
+    ``nominal_sm_voltage`` is not finite and > 0.
     """
     summary = SummaryAccumulator(window, nominal_sm_voltage)
     if not _binary_statuses(record.u).all():
@@ -198,8 +199,8 @@ class SummaryAccumulator:
     def __init__(self, window: tuple[float, float] | None, nominal_sm_voltage: float):
         if window is not None:
             _check_window(window)
-        if nominal_sm_voltage <= 0.0:
-            raise ContractError(f"nominal voltage must be > 0, got {nominal_sm_voltage}")
+        if not 0.0 < nominal_sm_voltage < np.inf:   # NaN too
+            raise ContractError(f"nominal voltage must be finite and > 0, got {nominal_sm_voltage}")
         self.window = window
         self.nominal_sm_voltage = nominal_sm_voltage
         self.steps = 0

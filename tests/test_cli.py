@@ -206,6 +206,30 @@ def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys, caplo
         assert report != (out / f"metrics.{ext}").read_bytes()
 
 
+@pytest.mark.parametrize("nominal", ["nan", "inf", "-inf"])
+def test_metrics_refuses_a_sm_nominal_voltage_that_is_not_finite(workdir, capsys, caplog, nominal):
+    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
+    csv_path = workdir / "out" / "run.csv"
+    code, captured = _metrics(capsys, caplog, csv_path, f"--sm-nominal={nominal}")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: nominal voltage must be finite and > 0, got {float(nominal)}\n"
+    assert not (workdir / "out" / "run.metrics.json").exists()
+
+
+def test_metrics_refuses_a_csv_whose_first_link_voltage_is_nan(workdir, capsys, caplog):
+    # Without --sm-nominal the nominal voltage is the first link voltage over n.
+    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
+    csv_path = workdir / "out" / "run.csv"
+    record = load_record_csv(str(csv_path))
+    record.v_dc_link[0, 0] = float("nan")
+    with TimeSeriesSink(str(csv_path), record.n) as sink:
+        sink.write_record(record)
+    code, captured = _metrics(capsys, caplog, csv_path)
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: nominal voltage must be finite and > 0, got nan\n"
+
+
 def test_metrics_default_window_is_the_run_window(workdir, capsys, caplog):
     # Back-to-back, no [output] window: run evaluates (0, duration).
     cfg = _write(workdir, "run.ini", "[scenario]\nduration = 0.04\n")

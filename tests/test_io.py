@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmcsim import cli, csvio
+from mmcsim import _float_text, cli, csvio
 from mmcsim.cli import main
 from mmcsim.config import _FIELDS, _SCHEMA, RunConfig, parse_config, serialize_config
 from mmcsim.controller import SortPolicy
@@ -468,7 +468,7 @@ def _fail_formatting(monkeypatch):
     def no_space(values):
         raise NO_SPACE
 
-    monkeypatch.setattr(csvio, "_format_changed", no_space)
+    monkeypatch.setattr(_float_text, "float_text", no_space)
 
 
 def test_sink_writes_in_one_writer_process(tmp_path, monkeypatch):
@@ -625,7 +625,7 @@ def test_close_names_a_writer_that_was_killed(tmp_path, monkeypatch):
     def killed(values):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(csvio, "_format_changed", killed)
+    monkeypatch.setattr(_float_text, "float_text", killed)
     pids = _fork_recording(monkeypatch)
     sink = TimeSeriesSink(str(tmp_path / "run.csv"), params.n)
     sink.write_record(record)
@@ -845,6 +845,19 @@ def test_sink_rejects_a_record_with_other_phases(tmp_path):
     _assert_same_blocks(_sidecar_blocks(str(path)), read_record_blocks(str(path)))
 
 
+@pytest.mark.parametrize("field", ["labels", "policy"])
+def test_sink_rejects_a_nul_character_in_a_label_or_policy_name(tmp_path, field):
+    # The writer pads the rows' text with NUL bytes, which it then drops.
+    _, record = _small_run()
+    names = list(getattr(record, field))
+    names[-1] = names[-1][:1] + "\0" + names[-1][1:]
+    path = tmp_path / "nul.csv"
+    with TimeSeriesSink(str(path), record.n) as sink:
+        with pytest.raises(ContractError, match="must not hold a NUL character"):
+            sink.write_record(replace(record, **{field: names}))
+    assert path.read_bytes() == (",".join(csv_columns(record.n)) + "\n").encode()
+
+
 @pytest.mark.parametrize("status", [2, -1, 0.5, np.nan])
 def test_sink_rejects_statuses_other_than_0_or_1(tmp_path, status):
     _, record = _small_run()
@@ -903,12 +916,12 @@ class OracleSink:
         self._file.close()
 
 
-def _run(n, mode):
+def _run(n, mode, duration=0.003):
     params, grid, link, _ = build_stock_system()
     params = replace(params, n=n)
     p_set = (13.18e6, -13.18e6) if mode == "back_to_back" else (13.18e6,)
-    scenario = Scenario(duration=0.003, mode=mode, p_set=p_set,
-                        events=[(0.0015, SortPolicy.F1V2)])
+    scenario = Scenario(duration=duration, mode=mode, p_set=p_set,
+                        events=[(duration / 2, SortPolicy.F1V2)])
     return simulate(scenario, params=params, grid=grid, dc_link=link)
 
 
@@ -958,9 +971,11 @@ def _assert_same_blocks(sidecar_blocks, parsed_blocks):
 
 @pytest.mark.parametrize("decimation", [1, 3])
 @pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
-@pytest.mark.parametrize("n", [1, 6, 48])
+@pytest.mark.parametrize("n", [1, 6, 48, 400])
 def test_writer_and_loader_match_oracles(tmp_path, n, mode, decimation):
-    _check_against_oracles(tmp_path, _run(n, mode), decimation=decimation)
+    # 40 steps at n = 400, whose tables hold one step each.
+    duration = 0.001 if n == 400 else 0.003
+    _check_against_oracles(tmp_path, _run(n, mode, duration), decimation=decimation)
 
 
 @pytest.mark.parametrize("decimation", [1, 3])

@@ -11,7 +11,9 @@ steps, nearly four times the slack.  The runs are short because tracing
 every allocation slows the stepping about twentyfold.  The summary
 accumulator alone is fed synthetic chunks, which is fast enough to
 bound its growth per window step and to show that steps outside the
-window add nothing.
+window add nothing.  The CSV writer formats a table of about
+``_BLOCK_CELLS`` cells at once, and its temporaries are bounded per
+cell of such a table.
 """
 
 import logging
@@ -23,7 +25,7 @@ import pytest
 
 from mmcsim.cli import main
 from mmcsim.config import parse_config
-from mmcsim.csvio import TimeSeriesSink
+from mmcsim.csvio import _BLOCK_CELLS, TimeSeriesSink, _block_steps, _step_dtype, _write_rows
 from mmcsim.metrics import RunRecord, SummaryAccumulator
 from mmcsim.testbench import _summarize_batch, run_scenario
 
@@ -165,3 +167,30 @@ def test_the_summary_grows_by_the_window_steps_alone():
     assert large - small <= 2 * SERIES_BYTES * (8192 - 1024) + slack, (small, large)
     padded = _summary_peak(chunks, 28 * CHUNK, 36 * CHUNK - 1)
     assert padded - small <= slack, (small, padded)
+
+
+# Bytes per cell of a full table that formatting it may hold at once
+# (about 125 today).  Temporaries twice as large made the forked
+# writer's heap shrink and grow again table by table, with 3 times the
+# page faults at n = 48 and 2 times at n = 400.
+FORMAT_BYTES_PER_CELL = 136
+
+
+@pytest.mark.parametrize("n", [6, 48, 400])
+def test_formatting_a_table_holds_bounded_temporaries(tmp_path, n):
+    steps = _block_steps(3, 2 * n)
+    rng = np.random.default_rng(n)
+    table = np.zeros(steps, _step_dtype(n, 3))
+    for name in ("i", "i_ref", "i_z", "v_up", "v_low", "v_dc_link", "i_dc_link"):
+        table[name] = rng.normal(0.0, 1e3, table[name].shape)
+    table["v_c"] = rng.normal(60e3 / n, 50.0, table["v_c"].shape)
+    table["u"] = rng.integers(0, 2, table["u"].shape)
+    table["times"] = 0.01 + 25e-6 * np.arange(steps)
+    with open(tmp_path / "rows.csv", "wb") as f:
+        def write():
+            _write_rows(f, table, ["a", "b", "c"], ["F1V2"], 0)
+
+        write()   # the formatter's tables are built on first use
+        peak = _peak(write)
+        assert f.tell() > 0
+    assert peak <= FORMAT_BYTES_PER_CELL * _BLOCK_CELLS, peak

@@ -335,13 +335,17 @@ def test_summarize_rejects_non_binary_statuses(dtype, status):
     "window, nominal, zeroed, error, match",
     [
         ((0.0, 0.01), 0.0, None, ContractError, "nominal voltage"),
+        ((0.0, 0.01), math.nan, None, ContractError, "nominal voltage must be finite"),
+        ((0.0, 0.01), math.inf, None, ContractError, "nominal voltage must be finite"),
+        ((0.0, 0.01), -math.inf, None, ContractError, "nominal voltage must be finite"),
         ((0.01, 0.0), 10e3, None, MetricWindowError, "t1 > t0"),
         ((0.0, math.inf), 10e3, None, MetricWindowError, "window must be finite"),
         ((0.0085, 0.009), 10e3, None, MetricWindowError, "no samples"),
         ((0.0, 0.01), 10e3, "i", MetricWindowError, "AC amplitude"),
         ((0.0, 0.01), 10e3, "i_ref", MetricWindowError, "reference amplitude"),
     ],
-    ids=["nominal", "inverted", "infinite", "empty-window", "zero-i", "zero-i_ref"],
+    ids=["nominal", "nominal-nan", "nominal-inf", "nominal-minus-inf",
+         "inverted", "infinite", "empty-window", "zero-i", "zero-i_ref"],
 )
 def test_summarize_error_paths(window, nominal, zeroed, error, match):
     record = _tiny_record()
