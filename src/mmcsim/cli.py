@@ -99,7 +99,7 @@ def _config_diff(a: RunConfig, b: RunConfig) -> list[str]:
     lines_a = serialize_config(_schedule_stripped(a)).splitlines()
     lines_b = serialize_config(_schedule_stripped(b)).splitlines()
     diffs = []
-    for la, lb in zip(lines_a, lines_b):
+    for la, lb in itertools.zip_longest(lines_a, lines_b, fillvalue=""):
         if la != lb:
             diffs.append(f"  a: {la}\n  b: {lb}")
     return diffs

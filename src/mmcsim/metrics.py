@@ -1,11 +1,11 @@
 """Post-processing metrics over recorded simulation series.
 
 Every metric is a pure function of a recorded series and a time window,
-computed as reductions over the time axis, so recomputing from a
-persisted CSV reproduces the in-memory values bit-exactly (from a CSV
-that keeps every step).  The reductions live in one place,
-:class:`SummaryAccumulator`, which takes a record chunk by chunk: runs
-and ``mmcsim metrics`` feed it as they step or read, and
+computed as reductions over the window's slice of the time axis, so
+recomputing from a persisted CSV reproduces the in-memory values
+bit-exactly (from a CSV that keeps every step).  The reductions live in
+one place, :class:`SummaryAccumulator`, which takes a record chunk by
+chunk: runs and ``mmcsim metrics`` feed it as they step or read, and
 :func:`summarize` feeds it a whole record at once.  It reduces the
 per-SM series (capacitor voltages and statuses) and the current peaks
 as they come and keeps, of the window's samples only, the four
@@ -171,26 +171,22 @@ def summarize(
     return summary.result()
 
 
-# Steps of a record reduced at once for the per-SM metrics, which
-# bounds the transition table whatever the length of the record.
-_SM_STEPS = 1024
-
-
 class SummaryAccumulator:
     """The metrics of a run over one window, taken chunk by chunk.
 
     :meth:`add` takes consecutive chunks of the record in time order and
-    reduces each as it comes, exactly under any chunking: transition
-    counts are integers, summed with the last statuses of the chunk
-    before carried, and the ripple and the peak ``|i|`` and ``|i_ref|``
-    are running maxima and minima.  That leaves four window means, which
-    ``np.mean`` sums pairwise in an order fixed by the sample count, so
-    their series are kept, for the window's samples only: ``(i -
-    i_ref)**2``, ``i_z``, ``0.5 * (v_low - v_up) * i`` and ``v_dc_link *
-    i_z``, formed per chunk with the operations of the whole-record
-    formulas, in one array that doubles when full.  :meth:`result`
-    means each phase's samples as one contiguous row, so that each mean
-    is that of one pass over the window's samples.
+    reduces each as it comes, its window as one slice of its steps,
+    exactly under any chunking: transition counts are integers, summed
+    with the last statuses of the chunk before carried, and the ripple
+    and the peak ``|i|`` and ``|i_ref|`` are running maxima and minima.
+    That leaves four window means, which ``np.mean`` sums pairwise in an
+    order fixed by the sample count, so their series are kept, for the
+    window's samples only: ``(i - i_ref)**2``, ``i_z``, ``0.5 * (v_low -
+    v_up) * i`` and ``v_dc_link * i_z``, formed per chunk with the
+    operations of the whole-record formulas, in one array that doubles
+    in place when full.  :meth:`result` means each phase's samples as
+    one contiguous row, so that each mean is that of one pass over the
+    window's samples.
 
     ``window`` None is the whole record, 0 to the last sample time,
     which is (0, +inf) for chunks whose times do not fall.
@@ -213,7 +209,8 @@ class SummaryAccumulator:
     def add(self, record: RunRecord) -> None:
         """Take the record's next chunk, whose statuses are taken to be 0
         or 1.  Raises ContractError when its times fall, also from the
-        chunk before, or are not finite."""
+        chunk before, or are not finite, or when its SMs per arm or its
+        phases are not the first chunk's."""
         if record.steps == 0:
             return
         t = record.times
@@ -227,50 +224,47 @@ class SummaryAccumulator:
             self._v_min = np.full(u.shape[1:], np.inf)
             self._peaks = np.zeros((2, u.shape[1]))   # max |i| and max |i_ref|
             self._products = np.empty((0, 4, u.shape[1]))
+        n = self._transitions.shape[-1] // 2
+        if record.n != n:
+            raise ContractError(f"record has {record.n} SMs per arm, summary expects {n}")
+        if record.labels != self.labels:
+            raise ContractError(f"record has phases {record.labels}, summary expects {self.labels}")
         self.steps += record.steps
         self._t_last = float(t[-1])
         t0, t1 = self.window if self.window is not None else (0.0, np.inf)
-        # The chunk's samples in [t0, t1] are consecutive, as its times do not fall.
-        inside = slice(t.searchsorted(t0, "left"), t.searchsorted(t1, "right"))
-        i, i_ref, i_z = record.i[inside], record.i_ref[inside], record.i_z[inside]
-        if len(i):
+        # As the times do not fall, the chunk's samples in [t0, t1] are
+        # lo:hi, and the steps whose new statuses fall in (t0, t1] new:hi.
+        lo, hi = t.searchsorted(t0, "left"), t.searchsorted(t1, "right")
+        new = t.searchsorted(t0, "right")
+        # Switching: each transition is timestamped at the sample where
+        # the new status first appears; step 0's is against the chunk before.
+        if new == 0 < hi and self._last_u is not None:
+            self._transitions += u[0] != self._last_u
+        k = max(new, 1)
+        if k < hi:   # not when hi is 0: u[k - 1 : hi - 1] would be u[0:-1]
+            self._transitions += np.add.reduce(u[k:hi] != u[k - 1 : hi - 1], axis=0)
+        self._last_u = u[-1].copy()
+        if lo < hi:
+            i, i_ref, i_z = record.i[lo:hi], record.i_ref[lo:hi], record.i_z[lo:hi]
             for peak, series in zip(self._peaks, (i, i_ref)):
                 np.maximum(peak, np.maximum.reduce(np.abs(series), axis=0), out=peak)
-            rows = self._grow(len(i))
+            np.maximum(self._v_max, record.v_c[lo:hi].max(axis=0), out=self._v_max)
+            np.minimum(self._v_min, record.v_c[lo:hi].min(axis=0), out=self._v_min)
+            rows = self._grow(hi - lo)
             np.square(i - i_ref, out=rows[:, 0])
             rows[:, 1] = i_z
-            np.multiply(0.5 * (record.v_low[inside] - record.v_up[inside]), i, out=rows[:, 2])
-            np.multiply(record.v_dc_link[inside], i_z, out=rows[:, 3])
-        for k0 in range(0, record.steps, _SM_STEPS):
-            t = record.times[k0 : k0 + _SM_STEPS]
-            u = record.u[k0 : k0 + _SM_STEPS]
-            v_c = record.v_c[k0 : k0 + _SM_STEPS]
-            # Switching: transitions in (t0, t1], each timestamped at the
-            # sample where the new status first appears.
-            if self._last_u is not None and t0 < t[0] <= t1:
-                self._transitions += u[0] != self._last_u
-            t_new = t[1:]
-            counted = ((t_new > t0) & (t_new <= t1))[:, None, None]
-            self._transitions += np.add.reduce(u[1:] != u[:-1], axis=0, where=counted)
-            self._last_u = u[-1].copy()
-            # Ripple: capacitor voltage extremes over [t0, t1], reduced
-            # with ``where=`` so the v_c window is never copied.
-            sampled = ((t >= t0) & (t <= t1))[:, None, None]
-            np.maximum(self._v_max, np.max(v_c, axis=0, where=sampled, initial=-np.inf),
-                       out=self._v_max)
-            np.minimum(self._v_min, np.min(v_c, axis=0, where=sampled, initial=np.inf),
-                       out=self._v_min)
+            np.multiply(0.5 * (record.v_low[lo:hi] - record.v_up[lo:hi]), i, out=rows[:, 2])
+            np.multiply(record.v_dc_link[lo:hi], i_z, out=rows[:, 3])
 
     def _grow(self, rows: int) -> np.ndarray:
-        """The next ``rows`` rows of ``_products``.  It doubles when full,
-        so each sample is copied a bounded number of times, into one
-        array: chunks kept apart would be small blocks that the allocator
-        does not hand back to the system once they are joined."""
+        """The next ``rows`` rows of ``_products``.  It doubles in place
+        when full (and refuses while a view of it is alive), so each
+        sample is copied a bounded number of times, into one array: chunks
+        kept apart would be small blocks that the allocator does not hand
+        back to the system once they are joined."""
         k0, k1 = self._kept, self._kept + rows
         if k1 > len(self._products):
-            grown = np.empty((max(k1, 2 * len(self._products)), *self._products.shape[1:]))
-            grown[:k0] = self._products[:k0]
-            self._products = grown
+            self._products.resize((max(k1, 2 * len(self._products)), *self._products.shape[1:]))
         self._kept = k1
         return self._products[k0:k1]
 

@@ -386,15 +386,24 @@ def test_compare_of_zero_duration_runs_reports_zero_metrics(workdir, capsys):
     assert on_disk["fs_ratio_b_over_a"] == 1.0
 
 
-def test_compare_refuses_other_differences(workdir, capsys):
+@pytest.mark.parametrize(
+    "old, new, listed",
+    [
+        ("duration = 0.01", "duration = 0.02", ["duration = 0.01", "duration = 0.02"]),
+        # Keys that one config sets and the other leaves out.
+        ("decimation = 1\n", "decimation = 1\nwindow_start = 0.002\nwindow_end = 0.008\n",
+         ["window_start = 0.002", "window_end = 0.008"]),
+    ],
+    ids=["duration", "window"],
+)
+def test_compare_refuses_other_differences(workdir, capsys, old, new, listed):
     cfg_a = _write(workdir, "a.ini", SMALL_CONFIG)
-    cfg_b = _write(
-        workdir, "b.ini", SMALL_CONFIG.replace("duration = 0.01", "duration = 0.02")
-    )
+    cfg_b = _write(workdir, "b.ini", SMALL_CONFIG.replace(old, new))
     assert main(["compare", cfg_a, cfg_b]) == 2
     err = capsys.readouterr().err
     assert "policy_schedule" in err
-    assert "duration = 0.01" in err and "duration = 0.02" in err
+    for line in listed:
+        assert line in err
 
 
 def test_missing_config_fails_cleanly(workdir, capsys):

@@ -1,12 +1,15 @@
 """The demos and the README's library example import only names the
-package still exports, and the step-by-step demo and the example run
-end to end."""
+package still exports, the step-by-step demo and the example run end
+to end, and the README's configuration example parses."""
 
 import re
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from mmcsim.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -45,3 +48,9 @@ def test_readme_library_example_runs(capsys):
     exec(compile(example, "README.md", "exec"), {})
     fs_mean = float(capsys.readouterr().out)
     assert fs_mean > 0.0
+
+
+def test_readme_config_example_parses():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    assert parse_config(block) == replace(parse_config(""), window=(0.1, 0.5))

@@ -429,6 +429,15 @@ def _windows(record):
     ]
 
 
+def _repeated_edges(record):
+    """``record`` with steps 101 and 302 at the times of steps 100 and
+    301, and windows that start or end on those repeated times."""
+    t = record.times.copy()
+    t[101], t[302] = t[100], t[301]
+    windows = [(t[100], t[301]), (0.0, t[100]), (t[301], t[-1])]
+    return replace(record, times=t), [(float(t0), float(t1)) for t0, t1 in windows]
+
+
 @pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
 @pytest.mark.parametrize("n", [1, 6, 48])
 def test_summarize_matches_scalar_oracle(n, mode):
@@ -437,6 +446,16 @@ def test_summarize_matches_scalar_oracle(n, mode):
         got = summarize(record, window, params.v_sm_nominal)
         want = reference_summarize(record, window, params.v_sm_nominal)
         assert _summary_bytes(got) == _summary_bytes(want)
+    # Times repeated at a window's edges: the record whole, cut between
+    # the repeated steps, and cut around each of them.
+    record, windows = _repeated_edges(record)
+    for window in windows:
+        want = reference_summarize(record, window, params.v_sm_nominal)
+        for cuts in ([], [101, 302], [100, 101, 102, 301, 302, 303]):
+            summary = SummaryAccumulator(window, params.v_sm_nominal)
+            for k0, k1 in zip([0, *cuts], [*cuts, record.steps]):
+                summary.add(_chunk(record, k0, k1))
+            assert _summary_bytes(summary.result()) == _summary_bytes(want), cuts
 
 
 @functools.cache
@@ -483,6 +502,28 @@ def test_summary_accumulator_matches_the_oracle_in_any_chunking(n, mode, data):
         summary.add(_chunk(record, k0, k1))
     want = reference_summarize(record, oracle_window, params.v_sm_nominal)
     assert _summary_bytes(summary.result()) == _summary_bytes(want)
+
+
+@pytest.mark.parametrize(
+    "n, mode, labels, match",
+    [
+        (6, "back_to_back", None,
+         r"record has phases \['1a', .*, '2c'\], summary expects \['a', 'b', 'c'\]"),
+        (8, "ideal_dc", None, "record has 8 SMs per arm, summary expects 6"),
+        (6, "ideal_dc", ["x", "y", "z"],
+         r"record has phases \['x', 'y', 'z'\], summary expects \['a', 'b', 'c'\]"),
+    ],
+    ids=["back-to-back-after-ideal-bus", "n8-after-n6", "other-labels"],
+)
+def test_a_chunk_that_does_not_continue_the_record_is_refused(n, mode, labels, match):
+    first, params = _cached_stock_record(6, "ideal_dc")
+    then, _ = _cached_stock_record(n, mode)
+    if labels is not None:
+        then = replace(then, labels=labels)
+    summary = SummaryAccumulator(None, params.v_sm_nominal)
+    summary.add(_chunk(first, 0, 5))
+    with pytest.raises(ContractError, match=match):
+        summary.add(_chunk(then, 5, 10))
 
 
 def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
