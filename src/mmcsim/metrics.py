@@ -183,9 +183,9 @@ class SummaryAccumulator:
     order fixed by the sample count, so their series are kept, for the
     window's samples only: ``(i - i_ref)**2``, ``i_z``, ``0.5 * (v_low -
     v_up) * i`` and ``v_dc_link * i_z``, formed per chunk with the
-    operations of the whole-record formulas, in one array that doubles
-    in place when full.  :meth:`result` means each phase's samples as
-    one contiguous row, so that each mean is that of one pass over the
+    operations of the whole-record formulas, in one array per chunk.
+    :meth:`result` joins each product's pieces phase by phase into one
+    contiguous row, so that each mean is that of one pass over the
     window's samples.
 
     ``window`` None is the whole record, 0 to the last sample time,
@@ -202,9 +202,8 @@ class SummaryAccumulator:
         self.steps = 0
         self.labels: list[str] = []
         self._t_last = -np.inf
-        self._kept = 0   # window samples in _products
-        self._products = self._peaks = None
-        self._transitions = self._v_max = self._v_min = self._last_u = None
+        self._pieces: list[np.ndarray] = []   # per chunk, (window samples, 4, phases)
+        self._peaks = self._transitions = self._v_max = self._v_min = self._last_u = None
 
     def add(self, record: RunRecord) -> None:
         """Take the record's next chunk, whose statuses are taken to be 0
@@ -223,7 +222,6 @@ class SummaryAccumulator:
             self._v_max = np.full(u.shape[1:], -np.inf)
             self._v_min = np.full(u.shape[1:], np.inf)
             self._peaks = np.zeros((2, u.shape[1]))   # max |i| and max |i_ref|
-            self._products = np.empty((0, 4, u.shape[1]))
         n = self._transitions.shape[-1] // 2
         if record.n != n:
             raise ContractError(f"record has {record.n} SMs per arm, summary expects {n}")
@@ -250,23 +248,12 @@ class SummaryAccumulator:
                 np.maximum(peak, np.maximum.reduce(np.abs(series), axis=0), out=peak)
             np.maximum(self._v_max, record.v_c[lo:hi].max(axis=0), out=self._v_max)
             np.minimum(self._v_min, record.v_c[lo:hi].min(axis=0), out=self._v_min)
-            rows = self._grow(hi - lo)
-            np.square(i - i_ref, out=rows[:, 0])
-            rows[:, 1] = i_z
-            np.multiply(0.5 * (record.v_low[lo:hi] - record.v_up[lo:hi]), i, out=rows[:, 2])
-            np.multiply(record.v_dc_link[lo:hi], i_z, out=rows[:, 3])
-
-    def _grow(self, rows: int) -> np.ndarray:
-        """The next ``rows`` rows of ``_products``.  It doubles in place
-        when full (and refuses while a view of it is alive), so each
-        sample is copied a bounded number of times, into one array: chunks
-        kept apart would be small blocks that the allocator does not hand
-        back to the system once they are joined."""
-        k0, k1 = self._kept, self._kept + rows
-        if k1 > len(self._products):
-            self._products.resize((max(k1, 2 * len(self._products)), *self._products.shape[1:]))
-        self._kept = k1
-        return self._products[k0:k1]
+            piece = np.empty((hi - lo, 4, u.shape[1]))
+            self._pieces.append(piece)
+            np.square(i - i_ref, out=piece[:, 0])
+            piece[:, 1] = i_z
+            np.multiply(0.5 * (record.v_low[lo:hi] - record.v_up[lo:hi]), i, out=piece[:, 2])
+            np.multiply(record.v_dc_link[lo:hi], i_z, out=piece[:, 3])
 
     def result(self) -> SummaryMetrics:
         """The metrics of the chunks taken so far."""
@@ -274,7 +261,7 @@ class SummaryAccumulator:
             raise MetricWindowError("cannot summarize an empty record")
         window = self.window if self.window is not None else (0.0, self._t_last)
         t0, t1 = _check_window(window)
-        if not self._kept:
+        if not self._pieces:
             raise MetricWindowError(f"no samples inside window ({t0}, {t1})")
         out = SummaryMetrics(window=window)
         n = self._transitions.shape[-1] // 2
@@ -297,11 +284,14 @@ class SummaryAccumulator:
         if not ref_amp.all():
             raise MetricWindowError("reference amplitude is zero inside the window")
 
+        shape = (len(self.labels), sum(len(piece) for piece in self._pieces))
+
         def rows(j: int) -> np.ndarray:
             """Product ``j``'s window samples, each phase's as one
             contiguous row, so that every phase reduces in sample order,
             as a 1-D series would; one copy is taken at a time."""
-            return np.ascontiguousarray(self._products[: self._kept, j].T)
+            pieces = [piece[:, j].T for piece in self._pieces]
+            return np.concatenate(pieces, axis=1, out=np.empty(shape))
 
         # RMS AC-current tracking error in percent of the reference amplitude.
         rmse = 100.0 * np.sqrt(np.mean(rows(0), axis=1)) / ref_amp

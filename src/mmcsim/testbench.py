@@ -10,31 +10,32 @@ Two operating modes are supported:
   converter 1.
 
 The run engine, :func:`simulate`, is a struct-of-arrays kernel: the
-state of every phase leg of every converter lives in arrays (capacitor
-voltages and statuses with one row per arm, leg currents with one entry
-per leg), and each sample is one vectorized pass over all legs.  The
-pass computes the deadbeat targets, ranks each arm's SMs, brackets the
-targets, selects the insertion counts and advances the plant, with the
-same arithmetic, in the same order, as a per-phase loop of scalar
-formulas (kept with the tests as the reference the kernel must match
-byte for byte).  In back-to-back mode one semi-implicit Euler update
-of the DC link then uses the freshly summed converter common-mode
-currents.  Inputs are validated once, at the boundary (the constructors
-of the parameters, grid, link and scenario); the loop checks no state.
-It steps in chunks of 128 steps, into buffers that each chunk reuses,
-and a run that diverges is found from the chunk's record when the chunk
-ends.  Each healthy row's chunk then goes, whole, as a
-:class:`RunRecord`, to one callable, ``consume(row, record)``.  In
-``run_scenario`` and ``compare`` it hands row 0's chunk to the CSV
-sink, if any, which keeps every k-th step and formats them in a second
-process while the run steps on, then adds the chunk to the row's
-summary, which keeps the per-phase series and reduces the per-SM ones;
-in :func:`simulate` it copies the chunk into the whole record.  So a
-summarized run holds one chunk of per-SM state, not the run's.  The
-per-step work is numpy calls on tables built per chunk: the reference
-part of the deadbeat drive, the grid voltages and each row's policy
-per step.  Everything is deterministic; there is no randomness
-anywhere in the loop.
+state of every phase leg of every converter lives in chunk tables
+(capacitor voltages and statuses with one row per arm, leg currents
+with one entry per leg) with one row per step and one more.  Step j
+reads row j and writes row j + 1, in five stages, each one vectorized
+pass over all legs: ``targets`` (the deadbeat arm voltages), ``rank``
+(each arm's SMs, with the F1V2 promotion), ``select`` (bracket the
+targets, choose and insert the counts), ``plant`` (capacitors, then leg
+currents) and ``link`` (in back-to-back mode one semi-implicit Euler
+update of the DC link from the freshly summed converter common-mode
+currents).  The arithmetic and its order are those of a per-phase loop
+of scalar formulas, kept with the tests as the reference the kernel
+must match byte for byte.  Inputs are validated once, at the boundary
+(the constructors of the parameters, grid, link and scenario); the
+loop checks no state.  It steps in chunks of 128 steps, and a run that
+diverges is found from the chunk's tables when the chunk ends.  Each
+healthy row's chunk then goes, whole, as a :class:`RunRecord` of views
+of them, to one callable, ``consume(row, record)``, and the last row is
+carried to row 0.  In ``run_scenario`` and ``compare`` it hands row 0's
+chunk to the CSV sink, if any, which keeps every k-th step and formats
+them in a second process while the run steps on, then adds the chunk to
+the row's summary, which keeps the per-phase series and reduces the
+per-SM ones; in :func:`simulate` it copies the chunk into the whole
+record.  So a summarized run holds one chunk of per-SM state, not the
+run's.  The reference part of the deadbeat drive, the grid voltages and
+each row's policy per step are tables built per chunk.  Everything is
+deterministic; there is no randomness anywhere in the loop.
 
 The leg axis also spans a batch: scenarios that share the system and
 differ only in their policy schedule (``compare``'s two configs) step
@@ -436,8 +437,8 @@ def _step_batch(
     its chunk finds its error.  After each scan, for every row that has
     not failed, in row order, it calls ``consume(row, record)`` with the
     row's :class:`RunRecord` of the chunk.  A chunk's arrays are valid
-    during the call, and a consumer copies what it keeps: some are views
-    of buffers that the next chunk overwrites.  Chunks are
+    during the call, and a consumer copies what it keeps: they are views
+    of tables that the next chunk overwrites.  Chunks are
     ``_SCAN_STEPS`` long.  It is no generator, so the ``errstate`` holds
     while the records are built, where failed rows' sums overflow.
     """
@@ -445,28 +446,15 @@ def _step_batch(
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
     if any((s.duration, s.mode, s.p_set, s.i_amp) != shared for s in scenarios):
         raise ConfigError("the scenarios of a batch may differ only in their events")
-    if first.mode == "back_to_back":
-        if dc_link is None:
-            raise ConfigError("back_to_back mode requires a DcLink")
-        dc_link.check_step(params.T_s)
-        c_end = 0.5 * dc_link.c_total
-        l_total = dc_link.l_total
-    else:
-        dc_link = rec_link = None
     labels = _labels(first)
 
     n_mmc = first.n_converters
     amps = _signed_amplitudes(first, grid)
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
     trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU
-    droop_gain = 0.0
-    if dc_link is not None:
-        # Per-phase conductance giving the LC mode the target damping.
-        droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
 
     t_s = params.T_s
     steps = _steps(first, params)
-    chunk = _SCAN_STEPS
     n = params.n
     n_legs = len(labels)
     n_rows = len(scenarios)
@@ -474,37 +462,33 @@ def _step_batch(
     # of batch row b is held as (b*n_mmc + m, p), so grid quantities
     # broadcast over converters and bus quantities over phases; arm
     # axes are (upper, lower) and SM axes physical positions.  A single
-    # row thus has no batch axis to pay for.  The new plant state of
-    # each step is written straight into that step's row of the chunk
-    # buffers, and each row's record of a chunk is a view of its batch
-    # row.
+    # row thus has no batch axis to pay for.  The link table holds
+    # (v_mmc1, v_mmc2, i_link) per batch row.
     n_conv = n_rows * n_mmc
     legs = (n_conv, 3)
-    buffer = min(chunk, steps)
-    rec_v_arm = np.empty((buffer, *legs, 2))
-    rec_v_c = np.empty((buffer, *legs, 2, n))
-    rec_u = np.empty((buffer, *legs, 2, n), dtype=np.int8)
+    rows = min(_SCAN_STEPS, steps) + 1
+    rec_v_c = np.full((rows, *legs, 2, n), params.v_sm_nominal)
+    rec_u = np.zeros((rows, *legs, 2, n), dtype=np.int8)
+    rec_i = np.zeros((rows, *legs))
+    rec_i_z = np.zeros((rows, *legs))
+    rec_i_arm = np.zeros((rows, *legs, 2))
+    rec_v_arm = np.empty((rows, *legs, 2))
+    rec_link = np.zeros((rows, n_rows, 3))
+    rec_link[..., :2] = params.V_dc
     # Each row's policy at a decision time k * T_s is that of its last
     # event with k * T_s >= event time.
     event_times = [[t for t, _ in s.events] for s in scenarios]
     choices = [[SortPolicy.V1F2, *(p for _, p in s.events)] for s in scenarios]
     choice_names = [np.array([p.value for p in c], dtype=object) for c in choices]
     choice_f1v2 = [np.array([p is SortPolicy.F1V2 for p in c]) for c in choices]
-    omega = grid.omega
     amp_col = np.array(amps * n_rows).reshape(n_conv, 1)
     k_prime = params.K_prime
-
-    v_c = np.full((*legs, 2, n), params.v_sm_nominal)
-    u = np.zeros((*legs, 2, n), dtype=np.int8)
-    i = np.zeros(legs)
-    i_z = np.zeros(legs)
-    i_arm = np.zeros((*legs, 2))
 
     # Flat-index offsets of each arm's run of SMs and of prefix sums.
     arm_index = np.arange(n_conv * 6).reshape(*legs, 2, 1)
     sm_base = arm_index * n
     sum_base = arm_index * (n + 1)
-    rank = np.arange(n)
+    position = np.arange(n)
     # Candidate counts by the number c of prefix sums <= v*: (c-1, c)
     # clamped to [0, n], so out-of-range targets give one count twice.
     bracket = np.clip(np.arange(n + 2)[:, None] + np.array([-1, 0]), 0, n)
@@ -513,9 +497,11 @@ def _step_batch(
     pair_pos = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
     leg_base = 4 * np.arange(n_conv * 3).reshape(*legs, 1)
     key_sign = np.array([-1.0, 1.0])
-    sums = np.zeros((*legs, 2, n + 1))
+    # What a step's stages hand on: targets, L'/T_s * i, rankings, sums.
     v_star = np.empty((*legs, 2))
-    i_arm_next = np.empty((*legs, 2))
+    l_i = np.empty(legs)
+    order = np.empty((*legs, 2, n), dtype=np.intp)
+    sums = np.zeros((*legs, 2, n + 1))
 
     ff_col = np.array(feedforward * n_rows).reshape(n_conv, 1)
     v_dc = params.V_dc
@@ -527,26 +513,117 @@ def _step_batch(
     c_sm = params.C
     w_track = params.w / (2.0 * k_prime)
     w_circ = params.w_z * t_s / (2.0 * params.l_arm)
-    bus = v_dc
+
+    def targets(j):
+        """Deadbeat arm-voltage targets of step j into ``v_star``, for the
+        current references and the supervisory i_z reference, and the
+        ``L'/T_s * i`` they subtract into ``l_i``."""
+        v_mean = np.add.reduce(rec_v_c[j], -1) / n
+        v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
+        i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
+        common = half_v_dc + l_arm_ts * (rec_i_z[j] - i_z_ref)
+        drive = drive_table[j] - np.multiply(l_prime_ts, rec_i[j], out=l_i)
+        np.subtract(common, drive, out=v_star[..., 0])
+        np.add(common, drive, out=v_star[..., 1])
+
+    def rank(j):
+        """Each arm's SMs at step j into ``order``, as flat indices of a
+        table row, and their prefix voltage sums into ``sums``: a stable
+        voltage sort, ascending while the arm current charges; F1V2 then
+        stably moves the inserted SMs to the front."""
+        v_c = rec_v_c[j]
+        key = v_c * key_sign.take((rec_i_arm[j] >= 0.0).view(np.int8))[..., None]
+        np.add(key.argsort(axis=-1, kind="stable"), sm_base, out=order)
+        if any_f1v2[j]:
+            promote = (-rec_u[j].take(order)).argsort(axis=-1, kind="stable")
+            np.copyto(order, order.take(promote + sm_base), where=f1v2[:, j, None, None, None])
+        v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
+
+    def select(j):
+        """Statuses of step j into row j + 1: the prefix of each ranking
+        of the count pair that best meets the targets."""
+        # Bracketing by counting: capacitor voltages are positive, so
+        # the prefix sums rise monotonically.
+        counts = bracket.take(np.add.reduce(sums <= v_star[..., None], -1), axis=0)
+        dv = v_star[..., None] - sums.take(counts + sum_base)
+        # Objective on the four (upper, lower) pairs; argmin keeps the
+        # first minimizer in scan order (upper ascending, then lower).
+        dv_up = dv[..., 0, :, None]
+        dv_low = dv[..., 1, None, :]
+        f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
+        best = f.reshape(*legs, 4).argmin(axis=-1)
+        n_ins = counts.take(pair_pos.take(best, axis=0) + leg_base)
+        rec_u[j + 1].put(order, position < n_ins[..., None])
+
+    def plant(j):
+        """Row j + 1 of the plant: the capacitors integrate the arm
+        currents of row j under the new statuses, then the synthesized
+        arm voltages drive both leg currents."""
+        u_f = rec_u[j + 1].astype(float)
+        v_c = np.add(rec_v_c[j], ((t_s * rec_i_arm[j]) / c_sm)[..., None] * u_f, out=rec_v_c[j + 1])
+        v_arm = rec_v_arm[j + 1]
+        np.matmul(v_c[..., None, :], u_f[..., :, None], out=v_arm[..., None, None])
+        v_up, v_low = v_arm[..., 0], v_arm[..., 1]
+        i = np.divide(0.5 * (v_low - v_up) - v_s_table[j + 1] + l_i, k_prime, out=rec_i[j + 1])
+        i_z = np.add(ts_2l_arm * (bus - v_low - v_up), rec_i_z[j], out=rec_i_z[j + 1])
+        half_i = 0.5 * i
+        np.add(i_z, half_i, out=rec_i_arm[j + 1, ..., 0])
+        np.subtract(i_z, half_i, out=rec_i_arm[j + 1, ..., 1])
+
+    # ``bus`` and ``i_z_base`` are what a step reads of its link row, per
+    # converter: the bus voltage and the feedforward and droop of i_z_ref.
+    if first.mode == "back_to_back":
+        if dc_link is None:
+            raise ConfigError("back_to_back mode requires a DcLink")
+        dc_link.check_step(t_s)
+        c_end = 0.5 * dc_link.c_total
+        # Per-phase conductance giving the LC mode the target damping.
+        droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
+        dt_l, dt_c = t_s / dc_link.l_total, t_s / c_end
+        scanned = rec_link
+
+        def link(j):
+            """Row j + 1 of each batch row's link, in Python floats, by
+            semi-implicit (symplectic) Euler: the line current is advanced
+            first and the fresh value feeds the bus-capacitor update.  The
+            link's end-to-end LC mode has omega*T_s of order one, where the
+            fully explicit update amplifies the oscillation each step; the
+            symplectic form is neutrally stable at the same cost."""
+            i_z = rec_i_z[j + 1]
+            i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
+            for row, (v_mmc1, v_mmc2, i_link) in enumerate(rec_link[j].tolist()):
+                i_link += dt_l * (v_mmc2 - v_mmc1)
+                v_mmc1 += dt_c * (i_link - i_conv[2 * row])
+                v_mmc2 += dt_c * (-i_link - i_conv[2 * row + 1])
+                rec_link[j + 1, row] = v_mmc1, v_mmc2, i_link
+            bus[:] = rec_link[j + 1, :, :2].reshape(n_conv, 1)
+            np.add(ff_col, droop_gain * (bus - v_dc), out=i_z_base)
+
+        def bus_current(m):
+            """The link stage wrote the line current step by step."""
+    else:
+        droop_gain = 0.0
+        scanned = None   # an ideal bus has no state that can fail
+
+        def link(j):
+            """The ideal bus holds V_dc: nothing to advance."""
+
+        def bus_current(m):
+            """Each row's current from the ideal bus over the chunk's m steps."""
+            z = rec_i_z[1 : m + 1]
+            rec_link[1 : m + 1, :, 2] = 0.0 + z[..., 0] + z[..., 1] + z[..., 2]
+    bus = np.full((n_conv, 1), v_dc)
     i_z_base = ff_col + droop_gain * (bus - v_dc)
-    if dc_link is not None:
-        # Each row's link state (v_mmc1, v_mmc2, i_link) as Python
-        # floats, and the table of its values after each step of the
-        # chunk, row 0 holding the state before the chunk: at the
-        # start both buses at V_dc, the line at 0 A.
-        link = [[v_dc, v_dc, 0.0] for _ in scenarios]
-        rec_link = np.empty((buffer + 1, n_rows, 3))
-        rec_link[0] = link
 
     failed: dict[int, SimulationDiverged] = {}
-    for k0 in range(0, steps, chunk):
-        m = min(chunk, steps - k0)
+    for k0 in range(0, steps, _SCAN_STEPS):
+        m = min(_SCAN_STEPS, steps - k0)
         # The chunk's tables: the grid cosines at t = k * T_s for
         # k = k0..k0+m, one per phase, the current references and the
         # reference part of each step's deadbeat drive, K' * i_ref + v_s,
         # and each row's policy per step.
         phase_cos = np.array(
-            [math.cos(omega * (k * t_s) + off) for k in range(k0, k0 + m + 1)
+            [math.cos(grid.omega * (k * t_s) + off) for k in range(k0, k0 + m + 1)
              for off in _PHASE_OFFSETS]
         ).reshape(m + 1, 3)
         rec_i_ref = amp_col * phase_cos[1:, None, :]
@@ -557,109 +634,32 @@ def _step_batch(
             for times in event_times
         ]
         policies = [names.take(f).tolist() for names, f in zip(choice_names, in_force)]
-        # F1V2 promotion per step: run for any row, kept per row when mixed.
+        # F1V2 promotion per step: run for any row, kept per row.
         f1v2 = np.array([is_f1v2.take(f) for is_f1v2, f in zip(choice_f1v2, in_force)])
         any_f1v2 = f1v2.any(axis=0).tolist()
-        all_f1v2 = f1v2.all(axis=0).tolist()
         f1v2 = np.repeat(f1v2, n_mmc, axis=0)
-        rec_i = np.empty((m, *legs))
-        rec_i_z = np.empty((m, *legs))
 
         for j in range(m):
-            if dc_link is not None:
-                bus = rec_link[j, :, :2].reshape(n_conv, 1)
-                i_z_base = ff_col + droop_gain * (bus - v_dc)
+            targets(j)
+            rank(j)
+            select(j)
+            plant(j)
+            link(j)
+        bus_current(m)
 
-            # Deadbeat targets for both arms of every leg.
-            v_mean = np.add.reduce(v_c, -1) / n
-            v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
-            i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
-            common = half_v_dc + l_arm_ts * (i_z - i_z_ref)
-            l_i = l_prime_ts * i
-            drive = drive_table[j] - l_i
-            np.subtract(common, drive, out=v_star[..., 0])
-            np.add(common, drive, out=v_star[..., 1])
-
-            # Ranking: stable voltage sort, ascending while the arm current
-            # charges; F1V2 then stably moves inserted SMs to the front.
-            key = v_c * key_sign.take((i_arm >= 0.0).view(np.int8))[..., None]
-            order = key.argsort(axis=-1, kind="stable") + sm_base
-            if any_f1v2[j]:
-                promote = (-u.take(order)).argsort(axis=-1, kind="stable")
-                promoted = order.take(promote + sm_base)
-                if all_f1v2[j]:
-                    order = promoted
-                else:
-                    order = np.where(f1v2[:, j, None, None, None], promoted, order)
-            v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
-
-            # Bracketing by counting: capacitor voltages are positive, so
-            # the prefix sums rise monotonically.
-            counts = bracket.take(np.add.reduce(sums <= v_star[..., None], -1), axis=0)
-            dv = v_star[..., None] - sums.take(counts + sum_base)
-
-            # Objective on the four (upper, lower) pairs; argmin keeps the
-            # first minimizer in scan order (upper ascending, then lower).
-            dv_up = dv[..., 0, :, None]
-            dv_low = dv[..., 1, None, :]
-            f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
-            best = f.reshape(*legs, 4).argmin(axis=-1)
-            n_ins = counts.take(pair_pos.take(best, axis=0) + leg_base)
-
-            # Prefix insertion of each ranking.
-            u_next = rec_u[j]
-            u_next.put(order, rank < n_ins[..., None])
-            u_f = u_next.astype(float)
-
-            # Plant: capacitors integrate the start-of-step arm currents,
-            # then the synthesized arm voltages drive both leg currents.
-            v_c = np.add(v_c, ((t_s * i_arm) / c_sm)[..., None] * u_f, out=rec_v_c[j])
-            np.matmul(v_c[..., None, :], u_f[..., :, None], out=rec_v_arm[j][..., None, None])
-            v_up, v_low = rec_v_arm[j][..., 0], rec_v_arm[j][..., 1]
-            i = np.divide(
-                0.5 * (v_low - v_up) - v_s_table[j + 1] + l_i, k_prime, out=rec_i[j]
-            )
-            i_z = np.add(ts_2l_arm * (bus - v_low - v_up), i_z, out=rec_i_z[j])
-            half_i = 0.5 * i
-            np.add(i_z, half_i, out=i_arm_next[..., 0])
-            np.subtract(i_z, half_i, out=i_arm_next[..., 1])
-            i_arm, i_arm_next = i_arm_next, i_arm
-            u = u_next
-
-            if dc_link is not None:
-                # Semi-implicit (symplectic) Euler: the line current is
-                # advanced first and the fresh value feeds the bus-capacitor
-                # update.  The link's end-to-end LC mode has omega*T_s of
-                # order one, where the fully explicit update amplifies the
-                # oscillation each step; the symplectic form is neutrally
-                # stable at the same cost.
-                i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
-                for row, state in enumerate(link):
-                    v_mmc1, v_mmc2, i_link = state
-                    i_link += (t_s / l_total) * (v_mmc2 - v_mmc1)
-                    v_mmc1 += (t_s / c_end) * (i_link - i_conv[2 * row])
-                    v_mmc2 += (t_s / c_end) * (-i_link - i_conv[2 * row + 1])
-                    state[:] = v_mmc1, v_mmc2, i_link
-                rec_link[j + 1] = link
-
-        chunk_link = None if dc_link is None else rec_link[: m + 1]
-        _scan_failures(failed, k0, labels, rec_i, rec_i_z, rec_v_c[:m], chunk_link)
+        now = slice(1, m + 1)
+        _scan_failures(failed, k0, labels, rec_i[now], rec_i_z[now], rec_v_c[now], scanned)
         if len(failed) == n_rows:
             break
         # Each healthy row's record of the chunk.
-        if dc_link is None:
-            bus_v = np.full((m, n_rows, 1), v_dc)
-            i_dc = (0.0 + rec_i_z[:, :, 0] + rec_i_z[:, :, 1] + rec_i_z[:, :, 2])[..., None]
-        else:
-            bus_v = chunk_link[1:, :, :2]
-            i_dc = chunk_link[1:, :, 2:]
         by_row = (m, n_rows, n_legs)
-        row_v_dc = np.repeat(bus_v, 3, axis=-1)
-        row_i_dc = np.repeat(i_dc, n_legs, axis=-1)
-        row_v_arm = rec_v_arm[:m].reshape(*by_row, 2)
-        row_v_c = rec_v_c[:m].reshape(*by_row, 2 * n)
-        row_u = rec_u[:m].reshape(*by_row, 2 * n)
-        row_i, row_i_ref, row_i_z = (x.reshape(by_row) for x in (rec_i, rec_i_ref, rec_i_z))
+        row_v_dc = np.repeat(rec_link[now, :, :n_mmc], 3, axis=-1)
+        row_i_dc = np.repeat(rec_link[now, :, 2:], n_legs, axis=-1)
+        row_v_arm = rec_v_arm[now].reshape(*by_row, 2)
+        row_v_c = rec_v_c[now].reshape(*by_row, 2 * n)
+        row_u = rec_u[now].reshape(*by_row, 2 * n)
+        row_i, row_i_ref, row_i_z = (
+            x.reshape(by_row) for x in (rec_i[now], rec_i_ref, rec_i_z[now]))
         for row, row_policy in enumerate(policies):
             if row not in failed:
                 consume(row, RunRecord(
@@ -670,8 +670,8 @@ def _step_batch(
                     v_c=row_v_c[:, row], u=row_u[:, row],
                     v_dc_link=row_v_dc[:, row], i_dc_link=row_i_dc[:, row],
                 ))
-        if dc_link is not None:
-            rec_link[0] = rec_link[m]
+        for table in (rec_v_c, rec_u, rec_i, rec_i_z, rec_i_arm, rec_link):
+            table[0] = table[m]
     return failed
 
 
@@ -682,9 +682,9 @@ def _scan_failures(
     """Add to ``failed`` each batch row not in it yet whose recorded state
     fails in the steps the ``rec_*`` arrays hold, from step ``k0`` in
     their row 0, with the error of its first failing step.  ``rec_link``
-    has one row more, the link state before step ``k0``.  Each arm's
-    capacitors are reduced to their min and max, so nothing the size of
-    the chunk's ``v_c`` is allocated."""
+    starts a row earlier, with the link state before step ``k0``; it is
+    None on an ideal bus.  Each arm's capacitors are reduced to their
+    min and max, so nothing the size of the chunk's ``v_c`` is allocated."""
     current = ~(np.isfinite(rec_i) & np.isfinite(rec_i_z))
     capacitor = ~((rec_v_c.min(axis=(-2, -1)) > 0.0) & (rec_v_c.max(axis=(-2, -1)) < math.inf))
     # Each row's checks at each step in the order they are reported:
@@ -692,7 +692,7 @@ def _scan_failures(
     # stored (v_mmc1, v_mmc2, i_link) with step k's in row k + 1.
     checks = [np.stack((current, capacitor), axis=-1).reshape(len(rec_i), -1, 2 * len(labels))]
     if rec_link is not None:
-        checks.append(~np.isfinite(rec_link[1:, :, [2, 0, 1]]))
+        checks.append(~np.isfinite(rec_link[1 : len(rec_i) + 1, :, [2, 0, 1]]))
     bad = np.concatenate(checks, axis=-1)
     names = [f"phase {label} {what}" for label in labels for what in (
         "currents non-finite", "capacitor voltage non-finite or <= 0")]

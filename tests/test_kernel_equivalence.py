@@ -249,15 +249,19 @@ def test_batch_rows_match_solo_runs(n, mode, pair):
     assert np.may_share_memory(rows[0].v_c, rows[1].v_c)
 
 
+CAPACITOR_B = "phase b capacitor voltage non-finite or <= 0"
+
+
 @pytest.mark.parametrize(
     "mode, duration, steps",
     [
         # Alone, V1F2 collapses at step 274, F1V2 at step 176 and
-        # V1F2 turning F1V2 at step 40 at step 174.
-        ("ideal_dc", 0.05, [274, 176, 174]),
+        # V1F2 turning F1V2 at step 40 at step 174, each on a capacitor
+        # of phase b: an ideal bus has no state of its own to name.
+        ("ideal_dc", 0.05, [(274, CAPACITOR_B), (176, CAPACITOR_B), (174, CAPACITOR_B)]),
         # 200 steps: the V1F2 row stays healthy.
-        ("ideal_dc", 0.005, [None, 176, 174]),
-        ("back_to_back", 0.005, [16, 16, 16]),
+        ("ideal_dc", 0.005, [None, (176, CAPACITOR_B), (174, CAPACITOR_B)]),
+        ("back_to_back", 0.005, [(16, "phase 2b capacitor voltage non-finite or <= 0")] * 3),
     ],
 )
 def test_batch_rows_diverge_as_they_do_alone(mode, duration, steps):
@@ -272,15 +276,16 @@ def test_batch_rows_diverge_as_they_do_alone(mode, duration, steps):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = _simulate_batch(scenarios, **kwargs)
-    for row, scenario, step in zip(rows, scenarios, steps):
-        if step is None:
+    # Each row's (step, detail) alone, or None for a healthy row.
+    for row, scenario, failure in zip(rows, scenarios, steps):
+        if failure is None:
             assert _as_bytes(row) == _as_bytes(simulate(scenario, **kwargs))
             continue
         with pytest.raises(SimulationDiverged) as alone:
             simulate(scenario, **kwargs)
         assert isinstance(row, SimulationDiverged)
         assert (row.step, row.detail) == (alone.value.step, alone.value.detail)
-        assert row.step == step
+        assert (row.step, row.detail) == failure
 
 
 def test_batch_rows_fail_on_the_dc_link_as_they_do_alone():

@@ -157,11 +157,10 @@ def _summary_peak(chunks, first, last):
 
 
 def test_the_summary_grows_by_the_window_steps_alone():
-    # 1,024 and 8,192 window steps: powers of two, as the kept series
-    # double when full; the third summary has 1,024 window steps of
-    # 8,192, with 28 chunks before the window and 28 after it.  Per extra
-    # window step the kept series grow in place, by SERIES_BYTES, and the
-    # one product row that `result` copies at a time by a quarter of that.
+    # 1,024 and 8,192 window steps; the third summary has 1,024 window
+    # steps of 8,192, with 28 chunks before the window and 28 after it.
+    # Per extra window step the kept pieces grow by SERIES_BYTES, and the
+    # one product row that `result` joins at a time by a quarter of that.
     slack = 64 << 10
     chunks = _chunks(64)
     small = _summary_peak(chunks[:8], 0, 1023)

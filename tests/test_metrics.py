@@ -1,5 +1,6 @@
 """Unit tests for switching, ripple, circulating and tracking metrics."""
 
+import cProfile
 import functools
 import math
 from dataclasses import fields, replace
@@ -456,6 +457,27 @@ def test_summarize_matches_scalar_oracle(n, mode):
             for k0, k1 in zip([0, *cuts], [*cuts, record.steps]):
                 summary.add(_chunk(record, k0, k1))
             assert _summary_bytes(summary.result()) == _summary_bytes(want), cuts
+
+
+def test_the_accumulator_runs_under_the_c_profiler():
+    # The C profiler holds a reference to the array whose method it
+    # sees called, so an in-place ``ndarray.resize`` of it would refuse.
+    record, params = _stock_record(6, "ideal_dc")
+    chunks = [_chunk(record, k0, k0 + 128) for k0 in range(0, 512, 128)]
+
+    def summarize_chunks():
+        summary = SummaryAccumulator(None, params.v_sm_nominal)
+        for chunk in chunks:
+            summary.add(chunk)
+        return summary.result().to_flat()
+
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        profiled = summarize_chunks()
+    finally:
+        profile.disable()
+    assert profiled == summarize_chunks()
 
 
 @functools.cache
