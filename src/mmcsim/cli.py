@@ -10,6 +10,9 @@
   ratio b/a.
 * ``metrics <csv> [--window t0 t1]`` recomputes the summary metrics of
   a persisted run, from the sidecar ``<csv>.rec`` if it matches the CSV.
+  The sidecar names the run's decimation: when the run kept one step in
+  k > 1, a WARNING says that the metrics come from the kept samples
+  only.  A CSV parsed without its sidecar cannot tell.
 
 Each command ends in one report path (:func:`_report`): it writes the
 report text to ``<stem>.txt`` and its numbers to ``<stem>.json`` in the
@@ -33,7 +36,7 @@ from dataclasses import replace
 from .config import RunConfig, parse_config, serialize_config
 from .csvio import (
     TimeSeriesSink,
-    _sidecar_blocks,
+    _sidecar,
     format_metrics_text,
     read_record_blocks,
     write_report,
@@ -140,12 +143,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     # Summarized block by block as read: from the sidecar if it matches, else the CSV.
-    blocks = _sidecar_blocks(args.csv)
-    first = next(blocks, None)
-    log.info("metrics: %s %s", "parsing" if first is None else "reading the sidecar of", args.csv)
-    if first is None:
+    blocks = _sidecar(args.csv)
+    decimation = next(blocks, None)
+    log.info("metrics: %s %s", "parsing" if decimation is None else "reading the sidecar of",
+             args.csv)
+    if decimation is None:
         blocks = read_record_blocks(args.csv)
-        first = next(blocks)
+    elif decimation > 1:
+        log.warning("metrics: %s holds one step in %d of its run (decimation %d): fs_* and the"
+                    " other window metrics come from the kept samples only",
+                    args.csv, decimation, decimation)
+    first = next(blocks)
     if args.sm_nominal is not None:
         nominal = args.sm_nominal
     else:

@@ -23,11 +23,13 @@ A run hands the sink its record chunk by chunk, each a
 them into a sidecar, the CSV's path plus ``.rec``: fixed-layout records
 (``_step_dtype``), then, once the sink closes unless a write failed,
 JSON metadata (the byte size and CRC-32 of the CSV as written, ``n``,
-the labels, the policy names) and a footer.  The CSV is formatted from
-the sidecar's tables, by a writer process that reads them back (see
-:class:`TimeSeriesSink`), so a run steps while its CSV is written.
-``mmcsim metrics`` reads the sidecar (:func:`_sidecar_blocks`) when it
-names the CSV's size and CRC-32.
+the labels, the policy names, the decimation) and a footer.  The CSV
+is formatted from the sidecar's tables, by a writer process that reads
+them back (see :class:`TimeSeriesSink`), so a run steps while its CSV
+is written.
+``mmcsim metrics`` reads the sidecar (:func:`_sidecar`) when it names
+the CSV's size and CRC-32, and so knows the decimation; the CSV alone
+does not tell it.
 
 The layout is defined once, as a structured row dtype that
 ``csv_columns`` derives from.  The loader reads the file once, in lines
@@ -77,7 +79,7 @@ _ARRAYS = ("times", *_row_dtype(1).names[2:-1])
 
 
 # A sidecar ends: JSON metadata, their length, the CRC-32 of all before, _MAGIC.
-_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-1"
+_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-2"
 _FOOTER = 8 + 4 + len(_MAGIC)
 # Bytes read at once for a CRC-32: 1 MiB reads cost 2 MiB of peak RSS.
 _IO_BYTES = 1 << 16
@@ -350,7 +352,8 @@ class TimeSeriesSink:
                 csv = self._reap()
             if not self._broken:
                 meta = {"csv": csv,   # byte size, CRC-32
-                        "n": self.n, "labels": self._labels, "policies": list(self._policies)}
+                        "n": self.n, "labels": self._labels, "policies": list(self._policies),
+                        "decimation": self.decimation}
                 tail = json.dumps(meta, sort_keys=True).encode()
                 tail += len(tail).to_bytes(8, "little")
                 tail += zlib.crc32(tail, self._rec_crc).to_bytes(4, "little")
@@ -416,8 +419,15 @@ def _block_rows(n_fields: int) -> int:
 
 def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
     """The blocks of :func:`read_record_blocks`, from the sidecar of the CSV
-    at ``path``; none unless the sidecar matches its CRC-32, holds a step
-    and names the CSV's byte size and CRC-32."""
+    at ``path`` (:func:`_sidecar`)."""
+    return itertools.islice(_sidecar(path), 1, None)
+
+
+def _sidecar(path: str) -> Iterator:
+    """The decimation the run kept its steps at, then the blocks of
+    :func:`read_record_blocks`, from the sidecar of the CSV at ``path``;
+    nothing unless the sidecar matches its CRC-32, holds a step and
+    names the CSV's byte size and CRC-32."""
     try:
         f = open(path + _SIDECAR, "rb")
     except OSError:
@@ -438,6 +448,7 @@ def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
                     return
         except OSError:
             return
+        yield meta["decimation"]
         labels, policies = meta["labels"], meta["policies"]
         dtype = _step_dtype(meta["n"], len(labels))
         steps = (body - length) // dtype.itemsize

@@ -15,7 +15,8 @@ state of every phase leg of every converter lives in chunk tables
 with one entry per leg) with one row per step and one more.  Step j
 reads row j and writes row j + 1, in five stages, each one vectorized
 pass over all legs: ``targets`` (the deadbeat arm voltages), ``rank``
-(each arm's SMs, with the F1V2 promotion), ``select`` (bracket the
+(each arm's SMs under its row's policy, as one stable sort of a packed
+key, :func:`mmcsim.controller._rank`), ``select`` (bracket the
 targets, choose and insert the counts), ``plant`` (capacitors, then leg
 currents) and ``link`` (in back-to-back mode one semi-implicit Euler
 update of the DC link from the freshly summed converter common-mode
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import SortPolicy
+from .controller import _STATUS_FIRST, SortPolicy, _rank
 from .errors import ConfigError, SimulationDiverged
 from .metrics import RunRecord, SummaryAccumulator, SummaryMetrics, _row_dtype
 from .model import ConverterParams
@@ -480,7 +481,7 @@ def _step_batch(
     event_times = [[t for t, _ in s.events] for s in scenarios]
     choices = [[SortPolicy.V1F2, *(p for _, p in s.events)] for s in scenarios]
     choice_names = [np.array([p.value for p in c], dtype=object) for c in choices]
-    choice_f1v2 = [np.array([p is SortPolicy.F1V2 for p in c]) for c in choices]
+    choice_status = [np.array([p is SortPolicy.F1V2 for p in c]) * _STATUS_FIRST for c in choices]
     amp_col = np.array(amps * n_rows).reshape(n_conv, 1)
     k_prime = params.K_prime
 
@@ -496,7 +497,6 @@ def _step_batch(
     # in a leg's flat (arm, candidate) table, in scan order.
     pair_pos = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
     leg_base = 4 * np.arange(n_conv * 3).reshape(*legs, 1)
-    key_sign = np.array([-1.0, 1.0])
     # What a step's stages hand on: targets, L'/T_s * i, rankings, sums.
     v_star = np.empty((*legs, 2))
     l_i = np.empty(legs)
@@ -527,16 +527,12 @@ def _step_batch(
         np.add(common, drive, out=v_star[..., 1])
 
     def rank(j):
-        """Each arm's SMs at step j into ``order``, as flat indices of a
-        table row, and their prefix voltage sums into ``sums``: a stable
-        voltage sort, ascending while the arm current charges; F1V2 then
-        stably moves the inserted SMs to the front."""
+        """Each arm's SMs at step j, ranked by :func:`_rank` under its
+        row's policy, into ``order`` as flat indices of a table row, and
+        their prefix voltage sums into ``sums``."""
         v_c = rec_v_c[j]
-        key = v_c * key_sign.take((rec_i_arm[j] >= 0.0).view(np.int8))[..., None]
-        np.add(key.argsort(axis=-1, kind="stable"), sm_base, out=order)
-        if any_f1v2[j]:
-            promote = (-rec_u[j].take(order)).argsort(axis=-1, kind="stable")
-            np.copyto(order, order.take(promote + sm_base), where=f1v2[:, j, None, None, None])
+        ranks = _rank(v_c, rec_u[j], rec_i_arm[j], status_first[:, j, None, None])
+        np.add(ranks, sm_base, out=order)
         v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
 
     def select(j):
@@ -634,10 +630,7 @@ def _step_batch(
             for times in event_times
         ]
         policies = [names.take(f).tolist() for names, f in zip(choice_names, in_force)]
-        # F1V2 promotion per step: run for any row, kept per row.
-        f1v2 = np.array([is_f1v2.take(f) for is_f1v2, f in zip(choice_f1v2, in_force)])
-        any_f1v2 = f1v2.any(axis=0).tolist()
-        f1v2 = np.repeat(f1v2, n_mmc, axis=0)
+        status_first = np.repeat([s.take(f) for s, f in zip(choice_status, in_force)], n_mmc, 0)
 
         for j in range(m):
             targets(j)

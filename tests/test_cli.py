@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,21 @@ def _write(workdir, name, text):
     return str(path)
 
 
-def _metrics(capsys, caplog, csv_path, *options, reads_sidecar=True):
+def _decimated(csv_path, decimation):
+    """The WARNING ``metrics`` logs when the sidecar of ``csv_path`` names a
+    run that kept one step in ``decimation``."""
+    return (f"metrics: {csv_path} holds one step in {decimation} of its run (decimation"
+            f" {decimation}): fs_* and the other window metrics come from the kept samples only")
+
+
+def _metrics(capsys, caplog, csv_path, *options, reads_sidecar=True, decimation=1):
     """Run ``mmcsim metrics`` on a CSV that ``run`` wrote, twice: with the
     sidecar beside it (read unless ``reads_sidecar`` is false), then, with
     the sidecar deleted, from the CSV text.  Each must name the source it
-    read; both must exit alike, print the same text and leave the same
-    report bytes, or none.  Returns the exit code and the captured output
-    of the parse, whose report stays."""
+    read, and the sidecar pass of a run at ``decimation`` > 1 must warn of
+    it, once; the parse cannot know it.  Both must exit alike, print the
+    same text and leave the same report bytes, or none.  Returns the exit
+    code and the captured output of the parse, whose report stays."""
     csv_path = str(csv_path)
     out = os.environ.get(OUTPUT_DIR_ENV) or os.path.dirname(csv_path)
     stem = os.path.splitext(os.path.basename(csv_path))[0]
@@ -74,7 +83,8 @@ def _metrics(capsys, caplog, csv_path, *options, reads_sidecar=True):
                 os.remove(path)
         caplog.clear()
         code = main(["metrics", csv_path, *options])
-        assert caplog.messages == [f"metrics: {source} {csv_path}"]
+        warned = [_decimated(csv_path, decimation)] * (source != "parsing" and decimation > 1)
+        assert caplog.messages == [f"metrics: {source} {csv_path}", *warned]
         written = [Path(path).read_bytes() if os.path.exists(path) else None for path in reports]
         runs.append((code, capsys.readouterr(), written))
         if os.path.exists(csv_path + ".rec"):
@@ -532,7 +542,7 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     # ``metrics`` reads the sidecar, or the CSV, block by block; its report
     # is that of the scalar oracle on the per-field load of the whole file.
     csv_path = str(workdir / "out" / "run.csv")
-    assert _metrics(capsys, caplog, csv_path)[0] == 0
+    assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
     loaded = oracle_load(csv_path)
     expected = reference_summarize(
         loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
@@ -540,6 +550,39 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     _write_metrics_report(expected, str(whole / "run.metrics.txt"), str(whole / "run.metrics.json"))
     for name in ("run.metrics.txt", "run.metrics.json"):
         assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
+@pytest.mark.parametrize("decimation", [1, 7, 50])
+def test_metrics_warns_once_that_a_decimated_sidecar_holds_kept_samples(
+    workdir, capsys, caplog, mode, decimation
+):
+    csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode=mode, decimation=decimation))
+    data = Path(csv_path + ".rec").read_bytes()
+    length = int.from_bytes(data[-24:-16], "little")
+    assert data[-12:] == b"mmcsim-rec-2"
+    assert json.loads(data[-24 - length : -24])["decimation"] == decimation
+    caplog.set_level(logging.INFO, logger="mmcsim.cli")
+    caplog.clear()
+    assert main(["metrics", csv_path]) == 0
+    warned = [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno > logging.INFO]
+    assert warned == [("WARNING", _decimated(csv_path, decimation))] * (decimation > 1)
+    assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
+
+
+def test_metrics_parses_beside_a_sidecar_of_the_first_layout(workdir, capsys, caplog):
+    # The first layout's metadata had no decimation and its footer ended
+    # "mmcsim-rec-1"; such a sidecar, whole and of this CSV, is not read.
+    csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="ideal_dc", decimation=7))
+    data = Path(csv_path + ".rec").read_bytes()
+    body = len(data) - 24 - int.from_bytes(data[-24:-16], "little")
+    meta = json.loads(data[body:-24])
+    del meta["decimation"]
+    tail = json.dumps(meta, sort_keys=True).encode()
+    tail += len(tail).to_bytes(8, "little")
+    tail += zlib.crc32(data[:body] + tail).to_bytes(4, "little")
+    Path(csv_path + ".rec").write_bytes(data[:body] + tail + b"mmcsim-rec-1")
+    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
 
 
 def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):
@@ -657,7 +700,8 @@ def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog,
                      "v_dc_link", "i_dc_link"):
             x, y = getattr(a, name), getattr(b, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
-    assert _metrics(capsys, caplog, csv_path)[0] == 0
+    decimation = parse_config(text).decimation
+    assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
 
 
 def test_run_and_metrics_load_no_openssl(tmp_path):
@@ -677,6 +721,29 @@ def test_run_and_metrics_load_no_openssl(tmp_path):
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "False"
     assert "mmcsim.cli: metrics: reading the sidecar of out/run.csv\n" in child.stderr
+
+
+def test_run_and_metrics_under_the_c_profiler_write_the_unprofiled_bytes(tmp_path):
+    # 800 steps: the chunks after the first go to a forked CSV writer.
+    # ``cProfile`` swallows SystemExit, so its exit status says nothing;
+    # the files and stderr are the check.
+    text = SMALL_CONFIG.replace("ideal_dc", "back_to_back").replace("0.01", "0.02")
+    text = text.replace("13.18e6", "13.18e6, -13.18e6").replace("[]", "[(0.01, F1V2)]")
+    env = {key: value for key, value in os.environ.items() if key != OUTPUT_DIR_ENV}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mmcsim.__file__))
+    written = []
+    for name, profiler in (("plain", []), ("profiled", ["-m", "cProfile", "-o", "run.prof"])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "run.ini").write_text(text)
+        for command in (["run", "run.ini"], ["metrics", "out/run.csv"]):
+            child = subprocess.run([sys.executable, *profiler, "-m", "mmcsim.cli", *command],
+                                   cwd=tmp_path / name, env=env, capture_output=True, text=True,
+                                   timeout=300)
+            assert child.returncode == 0 and "error:" not in child.stderr, child.stderr
+        out = tmp_path / name / "out"
+        written.append([(out / f).read_bytes() for f in ("run.csv", "metrics.json", "run.metrics.json")])
+    assert (tmp_path / "profiled" / "run.prof").stat().st_size > 0
+    assert written[0] == written[1]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

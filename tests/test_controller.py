@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcsim.controller import SortPolicy
+from mmcsim.controller import _STATUS_FIRST, SortPolicy, _rank
 from mmcsim.errors import ContractError
 from mmcsim.model import ConverterParams
 from per_phase_reference import (
@@ -211,6 +211,36 @@ def test_sort_f1v2_priority_and_group_stability(seed):
         want = [j for j in base.order if u[j] == group]
         got = [j for j in two_pass.order if u[j] == group]
         assert want == got
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 48])
+def test_rank_equals_the_two_pass_sort_on_stacked_arms(n):
+    # A (40, 3, 2) stack of arms, as the kernel ranks them: voltages
+    # half drawn from three levels (exact ties), all equal in the arms of
+    # the first four rows, and currents of 0.0 and -0.0 among signed
+    # ones.  Each arm goes under V1F2, under F1V2, and under a policy of
+    # its own.
+    rng = np.random.default_rng(n)
+    shape = (40, 3, 2)
+    v_c = rng.uniform(9e3, 11e3, (*shape, n))
+    tied = rng.random(v_c.shape) < 0.5
+    v_c[tied] = rng.choice(rng.uniform(9e3, 11e3, 3), tied.sum())
+    v_c[:4] = 10e3
+    u = rng.integers(0, 2, v_c.shape).astype(np.int8)
+    i_arm = rng.choice([0.0, -0.0, 150.0, -150.0], shape) * rng.uniform(0.5, 2.0, shape)
+    assert np.any(np.signbit(i_arm) & (i_arm == 0.0)) and np.any(~np.signbit(i_arm) & (i_arm == 0.0))
+    mixed = rng.random(shape) < 0.5
+    for f1v2 in (np.zeros(shape, bool), np.ones(shape, bool), mixed):
+        order = _rank(v_c, u, i_arm, f1v2 * _STATUS_FIRST)
+        assert order.shape == v_c.shape
+        for arm in np.ndindex(shape):
+            policy = SortPolicy.F1V2 if f1v2[arm] else SortPolicy.V1F2
+            reference = sort_arm(_arm(v_c[arm], u[arm], float(i_arm[arm])), policy, STOCK_PARAMS)
+            assert order[arm].tolist() == reference.order.tolist(), (arm, policy)
+    # A policy per leg row broadcasts over the row's arms, as the kernel's does.
+    rows = mixed[:, :1, :1]
+    assert np.array_equal(_rank(v_c, u, i_arm, rows * _STATUS_FIRST),
+                          _rank(v_c, u, i_arm, np.broadcast_to(rows, shape) * _STATUS_FIRST))
 
 
 # ------------------------------------------------------ insertion counts
