@@ -47,7 +47,7 @@ from .testbench import _summarize_batch, run_scenario
 
 __all__ = ["main"]
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("mmcsim.cli")
 
 OUTPUT_DIR_ENV = "MMCSIM_OUTPUT_DIR"
 

@@ -7,8 +7,10 @@ bit for bit.  The column layout is fixed at sink creation:
     t,phase,i,i_ref,i_z,v_up,v_low,v_c_1..v_c_<2n>,u_1..u_<2n>,
     v_dc_link,i_dc_link,policy
 
-Switch statuses ``u_*`` are 0 or 1: the writer refuses to write and the
-loader refuses to load anything else.  The sink keeps every k-th step
+The phases are ``a, b, c`` or ``1a`` to ``2c``, in that order, the
+policies ``V1F2`` or ``F1V2`` (:class:`.SortPolicy`), and switch
+statuses ``u_*`` are 0 or 1: the writer refuses to write and the loader
+refuses to load anything else.  The sink keeps every k-th step
 (its decimation), counting steps across its calls, so a run handed over
 in chunks writes the bytes of one call with the whole record.
 
@@ -23,7 +25,8 @@ A run hands the sink its record chunk by chunk, each a
 them into a sidecar, the CSV's path plus ``.rec``: fixed-layout records
 (``_step_dtype``), then, once the sink closes unless a write failed,
 JSON metadata (the byte size and CRC-32 of the CSV as written, ``n``,
-the labels, the policy names, the decimation) and a footer.  The CSV
+the labels, the decimation) and a footer ending ``mmcsim-rec-3``; a
+step's policy is its index in :class:`.SortPolicy`.  The CSV
 is formatted from the sidecar's tables, by a writer process that reads
 them back (see :class:`TimeSeriesSink`), so a run steps while its CSV
 is written.
@@ -38,7 +41,9 @@ whole steps, the lines of each in one ``numpy.loadtxt`` call, whose C
 parser rounds like ``float()``.  It checks each block with array
 operations as it comes, names a refused row's line from the lines it
 holds (bytes that are not UTF-8 too, read as lone surrogates), and
-takes the record's arrays by field name.  ``mmcsim metrics`` summarizes
+takes the record's arrays by field name.  The first data row's phase
+gives the run's phases, and every block but the last holds whole steps,
+since its rows are a multiple of six.  ``mmcsim metrics`` summarizes
 the blocks as they are read (:func:`read_record_blocks`), so its memory
 holds one block of per-SM state; :func:`load_record_csv` joins them.  A
 block's arrays, from the CSV or the sidecar, are views of its table.
@@ -60,8 +65,9 @@ from typing import NoReturn
 
 import numpy as np
 
+from .controller import SortPolicy
 from .errors import ConfigError, ContractError
-from .metrics import RunRecord, SummaryMetrics, _binary_statuses, _row_dtype
+from .metrics import _PHASES, RunRecord, SummaryMetrics, _binary_statuses, _row_dtype
 
 __all__ = [
     "csv_columns",
@@ -77,16 +83,19 @@ _FLOAT_FMT = "%.17g"
 # The RunRecord arrays, by name.
 _ARRAYS = ("times", *_row_dtype(1).names[2:-1])
 
+# Each policy name's index in a sidecar: its place in SortPolicy.
+_POLICIES = {policy.value: k for k, policy in enumerate(SortPolicy)}
+
 
 # A sidecar ends: JSON metadata, their length, the CRC-32 of all before, _MAGIC.
-_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-2"
+_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-3"
 _FOOTER = 8 + 4 + len(_MAGIC)
 # Bytes read at once for a CRC-32: 1 MiB reads cost 2 MiB of peak RSS.
 _IO_BYTES = 1 << 16
 
 
 def _step_dtype(n: int, n_phases: int) -> np.dtype:
-    """One kept step of a sidecar: the RunRecord arrays, then its policy's index."""
+    """One kept step of a sidecar: the RunRecord arrays, then its policy's index in SortPolicy."""
     row = _row_dtype(n)
     arrays = [(name, row[name].base, (n_phases, *row[name].shape)) for name in _ARRAYS[1:]]
     return np.dtype([("times", "f8"), *arrays, ("policy", "u4")]).newbyteorder("<")
@@ -131,10 +140,9 @@ def _padded(strings: list[str], end: str) -> np.ndarray:
     return np.array(encoded, f"S{max(map(len, encoded))}").view(np.uint8).reshape(len(encoded), -1)
 
 
-def _write_rows(file, table: np.ndarray, labels: list[str], names: list[str], crc: int) -> int:
+def _write_rows(file, table: np.ndarray, labels: list[str], crc: int) -> int:
     """Append the text of the steps of the sidecar ``table`` to ``file``,
-    whose phases are ``labels`` and whose policies index ``names``;
-    return ``crc`` continued over it."""
+    whose phases are ``labels``; return ``crc`` continued over it."""
     # Imported on first use: its tables add 1.2 MB to the RSS of `compare` and `metrics`.
     from ._float_text import float_text
 
@@ -151,7 +159,7 @@ def _write_rows(file, table: np.ndarray, labels: list[str], names: list[str], cr
     status = np.stack([table["u"].astype(np.uint8) + np.uint8(ord("0")),
                        np.full(table["u"].shape, comma)], axis=3)
     label = _padded(labels, ",")
-    policy = _padded(names, "\n")[table["policy"]]
+    policy = _padded(list(_POLICIES), "\n")[table["policy"]]
     rows = np.concatenate([
         cells[:, :, 0],
         np.broadcast_to(label, (steps, *label.shape)),
@@ -176,9 +184,9 @@ def _tables(f, dtype: np.dtype, steps: int, block: int) -> Iterator[np.ndarray]:
 
 def _writer_main(file, crc: int, rec, dtype: np.dtype, labels: list[str],
                  rows_fd: int, result_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
-    """Body of a writer process: for each ``(first step, end step, policy
-    names)`` read from ``rows_fd``, format those steps of the sidecar
-    ``rec``, of ``dtype`` and phases ``labels``, into the CSV ``file``,
+    """Body of a writer process: for each ``(first step, end step)`` read
+    from ``rows_fd``, format those steps of the sidecar ``rec``, of
+    ``dtype`` and phases ``labels``, into the CSV ``file``,
     whose bytes so far have the CRC-32 ``crc``, until a ``None`` comes;
     then pickle the CSV's byte size and CRC-32, or the exception that
     ended the rows, to ``result_fd`` for the sink.  It exits even when
@@ -194,10 +202,10 @@ def _writer_main(file, crc: int, rec, dtype: np.dtype, labels: list[str],
         block = _block_steps(len(labels), dtype["v_c"].shape[-1])
         try:
             with file, rec, os.fdopen(rows_fd, "rb") as rows:
-                for first, end, names in iter(lambda: pickle.load(rows), None):   # None ends them
+                for first, end in iter(lambda: pickle.load(rows), None):   # None ends them
                     rec.seek(first * dtype.itemsize)
                     for table in _tables(rec, dtype, end - first, block):
-                        crc = _write_rows(file, table, labels, names, crc)
+                        crc = _write_rows(file, table, labels, crc)
                 size = file.tell()
             result, status = (size, crc), 0
         except BaseException as exc:   # whatever it is, the caller raises it
@@ -214,9 +222,9 @@ class TimeSeriesSink:
     The rows are formatted in a writer process, so that a run steps on
     one core while its CSV is formatted on another.  Each call checks its
     kept steps and appends them to the sidecar in tables of
-    ``_block_steps`` steps, then sends the writer their range and the
-    policy names; the writer reads the tables back and formats them, so
-    both files hold the same steps.  :meth:`close` ends the pipe, waits
+    ``_block_steps`` steps, then sends the writer their range; the writer
+    reads the tables back and formats them, so both files hold the same
+    steps.  :meth:`close` ends the pipe, waits
     for the writer and raises the exception it failed with, if any.
     Formatting one block in the caller costs less than forking, so a
     first call whose kept steps fit one block is formatted in the caller,
@@ -244,7 +252,6 @@ class TimeSeriesSink:
         self._pipe = None                # the ranges of steps it formats
         self._result: int | None = None  # its CSV size and CRC-32, or failure, pickled
         self._labels: list[str] | None = None   # of the first kept step
-        self._policies: dict[str, int] = {}     # policy names, by sidecar index
         self._rec_crc = 0                       # of the sidecar so far
         self._broken = False                    # a write in the caller failed
         self._rec = self._rec_in = None
@@ -267,18 +274,23 @@ class TimeSeriesSink:
         """Append the rows of the steps the sink keeps: step k of all
         those given, counted across calls, when (k + 1) % decimation == 0.
 
-        Raises ContractError, before writing anything, when the kept rows
-        have a time that is not finite, would go backwards in time, hold a
-        status other than 0 or 1, or name other phases than the rows before
-        them, or when a label or policy name holds a NUL character.
+        Raises ContractError, before writing anything, when the record's
+        phases are not ``a, b, c`` or ``1a`` to ``2c`` or not those of the
+        rows before it, or when the kept rows have a policy other than
+        ``V1F2`` or ``F1V2``, a time that is not finite, would go backwards
+        in time or hold a status other than 0 or 1.
         """
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
-        if "\0" in "".join([*record.labels, *record.policy]):   # the rows' text pads with NUL
-            raise ContractError("record labels and policy names must not hold a NUL character")
+        if record.labels not in _PHASES:
+            raise ContractError(f"record has phases {record.labels}, not those of a run")
         if self._labels not in (None, record.labels):
             raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
+        try:
+            policy = [_POLICIES[p] for p in record.policy[kept]]
+        except KeyError as exc:
+            raise ContractError(f"record has the policy {exc}, not a SortPolicy name") from None
         times = record.times[kept]
         if not np.isfinite(times).all():
             raise ContractError("record rows would have a time that is not finite")
@@ -291,8 +303,6 @@ class TimeSeriesSink:
             return
         first, self._last_t = self._last_t == -np.inf, times[-1]
         labels = self._labels = record.labels
-        policy = [self._policies.setdefault(p, len(self._policies)) for p in record.policy[kept]]
-        names = list(self._policies)
         block = _block_steps(len(labels), 2 * self.n)   # bounds the table held at once
         inline = not hasattr(os, "fork") or (first and times.size <= block)
         self._broken = True   # until the steps are in both files
@@ -306,13 +316,13 @@ class TimeSeriesSink:
             self._rec_crc = zlib.crc32(table, self._rec_crc)
             self._rec.write(table)
             if inline:
-                self._csv_crc = _write_rows(self._file, table, labels, names, self._csv_crc)
+                self._csv_crc = _write_rows(self._file, table, labels, self._csv_crc)
         if not inline:
             if self._pid is None:
                 self._fork_writer(dtype)
             self._rec.flush()   # the writer reads these steps from the file
             try:
-                pickle.dump((start, start + times.size, names), self._pipe)
+                pickle.dump((start, start + times.size), self._pipe)
                 self._pipe.flush()
             except BrokenPipeError:
                 self.close()   # raises the writer's failure
@@ -352,8 +362,7 @@ class TimeSeriesSink:
                 csv = self._reap()
             if not self._broken:
                 meta = {"csv": csv,   # byte size, CRC-32
-                        "n": self.n, "labels": self._labels, "policies": list(self._policies),
-                        "decimation": self.decimation}
+                        "n": self.n, "labels": self._labels, "decimation": self.decimation}
                 tail = json.dumps(meta, sort_keys=True).encode()
                 tail += len(tail).to_bytes(8, "little")
                 tail += zlib.crc32(tail, self._rec_crc).to_bytes(4, "little")
@@ -392,11 +401,12 @@ def load_record_csv(path: str) -> RunRecord:
     blocks of :func:`read_record_blocks`, joined.
 
     Raises ContractError, naming the 1-based line of the file, when a line
-    is not UTF-8 text, a row has the wrong number of fields, breaks the
-    phase order, holds a field that is not a number or a status other
-    than 0 or 1, has a time or a policy other than the first row of its
-    step, has a time that is not finite, or starts a step earlier than the
-    step before.
+    is not UTF-8 text, a row has the wrong number of fields, the first row
+    has a phase other than ``a`` or ``1a``, a row breaks the phase order
+    that phase starts, holds a field that is not a number or a status
+    other than 0 or 1, has a policy other than ``V1F2`` or ``F1V2``, has
+    a time or a policy other than the first row of its step, has a time
+    that is not finite, or starts a step earlier than the step before.
     """
     blocks = list(read_record_blocks(path))
     return RunRecord(
@@ -413,7 +423,9 @@ _LOAD_CELLS = 1 << 15
 
 
 def _block_rows(n_fields: int) -> int:
-    """Data rows parsed at once, for rows of ``n_fields`` fields."""
+    """Data rows parsed at once, for rows of ``n_fields`` fields: a
+    multiple of six, so that every block but a file's last holds whole
+    steps of three or six phases, as :func:`read_record_blocks` relies on."""
     return max(6, _LOAD_CELLS // n_fields // 6 * 6)
 
 
@@ -449,7 +461,7 @@ def _sidecar(path: str) -> Iterator:
         except OSError:
             return
         yield meta["decimation"]
-        labels, policies = meta["labels"], meta["policies"]
+        labels, policies = meta["labels"], list(_POLICIES)
         dtype = _step_dtype(meta["n"], len(labels))
         steps = (body - length) // dtype.itemsize
         block = max(1, _block_rows(len(csv_columns(meta["n"]))) // len(labels))
@@ -469,10 +481,11 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
     """Yield the record of a run CSV as the file is read, in blocks of
     whole steps, each checked as :func:`load_record_csv` describes.
 
-    A block is about ``_LOAD_CELLS`` fields of whole rows, parsed in one
-    ``numpy.loadtxt`` call from the lines it holds.  Its arrays are views
-    of the block's table.  A defect is named when its block is read,
-    after the blocks before it.
+    A block is ``_block_rows`` rows, about ``_LOAD_CELLS`` fields, parsed
+    in one ``numpy.loadtxt`` call from the lines it holds: whole steps,
+    but where the file ends inside a step, which is refused.  Its arrays
+    are views of the block's table.  A defect is named when its block is
+    read, after the blocks before it.
     """
     # Bytes that are not UTF-8 decode to lone surrogates, which a block
     # finds when it encodes its lines again.
@@ -494,17 +507,10 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
         # Lines end at \n, \r\n or \r, where numpy.loadtxt ends rows,
         # and, as it does, a line that is a line ending alone is skipped.
         lines = ((no, line) for no, line in enumerate(f, start=2) if line.rstrip("\r\n"))
-        labels = None   # the phase labels, once a label repeats
-        block = []      # (line number, text) of each row of the table: row k is block[k]
+        labels = None   # the run's phases, from the first row
         last_t = -np.inf
-        while True:
-            held = len(block)
-            block += itertools.islice(lines, rows)
-            at_end = len(block) - held < rows
-            if not block:
-                if labels is None:
-                    raise ContractError(f"{path!r} contains no data rows")
-                return
+        # (line number, text) of each row of the table: row k is block[k]
+        while block := list(itertools.islice(lines, rows)):
             text = [line for _, line in block]
             try:
                 if not all(map(str.isascii, text)):
@@ -516,23 +522,18 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
 
             phase = table["phase"]
             if labels is None:
-                # The phase labels are those before the first repeated one.
-                n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), None)
-                if n_cols is None and not at_end:
-                    continue   # no step is known whole yet
-                labels = phase[: n_cols or phase.size].copy()
-            n_cols = labels.size
+                labels = next((p for p in _PHASES if p[0] == phase[0]), None)
+                refuse(np.array([labels is None]), "starts with a phase other than a or 1a")
+            n_cols = len(labels)
             refuse(phase != np.resize(labels, phase.size), "breaks the phase ordering")
-            whole = phase.size - phase.size % n_cols
-            if at_end and whole < phase.size:
+            if phase.size % n_cols:   # a block short of whole steps is the file's last
                 refuse(np.arange(phase.size) == phase.size - 1,
                        f"ends the file inside a step of {n_cols} phases")
-            if not whole:
-                continue
-            table = table[:whole]
             step = table.reshape(-1, n_cols)
             policy = step["policy"]
             refuse(policy != policy[:, :1], "has a policy other than its step's first row")
+            refuse(~np.isin(policy, list(_POLICIES)),
+                   f"has a policy other than {' or '.join(_POLICIES)}")
             refuse(~_binary_statuses(table["u"]), "has a switch status other than 0 or 1")
             # Every row of a step repeats the step's time text, hence its bits.
             t_bits = step["t"].view(np.int64)
@@ -542,10 +543,11 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
             refuse((times < np.r_[last_t, times[:-1]]).repeat(n_cols), "goes back in time")
             # The fields between the phase label and the policy are the
             # RunRecord arrays of the same names.
-            yield _block_record(step, labels.tolist(), policy[:, 0].tolist(), times)
+            yield _block_record(step, list(labels), policy[:, 0].tolist(), times)
             last_t = times[-1]
-            block = block[whole:]   # the rows of a step not yet whole carry over
-            del text, table, phase, step   # before the next block is read
+            del block, text, table, phase, step   # before the next block is read
+        if labels is None:
+            raise ContractError(f"{path!r} contains no data rows")
 
 
 def _check_utf8(path: str, no: int, line: str) -> None:

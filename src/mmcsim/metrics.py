@@ -68,6 +68,10 @@ class RunRecord:
         return self.times.shape[0]
 
 
+# The phase labels of a run, one converter's or the back-to-back pair's.
+_PHASES = (["a", "b", "c"], ["1a", "1b", "1c", "2a", "2b", "2c"])
+
+
 def _row_dtype(n: int) -> np.dtype:
     """One step of one phase of a record, one CSV row, in column order; an
     array field spans one column per SM, and those between ``phase`` and

@@ -66,7 +66,7 @@ import numpy as np
 
 from .controller import _STATUS_FIRST, SortPolicy, _rank
 from .errors import ConfigError, SimulationDiverged
-from .metrics import RunRecord, SummaryAccumulator, SummaryMetrics, _row_dtype
+from .metrics import _PHASES, RunRecord, SummaryAccumulator, SummaryMetrics, _row_dtype
 from .model import ConverterParams
 
 __all__ = [
@@ -410,9 +410,7 @@ def _steps(scenario: Scenario, params: ConverterParams) -> int:
 
 def _labels(scenario: Scenario) -> list[str]:
     """Phase labels of a scenario's legs, converter by converter."""
-    if scenario.mode == "back_to_back":
-        return ["1a", "1b", "1c", "2a", "2b", "2c"]
-    return ["a", "b", "c"]
+    return _PHASES[scenario.mode == "back_to_back"]
 
 
 # Steps between two scans of a batch's record for failed rows: the

@@ -803,16 +803,19 @@ def _whole_file_parse(path: str) -> RunRecord:
         _name_bad_line(path, dtype, n_fields)
 
     phase = table["phase"]
-    # The phase labels are those before the first repeated one.
-    n_cols = next((r for r, label in enumerate(phase) if label in phase[:r]), phase.size)
-    labels = phase[:n_cols].tolist()
-    _refuse(path, phase != np.resize(phase[:n_cols], phase.size), "breaks the phase ordering")
+    # The first row's phase starts the phases of a run: a, b, c or 1a to 2c.
+    labels = {"a": ["a", "b", "c"], "1a": ["1a", "1b", "1c", "2a", "2b", "2c"]}.get(phase[0])
+    if labels is None:
+        _refuse(path, np.arange(phase.size) == 0, "starts with a phase other than a or 1a")
+    n_cols = len(labels)
+    _refuse(path, phase != np.resize(labels, phase.size), "breaks the phase ordering")
     if phase.size % n_cols:
         _refuse(path, np.arange(phase.size) == phase.size - 1,
                 f"ends the file inside a step of {n_cols} phases")
     step = table.reshape(-1, n_cols)
     policy = step["policy"]
     _refuse(path, policy != policy[:, :1], "has a policy other than its step's first row")
+    _refuse(path, (policy != "V1F2") & (policy != "F1V2"), "has a policy other than V1F2 or F1V2")
     u = table["u"]
     _refuse(path, ((u != 0) & (u != 1)).any(axis=1), "has a switch status other than 0 or 1")
     # Every row of a step repeats the step's time text, hence its bits.

@@ -560,7 +560,7 @@ def test_metrics_warns_once_that_a_decimated_sidecar_holds_kept_samples(
     csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode=mode, decimation=decimation))
     data = Path(csv_path + ".rec").read_bytes()
     length = int.from_bytes(data[-24:-16], "little")
-    assert data[-12:] == b"mmcsim-rec-2"
+    assert data[-12:] == b"mmcsim-rec-3"
     assert json.loads(data[-24 - length : -24])["decimation"] == decimation
     caplog.set_level(logging.INFO, logger="mmcsim.cli")
     caplog.clear()
@@ -570,18 +570,32 @@ def test_metrics_warns_once_that_a_decimated_sidecar_holds_kept_samples(
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
 
 
+def _relayout(csv_path, edit, magic):
+    """Give the sidecar of ``csv_path`` the metadata ``edit`` makes of its
+    own and the footer ``magic``, whole: its CRC-32 recomputed."""
+    data = Path(csv_path + ".rec").read_bytes()
+    body = len(data) - 24 - int.from_bytes(data[-24:-16], "little")
+    meta = json.loads(data[body:-24])
+    edit(meta)
+    tail = json.dumps(meta, sort_keys=True).encode()
+    tail += len(tail).to_bytes(8, "little")
+    tail += zlib.crc32(data[:body] + tail).to_bytes(4, "little")
+    Path(csv_path + ".rec").write_bytes(data[:body] + tail + magic)
+
+
 def test_metrics_parses_beside_a_sidecar_of_the_first_layout(workdir, capsys, caplog):
     # The first layout's metadata had no decimation and its footer ended
     # "mmcsim-rec-1"; such a sidecar, whole and of this CSV, is not read.
     csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="ideal_dc", decimation=7))
-    data = Path(csv_path + ".rec").read_bytes()
-    body = len(data) - 24 - int.from_bytes(data[-24:-16], "little")
-    meta = json.loads(data[body:-24])
-    del meta["decimation"]
-    tail = json.dumps(meta, sort_keys=True).encode()
-    tail += len(tail).to_bytes(8, "little")
-    tail += zlib.crc32(data[:body] + tail).to_bytes(4, "little")
-    Path(csv_path + ".rec").write_bytes(data[:body] + tail + b"mmcsim-rec-1")
+    _relayout(csv_path, lambda meta: meta.pop("decimation"), b"mmcsim-rec-1")
+    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+
+
+def test_metrics_parses_beside_a_sidecar_of_the_second_layout(workdir, capsys, caplog):
+    # The second layout's metadata named the policies its indices point
+    # at, and its footer ended "mmcsim-rec-2"; such a sidecar is not read.
+    csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="back_to_back", decimation=7))
+    _relayout(csv_path, lambda meta: meta.update(policies=["V1F2", "F1V2"]), b"mmcsim-rec-2")
     assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
 
 
@@ -740,6 +754,8 @@ def test_run_and_metrics_under_the_c_profiler_write_the_unprofiled_bytes(tmp_pat
                                    cwd=tmp_path / name, env=env, capture_output=True, text=True,
                                    timeout=300)
             assert child.returncode == 0 and "error:" not in child.stderr, child.stderr
+            if command[0] == "metrics":   # one logger name, however the CLI is started
+                assert "mmcsim.cli: metrics: reading the sidecar of out/run.csv\n" in child.stderr
         out = tmp_path / name / "out"
         written.append([(out / f).read_bytes() for f in ("run.csv", "metrics.json", "run.metrics.json")])
     assert (tmp_path / "profiled" / "run.prof").stat().st_size > 0

@@ -342,17 +342,17 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 def test_csv_round_trip_awkward_floats(tmp_path):
     times = np.array([0.1 + 0.2, 1.0 / 3.0 + 0.3])
-    shape = (2, 1)
+    shape = (2, 3)
     record = RunRecord(
         times=times,
-        labels=["a"],
-        i=np.array([[1.0 / 3.0], [-1e-17]]),
-        i_ref=np.array([[2.0 / 3.0], [1e300]]),
+        labels=["a", "b", "c"],
+        i=np.repeat([[1.0 / 3.0], [-1e-17]], 3, axis=1),
+        i_ref=np.repeat([[2.0 / 3.0], [1e300]], 3, axis=1),
         i_z=np.zeros(shape),
         v_up=np.full(shape, 0.1),
         v_low=np.full(shape, 59999.999999999993),
-        v_c=np.full((2, 1, 2), 1e4 + 1e-9),
-        u=np.zeros((2, 1, 2), dtype=np.int8),
+        v_c=np.full((2, 3, 2), 1e4 + 1e-9),
+        u=np.zeros((2, 3, 2), dtype=np.int8),
         v_dc_link=np.full(shape, 6e4),
         i_dc_link=np.full(shape, 7.000000000000001),
         policy=["V1F2", "F1V2"],
@@ -749,7 +749,7 @@ def test_a_sidecar_write_failed_after_the_fork_leaves_no_metadata(tmp_path, monk
 
 def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
     # The writer reads the steps from the sidecar: the caller sends only
-    # (first step, end step, policy names), whatever n is.
+    # (first step, end step), whatever n is and whatever the policies.
     record = _run(48, "ideal_dc")
     pids = _fork_recording(monkeypatch)
     sent = []
@@ -763,18 +763,17 @@ def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
     path = str(tmp_path / "run.csv")
     with TimeSeriesSink(path, record.n) as sink:
         # The first call fits a block and is formatted in the caller; the
-        # policy changes in the last one.
+        # last one is the first with F1V2 steps.
         for part in (slice(None, 10), slice(10, 60), slice(60, None)):
             sink.write_record(_steps(record, part))
     monkeypatch.undo()
     assert len(pids) == 1
     assert sent[-1] is None and len(sent) == 3
     for message in sent[:-1]:
-        first, end, names = message
+        first, end = message
         assert (type(first), type(end)) == (int, int) and first < end
-        assert type(names) is list and all(type(name) is str for name in names)
         assert len(pickle.dumps(message)) < 1024
-    assert sent[-2][2] == ["V1F2", "F1V2"]
+    assert set(record.policy[:60]) == {"V1F2"} and set(record.policy[60:]) == {"F1V2"}
     _assert_same_record(load_record_csv(path), record)
     _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
 
@@ -840,20 +839,22 @@ def test_sink_rejects_a_record_with_other_phases(tmp_path):
     with TimeSeriesSink(str(path), record.n) as sink:
         sink.write_record(_steps(record, slice(None, 5)))
         with pytest.raises(ContractError, match="record has phases"):
-            sink.write_record(replace(_steps(record, slice(5, None)), labels=["x", "y", "z"]))
+            sink.write_record(replace(_steps(record, slice(5, None)),
+                                      labels=["1a", "1b", "1c", "2a", "2b", "2c"]))
     _assert_same_record(load_record_csv(str(path)), _steps(record, slice(None, 5)))
     _assert_same_blocks(_sidecar_blocks(str(path)), read_record_blocks(str(path)))
 
 
 @pytest.mark.parametrize("field", ["labels", "policy"])
 def test_sink_rejects_a_nul_character_in_a_label_or_policy_name(tmp_path, field):
-    # The writer pads the rows' text with NUL bytes, which it then drops.
+    # The writer pads the rows' text with NUL bytes, which it then drops:
+    # a name with a NUL is not a run's phase or policy.
     _, record = _small_run()
     names = list(getattr(record, field))
     names[-1] = names[-1][:1] + "\0" + names[-1][1:]
     path = tmp_path / "nul.csv"
     with TimeSeriesSink(str(path), record.n) as sink:
-        with pytest.raises(ContractError, match="must not hold a NUL character"):
+        with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
             sink.write_record(replace(record, **{field: names}))
     assert path.read_bytes() == (",".join(csv_columns(record.n)) + "\n").encode()
 
@@ -1005,19 +1006,19 @@ def test_split_writes_equal_one_whole_write(tmp_path, split_record, split, decim
 def test_writer_keeps_exact_text_of_signed_zeros_and_nan(tmp_path):
     values = [1e4, -0.0, 0.0, -0.0, np.nan, np.nan, 1e300, 1e300, 0.0, 1e4]
     steps = len(values)
-    shape = (steps, 1)
-    v_c = np.full((steps, 1, 2), 5e3)
-    v_c[:, 0, 1] = values
+    shape = (steps, 3)
+    v_c = np.full((steps, 3, 2), 5e3)
+    v_c[:, :, 1] = np.array(values)[:, None]
     record = RunRecord(
         times=np.arange(steps) * 1e-3,
-        labels=["a"],
+        labels=["a", "b", "c"],
         i=np.zeros(shape),
         i_ref=np.full(shape, -0.0),
         i_z=np.zeros(shape),
         v_up=np.full(shape, np.nan),
         v_low=np.zeros(shape),
         v_c=v_c,
-        u=np.zeros((steps, 1, 2), dtype=np.int8),
+        u=np.zeros((steps, 3, 2), dtype=np.int8),
         v_dc_link=np.full(shape, 6e4),
         i_dc_link=np.zeros(shape),
         policy=["V1F2"] * steps,
@@ -1025,7 +1026,8 @@ def test_writer_keeps_exact_text_of_signed_zeros_and_nan(tmp_path):
     for decimation in (3, 2, 1):
         _check_against_oracles(tmp_path, record, decimation=decimation)
     text = (tmp_path / "new.csv").read_text().splitlines()
-    column = [line.split(",")[8] for line in text[1:]]
+    assert [line.split(",")[1] for line in text[1:]] == ["a", "b", "c"] * steps
+    column = [line.split(",")[8] for line in text[1::3]]   # phase a's rows
     assert column == ["%.17g" % v for v in values]
     assert column[1:4] == ["-0", "0", "-0"]
 
@@ -1222,8 +1224,9 @@ def test_a_row_read_before_text_that_does_not_decode_names_its_defect(tmp_path):
     assert str(blocks.value) == str(whole.value)
 
 
-def test_csv_round_trip_keeps_long_labels_and_policies(tmp_path):
-    labels = ["a_phase_label_longer_than_any_the_simulator_writes", "b"]
+def test_sink_refuses_long_labels_and_policies(tmp_path):
+    # A run's phases are a, b, c or 1a to 2c, its policies SortPolicy's.
+    labels = ["a", "b", "c"]
     policy = ["V1F2", "a_policy_name_longer_than_any_the_simulator_writes"]
     steps = len(policy)
     shape = (steps, len(labels))
@@ -1242,9 +1245,33 @@ def test_csv_round_trip_keeps_long_labels_and_policies(tmp_path):
         policy=policy,
     )
     path = tmp_path / "long.csv"
+    long_label = replace(record, labels=["a_phase_label_longer_than_any_the_simulator_writes",
+                                         "b", "c"], policy=["V1F2"] * steps)
     with TimeSeriesSink(str(path), 1) as sink:
-        sink.write_record(record)
-    _assert_same_record(load_record_csv(str(path)), record)
+        with pytest.raises(ContractError, match="not those of a run"):
+            sink.write_record(long_label)
+        with pytest.raises(ContractError, match="'a_policy_name_longer.*not a SortPolicy name"):
+            sink.write_record(record)
+    assert path.read_text() == ",".join(csv_columns(1)) + "\n"
+    assert list(_sidecar_blocks(str(path))) == []
+
+
+@pytest.mark.parametrize("field, name", [
+    ("labels", ["a", "a", "b"]),     # the parse finds a break in the phase order
+    ("labels", ["a", "b\nx", "c"]),  # or a row of 15 fields
+    ("policy", "F1,V2"),             # or a row of 15 fields
+    ("policy", "V1F2\r"),            # the parse reads "V1F2", the sidecar "V1F2\r"
+])
+def test_sink_refuses_what_its_loader_would_refuse_or_read_otherwise(tmp_path, field, name):
+    _, record = _small_run()
+    if field == "policy":
+        name = [*record.policy[:3], name, *record.policy[4:]]
+    path = tmp_path / "odd.csv"
+    with TimeSeriesSink(str(path), record.n) as sink:
+        with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
+            sink.write_record(replace(record, **{field: name}))
+    assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
+    assert list(_sidecar_blocks(str(path))) == []
 
 
 _NOT_NUMBERS = st.one_of(
@@ -1345,10 +1372,11 @@ def _bad_field(lines, r):
     "defect", [_drop_a_field, _bad_status, _swapped_phases, _step_back_in_time, _not_utf8]
 )
 @pytest.mark.parametrize("block", ["second", "last"])
-@pytest.mark.parametrize("block_rows", [3, 4, 8])
+@pytest.mark.parametrize("block_steps", [3, 4, 8])
 def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
-    tmp_path, monkeypatch, capsys, twelve_steps, block_rows, block, defect
+    tmp_path, monkeypatch, capsys, twelve_steps, block_steps, block, defect
 ):
+    block_rows = 3 * block_steps   # a parse block is whole steps
     lines = list(twelve_steps)
     n_rows = len(lines) - 1
     start = block_rows if block == "second" else (n_rows - 1) // block_rows * block_rows
@@ -1444,20 +1472,20 @@ def _line_ending_defect(draw, lines):
     return lines
 
 
-@pytest.mark.parametrize("block_rows", [3, 4, 8, None])
+@pytest.mark.parametrize("block_steps", [3, 4, 8, None])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_a_line_ending_defect_loads_as_the_whole_file_load_does(
-    tmp_path, monkeypatch, twelve_steps, block_rows, data
+    tmp_path, monkeypatch, twelve_steps, block_steps, data
 ):
     path = _write_byte_lines(tmp_path / "ends.csv", data.draw(_line_ending_defect(twelve_steps)))
     try:
         expected = whole_file_load_record_csv(path)
     except ContractError as exc:
         expected = exc
-    if block_rows:
-        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    if block_steps:
+        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: 3 * block_steps)
     if isinstance(expected, ContractError):
         with pytest.raises(ContractError) as blocks:
             load_record_csv(path)
@@ -1488,10 +1516,9 @@ def test_a_row_after_a_bare_cr_has_one_line_number_whatever_its_defect(
 def test_a_cr_in_the_policy_field_is_named_in_block_order(
     tmp_path, monkeypatch, twelve_steps, block_rows
 ):
-    # At 3 rows, the first block takes two steps to find the labels, and
-    # data row 8 ends the next block and the third step.  A \r after its
-    # last comma splits it into a whole row whose policy is cut (line 10)
-    # and a line of one field (line 11): two defects.
+    # At 3 rows a block is a step, and data row 8 ends the third.  A \r
+    # after its last comma splits it into a whole row whose policy is cut
+    # (line 10) and a line of one field (line 11): two defects.
     lines = list(twelve_steps)
     cut = lines[9].rindex(b",") + 2
     lines[9] = lines[9][:cut] + b"\r" + lines[9][cut:]
@@ -1512,16 +1539,16 @@ def test_a_cr_in_the_policy_field_is_named_in_block_order(
         assert str(blocks.value) == str(whole.value)
 
 
-@pytest.mark.parametrize("block_rows", [3, 4, 6, 8, 36])
+@pytest.mark.parametrize("block_steps", [3, 4, 6, 8, 36])
 def test_block_wise_load_matches_the_per_field_load_without_a_warning(
-    tmp_path, monkeypatch, twelve_steps, block_rows
+    tmp_path, monkeypatch, twelve_steps, block_steps
 ):
-    # 36 data rows: the last block of most sizes ends on the last line,
-    # so the next read finds no rows, where numpy.loadtxt warns.
+    # 12 steps: the last block of most sizes ends on the last line, so
+    # the next read finds no rows, where numpy.loadtxt warns.
     lines = list(twelve_steps)
     gapped = lines[:5] + [b""] + lines[5:] + [b"", b""]
     path = _write_byte_lines(tmp_path / "gapped.csv", gapped)
-    monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
+    monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: 3 * block_steps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blocks = list(read_record_blocks(path))
@@ -1529,6 +1556,46 @@ def test_block_wise_load_matches_the_per_field_load_without_a_warning(
     _assert_same_record(loaded, oracle_load(path))
     assert sum(block.steps for block in blocks) == 12
     assert all(block.labels == ["a", "b", "c"] for block in blocks)
+
+
+@pytest.mark.parametrize("n", [1, 6, 48, 400])
+def test_a_parse_block_holds_whole_steps_of_three_or_six_phases(n):
+    assert len(csv_columns(n)) == 4 * n + 10
+    assert csvio._block_rows(4 * n + 10) % 6 == 0
+
+
+def _assert_refused_alike(path, message, capsys):
+    """The whole-file load, the block-wise load and ``mmcsim metrics`` of
+    ``path`` all refuse it with ``message``."""
+    for load in (whole_file_load_record_csv, load_record_csv):
+        with pytest.raises(ContractError) as refused:
+            load(path)
+        assert str(refused.value) == message
+    capsys.readouterr()
+    assert main(["metrics", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_the_parser_refuses_data_that_start_with_another_phase(tmp_path, capsys, twelve_steps):
+    lines = list(twelve_steps)
+    del lines[1]   # the data start with phase b
+    path = _write_byte_lines(tmp_path / "b_first.csv", lines)
+    _assert_refused_alike(
+        path, f"{path!r}: line 2 starts with a phase other than a or 1a", capsys
+    )
+
+
+@pytest.mark.parametrize("step", [0, 5, 11])
+def test_the_parser_refuses_a_policy_other_than_v1f2_or_f1v2(
+    tmp_path, capsys, twelve_steps, step
+):
+    lines = list(twelve_steps)
+    for q in range(3 * step, 3 * step + 3):
+        lines[1 + q] = _with_field(lines[1 + q], -1, b"X")
+    path = _write_byte_lines(tmp_path / "x.csv", lines)
+    _assert_refused_alike(
+        path, f"{path!r}: line {3 * step + 2} has a policy other than V1F2 or F1V2", capsys
+    )
 
 
 # --------------------------------------------------------------- reports

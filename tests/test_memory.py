@@ -189,7 +189,7 @@ def test_formatting_a_table_holds_bounded_temporaries(tmp_path, n):
     table["times"] = 0.01 + 25e-6 * np.arange(steps)
     with open(tmp_path / "rows.csv", "wb") as f:
         def write():
-            _write_rows(f, table, ["a", "b", "c"], ["F1V2"], 0)
+            _write_rows(f, table, ["a", "b", "c"], 0)
 
         write()   # the formatter's tables are built on first use
         peak = _peak(write)
