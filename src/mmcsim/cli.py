@@ -12,7 +12,8 @@
   a persisted run, from the sidecar ``<csv>.rec`` if it matches the CSV.
   The sidecar names the run's decimation: when the run kept one step in
   k > 1, a WARNING says that the metrics come from the kept samples
-  only.  A CSV parsed without its sidecar cannot tell.
+  only.  A CSV parsed without its sidecar cannot tell.  A WARNING also
+  names a ``--window`` that ends after the record's last sample.
 
 Each command ends in one report path (:func:`_report`): it writes the
 report text to ``<stem>.txt`` and its numbers to ``<stem>.json`` in the
@@ -163,6 +164,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for block in itertools.chain([first], blocks):
         summary.add(block)
     metrics = summary.result()
+    if args.window and args.window[1] > summary.t_last:
+        log.warning("metrics: the window ends at %r s, after the last sample of %s at %r s:"
+                    " fs_* divide its transitions by the whole window",
+                    args.window[1], args.csv, summary.t_last)
     stem = os.path.splitext(os.path.basename(args.csv))[0]
     return _report(os.path.dirname(args.csv) or ".", f"{stem}.metrics",
                    format_metrics_text(metrics), metrics.to_flat())

@@ -14,12 +14,12 @@ from __future__ import annotations
 import configparser
 import io
 import logging
-import math
 import re
 from dataclasses import dataclass
 
 from .controller import SortPolicy
-from .errors import ConfigError
+from .errors import ConfigError, MetricWindowError
+from .metrics import _PHASES, _check_window
 from .model import ConverterParams
 from .testbench import DcLink, GridSource, Scenario, _signed_amplitudes, build_stock_system
 
@@ -153,7 +153,9 @@ def parse_config(text: str) -> RunConfig:
 
     Missing keys fall back to the stock test-system defaults; unknown
     keys are rejected.  All physical validation of the underlying types
-    runs here, so a returned RunConfig is guaranteed runnable.
+    runs here, so a returned RunConfig is guaranteed runnable.  A window
+    lies inside the run, ``0 <= window_start < window_end <= duration``,
+    by the metrics' own window rule and the run's duration.
     """
     parser = _read_ini(text)
     _reject_unknown(parser)
@@ -176,7 +178,6 @@ def parse_config(text: str) -> RunConfig:
 
     raw_p = parser.get("scenario", "p_set", fallback=None)
     raw_i = parser.get("scenario", "i_amp", fallback=None)
-    n_conv = 2 if mode == "back_to_back" else 1
     p_set: tuple[float, ...] | None = None
     i_amp: tuple[float, ...] | None = None
     if raw_p is not None and raw_i is not None:
@@ -185,8 +186,8 @@ def parse_config(text: str) -> RunConfig:
         i_amp = _parse_float_list(raw_i, "scenario", "i_amp")
     elif raw_p is not None:
         p_set = _parse_float_list(raw_p, "scenario", "p_set")
-    else:
-        p_set = d_scenario.p_set[:n_conv]
+    else:   # one stock setpoint per converter; Scenario refuses an unknown mode
+        p_set = d_scenario.p_set[: len(_PHASES.get(mode, ())) // 3]
         log.info("config: [scenario] p_set not set, using stock default %r", p_set)
     try:
         scenario = Scenario(
@@ -195,7 +196,7 @@ def parse_config(text: str) -> RunConfig:
         _signed_amplitudes(scenario, grid)
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from exc
-    if mode == "back_to_back":
+    if scenario.n_converters == 2:
         dc_link.check_step(params.T_s)
 
     output_dir = _value(parser, "output", "directory", DEFAULT_OUTPUT_DIR)
@@ -212,10 +213,13 @@ def parse_config(text: str) -> RunConfig:
             _value(parser, "output", "window_start", 0.0),
             _value(parser, "output", "window_end", 0.0),
         )
-        if not (math.isfinite(window[0]) and math.isfinite(window[1])) or (
-            window[1] <= window[0]
-        ):
-            raise ConfigError(f"[output] window must satisfy start < end, got {window}")
+        try:
+            _check_window(window)
+        except MetricWindowError as exc:
+            raise ConfigError(f"[output] {exc}") from exc
+        if window[1] > duration:
+            raise ConfigError(f"[output] window_end = {window[1]!r} is after"
+                              f" [scenario] duration = {duration!r}")
 
     return RunConfig(
         params=params,

@@ -282,7 +282,7 @@ class TimeSeriesSink:
         """
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
-        if record.labels not in _PHASES:
+        if record.labels not in _PHASES.values():
             raise ContractError(f"record has phases {record.labels}, not those of a run")
         if self._labels not in (None, record.labels):
             raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
@@ -522,7 +522,7 @@ def read_record_blocks(path: str) -> Iterator[RunRecord]:
 
             phase = table["phase"]
             if labels is None:
-                labels = next((p for p in _PHASES if p[0] == phase[0]), None)
+                labels = next((p for p in _PHASES.values() if p[0] == phase[0]), None)
                 refuse(np.array([labels is None]), "starts with a phase other than a or 1a")
             n_cols = len(labels)
             refuse(phase != np.resize(labels, phase.size), "breaks the phase ordering")

@@ -10,7 +10,8 @@ class ConfigError(ValueError):
 
 
 class MetricWindowError(ValueError):
-    """A metrics window is empty, inverted, or outside the recorded series."""
+    """A metrics window is not finite, starts before 0, is empty or
+    inverted, or holds no sample of the record."""
 
 
 class SimulationDiverged(RuntimeError):

@@ -68,8 +68,9 @@ class RunRecord:
         return self.times.shape[0]
 
 
-# The phase labels of a run, one converter's or the back-to-back pair's.
-_PHASES = (["a", "b", "c"], ["1a", "1b", "1c", "2a", "2b", "2c"])
+# The phase labels of a run by mode: one converter's on a stiff bus, or
+# the back-to-back pair's.  Converter m is always phases 3m to 3m + 2.
+_PHASES = {"ideal_dc": ["a", "b", "c"], "back_to_back": ["1a", "1b", "1c", "2a", "2b", "2c"]}
 
 
 def _row_dtype(n: int) -> np.dtype:
@@ -137,23 +138,11 @@ class SummaryMetrics:
 
 
 def _check_window(window: tuple[float, float]) -> tuple[float, float]:
+    """The one rule of a metrics window: finite, from 0 on, and not empty."""
     t0, t1 = window
-    if not (np.isfinite(window).all() and t1 > t0):
-        raise MetricWindowError(f"window must be finite with t1 > t0, got ({t0}, {t1})")
+    if not 0.0 <= t0 < t1 < np.inf:   # NaN too
+        raise MetricWindowError(f"window must be finite with t1 > t0 >= 0, got ({t0}, {t1})")
     return t0, t1
-
-
-def _mmc_groups(labels: list[str]) -> dict[str, list[int]]:
-    """Group phase-column indices by converter.
-
-    Single-converter runs use labels "a","b","c" (group "mmc1");
-    back-to-back runs prefix the converter number, e.g. "1a".
-    """
-    groups: dict[str, list[int]] = {}
-    for idx, label in enumerate(labels):
-        key = "mmc" + (label[0] if label[0].isdigit() else "1")
-        groups.setdefault(key, []).append(idx)
-    return groups
 
 
 def summarize(
@@ -164,8 +153,10 @@ def summarize(
     """Compute the aggregate metrics of a run over one window: the
     :class:`SummaryAccumulator` fed the whole record at once.
 
-    ``window`` None is the whole record: 0 to the last sample time.
-    Raises ContractError when a switch status is not 0 or 1, or when
+    ``record`` is a run's: its phases are ``a, b, c`` or ``1a`` to
+    ``2c`` (``_PHASES``).  ``window`` None is the whole record: 0 to the
+    last sample time.  Raises ContractError when a switch status is not
+    0 or 1, when the phases are not a run's, or when
     ``nominal_sm_voltage`` is not finite and > 0.
     """
     summary = SummaryAccumulator(window, nominal_sm_voltage)
@@ -205,22 +196,26 @@ class SummaryAccumulator:
         self.nominal_sm_voltage = nominal_sm_voltage
         self.steps = 0
         self.labels: list[str] = []
-        self._t_last = -np.inf
+        self.t_last = -np.inf   # the time of the last sample taken
         self._pieces: list[np.ndarray] = []   # per chunk, (window samples, 4, phases)
         self._peaks = self._transitions = self._v_max = self._v_min = self._last_u = None
 
     def add(self, record: RunRecord) -> None:
         """Take the record's next chunk, whose statuses are taken to be 0
-        or 1.  Raises ContractError when its times fall, also from the
-        chunk before, or are not finite, or when its SMs per arm or its
-        phases are not the first chunk's."""
+        or 1.  Raises ContractError, before it takes anything, when its
+        times fall, also from the chunk before, or are not finite, when
+        the first chunk's phases are not a run's (``a, b, c`` or ``1a`` to
+        ``2c``), or when its SMs per arm or its phases are not the first
+        chunk's."""
         if record.steps == 0:
             return
         t = record.times
-        if not (np.isfinite(t).all() and t[0] >= self._t_last and (t[1:] >= t[:-1]).all()):
+        if not (np.isfinite(t).all() and t[0] >= self.t_last and (t[1:] >= t[:-1]).all()):
             raise ContractError("record times must not fall and must be finite")
         u = record.u
         if self._transitions is None:
+            if record.labels not in _PHASES.values():
+                raise ContractError(f"record has phases {record.labels}, not those of a run")
             self.labels = record.labels
             self._transitions = np.zeros(u.shape[1:], dtype=np.int64)
             self._v_max = np.full(u.shape[1:], -np.inf)
@@ -232,7 +227,7 @@ class SummaryAccumulator:
         if record.labels != self.labels:
             raise ContractError(f"record has phases {record.labels}, summary expects {self.labels}")
         self.steps += record.steps
-        self._t_last = float(t[-1])
+        self.t_last = float(t[-1])
         t0, t1 = self.window if self.window is not None else (0.0, np.inf)
         # As the times do not fall, the chunk's samples in [t0, t1] are
         # lo:hi, and the steps whose new statuses fall in (t0, t1] new:hi.
@@ -263,7 +258,7 @@ class SummaryAccumulator:
         """The metrics of the chunks taken so far."""
         if self.steps == 0:
             raise MetricWindowError("cannot summarize an empty record")
-        window = self.window if self.window is not None else (0.0, self._t_last)
+        window = self.window if self.window is not None else (0.0, self.t_last)
         t0, t1 = _check_window(window)
         if not self._pieces:
             raise MetricWindowError(f"no samples inside window ({t0}, {t1})")
@@ -310,14 +305,10 @@ class SummaryAccumulator:
         del i_z
 
         # Converter powers: AC side from the synthesized differential voltage,
-        # DC side from the bus voltage and the summed circulating currents.
-        p_ac_phase, p_dc_phase = rows(2).mean(axis=1), rows(3).mean(axis=1)
-        for key, cols in _mmc_groups(self.labels).items():
-            p_ac = 0.0
-            p_dc = 0.0
-            for p in cols:
-                p_ac += float(p_ac_phase[p])
-                p_dc += float(p_dc_phase[p])
-            out.p_ac[key] = p_ac
-            out.p_dc[key] = p_dc
+        # DC side from the bus voltage and the summed circulating currents;
+        # converter m is phases 3m to 3m + 2, summed in phase order.
+        p_ac, p_dc = (rows(j).mean(axis=1).reshape(-1, 3).tolist() for j in (2, 3))
+        for m, (ac, dc) in enumerate(zip(p_ac, p_dc), start=1):
+            out.p_ac[f"mmc{m}"] = 0.0 + ac[0] + ac[1] + ac[2]
+            out.p_dc[f"mmc{m}"] = 0.0 + dc[0] + dc[1] + dc[2]
         return out

@@ -174,8 +174,6 @@ class DcLink:
 
 # ===== SCENARIOS =====
 
-_MODES = ("ideal_dc", "back_to_back")
-
 
 @dataclass
 class Scenario:
@@ -198,8 +196,8 @@ class Scenario:
     def __post_init__(self):
         if not math.isfinite(self.duration) or self.duration < 0.0:
             raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in tuple(_PHASES):   # by ==, so an unhashable mode is refused too
+            raise ConfigError(f"mode must be one of {tuple(_PHASES)}, got {self.mode!r}")
         last = -math.inf
         for t, policy in self.events:
             if not isinstance(policy, SortPolicy):
@@ -221,7 +219,7 @@ class Scenario:
 
     @property
     def n_converters(self) -> int:
-        return 2 if self.mode == "back_to_back" else 1
+        return len(_PHASES[self.mode]) // 3
 
 
 def build_stock_system() -> tuple[ConverterParams, GridSource, DcLink, Scenario]:
@@ -346,7 +344,7 @@ def _simulate_batch(
     it.  The chunks are gathered into one array per record field with a
     row axis, of which each record is a view.
     """
-    labels = _labels(scenarios[0])
+    labels = _PHASES[scenarios[0].mode]
     shape = (_steps(scenarios[0], params), len(scenarios), len(labels))
     times = np.empty(shape[0])
     fields = _row_dtype(params.n)
@@ -408,11 +406,6 @@ def _steps(scenario: Scenario, params: ConverterParams) -> int:
     return int(round(scenario.duration / params.T_s))
 
 
-def _labels(scenario: Scenario) -> list[str]:
-    """Phase labels of a scenario's legs, converter by converter."""
-    return _PHASES[scenario.mode == "back_to_back"]
-
-
 # Steps between two scans of a batch's record for failed rows: the
 # chunks the kernel steps in and hands to its consumer.
 _SCAN_STEPS = 128
@@ -445,7 +438,7 @@ def _step_batch(
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
     if any((s.duration, s.mode, s.p_set, s.i_amp) != shared for s in scenarios):
         raise ConfigError("the scenarios of a batch may differ only in their events")
-    labels = _labels(first)
+    labels = _PHASES[first.mode]
 
     n_mmc = first.n_converters
     amps = _signed_amplitudes(first, grid)
@@ -566,9 +559,9 @@ def _step_batch(
 
     # ``bus`` and ``i_z_base`` are what a step reads of its link row, per
     # converter: the bus voltage and the feedforward and droop of i_z_ref.
-    if first.mode == "back_to_back":
+    if n_mmc == 2:
         if dc_link is None:
-            raise ConfigError("back_to_back mode requires a DcLink")
+            raise ConfigError(f"{first.mode} mode requires a DcLink")
         dc_link.check_step(t_s)
         c_end = 0.5 * dc_link.c_total
         # Per-phase conductance giving the LC mode the target damping.

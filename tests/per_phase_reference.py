@@ -22,7 +22,8 @@ kernel and the paper's formulas against:
 * window metrics: ``ripple_percent``, ``circulating_ratio`` and
   ``tracking_rmse``, one SM or phase series at a time, and
   ``reference_summarize``, the per-phase, per-SM loop over them that
-  ``mmcsim.metrics.summarize`` replaces with one array pass;
+  ``mmcsim.metrics.summarize`` replaces with one array pass, its
+  converters grouped by their labels' text (``_mmc_groups``);
 * the run CSV: ``oracle_load``, the per-field loader, and
   ``whole_file_load_record_csv``, the loader that parses and checks the
   whole file at once, whose errors the block-wise loader must repeat.
@@ -40,7 +41,7 @@ import numpy as np
 from mmcsim.controller import SortPolicy
 from mmcsim.csvio import _row_dtype, csv_columns
 from mmcsim.errors import ConfigError, ContractError, MetricWindowError
-from mmcsim.metrics import RunRecord, SummaryMetrics, _check_window, _mmc_groups
+from mmcsim.metrics import RunRecord, SummaryMetrics, _check_window
 from mmcsim.model import ConverterParams
 from mmcsim.testbench import _PHASE_OFFSETS, GridSource, Scenario
 
@@ -535,9 +536,13 @@ def effective_switching_frequency(
     """Switching frequency of one SM over a window [Hz].
 
     Counts status transitions with ``t0 < t <= t1`` and divides by twice
-    the window length (one on/off cycle is two transitions).
+    the window length (one on/off cycle is two transitions).  A trace
+    has no record start, so its window need only be finite and not
+    empty; it may begin before 0.
     """
-    t0, t1 = _check_window(window)
+    t0, t1 = window
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise MetricWindowError(f"window must be finite with t1 > t0, got ({t0}, {t1})")
     count = sum(1 for t, _ in trace.events if t0 < t <= t1)
     return count / (2.0 * (t1 - t0))
 
@@ -642,6 +647,21 @@ def _transition_counts(
     t = times[1:]
     in_window = ((t > t0) & (t <= t1))[:, None]
     return np.add.reduce(statuses[1:] != statuses[:-1], axis=0, where=in_window)
+
+
+def _mmc_groups(labels: list[str]) -> dict[str, list[int]]:
+    """Group phase-column indices by converter, by the labels' text.
+
+    Single-converter runs use labels "a","b","c" (group "mmc1");
+    back-to-back runs prefix the converter number, e.g. "1a".  The
+    kernel takes converter m to be phases 3m to 3m + 2 instead, so the
+    two groupings check each other.
+    """
+    groups: dict[str, list[int]] = {}
+    for idx, label in enumerate(labels):
+        key = "mmc" + (label[0] if label[0].isdigit() else "1")
+        groups.setdefault(key, []).append(idx)
+    return groups
 
 
 def reference_summarize(

@@ -269,6 +269,35 @@ def test_metrics_refuses_an_infinite_window(workdir, capsys, caplog):
     assert not (workdir / "out" / "run.metrics.json").exists()
 
 
+def test_metrics_refuses_a_window_that_starts_before_zero(workdir, capsys, caplog):
+    cfg = _write(workdir, "run.ini", SMALL_CONFIG)
+    assert main(["run", cfg]) == 0
+    code, captured = _metrics(capsys, caplog, workdir / "out" / "run.csv", "--window", "-5", "0.01")
+    assert code == 2
+    assert "error: window must be finite with t1 > t0 >= 0, got (-5.0, 0.01)" in captured.err
+    assert not (workdir / "out" / "run.metrics.json").exists()
+
+
+def test_metrics_warns_of_a_window_that_ends_after_the_last_sample(workdir, capsys, caplog):
+    cfg = _write(workdir, "run.ini", SMALL_CONFIG)
+    assert main(["run", cfg]) == 0
+    csv_path = str(workdir / "out" / "run.csv")
+    last = json.loads((workdir / "out" / "metrics.json").read_text())["window_end_s"]
+    caplog.set_level(logging.INFO, logger="mmcsim.cli")
+    # From the sidecar, then parsed; a window that ends on the last sample is no warning.
+    for sidecar in (True, False):
+        for t1, warned in ((repr(last), []), ("2", [(
+            "WARNING", f"metrics: the window ends at 2.0 s, after the last sample of {csv_path}"
+            f" at {last!r} s: fs_* divide its transitions by the whole window",
+        )])):
+            caplog.clear()
+            assert main(["metrics", csv_path, "--window", "0", t1]) == 0
+            logged = [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno > logging.INFO]
+            assert logged == warned, sidecar
+        if sidecar:
+            os.remove(csv_path + ".rec")
+
+
 def test_compare_identical_configs_gives_unit_ratio(workdir, capsys):
     cfg_a = _write(workdir, "a.ini", SMALL_CONFIG)
     cfg_b = _write(workdir, "b.ini", SMALL_CONFIG)

@@ -14,6 +14,7 @@ import json
 import os
 import pickle
 import re
+import runpy
 import signal
 import time
 import warnings
@@ -283,6 +284,36 @@ def test_window_keys_must_pair_and_order():
         parse_config("[output]\nwindow_start = 0.5\nwindow_end = 0.2\n")
     cfg = parse_config("[output]\nwindow_start = 0.1\nwindow_end = 0.4\n")
     assert cfg.window == (0.1, 0.4)
+
+
+@pytest.mark.parametrize(
+    "window, match",
+    [
+        ("window_start = -0.02\nwindow_end = 0.02",
+         r"^\[output\] window must be finite with t1 > t0 >= 0, got \(-0.02, 0.02\)$"),
+        ("window_start = 0.0\nwindow_end = 0.2",
+         r"^\[output\] window_end = 0.2 is after \[scenario\] duration = 0.02$"),
+    ],
+    ids=["starts-before-zero", "ends-after-the-run"],
+)
+def test_a_window_outside_the_run_is_refused(window, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"[scenario]\nduration = 0.02\n[output]\n{window}\n")
+    # The whole run is a window.
+    cfg = parse_config("[scenario]\nduration = 0.02\n[output]\nwindow_start = 0\nwindow_end = 0.02\n")
+    assert cfg.window == (0.0, 0.02)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_every_benchmark_config_parses(seed):
+    # A config refusal fails here before it fails a benchmark run.
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    for name in workloads["WORKLOAD_NAMES"]:
+        for kind in workloads["KINDS"]:
+            configs = workloads["build"](name, seed, kind).configs
+            assert configs, (name, kind)
+            for file, text in configs.items():
+                assert isinstance(parse_config(text), RunConfig), (name, kind, file)
 
 
 def test_decimation_must_be_positive():

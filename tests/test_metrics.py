@@ -237,25 +237,27 @@ def test_rmse_rejects_zero_reference():
 
 
 def _tiny_record():
+    """An 8-step record of one converter whose phases b and c repeat
+    phase a's series, so each peak, mean and ripple is phase a's."""
     steps = 8
     times = (np.arange(steps) + 1) * 1e-3
-    i = np.where(np.arange(steps) % 2 == 0, 50.0, -50.0)[:, None]
-    i_z = np.where(np.arange(steps) % 2 == 0, 12.0, 8.0)[:, None]
-    v_c = np.full((steps, 1, 12), 10e3)
-    u = np.zeros((steps, 1, 12), dtype=np.int8)
-    u[4:, 0, 0] = 1
+    i = np.where(np.arange(steps) % 2 == 0, 50.0, -50.0)[:, None].repeat(3, axis=1)
+    i_z = np.where(np.arange(steps) % 2 == 0, 12.0, 8.0)[:, None].repeat(3, axis=1)
+    v_c = np.full((steps, 3, 12), 10e3)
+    u = np.zeros((steps, 3, 12), dtype=np.int8)
+    u[4:, :, 0] = 1
     return RunRecord(
         times=times,
-        labels=["a"],
+        labels=["a", "b", "c"],
         i=i.astype(float),
         i_ref=i.astype(float),
         i_z=i_z.astype(float),
-        v_up=np.full((steps, 1), 30e3),
-        v_low=np.full((steps, 1), 30e3),
+        v_up=np.full((steps, 3), 30e3),
+        v_low=np.full((steps, 3), 30e3),
         v_c=v_c,
         u=u,
-        v_dc_link=np.full((steps, 1), 60e3),
-        i_dc_link=np.zeros((steps, 1)),
+        v_dc_link=np.full((steps, 3), 60e3),
+        i_dc_link=np.zeros((steps, 3)),
         policy=["V1F2"] * steps,
     )
 
@@ -264,7 +266,7 @@ def test_phase_index_unknown_label():
     record = _tiny_record()
     assert phase_index(record, "a") == 0
     with pytest.raises(ContractError):
-        phase_index(record, "b")
+        phase_index(record, "d")
 
 
 def test_switch_traces_from_history():
@@ -292,10 +294,10 @@ def test_summarize_tiny_record_values():
     metrics = summarize(record, window, 10e3)
     assert metrics.tracking_rmse_pct == 0.0
     assert metrics.ripple_mean_pct == 0.0
-    # One transition in a 7 ms window, averaged over 12 SMs.
+    # One transition per phase in a 7 ms window, averaged over its 12 SMs.
     expected_fs = 1.0 / (2.0 * 7e-3) / 12.0
     assert metrics.fs_mean == pytest.approx(expected_fs, rel=1e-12)
-    assert set(metrics.fs_per_sm) == {"a"}
+    assert set(metrics.fs_per_sm) == {"a", "b", "c"}
     assert metrics.fs_arm_mean["a"][1] == 0.0
 
 
@@ -341,12 +343,13 @@ def test_summarize_rejects_non_binary_statuses(dtype, status):
         ((0.0, 0.01), -math.inf, None, ContractError, "nominal voltage must be finite"),
         ((0.01, 0.0), 10e3, None, MetricWindowError, "t1 > t0"),
         ((0.0, math.inf), 10e3, None, MetricWindowError, "window must be finite"),
+        ((-0.02, 0.01), 10e3, None, MetricWindowError, "window must be finite with t1 > t0 >= 0"),
         ((0.0085, 0.009), 10e3, None, MetricWindowError, "no samples"),
         ((0.0, 0.01), 10e3, "i", MetricWindowError, "AC amplitude"),
         ((0.0, 0.01), 10e3, "i_ref", MetricWindowError, "reference amplitude"),
     ],
     ids=["nominal", "nominal-nan", "nominal-inf", "nominal-minus-inf",
-         "inverted", "infinite", "empty-window", "zero-i", "zero-i_ref"],
+         "inverted", "infinite", "before-zero", "empty-window", "zero-i", "zero-i_ref"],
 )
 def test_summarize_error_paths(window, nominal, zeroed, error, match):
     record = _tiny_record()
@@ -548,6 +551,27 @@ def test_a_chunk_that_does_not_continue_the_record_is_refused(n, mode, labels, m
         summary.add(_chunk(then, 5, 10))
 
 
+@pytest.mark.parametrize(
+    "labels", [["a"], ["b", "a", "c"], ["1a", "1b", "1c"]], ids=["one-phase", "reordered", "half"]
+)
+def test_a_record_whose_phases_are_not_a_run_s_is_refused(labels):
+    record = _tiny_record()
+    other = replace(record, labels=labels, **{
+        f.name: getattr(record, f.name)[:, : len(labels)]
+        for f in fields(RunRecord) if f.name not in ("times", "labels", "policy")
+    })
+    match = rf"record has phases \[{', '.join(map(repr, labels))}\], not those of a run"
+    with pytest.raises(ContractError, match=match):
+        summarize(other, None, 10e3)
+    summary = SummaryAccumulator(None, 10e3)
+    with pytest.raises(ContractError, match=match):
+        summary.add(other)
+    # Refused before anything was taken: a run's record still starts it.
+    assert (summary.steps, summary.labels) == (0, [])
+    summary.add(record)
+    assert summary.result().to_flat() == summarize(record, None, 10e3).to_flat()
+
+
 def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
     record, params = _stock_record(6, "back_to_back")
     path = tmp_path / "run.csv"
@@ -586,7 +610,7 @@ def test_summarize_empty_record_rejected():
     record = _tiny_record()
     empty = RunRecord(
         times=record.times[:0],
-        labels=["a"],
+        labels=record.labels,
         i=record.i[:0],
         i_ref=record.i_ref[:0],
         i_z=record.i_z[:0],

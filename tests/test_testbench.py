@@ -163,6 +163,14 @@ def test_scenario_reference_arity_matches_mode():
             Scenario(duration=1.0, mode="ideal_dc", **refs)
 
 
+def test_scenario_refuses_a_mode_that_is_not_a_run_s():
+    # An unhashable mode is refused as any other, not raised on as a key.
+    for mode in ("bogus", ["ideal_dc"], None):
+        with pytest.raises(ConfigError, match=r"mode must be one of \('ideal_dc', 'back_to_back'\)"):
+            Scenario(duration=1.0, mode=mode, p_set=(1e6,))
+    assert Scenario(duration=1.0, mode="back_to_back", p_set=(1e6, -1e6)).n_converters == 2
+
+
 def test_scenario_event_validation():
     with pytest.raises(ConfigError):
         Scenario(
