@@ -21,7 +21,16 @@ from .controller import SortPolicy
 from .errors import ConfigError, MetricWindowError
 from .metrics import _PHASES, _check_window
 from .model import ConverterParams
-from .testbench import DcLink, GridSource, Scenario, _signed_amplitudes, build_stock_system
+from .testbench import (
+    _KERNEL_BUDGET,
+    DcLink,
+    GridSource,
+    Scenario,
+    _kernel_bytes,
+    _signed_amplitudes,
+    _steps,
+    build_stock_system,
+)
 
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
@@ -155,7 +164,9 @@ def parse_config(text: str) -> RunConfig:
     keys are rejected.  All physical validation of the underlying types
     runs here, so a returned RunConfig is guaranteed runnable.  A window
     lies inside the run, ``0 <= window_start < window_end <= duration``,
-    by the metrics' own window rule and the run's duration.
+    by the metrics' own window rule and the run's duration.  The arrays
+    that the run's kernel allocates must fit ``testbench._KERNEL_BUDGET``,
+    which bounds ``n_sm``; nothing is allocated to check it.
     """
     parser = _read_ini(text)
     _reject_unknown(parser)
@@ -198,6 +209,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[scenario] {exc}") from exc
     if scenario.n_converters == 2:
         dc_link.check_step(params.T_s)
+    kernel_bytes = _kernel_bytes(params.n, 1, scenario.n_converters, _steps(scenario, params))
+    if kernel_bytes > _KERNEL_BUDGET:
+        raise ConfigError(
+            f"[converter] n_sm = {params.n}: the run's kernel would hold"
+            f" {kernel_bytes / 2**20:.1f} MiB of tables, over its budget of"
+            f" {_KERNEL_BUDGET / 2**20:.0f} MiB; lower n_sm"
+        )
 
     output_dir = _value(parser, "output", "directory", DEFAULT_OUTPUT_DIR)
     decimation = _value(parser, "output", "decimation", 1)

@@ -52,13 +52,16 @@ _STATUS_FIRST = np.iinfo(np.int64).min
 # the sign bit while the current discharges (descending), none while it
 # charges.
 _VOLTAGE_FLIP = np.array([np.iinfo(np.int64).max, 0])
+_ZERO = np.array(0.0)
 
 
-def _rank(v_c, u, i_arm, status_first) -> np.ndarray:
+def _rank(v_c, u, i_arm, status_first, arm, key) -> np.ndarray:
     """The ranking of each arm of a stack: the indices of its SMs along
     the last axis of ``v_c`` (float64) and ``u`` (int8 statuses), best
-    first.  ``i_arm`` holds each arm's current and ``status_first`` its
-    policy, as arrays of the stack's shape or broadcast to it.
+    first.  ``status_first`` (int64) and ``arm`` (intp) are tables of the
+    same shape: each SM's policy and the flat index of its arm in
+    ``i_arm``, the arms' currents.  ``key`` is int64 scratch of that
+    shape.
 
     One stable sort of an int64 key per SM.  The bits of a positive
     double order as its value, so the key is ``v_c``'s bits, all but the
@@ -69,5 +72,9 @@ def _rank(v_c, u, i_arm, status_first) -> np.ndarray:
     sort, then a stable promotion of the inserted SMs, in one pass.
     Capacitor voltages must be positive, as every healthy state's are.
     """
-    key = v_c.view(np.int64) ^ _VOLTAGE_FLIP.take(i_arm >= 0.0)[..., None]
-    return np.bitwise_or(key, u * status_first[..., None], out=key).argsort(axis=-1, kind="stable")
+    flip = _VOLTAGE_FLIP.take(i_arm >= _ZERO, mode="clip").take(arm, mode="clip")
+    np.bitwise_xor(v_c.view(np.int64), flip, out=key)
+    status = flip   # reused: u * status_first, with u widened to int64 first
+    status[...] = u
+    np.multiply(status, status_first, out=status)
+    return np.bitwise_or(key, status, out=key).argsort(axis=-1, kind="stable")

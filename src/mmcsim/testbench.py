@@ -410,6 +410,60 @@ def _steps(scenario: Scenario, params: ConverterParams) -> int:
 # chunks the kernel steps in and hands to its consumer.
 _SCAN_STEPS = 128
 
+# Bytes that the arrays of one run's kernel may take (:func:`_kernel_bytes`):
+# ``parse_config`` refuses a config whose ``[converter] n_sm`` needs more.
+_KERNEL_BUDGET = 256 * 2**20
+
+
+def _kernel_tables(n: int, n_rows: int, n_mmc: int, steps: int) -> dict[str, tuple[tuple, type]]:
+    """Shape and dtype of every array :func:`_step_batch` allocates once
+    per call, by name: the chunk tables (one row per step of a chunk and
+    one more), the scratch each stage writes a step's results into, and
+    the index tables that give every per-step operation operands of one
+    shape.  Arm tables are arm-major, ``(upper, lower)`` first, so that
+    each arm is one contiguous block; SM tables follow the record's
+    (converter, phase, arm, SM) layout."""
+    rows = min(_SCAN_STEPS, steps) + 1
+    legs = (n_rows * n_mmc, 3)
+    arms, sm, sums = (2, *legs), (*legs, 2, n), (*legs, 2, n + 1)
+    f8, i1, ip, b1 = np.float64, np.int8, np.intp, np.bool_
+    return {
+        # Chunk tables: row j is the state before step j of the chunk.
+        "v_c": ((rows, *sm), f8), "u": ((rows, *sm), i1),
+        "i": ((rows, *legs), f8), "i_z": ((rows, *legs), f8),
+        "i_arm": ((rows, *arms), f8), "v_arm": ((rows, *arms), f8),
+        "link": ((rows, n_rows, 3), f8),
+        # ... and the chunk's reference current, grid voltage and the
+        # reference part of the deadbeat drive.
+        "i_ref": ((rows, *legs), f8), "v_s": ((rows, *legs), f8), "drive": ((rows, *legs), f8),
+        # Supervisory terms by converter, as the shape of the legs.
+        "bus": (legs, f8), "feedforward": (legs, f8), "i_z_base": (legs, f8),
+        # Step scratch.
+        "v_star": (arms, f8), "mean": (arms, f8), "l_i": (legs, f8),
+        "work": (legs, f8), "work_2": (legs, f8),   # a stage's leg-shaped intermediates
+        "key": (sm, np.int64), "order": (sm, ip), "ranked": (sm, f8),
+        "sums": (sums, f8), "v_star_sums": (sums, f8), "below": (sums, b1),
+        "n_below": ((*legs, 2), ip), "at": ((*legs, 2, 2), ip), "dv": (sums, f8),
+        "at_pairs": ((2, *legs, 4), ip), "pair_dv": ((2, *legs, 4), f8),
+        "terms": ((2, *legs, 4), f8), "f": ((*legs, 4), f8), "best": (legs, ip),
+        "chosen": (sm, ip), "chosen_at": (sm, ip), "inserted": (sm, b1),
+        "dq": (arms, f8), "dq_sm": (sm, f8), "u_f": (sm, f8),
+        # Index tables.
+        "sm_arm": (sm, ip), "sm_base": (sm, ip), "sm_leg": (sm, ip), "sm_pairs": (sm, ip),
+        "sm_at": (sm, ip), "sums_arm": (sums, ip), "sum_base": ((*legs, 2, 2), ip),
+        "pair_at": ((2, *legs, 4), ip), "weights": ((2, *legs, 4), f8),
+    }
+
+
+def _kernel_bytes(n: int, n_rows: int, n_mmc: int, steps: int) -> int:
+    """Bytes of the arrays of :func:`_kernel_tables`, without allocating
+    them.  Not counted: a step's temporaries, each at most one SM table,
+    and the lists of row views, about 160 bytes a view."""
+    return sum(
+        math.prod(shape) * np.dtype(dtype).itemsize
+        for shape, dtype in _kernel_tables(n, n_rows, n_mmc, steps).values()
+    )
+
 
 @np.errstate(all="ignore")   # failed rows step on; their errors are read from the record
 def _step_batch(
@@ -433,6 +487,19 @@ def _step_batch(
     of tables that the next chunk overwrites.  Chunks are
     ``_SCAN_STEPS`` long.  It is no generator, so the ``errstate`` holds
     while the records are built, where failed rows' sums overflow.
+
+    Every numpy call of a step takes operands of one shape, C-contiguous
+    (or a 0-d array), and writes into a table of
+    :func:`_kernel_tables`: numpy's fast path.  Where one value serves
+    many elements (a converter's bus, an arm's target or current, a
+    row's policy), a table repeats it, built once per call or per chunk,
+    or an index table gathers it with ``take``.  Each elementwise
+    operation keeps the operands and the order of the per-phase scalar
+    formulas, so the bytes are theirs.  Only the SM-axis reductions
+    (``add.reduce``, ``add.accumulate``, ``matmul``) and the sort see a
+    whole arm.  Every index is in range by construction, so each ``take``
+    runs with ``mode="clip"``, which only spares numpy the bounds check
+    and the buffered copy of ``out`` that the default mode makes.
     """
     first = scenarios[0]
     shared = (first.duration, first.mode, first.p_set, first.i_amp)
@@ -443,7 +510,6 @@ def _step_batch(
     n_mmc = first.n_converters
     amps = _signed_amplitudes(first, grid)
     feedforward = [_power_feedforward(a, params, grid) for a in amps]
-    trim_gain = 2.0 * params.C / _ENERGY_TRIM_TAU
 
     t_s = params.T_s
     steps = _steps(first, params)
@@ -451,21 +517,22 @@ def _step_batch(
     n_legs = len(labels)
     n_rows = len(scenarios)
     # Struct-of-arrays layout: leg r = 3*m + p of converter m, phase p
-    # of batch row b is held as (b*n_mmc + m, p), so grid quantities
-    # broadcast over converters and bus quantities over phases; arm
-    # axes are (upper, lower) and SM axes physical positions.  A single
-    # row thus has no batch axis to pay for.  The link table holds
-    # (v_mmc1, v_mmc2, i_link) per batch row.
+    # of batch row b is held as (b*n_mmc + m, p); arm tables put the arm
+    # axis (upper, lower) first, SM tables have it after the phase, and
+    # SM axes are physical positions.  A single row thus has no batch
+    # axis to pay for.  The link table holds (v_mmc1, v_mmc2, i_link)
+    # per batch row.
     n_conv = n_rows * n_mmc
     legs = (n_conv, 3)
-    rows = min(_SCAN_STEPS, steps) + 1
-    rec_v_c = np.full((rows, *legs, 2, n), params.v_sm_nominal)
-    rec_u = np.zeros((rows, *legs, 2, n), dtype=np.int8)
-    rec_i = np.zeros((rows, *legs))
-    rec_i_z = np.zeros((rows, *legs))
-    rec_i_arm = np.zeros((rows, *legs, 2))
-    rec_v_arm = np.empty((rows, *legs, 2))
-    rec_link = np.zeros((rows, n_rows, 3))
+    sm = (*legs, 2, n)
+    tables = {
+        name: np.zeros(shape, dtype)
+        for name, (shape, dtype) in _kernel_tables(n, n_rows, n_mmc, steps).items()
+    }
+    rec_v_c, rec_u, rec_i, rec_i_z = tables["v_c"], tables["u"], tables["i"], tables["i_z"]
+    rec_i_arm, rec_v_arm, rec_link = tables["i_arm"], tables["v_arm"], tables["link"]
+    rec_i_ref, v_s_table, drive_table = tables["i_ref"], tables["v_s"], tables["drive"]
+    rec_v_c[0] = params.v_sm_nominal
     rec_link[..., :2] = params.V_dc
     # Each row's policy at a decision time k * T_s is that of its last
     # event with k * T_s >= event time.
@@ -473,99 +540,175 @@ def _step_batch(
     choices = [[SortPolicy.V1F2, *(p for _, p in s.events)] for s in scenarios]
     choice_names = [np.array([p.value for p in c], dtype=object) for c in choices]
     choice_status = [np.array([p is SortPolicy.F1V2 for p in c]) * _STATUS_FIRST for c in choices]
-    amp_col = np.array(amps * n_rows).reshape(n_conv, 1)
-    k_prime = params.K_prime
+    # The SM table of ``_rank``'s status_first for each combination of
+    # the rows' policies that a step uses, each built once.
+    status_tables: dict[tuple[int, ...], np.ndarray] = {}
 
-    # Flat-index offsets of each arm's run of SMs and of prefix sums.
-    arm_index = np.arange(n_conv * 6).reshape(*legs, 2, 1)
-    sm_base = arm_index * n
-    sum_base = arm_index * (n + 1)
-    position = np.arange(n)
+    amp_col = np.array(amps * n_rows).reshape(n_conv, 1)
+
+    # Index tables.  Leg (c, p) is l = 3c + p; its arm a is a*3*n_conv + l
+    # of an arm table, and the arm 2l + a of an SM table holds its SM s
+    # at (2l + a)*n + s, of a prefix-sum table at (2l + a)*(n + 1) + s.
+    # Candidate k of the arm is 4l + 2a + k of ``at``, and the arm's part
+    # of the leg's count pair q is a*12*n_conv + 4l + q of ``at_pairs``.
+    leg_of_sm = np.arange(3 * n_conv).reshape(*legs, 1, 1)
+    side = np.arange(2).reshape(2, 1)
+    arm_of_sm = 2 * leg_of_sm + side
+    tables["sm_arm"][...] = tables["sums_arm"][...] = side * 3 * n_conv + leg_of_sm
+    tables["sm_base"][...] = arm_of_sm * n
+    tables["sum_base"][...] = arm_of_sm * (n + 1)
+    tables["sm_at"][...] = arm_of_sm * (n + 1) + np.arange(n)
+    tables["sm_leg"][...] = leg_of_sm
+    tables["sm_pairs"][...] = side * 12 * n_conv + 4 * leg_of_sm
+    # The (upper, lower) candidates of the four count pairs of a leg, in
+    # scan order: pair 2i + k is upper candidate i and lower candidate k.
+    tables["pair_at"][...] = np.array([[0, 0, 1, 1], [2, 3, 2, 3]])[:, None, None] + 4 * leg_of_sm[..., 0]
     # Candidate counts by the number c of prefix sums <= v*: (c-1, c)
     # clamped to [0, n], so out-of-range targets give one count twice.
     bracket = np.clip(np.arange(n + 2)[:, None] + np.array([-1, 0]), 0, n)
-    # Positions of the (upper, lower) counts of the four candidate pairs
-    # in a leg's flat (arm, candidate) table, in scan order.
-    pair_pos = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
-    leg_base = 4 * np.arange(n_conv * 3).reshape(*legs, 1)
-    # What a step's stages hand on: targets, L'/T_s * i, rankings, sums.
-    v_star = np.empty((*legs, 2))
-    l_i = np.empty(legs)
-    order = np.empty((*legs, 2, n), dtype=np.intp)
-    sums = np.zeros((*legs, 2, n + 1))
+    tables["weights"][0] = params.w / (2.0 * params.K_prime)
+    tables["weights"][1] = params.w_z * t_s / (2.0 * params.l_arm)
 
-    ff_col = np.array(feedforward * n_rows).reshape(n_conv, 1)
-    v_dc = params.V_dc
-    half_v_dc = 0.5 * v_dc
-    v_nom_sm = params.v_sm_nominal
-    l_prime_ts = params.L_prime / t_s
-    l_arm_ts = params.l_arm / t_s
-    ts_2l_arm = t_s / (2.0 * params.l_arm)
-    c_sm = params.C
-    w_track = params.w / (2.0 * k_prime)
-    w_circ = params.w_z * t_s / (2.0 * params.l_arm)
+    # Constants as 0-d arrays, the scalar operand numpy handles fastest.
+    k_prime = np.array(params.K_prime)
+    trim_gain = np.array(2.0 * params.C / _ENERGY_TRIM_TAU)
+    n_sm = np.array(float(n))
+    v_dc = np.array(params.V_dc)
+    half = np.array(0.5)
+    half_v_dc = np.array(0.5 * params.V_dc)
+    v_nom_sm = np.array(params.v_sm_nominal)
+    l_prime_ts = np.array(params.L_prime / t_s)
+    l_arm_ts = np.array(params.l_arm / t_s)
+    ts_2l_arm = np.array(t_s / (2.0 * params.l_arm))
+    step_s = np.array(t_s)
+    c_sm = np.array(params.C)
+
+    # The tables by the names the stages use them by, and views of them.
+    v_star, mean, l_i, work, work_2, bus, i_z_base = (
+        tables[name] for name in ("v_star", "mean", "l_i", "work", "work_2", "bus", "i_z_base"))
+    key, order, ranked, sums, sm_arm, sm_base = (
+        tables[name] for name in ("key", "order", "ranked", "sums", "sm_arm", "sm_base"))
+    v_star_sums, below, n_below, at, dv, at_pairs, pair_dv, terms, f, best = (
+        tables[name] for name in ("v_star_sums", "below", "n_below", "at", "dv", "at_pairs",
+                                  "pair_dv", "terms", "f", "best"))
+    chosen, chosen_at, inserted, sums_arm, sum_base, pair_at, weights = (
+        tables[name] for name in ("chosen", "chosen_at", "inserted", "sums_arm", "sum_base",
+                                  "pair_at", "weights"))
+    sm_leg, sm_pairs, sm_at, dq, dq_sm, u_f = (
+        tables[name] for name in ("sm_leg", "sm_pairs", "sm_at", "dq", "dq_sm", "u_f"))
+    v_star_up, v_star_low = v_star
+    mean_up, mean_low = mean
+    mean_by_sm = mean.transpose(1, 2, 0)
+    sums_tail = sums[..., 1:]
+    dv_up, dv_low = pair_dv
+    track, circ = terms
+    # Row views of the chunk tables, made once: a list index costs a
+    # tenth of an array index.  ``matmul`` takes each arm as a (1, n) by
+    # (n, 1) product, arm-major.
+    v_c_rows, u_rows, i_rows, i_z_rows, i_arm_rows, drive_rows, v_s_rows = (
+        list(table) for table in (rec_v_c, rec_u, rec_i, rec_i_z, rec_i_arm, drive_table, v_s_table))
+    (i_up_rows, i_low_rows), (v_up_rows, v_low_rows) = (
+        (list(table[:, 0]), list(table[:, 1])) for table in (rec_i_arm, rec_v_arm))
+    v_c_by_arm = list(rec_v_c.transpose(0, 3, 1, 2, 4)[..., None, :])
+    v_arm_out = list(rec_v_arm[..., None, None])
+    u_f_by_arm = u_f.transpose(2, 0, 1, 3)[..., None]
 
     def targets(j):
         """Deadbeat arm-voltage targets of step j into ``v_star``, for the
         current references and the supervisory i_z reference, and the
         ``L'/T_s * i`` they subtract into ``l_i``."""
-        v_mean = np.add.reduce(rec_v_c[j], -1) / n
-        v_mean = 0.5 * (v_mean[..., 0] + v_mean[..., 1])
-        i_z_ref = i_z_base + trim_gain * (v_nom_sm - v_mean)
-        common = half_v_dc + l_arm_ts * (rec_i_z[j] - i_z_ref)
-        drive = drive_table[j] - np.multiply(l_prime_ts, rec_i[j], out=l_i)
-        np.subtract(common, drive, out=v_star[..., 0])
-        np.add(common, drive, out=v_star[..., 1])
+        np.add.reduce(v_c_rows[j], -1, out=mean_by_sm)
+        np.divide(mean, n_sm, out=mean)
+        v_mean = np.add(mean_up, mean_low, out=work)
+        v_mean = np.multiply(half, v_mean, out=work)
+        i_z_ref = np.subtract(v_nom_sm, v_mean, out=work)
+        np.multiply(trim_gain, i_z_ref, out=i_z_ref)
+        np.add(i_z_base, i_z_ref, out=i_z_ref)
+        common = np.subtract(i_z_rows[j], i_z_ref, out=work)
+        np.multiply(l_arm_ts, common, out=common)
+        np.add(half_v_dc, common, out=common)
+        np.multiply(l_prime_ts, i_rows[j], out=l_i)
+        drive = np.subtract(drive_rows[j], l_i, out=work_2)
+        np.subtract(common, drive, out=v_star_up)
+        np.add(common, drive, out=v_star_low)
 
     def rank(j):
         """Each arm's SMs at step j, ranked by :func:`_rank` under its
         row's policy, into ``order`` as flat indices of a table row, and
         their prefix voltage sums into ``sums``."""
-        v_c = rec_v_c[j]
-        ranks = _rank(v_c, rec_u[j], rec_i_arm[j], status_first[:, j, None, None])
+        v_c = v_c_rows[j]
+        ranks = _rank(v_c, u_rows[j], i_arm_rows[j], status_by_step[j], sm_arm, key)
         np.add(ranks, sm_base, out=order)
-        v_c.take(order).cumsum(axis=-1, out=sums[..., 1:])
+        v_c.take(order, out=ranked, mode="clip")
+        np.add.accumulate(ranked, -1, out=sums_tail)
 
     def select(j):
         """Statuses of step j into row j + 1: the prefix of each ranking
         of the count pair that best meets the targets."""
         # Bracketing by counting: capacitor voltages are positive, so
         # the prefix sums rise monotonically.
-        counts = bracket.take(np.add.reduce(sums <= v_star[..., None], -1), axis=0)
-        dv = v_star[..., None] - sums.take(counts + sum_base)
+        v_star.take(sums_arm, out=v_star_sums, mode="clip")
+        np.less_equal(sums, v_star_sums, out=below)
+        np.add.reduce(below, -1, out=n_below)
+        bracket.take(n_below, axis=0, out=at, mode="clip")
+        np.add(at, sum_base, out=at)
+        # Each pair's (upper, lower) deviations v* - sum.
+        at.take(pair_at, out=at_pairs, mode="clip")
+        np.subtract(v_star_sums, sums, out=dv)
+        dv.take(at_pairs, out=pair_dv, mode="clip")
         # Objective on the four (upper, lower) pairs; argmin keeps the
         # first minimizer in scan order (upper ascending, then lower).
-        dv_up = dv[..., 0, :, None]
-        dv_low = dv[..., 1, None, :]
-        f = w_track * np.abs(dv_low - dv_up) + w_circ * np.abs(dv_low + dv_up)
-        best = f.reshape(*legs, 4).argmin(axis=-1)
-        n_ins = counts.take(pair_pos.take(best, axis=0) + leg_base)
-        rec_u[j + 1].put(order, position < n_ins[..., None])
+        np.subtract(dv_low, dv_up, out=track)
+        np.add(dv_low, dv_up, out=circ)
+        np.abs(terms, out=terms)
+        np.multiply(weights, terms, out=terms)
+        np.add(track, circ, out=f)
+        f.argmin(axis=-1, out=best)
+        # Insert each ranking's SMs before the chosen count: those whose
+        # prefix sum's index is below the chosen one's.
+        best.take(sm_leg, out=chosen, mode="clip")
+        np.add(chosen, sm_pairs, out=chosen)
+        at_pairs.take(chosen, out=chosen_at, mode="clip")
+        np.less(sm_at, chosen_at, out=inserted)
+        u_rows[j + 1].put(order, inserted)
 
     def plant(j):
         """Row j + 1 of the plant: the capacitors integrate the arm
         currents of row j under the new statuses, then the synthesized
         arm voltages drive both leg currents."""
-        u_f = rec_u[j + 1].astype(float)
-        v_c = np.add(rec_v_c[j], ((t_s * rec_i_arm[j]) / c_sm)[..., None] * u_f, out=rec_v_c[j + 1])
-        v_arm = rec_v_arm[j + 1]
-        np.matmul(v_c[..., None, :], u_f[..., :, None], out=v_arm[..., None, None])
-        v_up, v_low = v_arm[..., 0], v_arm[..., 1]
-        i = np.divide(0.5 * (v_low - v_up) - v_s_table[j + 1] + l_i, k_prime, out=rec_i[j + 1])
-        i_z = np.add(ts_2l_arm * (bus - v_low - v_up), rec_i_z[j], out=rec_i_z[j + 1])
-        half_i = 0.5 * i
-        np.add(i_z, half_i, out=rec_i_arm[j + 1, ..., 0])
-        np.subtract(i_z, half_i, out=rec_i_arm[j + 1, ..., 1])
+        u_f[...] = u_rows[j + 1]
+        np.multiply(step_s, i_arm_rows[j], out=dq)
+        np.divide(dq, c_sm, out=dq)
+        dq.take(sm_arm, out=dq_sm, mode="clip")
+        np.multiply(dq_sm, u_f, out=dq_sm)
+        np.add(v_c_rows[j], dq_sm, out=v_c_rows[j + 1])
+        np.matmul(v_c_by_arm[j + 1], u_f_by_arm, out=v_arm_out[j + 1])
+        v_up, v_low = v_up_rows[j + 1], v_low_rows[j + 1]
+        drive = np.subtract(v_low, v_up, out=work)
+        np.multiply(half, drive, out=drive)
+        np.subtract(drive, v_s_rows[j + 1], out=drive)
+        np.add(drive, l_i, out=drive)
+        i = np.divide(drive, k_prime, out=i_rows[j + 1])
+        sag = np.subtract(bus, v_low, out=work_2)
+        np.subtract(sag, v_up, out=sag)
+        np.multiply(ts_2l_arm, sag, out=sag)
+        i_z = np.add(sag, i_z_rows[j], out=i_z_rows[j + 1])
+        half_i = np.multiply(half, i, out=work)
+        np.add(i_z, half_i, out=i_up_rows[j + 1])
+        np.subtract(i_z, half_i, out=i_low_rows[j + 1])
 
     # ``bus`` and ``i_z_base`` are what a step reads of its link row, per
     # converter: the bus voltage and the feedforward and droop of i_z_ref.
+    ff = tables["feedforward"]
+    ff[...] = np.array(feedforward * n_rows).reshape(n_conv, 1)
+    bus[...] = v_dc
     if n_mmc == 2:
         if dc_link is None:
             raise ConfigError(f"{first.mode} mode requires a DcLink")
         dc_link.check_step(t_s)
         c_end = 0.5 * dc_link.c_total
         # Per-phase conductance giving the LC mode the target damping.
-        droop_gain = 2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0
+        droop_gain = np.array(2.0 * _LINK_DROOP_ZETA * dc_link.omega * c_end / 3.0)
         dt_l, dt_c = t_s / dc_link.l_total, t_s / c_end
         scanned = rec_link
 
@@ -576,20 +719,22 @@ def _step_batch(
             link's end-to-end LC mode has omega*T_s of order one, where the
             fully explicit update amplifies the oscillation each step; the
             symplectic form is neutrally stable at the same cost."""
-            i_z = rec_i_z[j + 1]
+            i_z = i_z_rows[j + 1]
             i_conv = (0.0 + i_z[:, 0] + i_z[:, 1] + i_z[:, 2]).tolist()
             for row, (v_mmc1, v_mmc2, i_link) in enumerate(rec_link[j].tolist()):
                 i_link += dt_l * (v_mmc2 - v_mmc1)
                 v_mmc1 += dt_c * (i_link - i_conv[2 * row])
                 v_mmc2 += dt_c * (-i_link - i_conv[2 * row + 1])
                 rec_link[j + 1, row] = v_mmc1, v_mmc2, i_link
-            bus[:] = rec_link[j + 1, :, :2].reshape(n_conv, 1)
-            np.add(ff_col, droop_gain * (bus - v_dc), out=i_z_base)
+            bus[...] = rec_link[j + 1, :, :2].reshape(n_conv, 1)
+            droop = np.subtract(bus, v_dc, out=i_z_base)
+            np.multiply(droop_gain, droop, out=droop)
+            np.add(ff, droop, out=i_z_base)
 
         def bus_current(m):
             """The link stage wrote the line current step by step."""
     else:
-        droop_gain = 0.0
+        droop_gain = np.array(0.0)
         scanned = None   # an ideal bus has no state that can fail
 
         def link(j):
@@ -599,9 +744,9 @@ def _step_batch(
             """Each row's current from the ideal bus over the chunk's m steps."""
             z = rec_i_z[1 : m + 1]
             rec_link[1 : m + 1, :, 2] = 0.0 + z[..., 0] + z[..., 1] + z[..., 2]
-    bus = np.full((n_conv, 1), v_dc)
-    i_z_base = ff_col + droop_gain * (bus - v_dc)
+    np.add(ff, droop_gain * (bus - v_dc), out=i_z_base)
 
+    omega = grid.omega
     failed: dict[int, SimulationDiverged] = {}
     for k0 in range(0, steps, _SCAN_STEPS):
         m = min(_SCAN_STEPS, steps - k0)
@@ -610,18 +755,22 @@ def _step_batch(
         # reference part of each step's deadbeat drive, K' * i_ref + v_s,
         # and each row's policy per step.
         phase_cos = np.array(
-            [math.cos(grid.omega * (k * t_s) + off) for k in range(k0, k0 + m + 1)
+            [math.cos(omega * (k * t_s) + off) for k in range(k0, k0 + m + 1)
              for off in _PHASE_OFFSETS]
         ).reshape(m + 1, 3)
-        rec_i_ref = amp_col * phase_cos[1:, None, :]
-        v_s_table = grid.amplitude * phase_cos
-        drive_table = k_prime * rec_i_ref + v_s_table[:-1, None, :]
+        i_ref = np.multiply(amp_col, phase_cos[1:, None, :], out=rec_i_ref[:m])
+        v_s = np.multiply(grid.amplitude, phase_cos[:, None, :], out=v_s_table[: m + 1])
+        drive = np.multiply(k_prime, i_ref, out=drive_table[:m])
+        np.add(drive, v_s[:-1], out=drive)
         in_force = [
             np.searchsorted(times, np.arange(k0, k0 + m) * t_s, side="right")
             for times in event_times
         ]
         policies = [names.take(f).tolist() for names, f in zip(choice_names, in_force)]
-        status_first = np.repeat([s.take(f) for s, f in zip(choice_status, in_force)], n_mmc, 0)
+        row_status = list(zip(*(s.take(f).tolist() for s, f in zip(choice_status, in_force))))
+        for status in set(row_status) - status_tables.keys():
+            status_tables[status] = np.repeat(status, rec_u[0].size // n_rows).reshape(sm)
+        status_by_step = [status_tables[status] for status in row_status]
 
         for j in range(m):
             targets(j)
@@ -639,18 +788,18 @@ def _step_batch(
         by_row = (m, n_rows, n_legs)
         row_v_dc = np.repeat(rec_link[now, :, :n_mmc], 3, axis=-1)
         row_i_dc = np.repeat(rec_link[now, :, 2:], n_legs, axis=-1)
-        row_v_arm = rec_v_arm[now].reshape(*by_row, 2)
+        row_v_up, row_v_low = (rec_v_arm[now, a].reshape(by_row) for a in (0, 1))
         row_v_c = rec_v_c[now].reshape(*by_row, 2 * n)
         row_u = rec_u[now].reshape(*by_row, 2 * n)
         row_i, row_i_ref, row_i_z = (
-            x.reshape(by_row) for x in (rec_i[now], rec_i_ref, rec_i_z[now]))
+            x.reshape(by_row) for x in (rec_i[now], rec_i_ref[:m], rec_i_z[now]))
         for row, row_policy in enumerate(policies):
             if row not in failed:
                 consume(row, RunRecord(
                     times=np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s,
                     labels=list(labels), policy=row_policy,
                     i=row_i[:, row], i_ref=row_i_ref[:, row], i_z=row_i_z[:, row],
-                    v_up=row_v_arm[:, row, :, 0], v_low=row_v_arm[:, row, :, 1],
+                    v_up=row_v_up[:, row], v_low=row_v_low[:, row],
                     v_c=row_v_c[:, row], u=row_u[:, row],
                     v_dc_link=row_v_dc[:, row], i_dc_link=row_i_dc[:, row],
                 ))

@@ -230,17 +230,26 @@ def test_rank_equals_the_two_pass_sort_on_stacked_arms(n):
     i_arm = rng.choice([0.0, -0.0, 150.0, -150.0], shape) * rng.uniform(0.5, 2.0, shape)
     assert np.any(np.signbit(i_arm) & (i_arm == 0.0)) and np.any(~np.signbit(i_arm) & (i_arm == 0.0))
     mixed = rng.random(shape) < 0.5
+    # The kernel's tables: each SM's policy and the flat index of its arm.
+    arm = np.broadcast_to(np.arange(i_arm.size).reshape(*shape, 1), v_c.shape).copy()
+
+    def rank(status_first):
+        table = np.broadcast_to(status_first[..., None], v_c.shape)
+        return _rank(v_c, u, i_arm, table, arm, np.empty(v_c.shape, np.int64))
+
     for f1v2 in (np.zeros(shape, bool), np.ones(shape, bool), mixed):
-        order = _rank(v_c, u, i_arm, f1v2 * _STATUS_FIRST)
+        order = rank(f1v2 * _STATUS_FIRST)
         assert order.shape == v_c.shape
-        for arm in np.ndindex(shape):
-            policy = SortPolicy.F1V2 if f1v2[arm] else SortPolicy.V1F2
-            reference = sort_arm(_arm(v_c[arm], u[arm], float(i_arm[arm])), policy, STOCK_PARAMS)
-            assert order[arm].tolist() == reference.order.tolist(), (arm, policy)
-    # A policy per leg row broadcasts over the row's arms, as the kernel's does.
+        for arm_index in np.ndindex(shape):
+            policy = SortPolicy.F1V2 if f1v2[arm_index] else SortPolicy.V1F2
+            reference = sort_arm(
+                _arm(v_c[arm_index], u[arm_index], float(i_arm[arm_index])), policy, STOCK_PARAMS)
+            assert order[arm_index].tolist() == reference.order.tolist(), (arm_index, policy)
+    # A policy per leg row, broadcast over the row's arms, ranks as its
+    # full table does.
     rows = mixed[:, :1, :1]
-    assert np.array_equal(_rank(v_c, u, i_arm, rows * _STATUS_FIRST),
-                          _rank(v_c, u, i_arm, np.broadcast_to(rows, shape) * _STATUS_FIRST))
+    assert np.array_equal(rank(rows * _STATUS_FIRST),
+                          rank(np.broadcast_to(rows, shape) * _STATUS_FIRST))
 
 
 # ------------------------------------------------------ insertion counts

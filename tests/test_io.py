@@ -44,9 +44,11 @@ from mmcsim.errors import ConfigError, ContractError, SimulationDiverged
 from mmcsim.metrics import RunRecord, summarize
 from mmcsim.model import ConverterParams
 from mmcsim.testbench import (
+    _KERNEL_BUDGET,
     DcLink,
     GridSource,
     Scenario,
+    _kernel_bytes,
     build_stock_system,
     run_scenario,
     simulate,
@@ -314,6 +316,27 @@ def test_every_benchmark_config_parses(seed):
             assert configs, (name, kind)
             for file, text in configs.items():
                 assert isinstance(parse_config(text), RunConfig), (name, kind, file)
+
+
+@pytest.mark.parametrize("mode, converters", [("ideal_dc", 1), ("back_to_back", 2)])
+def test_an_arm_whose_kernel_tables_exceed_the_budget_is_refused(monkeypatch, capsys,
+                                                                 mode, converters):
+    # The largest n_sm whose tables fit a 1,000-step run, by their byte
+    # count alone; parse_config allocates none of them.
+    fits, over = 1, 10**6
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if _kernel_bytes(mid, 1, converters, 1000) <= _KERNEL_BUDGET:
+            fits = mid
+        else:
+            over = mid
+    text = "[converter]\nn_sm = {}\n[scenario]\nmode = %s\nduration = 0.025\n" % mode
+    assert parse_config(text.format(fits)).params.n == fits
+    with pytest.raises(ConfigError, match=rf"^\[converter\] n_sm = {over}: .* over its budget of 256 MiB"):
+        parse_config(text.format(over))
+    monkeypatch.setattr(cli, "_load_config", lambda path: parse_config(text.format(over)))
+    assert main(["run", "any.ini"]) == 2
+    assert "[converter] n_sm" in capsys.readouterr().err
 
 
 def test_decimation_must_be_positive():

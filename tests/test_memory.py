@@ -16,6 +16,7 @@ window add nothing.  The CSV writer formats a table of about
 cell of such a table.
 """
 
+import dataclasses
 import logging
 import shutil
 import tracemalloc
@@ -27,7 +28,14 @@ from mmcsim.cli import main
 from mmcsim.config import parse_config
 from mmcsim.csvio import _BLOCK_CELLS, TimeSeriesSink, _block_steps, _step_dtype, _write_rows
 from mmcsim.metrics import RunRecord, SummaryAccumulator
-from mmcsim.testbench import _summarize_batch, run_scenario
+from mmcsim.testbench import (
+    Scenario,
+    _kernel_bytes,
+    _step_batch,
+    _summarize_batch,
+    build_stock_system,
+    run_scenario,
+)
 
 CONFIG = """
 [converter]
@@ -195,3 +203,18 @@ def test_formatting_a_table_holds_bounded_temporaries(tmp_path, n):
         peak = _peak(write)
         assert f.tell() > 0
     assert peak <= FORMAT_BYTES_PER_CELL * _BLOCK_CELLS, peak
+
+
+@pytest.mark.parametrize("n, mode", [(6, "back_to_back"), (48, "ideal_dc"), (400, "ideal_dc")])
+def test_the_kernel_holds_the_tables_its_budget_counts(n, mode):
+    # parse_config bounds n_sm by ``_kernel_bytes``; the kernel's peak is
+    # those tables, plus its lists of row views and a step's temporaries,
+    # under 0.5 MiB together.
+    params, grid, link, _ = build_stock_system()
+    params = dataclasses.replace(params, n=n)
+    power = (13.18e6,) if mode == "ideal_dc" else (13.18e6, -13.18e6)
+    scenario = Scenario(duration=0.005, mode=mode, p_set=power)
+    peak = _peak(lambda: _step_batch([scenario], lambda row, record: None,
+                                     params=params, grid=grid, dc_link=link))
+    tables = _kernel_bytes(n, 1, scenario.n_converters, 200)
+    assert tables <= peak < tables + (1 << 19)

@@ -1,7 +1,11 @@
 """Unit tests for the grid/DC-link surroundings and the run engine."""
 
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -434,6 +438,45 @@ def test_simulate_is_deterministic():
     assert np.array_equal(a.v_c, b.v_c)
     assert np.array_equal(a.u, b.u)
     assert a.policy == b.policy
+
+
+def _scratch_call(which: int) -> str:
+    """SHA-256 of the records of a call: 0 is a stock back-to-back
+    ``simulate`` at n = 6, 1 an n = 48 ideal-bus batch of two rows."""
+    params, grid, link, _ = build_stock_system()
+    if which == 0:
+        scenario = Scenario(duration=0.005, events=[(0.002, SortPolicy.F1V2)],
+                            mode="back_to_back", p_set=(13.18e6, -13.18e6))
+        records = [simulate(scenario, params=params, grid=grid, dc_link=link)]
+    else:
+        records = testbench._simulate_batch(
+            [Scenario(duration=0.005, events=events, mode="ideal_dc", p_set=(13.18e6,))
+             for events in ([], [(0.001, SortPolicy.F1V2)])],
+            params=dataclasses.replace(params, n=48), grid=grid, dc_link=link)
+    digest = hashlib.sha256()
+    for record in records:
+        for name, value in sorted(vars(record).items()):
+            digest.update(repr((name, getattr(value, "shape", None),
+                                getattr(value, "dtype", None))).encode())
+            digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    return digest.hexdigest()
+
+
+def test_calls_in_one_process_give_the_bytes_of_fresh_ones():
+    # The kernel's tables and scratch are the call's own: a call after
+    # others, of another size and batch width, gives what a fresh
+    # process's first call gives.  Both calls cross a chunk boundary.
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here])}
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", f"import test_testbench as t; print(t._scratch_call({which}))"],
+            cwd=here, env=env, capture_output=True, text=True, timeout=300, check=True,
+        ).stdout.split()[-1]
+        for which in (0, 1)
+    ]
+    assert [_scratch_call(which) for which in (0, 1, 0)] == [*fresh, fresh[0]]
 
 
 def test_run_scenario_defaults_window_to_whole_run():
