@@ -488,8 +488,8 @@ def _step_batch(
     ``_SCAN_STEPS`` long.  It is no generator, so the ``errstate`` holds
     while the records are built, where failed rows' sums overflow.
 
-    Every numpy call of a step takes operands of one shape, C-contiguous
-    (or a 0-d array), and writes into a table of
+    Every elementwise numpy call of a step takes operands of one shape,
+    C-contiguous (or a 0-d array), and writes into a table of
     :func:`_kernel_tables`: numpy's fast path.  Where one value serves
     many elements (a converter's bus, an arm's target or current, a
     row's policy), a table repeats it, built once per call or per chunk,
@@ -497,7 +497,9 @@ def _step_batch(
     operation keeps the operands and the order of the per-phase scalar
     formulas, so the bytes are theirs.  Only the SM-axis reductions
     (``add.reduce``, ``add.accumulate``, ``matmul``) and the sort see a
-    whole arm.  Every index is in range by construction, so each ``take``
+    whole arm: they read each arm's contiguous run of SMs, the first two
+    and ``matmul`` through views in arm-major order.  Every index is in
+    range by construction, so each ``take``
     runs with ``mode="clip"``, which only spares numpy the bounds check
     and the buffered copy of ``out`` that the default mode makes.
     """
@@ -565,7 +567,7 @@ def _step_batch(
     tables["pair_at"][...] = np.array([[0, 0, 1, 1], [2, 3, 2, 3]])[:, None, None] + 4 * leg_of_sm[..., 0]
     # Candidate counts by the number c of prefix sums <= v*: (c-1, c)
     # clamped to [0, n], so out-of-range targets give one count twice.
-    bracket = np.clip(np.arange(n + 2)[:, None] + np.array([-1, 0]), 0, n)
+    bracket = np.clip(np.arange(n + 2)[:, None] + np.array([-1, 0]), 0, n).astype(np.intp)
     tables["weights"][0] = params.w / (2.0 * params.K_prime)
     tables["weights"][1] = params.w_z * t_s / (2.0 * params.l_arm)
 
