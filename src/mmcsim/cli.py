@@ -9,11 +9,13 @@
   both metric sets side by side together with the switching-frequency
   ratio b/a.
 * ``metrics <csv> [--window t0 t1]`` recomputes the summary metrics of
-  a persisted run, from the sidecar ``<csv>.rec`` if it matches the CSV.
-  The sidecar names the run's decimation: when the run kept one step in
-  k > 1, a WARNING says that the metrics come from the kept samples
-  only.  A CSV parsed without its sidecar cannot tell.  A WARNING also
-  names a ``--window`` that ends after the record's last sample.
+  a persisted run from the sidecar ``<csv>.rec`` that ``run`` wrote
+  beside the CSV; the CSV is an export for other tools.  A sidecar that
+  is missing or does not match the CSV is refused (exit 2), naming the
+  CSV and the reason.  The sidecar names the run's decimation: when the
+  run kept one step in k > 1, a WARNING says that the metrics come from
+  the kept samples only.  A WARNING also names a ``--window`` that ends
+  after the record's last sample.
 
 Each command ends in one report path (:func:`_report`): it writes the
 report text to ``<stem>.txt`` and its numbers to ``<stem>.json`` in the
@@ -39,7 +41,6 @@ from .csvio import (
     TimeSeriesSink,
     _sidecar,
     format_metrics_text,
-    read_record_blocks,
     write_report,
 )
 from .errors import ConfigError
@@ -143,14 +144,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    # Summarized block by block as read: from the sidecar if it matches, else the CSV.
+    # Summarized block by block as the sidecar is read.
     blocks = _sidecar(args.csv)
-    decimation = next(blocks, None)
-    log.info("metrics: %s %s", "parsing" if decimation is None else "reading the sidecar of",
-             args.csv)
-    if decimation is None:
-        blocks = read_record_blocks(args.csv)
-    elif decimation > 1:
+    decimation = next(blocks)
+    if decimation > 1:
         log.warning("metrics: %s holds one step in %d of its run (decimation %d): fs_* and the"
                     " other window metrics come from the kept samples only",
                     args.csv, decimation, decimation)
@@ -192,8 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("config_b", help="alternative configuration")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_met = sub.add_parser("metrics", help="recompute metrics from a run CSV")
-    p_met.add_argument("csv", help="path to a run.csv produced by `run`")
+    p_met = sub.add_parser(
+        "metrics", help="recompute metrics from the sidecar `run` wrote beside its CSV"
+    )
+    p_met.add_argument("csv", help="path to a run.csv produced by `run`, beside its .rec sidecar")
     p_met.add_argument(
         "--window",
         nargs=2,

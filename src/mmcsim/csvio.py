@@ -1,18 +1,19 @@
 """Deterministic CSV persistence of run records, and the report files.
 
-One row per (time step, phase); floats are serialized with 17
-significant digits so a reloaded file reproduces the in-memory doubles
-bit for bit.  The column layout is fixed at sink creation:
+The CSV is an export for other tools: one row per (time step, phase),
+floats serialized with 17 significant digits so that a parser that
+rounds like ``float()`` gets the in-memory doubles back bit for bit.
+The column layout is fixed at sink creation:
 
     t,phase,i,i_ref,i_z,v_up,v_low,v_c_1..v_c_<2n>,u_1..u_<2n>,
     v_dc_link,i_dc_link,policy
 
 The phases are ``a, b, c`` or ``1a`` to ``2c``, in that order, the
 policies ``V1F2`` or ``F1V2`` (:class:`.SortPolicy`), and switch
-statuses ``u_*`` are 0 or 1: the writer refuses to write and the loader
-refuses to load anything else.  The sink keeps every k-th step
-(its decimation), counting steps across its calls, so a run handed over
-in chunks writes the bytes of one call with the whole record.
+statuses ``u_*`` are 0 or 1: the writer refuses to write anything
+else.  The sink keeps every k-th step (its decimation), counting steps
+across its calls, so a run handed over in chunks writes the bytes of
+one call with the whole record.
 
 The writer builds each table's text as one byte array: every float
 cell is the ``%.17g`` text of :func:`._float_text.float_text`, computed
@@ -30,23 +31,15 @@ step's policy is its index in :class:`.SortPolicy`.  The CSV
 is formatted from the sidecar's tables, by a writer process that reads
 them back (see :class:`TimeSeriesSink`), so a run steps while its CSV
 is written.
-``mmcsim metrics`` reads the sidecar (:func:`_sidecar`) when it names
-the CSV's size and CRC-32, and so knows the decimation; the CSV alone
-does not tell it.
+``mmcsim metrics`` reads a run back from the sidecar alone
+(:func:`_sidecar`), and only when the sidecar names the CSV's size and
+CRC-32; it refuses anything else, naming the reason.  The sidecar also
+names the decimation, which the CSV cannot tell.  It is read in blocks
+of whole steps, so ``metrics`` holds one block of per-SM state, and a
+block's arrays are views of its table.
 
 The layout is defined once, as a structured row dtype that
-``csv_columns`` derives from.  The loader reads the file once, in lines
-split where ``numpy.loadtxt`` splits rows, and parses it in blocks of
-whole steps, the lines of each in one ``numpy.loadtxt`` call, whose C
-parser rounds like ``float()``.  It checks each block with array
-operations as it comes, names a refused row's line from the lines it
-holds (bytes that are not UTF-8 too, read as lone surrogates), and
-takes the record's arrays by field name.  The first data row's phase
-gives the run's phases, and every block but the last holds whole steps,
-since its rows are a multiple of six.  ``mmcsim metrics`` summarizes
-the blocks as they are read (:func:`read_record_blocks`), so its memory
-holds one block of per-SM state; :func:`load_record_csv` joins them.  A
-block's arrays, from the CSV or the sidecar, are views of its table.
+``csv_columns`` and the sidecar's step dtype derive from.
 :func:`write_report` writes each command's report files: the text it
 prints, and its numbers as sorted JSON.
 """
@@ -54,7 +47,6 @@ prints, and its numbers as sorted JSON.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import pickle
@@ -72,8 +64,6 @@ from .metrics import _PHASES, RunRecord, SummaryMetrics, _binary_statuses, _row_
 __all__ = [
     "csv_columns",
     "TimeSeriesSink",
-    "load_record_csv",
-    "read_record_blocks",
     "format_metrics_text",
     "write_report",
 ]
@@ -396,186 +386,66 @@ class TimeSeriesSink:
                 raise   # else the caller's exception goes on unchanged
 
 
-def load_record_csv(path: str) -> RunRecord:
-    """Reload a persisted run into a RunRecord (bit-exact floats): the
-    blocks of :func:`read_record_blocks`, joined.
-
-    Raises ContractError, naming the 1-based line of the file, when a line
-    is not UTF-8 text, a row has the wrong number of fields, the first row
-    has a phase other than ``a`` or ``1a``, a row breaks the phase order
-    that phase starts, holds a field that is not a number or a status
-    other than 0 or 1, has a policy other than ``V1F2`` or ``F1V2``, has
-    a time or a policy other than the first row of its step, has a time
-    that is not finite, or starts a step earlier than the step before.
-    """
-    blocks = list(read_record_blocks(path))
-    return RunRecord(
-        labels=blocks[0].labels,
-        policy=[p for block in blocks for p in block.policy],
-        **{name: np.concatenate([getattr(block, name) for block in blocks])
-           for name in _ARRAYS},
-    )
+# Steps read from a sidecar at once: those of about 2**15 CSV fields
+# (4n + 10 a row), in a multiple of six rows, so that a block holds whole
+# steps of three or six phases.  It bounds the per-SM state `metrics`
+# holds, and sets its time and peak RSS.
+_READ_FIELDS = 1 << 15
 
 
-# Fields parsed at once, about: blocks of whole steps of three or six
-# phases, whatever the number of SMs, which bounds a block's memory.
-_LOAD_CELLS = 1 << 15
-
-
-def _block_rows(n_fields: int) -> int:
-    """Data rows parsed at once, for rows of ``n_fields`` fields: a
-    multiple of six, so that every block but a file's last holds whole
-    steps of three or six phases, as :func:`read_record_blocks` relies on."""
-    return max(6, _LOAD_CELLS // n_fields // 6 * 6)
-
-
-def _sidecar_blocks(path: str) -> Iterator[RunRecord]:
-    """The blocks of :func:`read_record_blocks`, from the sidecar of the CSV
-    at ``path`` (:func:`_sidecar`)."""
-    return itertools.islice(_sidecar(path), 1, None)
+def _read_steps(n: int, n_phases: int) -> int:
+    """Steps of a sidecar read at once, for ``n`` SMs per arm and ``n_phases`` phases."""
+    return max(6, _READ_FIELDS // (4 * n + 10) // 6 * 6) // n_phases
 
 
 def _sidecar(path: str) -> Iterator:
-    """The decimation the run kept its steps at, then the blocks of
-    :func:`read_record_blocks`, from the sidecar of the CSV at ``path``;
-    nothing unless the sidecar matches its CRC-32, holds a step and
-    names the CSV's byte size and CRC-32."""
-    try:
-        f = open(path + _SIDECAR, "rb")
-    except OSError:
-        return
-    with f:
+    """The decimation the run kept its steps at, then the run's record in
+    blocks of ``_read_steps`` steps, from the sidecar of the CSV at ``path``.
+
+    Raises ContractError, naming the CSV and the reason, when the CSV or
+    its sidecar cannot be read, the sidecar is cut short or of another
+    layout, does not match its CRC-32, names another CSV's byte size and
+    CRC-32, or holds no step.
+    """
+    rec = path + _SIDECAR
+
+    def refuse(reason: str) -> NoReturn:
+        raise ContractError(f"{path!r}: {reason}")
+
+    def opened(name: str, what: str):
         try:
-            body = f.seek(-_FOOTER, os.SEEK_END)   # OSError when the file is shorter
-            footer = f.read()
-            f.seek(0)
-            if footer[12:] != _MAGIC or _crc32(f, body + 8).to_bytes(4, "little") != footer[8:12]:
-                return
-            length = int.from_bytes(footer[:8], "little")
-            f.seek(body - length)
-            meta = json.loads(f.read(length))
-            with open(path, "rb") as csv:
-                size = os.fstat(csv.fileno()).st_size
-                if not meta["labels"] or meta["csv"] != [size, _crc32(csv, size)]:
-                    return
-        except OSError:
-            return
+            return open(name, "rb")
+        except OSError as exc:
+            refuse(f"cannot read {what} ({exc.strerror})")
+
+    with opened(path, "the CSV") as csv, opened(rec, f"its sidecar {rec!r}") as f:
+        try:
+            body = f.seek(-_FOOTER, os.SEEK_END)
+        except OSError:   # shorter than a footer
+            body = -1
+        footer = f.read()
+        if body < 0 or footer[12:] != _MAGIC:
+            refuse(f"its sidecar is cut short or of another layout than {_MAGIC.decode()}")
+        f.seek(0)
+        if _crc32(f, body + 8).to_bytes(4, "little") != footer[8:12]:
+            refuse("its sidecar is corrupt: it does not match its CRC-32")
+        length = int.from_bytes(footer[:8], "little")
+        f.seek(body - length)
+        meta = json.loads(f.read(length))
+        size = os.fstat(csv.fileno()).st_size
+        if meta["csv"] != [size, _crc32(csv, size)]:
+            refuse("its sidecar is stale: it names another CSV's byte size and CRC-32"
+                   " (an edited CSV, or another run's sidecar)")
+        if not meta["labels"]:
+            refuse("the run kept no step: the CSV contains no data rows")
         yield meta["decimation"]
         labels, policies = meta["labels"], list(_POLICIES)
         dtype = _step_dtype(meta["n"], len(labels))
-        steps = (body - length) // dtype.itemsize
-        block = max(1, _block_rows(len(csv_columns(meta["n"]))) // len(labels))
         f.seek(0)
-        for table in _tables(f, dtype, steps, block):
-            yield _block_record(table, labels, [policies[j] for j in table["policy"].tolist()],
-                                table["times"])
-
-
-def _block_record(table, labels: list[str], policy: list[str], times: np.ndarray) -> RunRecord:
-    """The RunRecord of a block read into ``table``, whose arrays are views of it."""
-    return RunRecord(times=times, labels=labels, policy=policy,
-                     **{name: table[name] for name in _ARRAYS[1:]})
-
-
-def read_record_blocks(path: str) -> Iterator[RunRecord]:
-    """Yield the record of a run CSV as the file is read, in blocks of
-    whole steps, each checked as :func:`load_record_csv` describes.
-
-    A block is ``_block_rows`` rows, about ``_LOAD_CELLS`` fields, parsed
-    in one ``numpy.loadtxt`` call from the lines it holds: whole steps,
-    but where the file ends inside a step, which is refused.  Its arrays
-    are views of the block's table.  A defect is named when its block is
-    read, after the blocks before it.
-    """
-    # Bytes that are not UTF-8 decode to lone surrogates, which a block
-    # finds when it encodes its lines again.
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
-        header = f.readline()
-        _check_utf8(path, 1, header)
-        header = header.rstrip("\r\n").split(",")
-        n2 = sum(1 for c in header if c.startswith("v_c_"))
-        if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
-            raise ContractError(f"{path!r} does not match the run CSV schema")
-        dtype = _row_dtype(n2 // 2)
-        rows = _block_rows(len(header))
-
-        def refuse(bad: np.ndarray, what: str) -> None:
-            """Raise ContractError naming the line of the first row flagged in ``bad``."""
-            if bad.any():
-                raise ContractError(f"{path!r}: line {block[np.argmax(bad)][0]} {what}")
-
-        # Lines end at \n, \r\n or \r, where numpy.loadtxt ends rows,
-        # and, as it does, a line that is a line ending alone is skipped.
-        lines = ((no, line) for no, line in enumerate(f, start=2) if line.rstrip("\r\n"))
-        labels = None   # the run's phases, from the first row
-        last_t = -np.inf
-        # (line number, text) of each row of the table: row k is block[k]
-        while block := list(itertools.islice(lines, rows)):
-            text = [line for _, line in block]
-            try:
-                if not all(map(str.isascii, text)):
-                    "".join(text).encode()   # UnicodeEncodeError, a ValueError, if not UTF-8
-                table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError:
-                _name_bad_line(block, path, dtype, len(header))
-                raise ContractError(f"{path!r}: numeric fields do not parse") from None
-
-            phase = table["phase"]
-            if labels is None:
-                labels = next((p for p in _PHASES.values() if p[0] == phase[0]), None)
-                refuse(np.array([labels is None]), "starts with a phase other than a or 1a")
-            n_cols = len(labels)
-            refuse(phase != np.resize(labels, phase.size), "breaks the phase ordering")
-            if phase.size % n_cols:   # a block short of whole steps is the file's last
-                refuse(np.arange(phase.size) == phase.size - 1,
-                       f"ends the file inside a step of {n_cols} phases")
-            step = table.reshape(-1, n_cols)
-            policy = step["policy"]
-            refuse(policy != policy[:, :1], "has a policy other than its step's first row")
-            refuse(~np.isin(policy, list(_POLICIES)),
-                   f"has a policy other than {' or '.join(_POLICIES)}")
-            refuse(~_binary_statuses(table["u"]), "has a switch status other than 0 or 1")
-            # Every row of a step repeats the step's time text, hence its bits.
-            t_bits = step["t"].view(np.int64)
-            refuse(t_bits != t_bits[:, :1], "has a time other than its step's first row")
-            times = step["t"][:, 0]
-            refuse((~np.isfinite(times)).repeat(n_cols), "has a time that is not finite")
-            refuse((times < np.r_[last_t, times[:-1]]).repeat(n_cols), "goes back in time")
-            # The fields between the phase label and the policy are the
-            # RunRecord arrays of the same names.
-            yield _block_record(step, list(labels), policy[:, 0].tolist(), times)
-            last_t = times[-1]
-            del block, text, table, phase, step   # before the next block is read
-        if labels is None:
-            raise ContractError(f"{path!r} contains no data rows")
-
-
-def _check_utf8(path: str, no: int, line: str) -> None:
-    """Raise ContractError when ``line``, line ``no`` of ``path`` as read
-    with ``surrogateescape``, is not UTF-8 text."""
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ContractError(
-            f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
-        ) from None
-
-
-def _name_bad_line(block: list, path: str, dtype: np.dtype, n_fields: int) -> None:
-    """Raise ContractError naming the first line of ``block``, if any,
-    that is not UTF-8 text, whose field count is wrong or that does not
-    parse on its own."""
-    for no, line in block:
-        _check_utf8(path, no, line)
-        fields = line.count(",") + 1
-        if fields != n_fields:
-            raise ContractError(f"{path!r}: line {no} has {fields} fields, expected {n_fields}")
-        try:
-            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
-        except ValueError as exc:
-            raise ContractError(
-                f"{path!r}: line {no} has a field that does not parse ({exc})"
-            ) from None
+        for table in _tables(f, dtype, (body - length) // dtype.itemsize,
+                             _read_steps(meta["n"], len(labels))):
+            yield RunRecord(labels=labels, policy=[policies[j] for j in table["policy"].tolist()],
+                            **{name: table[name] for name in _ARRAYS})
 
 
 def format_metrics_text(metrics: SummaryMetrics) -> str:

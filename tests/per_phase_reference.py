@@ -24,15 +24,20 @@ kernel and the paper's formulas against:
   ``reference_summarize``, the per-phase, per-SM loop over them that
   ``mmcsim.metrics.summarize`` replaces with one array pass, its
   converters grouped by their labels' text (``_mmc_groups``);
-* the run CSV: ``oracle_load``, the per-field loader, and
-  ``whole_file_load_record_csv``, the loader that parses and checks the
-  whole file at once, whose errors the block-wise loader must repeat.
+* the run CSV, an export the package writes but does not read:
+  ``oracle_load``, the per-field loader; ``whole_file_load_record_csv``,
+  the loader that parses and checks the whole file at once; and
+  ``read_csv_blocks``, the parse in blocks of whole steps, each checked
+  as it comes, whose errors must be the whole-file load's and whose
+  blocks a run's sidecar must hold one for one
+  (``blockwise_load_record_csv`` joins them).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -884,4 +889,102 @@ def _check_row(path: str, no: int, line: str, dtype: np.dtype, n_fields: int) ->
     except ValueError as exc:
         raise ContractError(
             f"{path!r}: line {no} has a field that does not parse ({exc})"
+        ) from None
+
+
+def blockwise_load_record_csv(path: str, rows: int | None = None) -> RunRecord:
+    """The blocks of :func:`read_csv_blocks`, joined."""
+    blocks = list(read_csv_blocks(path, rows))
+    return RunRecord(
+        labels=blocks[0].labels,
+        policy=[p for block in blocks for p in block.policy],
+        **{name: np.concatenate([getattr(block, name) for block in blocks])
+           for name in ("times", *_row_dtype(1).names[2:-1])},
+    )
+
+
+def parse_block_rows(n_fields: int) -> int:
+    """Data rows parsed at once by default, for rows of ``n_fields``
+    fields: about 2**15 fields, a multiple of six rows, so that every
+    block but a file's last holds whole steps of three or six phases."""
+    return max(6, (1 << 15) // n_fields // 6 * 6)
+
+
+def read_csv_blocks(path: str, rows: int | None = None) -> Iterator[RunRecord]:
+    """Yield the record of a run CSV in blocks of ``rows`` data rows
+    (default :func:`parse_block_rows`), whole steps, each parsed in one
+    ``numpy.loadtxt`` call from the lines it holds and checked as it
+    comes: a defect raises the ContractError that
+    :func:`whole_file_load_record_csv` raises for it, when its block is
+    read, after the blocks before it.  Lines end at ``\n``, ``\r\n``
+    or ``\r``, where ``numpy.loadtxt`` ends rows; a block's arrays are
+    views of its table."""
+    # Bytes that are not UTF-8 decode to lone surrogates, which a block
+    # finds when it encodes its lines again.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        header = f.readline()
+        _check_utf8(path, 1, header)
+        dtype, n_fields = _schema(path, header)
+        rows = rows or parse_block_rows(n_fields)
+
+        def refuse(bad: np.ndarray, what: str) -> None:
+            """Raise ContractError naming the line of the first row flagged in ``bad``."""
+            if bad.any():
+                raise ContractError(f"{path!r}: line {block[np.argmax(bad)][0]} {what}")
+
+        # As numpy.loadtxt does, a line that is a line ending alone is skipped.
+        lines = ((no, line) for no, line in enumerate(f, start=2) if line.rstrip("\r\n"))
+        labels = None   # the run's phases, from the first row
+        last_t = -np.inf
+        # (line number, text) of each row of the table: row k is block[k]
+        while block := list(itertools.islice(lines, rows)):
+            text = [line for _, line in block]
+            try:
+                if not all(map(str.isascii, text)):
+                    "".join(text).encode()   # UnicodeEncodeError, a ValueError, if not UTF-8
+                table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                for no, line in block:
+                    _check_utf8(path, no, line)
+                    _check_row(path, no, line, dtype, n_fields)
+                raise ContractError(f"{path!r}: numeric fields do not parse") from None
+
+            phase = table["phase"]
+            if labels is None:
+                labels = {"a": ["a", "b", "c"],
+                          "1a": ["1a", "1b", "1c", "2a", "2b", "2c"]}.get(phase[0])
+                refuse(np.array([labels is None]), "starts with a phase other than a or 1a")
+            n_cols = len(labels)
+            refuse(phase != np.resize(labels, phase.size), "breaks the phase ordering")
+            if phase.size % n_cols:   # a block short of whole steps is the file's last
+                refuse(np.arange(phase.size) == phase.size - 1,
+                       f"ends the file inside a step of {n_cols} phases")
+            step = table.reshape(-1, n_cols)
+            policy = step["policy"]
+            refuse(policy != policy[:, :1], "has a policy other than its step's first row")
+            refuse((policy != "V1F2") & (policy != "F1V2"), "has a policy other than V1F2 or F1V2")
+            u = table["u"]
+            refuse(((u != 0) & (u != 1)).any(axis=1), "has a switch status other than 0 or 1")
+            # Every row of a step repeats the step's time text, hence its bits.
+            t_bits = step["t"].view(np.int64)
+            refuse(t_bits != t_bits[:, :1], "has a time other than its step's first row")
+            times = step["t"][:, 0]
+            refuse((~np.isfinite(times)).repeat(n_cols), "has a time that is not finite")
+            refuse((times < np.r_[last_t, times[:-1]]).repeat(n_cols), "goes back in time")
+            yield RunRecord(times=times, labels=list(labels), policy=policy[:, 0].tolist(),
+                            **{name: step[name] for name in dtype.names[2:-1]})
+            last_t = times[-1]
+            del block, text, table, phase, step   # before the next block is read
+        if labels is None:
+            raise ContractError(f"{path!r} contains no data rows")
+
+
+def _check_utf8(path: str, no: int, line: str) -> None:
+    """Raise ContractError when ``line``, line ``no`` of ``path`` as read
+    with ``surrogateescape``, is not UTF-8 text."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(
+            f"{path!r}: line {no} is not UTF-8 text (byte {exc.start + 1}: {exc.reason})"
         ) from None

@@ -10,24 +10,23 @@ import warnings
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmcsim
 from mmcsim import testbench
 from mmcsim.cli import OUTPUT_DIR_ENV, main
 from mmcsim.config import parse_config
-from mmcsim.csvio import (
-    TimeSeriesSink,
-    _sidecar_blocks,
-    format_metrics_text,
-    load_record_csv,
-    read_record_blocks,
-    write_report,
-)
+from mmcsim.csvio import TimeSeriesSink, _sidecar, format_metrics_text, write_report
 from mmcsim.errors import SimulationDiverged
 from mmcsim.metrics import SummaryMetrics, summarize
 from mmcsim.testbench import _SCAN_STEPS, run_scenario, simulate
-from per_phase_reference import oracle_load, reference_summarize
+from per_phase_reference import (
+    oracle_load,
+    read_csv_blocks,
+    reference_summarize,
+    whole_file_load_record_csv,
+)
 
 SMALL_CONFIG = """
 [scenario]
@@ -62,35 +61,41 @@ def _decimated(csv_path, decimation):
             f" {decimation}): fs_* and the other window metrics come from the kept samples only")
 
 
-def _metrics(capsys, caplog, csv_path, *options, reads_sidecar=True, decimation=1):
-    """Run ``mmcsim metrics`` on a CSV that ``run`` wrote, twice: with the
-    sidecar beside it (read unless ``reads_sidecar`` is false), then, with
-    the sidecar deleted, from the CSV text.  Each must name the source it
-    read, and the sidecar pass of a run at ``decimation`` > 1 must warn of
-    it, once; the parse cannot know it.  Both must exit alike, print the
-    same text and leave the same report bytes, or none.  Returns the exit
-    code and the captured output of the parse, whose report stays."""
+def _metrics(capsys, caplog, csv_path, *options, decimation=1):
+    """Run ``mmcsim metrics`` on a CSV that ``run`` wrote, which it reads
+    from the sidecar beside it.  It logs nothing but, for a run at
+    ``decimation`` > 1, one WARNING of it.  Returns the exit code and the
+    captured output."""
+    caplog.set_level(logging.INFO, logger="mmcsim.cli")
+    capsys.readouterr()
+    caplog.clear()
+    code = main(["metrics", str(csv_path), *options])
+    assert caplog.messages == [_decimated(str(csv_path), decimation)] * (decimation > 1)
+    return code, capsys.readouterr()
+
+
+def _refused(capsys, csv_path, reason):
+    """``mmcsim metrics`` refuses the CSV at ``csv_path`` for ``reason``
+    (``{rec}`` the sidecar's path): exit 2, an error that names the CSV
+    and the reason, nothing printed and no report written."""
     csv_path = str(csv_path)
     out = os.environ.get(OUTPUT_DIR_ENV) or os.path.dirname(csv_path)
     stem = os.path.splitext(os.path.basename(csv_path))[0]
-    reports = [os.path.join(out, f"{stem}.metrics.{ext}") for ext in ("txt", "json")]
-    caplog.set_level(logging.INFO, logger="mmcsim.cli")
     capsys.readouterr()
-    runs = []
-    for source in ("reading the sidecar of" if reads_sidecar else "parsing", "parsing"):
-        for path in reports:
-            if os.path.exists(path):
-                os.remove(path)
-        caplog.clear()
-        code = main(["metrics", csv_path, *options])
-        warned = [_decimated(csv_path, decimation)] * (source != "parsing" and decimation > 1)
-        assert caplog.messages == [f"metrics: {source} {csv_path}", *warned]
-        written = [Path(path).read_bytes() if os.path.exists(path) else None for path in reports]
-        runs.append((code, capsys.readouterr(), written))
-        if os.path.exists(csv_path + ".rec"):
-            os.remove(csv_path + ".rec")
-    assert runs[0] == runs[1]
-    return runs[1][:2]
+    assert main(["metrics", csv_path]) == 2
+    reason = reason.format(rec=repr(csv_path + ".rec"))
+    assert capsys.readouterr() == ("", f"error: {csv_path!r}: {reason}\n")
+    assert not list(Path(out).glob(f"{stem}.metrics.*"))
+
+
+# Why ``metrics`` refuses a CSV (see ``_refused``).
+NO_CSV = "cannot read the CSV (No such file or directory)"
+NO_SIDECAR = "cannot read its sidecar {rec} (No such file or directory)"
+CUT_SHORT = "its sidecar is cut short or of another layout than mmcsim-rec-3"
+CORRUPT = "its sidecar is corrupt: it does not match its CRC-32"
+STALE = ("its sidecar is stale: it names another CSV's byte size and CRC-32"
+         " (an edited CSV, or another run's sidecar)")
+NO_STEP = "the run kept no step: the CSV contains no data rows"
 
 
 def _write_metrics_report(metrics, text_path, json_path):
@@ -137,17 +142,13 @@ def _report_numbers(text):
 
 
 @pytest.mark.parametrize("env", [False, True], ids=["config_dir", "env_dir"])
-@pytest.mark.parametrize("command", ["run", "compare", "metrics_sidecar", "metrics_parse"])
-def test_each_report_file_holds_what_its_command_prints(
-    workdir, monkeypatch, capsys, caplog, command, env
-):
+@pytest.mark.parametrize("command", ["run", "compare", "metrics_sidecar"])
+def test_each_report_file_holds_what_its_command_prints(workdir, monkeypatch, capsys, command, env):
     cfg = _write(workdir, "a.ini", SMALL_CONFIG)
     out = workdir / "out"
     csv_path = str(out / "run.csv")
-    if command.startswith("metrics"):
+    if command == "metrics_sidecar":
         assert main(["run", cfg]) == 0
-        if command == "metrics_parse":
-            os.remove(csv_path + ".rec")
     if env:
         out = workdir / "elsewhere"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(out))
@@ -158,13 +159,9 @@ def test_each_report_file_holds_what_its_command_prints(
         args, stem = ["compare", cfg, _write(workdir, "b.ini", b)], "compare"
     else:
         args, stem = ["metrics", csv_path], "run.metrics"
-    caplog.set_level(logging.INFO, logger="mmcsim.cli")
     capsys.readouterr()
     assert main(args) == 0
     printed = capsys.readouterr().out
-    if command.startswith("metrics"):
-        source = "parsing" if command == "metrics_parse" else "reading the sidecar of"
-        assert caplog.messages[-1] == f"metrics: {source} {csv_path}"
     assert (out / f"{stem}.txt").read_bytes() == printed.encode()
     payload = json.loads((out / f"{stem}.json").read_text())
     if command == "compare":
@@ -209,7 +206,7 @@ def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys, caplo
     # Not the guess, the 60 kV bus over n = 6 SMs.
     assert _metrics(capsys, caplog, csv_path, "--sm-nominal", "9000")[0] == 0
     expected = (str(workdir / "expected.txt"), str(workdir / "expected.json"))
-    _write_metrics_report(summarize(load_record_csv(csv_path), None, 9000.0), *expected)
+    _write_metrics_report(summarize(whole_file_load_record_csv(csv_path), None, 9000.0), *expected)
     for ext in ("txt", "json"):
         report = (out / f"run.metrics.{ext}").read_bytes()
         assert report == (workdir / f"expected.{ext}").read_bytes()
@@ -231,7 +228,7 @@ def test_metrics_refuses_a_csv_whose_first_link_voltage_is_nan(workdir, capsys, 
     # Without --sm-nominal the nominal voltage is the first link voltage over n.
     assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
     csv_path = workdir / "out" / "run.csv"
-    record = load_record_csv(str(csv_path))
+    record = whole_file_load_record_csv(str(csv_path))
     record.v_dc_link[0, 0] = float("nan")
     with TimeSeriesSink(str(csv_path), record.n) as sink:
         sink.write_record(record)
@@ -284,18 +281,14 @@ def test_metrics_warns_of_a_window_that_ends_after_the_last_sample(workdir, caps
     csv_path = str(workdir / "out" / "run.csv")
     last = json.loads((workdir / "out" / "metrics.json").read_text())["window_end_s"]
     caplog.set_level(logging.INFO, logger="mmcsim.cli")
-    # From the sidecar, then parsed; a window that ends on the last sample is no warning.
-    for sidecar in (True, False):
-        for t1, warned in ((repr(last), []), ("2", [(
-            "WARNING", f"metrics: the window ends at 2.0 s, after the last sample of {csv_path}"
-            f" at {last!r} s: fs_* divide its transitions by the whole window",
-        )])):
-            caplog.clear()
-            assert main(["metrics", csv_path, "--window", "0", t1]) == 0
-            logged = [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno > logging.INFO]
-            assert logged == warned, sidecar
-        if sidecar:
-            os.remove(csv_path + ".rec")
+    # A window that ends on the last sample is no warning.
+    for t1, warned in ((repr(last), []), ("2", [(
+        "WARNING", f"metrics: the window ends at 2.0 s, after the last sample of {csv_path}"
+        f" at {last!r} s: fs_* divide its transitions by the whole window",
+    )])):
+        caplog.clear()
+        assert main(["metrics", csv_path, "--window", "0", t1]) == 0
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == warned
 
 
 def test_compare_identical_configs_gives_unit_ratio(workdir, capsys):
@@ -471,8 +464,11 @@ def test_run_refuses_a_csv_path_that_is_a_directory(workdir, capsys):
 
 
 def test_metrics_missing_csv_fails_cleanly(workdir, capsys):
-    assert main(["metrics", str(workdir / "absent.csv")]) == 2
-    assert "absent.csv" in capsys.readouterr().err
+    _refused(capsys, workdir / "absent.csv", NO_CSV)
+    # Beside the sidecar of its run, which needs the CSV it names.
+    csv_path = _run_small(workdir)
+    os.remove(csv_path)
+    _refused(capsys, csv_path, NO_CSV)
 
 
 def test_run_stops_when_a_capacitor_collapses(workdir, capsys):
@@ -489,7 +485,7 @@ def test_run_stops_when_a_capacitor_collapses(workdir, capsys):
     # steps [0, 256), as a run of 256 steps writes them.
     assert _SCAN_STEPS == 128
     left = (workdir / "out" / "run.csv").read_bytes()
-    record = load_record_csv(str(workdir / "out" / "run.csv"))
+    record = whole_file_load_record_csv(str(workdir / "out" / "run.csv"))
     assert record.steps == 256 and record.labels == ["a", "b", "c"]
     cfg = _write(
         workdir, "collapse_256.ini",
@@ -568,8 +564,8 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     for name in ("run.csv", "metrics.json"):
         assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
 
-    # ``metrics`` reads the sidecar, or the CSV, block by block; its report
-    # is that of the scalar oracle on the per-field load of the whole file.
+    # ``metrics`` reads the sidecar block by block; its report is that of
+    # the scalar oracle on the per-field load of the whole CSV.
     csv_path = str(workdir / "out" / "run.csv")
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
     loaded = oracle_load(csv_path)
@@ -591,12 +587,16 @@ def test_metrics_warns_once_that_a_decimated_sidecar_holds_kept_samples(
     length = int.from_bytes(data[-24:-16], "little")
     assert data[-12:] == b"mmcsim-rec-3"
     assert json.loads(data[-24 - length : -24])["decimation"] == decimation
-    caplog.set_level(logging.INFO, logger="mmcsim.cli")
-    caplog.clear()
-    assert main(["metrics", csv_path]) == 0
-    warned = [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno > logging.INFO]
-    assert warned == [("WARNING", _decimated(csv_path, decimation))] * (decimation > 1)
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
+    assert [r.levelname for r in caplog.records] == ["WARNING"] * (decimation > 1)
+
+
+@pytest.mark.parametrize("mode", ["ideal_dc", "back_to_back"])
+def test_metrics_refuses_a_decimated_run_whose_sidecar_is_deleted(workdir, capsys, mode):
+    # Its CSV cannot tell the decimation, and fs_* from its rows read up to 7 times low.
+    csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode=mode, decimation=7))
+    os.remove(csv_path + ".rec")
+    _refused(capsys, csv_path, NO_SIDECAR)
 
 
 def _relayout(csv_path, edit, magic):
@@ -612,20 +612,20 @@ def _relayout(csv_path, edit, magic):
     Path(csv_path + ".rec").write_bytes(data[:body] + tail + magic)
 
 
-def test_metrics_parses_beside_a_sidecar_of_the_first_layout(workdir, capsys, caplog):
+def test_metrics_refuses_beside_a_sidecar_of_the_first_layout(workdir, capsys):
     # The first layout's metadata had no decimation and its footer ended
     # "mmcsim-rec-1"; such a sidecar, whole and of this CSV, is not read.
     csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="ideal_dc", decimation=7))
     _relayout(csv_path, lambda meta: meta.pop("decimation"), b"mmcsim-rec-1")
-    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+    _refused(capsys, csv_path, CUT_SHORT)
 
 
-def test_metrics_parses_beside_a_sidecar_of_the_second_layout(workdir, capsys, caplog):
+def test_metrics_refuses_beside_a_sidecar_of_the_second_layout(workdir, capsys):
     # The second layout's metadata named the policies its indices point
     # at, and its footer ended "mmcsim-rec-2"; such a sidecar is not read.
     csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="back_to_back", decimation=7))
     _relayout(csv_path, lambda meta: meta.update(policies=["V1F2", "F1V2"]), b"mmcsim-rec-2")
-    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+    _refused(capsys, csv_path, CUT_SHORT)
 
 
 def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):
@@ -635,21 +635,7 @@ def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):
     lines = csv_path.read_text().splitlines(keepends=True)
     lines[3] = lines[3].split(",")[0] + "\n"
     csv_path.write_text("".join(lines))
-    capsys.readouterr()
-    assert main(["metrics", str(csv_path)]) == 2
-    assert "line 4 has 1 fields" in capsys.readouterr().err
-
-
-def test_metrics_names_a_line_that_is_not_utf8(workdir, capsys):
-    cfg = _write(workdir, "run.ini", SMALL_CONFIG)
-    assert main(["run", cfg]) == 0
-    csv_path = workdir / "out" / "run.csv"
-    lines = csv_path.read_bytes().splitlines(keepends=True)
-    lines[5] = lines[5][:4] + b"\xff" + lines[5][4:]
-    csv_path.write_bytes(b"".join(lines))
-    capsys.readouterr()
-    assert main(["metrics", str(csv_path)]) == 2
-    assert "line 6 is not UTF-8 text" in capsys.readouterr().err
+    _refused(capsys, csv_path, STALE)
 
 
 # ---------------------------------------------------------------- sidecar
@@ -660,7 +646,7 @@ def _run_small(workdir, text=SMALL_CONFIG, code=0):
     return str(workdir / "out" / "run.csv")
 
 
-def test_metrics_parses_a_csv_edited_to_the_same_size(workdir, capsys, caplog):
+def test_metrics_refuses_a_csv_edited_to_the_same_size(workdir, capsys):
     csv_path = _run_small(workdir)
     lines = Path(csv_path).read_text().splitlines(keepends=True)
     fields = lines[10].split(",")
@@ -669,10 +655,7 @@ def test_metrics_parses_a_csv_edited_to_the_same_size(workdir, capsys, caplog):
     lines[10] = ",".join(fields)
     Path(csv_path).write_text("".join(lines))
     assert os.path.getsize(csv_path) == sum(map(len, lines))
-    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
-    # The sidecar holds the run's record, whose report the edit changes.
-    report = (workdir / "out" / "run.metrics.txt").read_bytes()
-    assert report != (workdir / "out" / "metrics.txt").read_bytes()
+    _refused(capsys, csv_path, STALE)
 
 
 def _cut(data, at):
@@ -683,68 +666,97 @@ def _flip(data, at):
     return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
 
 
-@pytest.mark.parametrize("spoil", [
-    None,                               # deleted
-    lambda data: b"",
-    lambda data: _cut(data, len(data) - 1),
-    lambda data: _cut(data, len(data) // 2),
-    lambda data: _flip(data, len(data) - 1),    # the magic
-    lambda data: _flip(data, len(data) - 14),   # the CRC-32
-    lambda data: _flip(data, len(data) - 24),   # the metadata's length
-    lambda data: _flip(data, len(data) - 40),   # the metadata
-    lambda data: _flip(data, 100),              # a record
+@pytest.mark.parametrize("spoil, reason", [
+    (None, NO_SIDECAR),   # deleted
+    (lambda data: b"", CUT_SHORT),
+    (lambda data: _cut(data, len(data) - 1), CUT_SHORT),
+    (lambda data: _cut(data, len(data) // 2), CUT_SHORT),
+    (lambda data: _flip(data, len(data) - 1), CUT_SHORT),   # the magic
+    (lambda data: _flip(data, len(data) - 14), CORRUPT),    # the CRC-32
+    (lambda data: _flip(data, len(data) - 24), CORRUPT),    # the metadata's length
+    (lambda data: _flip(data, len(data) - 40), CORRUPT),    # the metadata
+    (lambda data: _flip(data, 100), CORRUPT),               # a record
 ], ids=["deleted", "empty", "cut_by_a_byte", "cut_in_half", "magic", "crc", "length",
         "metadata", "record"])
-def test_metrics_parses_when_the_sidecar_is_spoilt(workdir, capsys, caplog, spoil):
+def test_metrics_refuses_a_csv_whose_sidecar_is_spoilt(workdir, capsys, spoil, reason):
     csv_path = _run_small(workdir)
     sidecar = Path(csv_path + ".rec")
     if spoil is None:
         sidecar.unlink()
     else:
         sidecar.write_bytes(spoil(sidecar.read_bytes()))
-    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+    _refused(capsys, csv_path, reason)
 
 
-def test_metrics_parses_when_the_sidecar_is_of_another_run(workdir, monkeypatch, capsys, caplog):
+def test_metrics_refuses_a_csv_beside_the_sidecar_of_another_run(workdir, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(workdir / "other"))
     _run_small(workdir, SMALL_CONFIG.replace("p_set = 13.18e6", "p_set = 12e6"))
     monkeypatch.delenv(OUTPUT_DIR_ENV)
     csv_path = _run_small(workdir)
     Path(csv_path + ".rec").write_bytes((workdir / "other" / "run.csv.rec").read_bytes())
-    assert _metrics(capsys, caplog, csv_path, reads_sidecar=False)[0] == 0
+    _refused(capsys, csv_path, STALE)
 
 
-def test_metrics_of_a_csv_without_data_rows_exits_2_as_the_parser(workdir, capsys, caplog):
+def test_metrics_of_a_csv_without_data_rows_exits_2_as_the_parser(workdir, capsys):
     # 4 steps at decimation 50 keep none: a header, and a sidecar without steps.
     text = SMALL_CONFIG.replace("duration = 0.01", "duration = 0.0001")
     csv_path = _run_small(workdir, text.replace("decimation = 1", "decimation = 50"))
     assert os.path.exists(csv_path + ".rec")
-    code, captured = _metrics(capsys, caplog, csv_path, reads_sidecar=False)
-    assert code == 2
-    assert "contains no data rows" in captured.err
+    _refused(capsys, csv_path, NO_STEP)
+
+
+RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u", "v_dc_link",
+                 "i_dc_link")
+SIDECAR_CONFIG = """
+[converter]
+n_sm = {n}
+
+[scenario]
+mode = {mode}
+duration = 0.01
+policy_schedule = [(0.004, F1V2)]
+
+[output]
+decimation = {decimation}
+"""
 
 
 @pytest.mark.parametrize("text, code", [
     # Diverges at step 274 and leaves steps 0-255.
-    ("[converter]\nc_sm = 2e-5\n\n[scenario]\nmode = ideal_dc\nduration = 0.05\n"
-     "i_amp = 5000\n", 3),
-    ("[scenario]\nduration = 0.05\npolicy_schedule = [(0.02, F1V2)]\n\n"
-     "[output]\ndecimation = 50\n", 0),
-    ("[converter]\nn_sm = 48\n\n[scenario]\nmode = ideal_dc\nduration = 0.01\n"
-     "policy_schedule = [(0.0, F1V2)]\n", 0),
-], ids=["diverged", "back_to_back_decimation_50", "n_48"])
+    pytest.param("[converter]\nc_sm = 2e-5\n\n[scenario]\nmode = ideal_dc\nduration = 0.05\n"
+                 "i_amp = 5000\n", 3, id="diverged"),
+    pytest.param("[scenario]\nduration = 0.05\npolicy_schedule = [(0.02, F1V2)]\n\n"
+                 "[output]\ndecimation = 50\n", 0, id="back_to_back_decimation_50"),
+    pytest.param("[converter]\nn_sm = 48\n\n[scenario]\nmode = ideal_dc\nduration = 0.01\n"
+                 "policy_schedule = [(0.0, F1V2)]\n", 0, id="n_48"),
+    *(pytest.param(SIDECAR_CONFIG.format(n=n, mode=mode, decimation=decimation), 0,
+                   id=f"n_{n}_{mode}_decimation_{decimation}")
+      for n in (1, 6, 48) for mode in ("ideal_dc", "back_to_back") for decimation in (1, 7)),
+])
 def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog, text, code):
     csv_path = _run_small(workdir, text, code)
-    sidecar, parsed = list(_sidecar_blocks(csv_path)), list(read_record_blocks(csv_path))
+    blocks = _sidecar(csv_path)
+    decimation = next(blocks)
+    assert decimation == parse_config(text).decimation
+    sidecar, parsed = list(blocks), list(read_csv_blocks(csv_path))
     assert len(sidecar) == len(parsed) > 0
     for a, b in zip(sidecar, parsed):
         assert (a.labels, a.policy) == (b.labels, b.policy)
-        for name in ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
-                     "v_dc_link", "i_dc_link"):
+        for name in RECORD_ARRAYS:
             x, y = getattr(a, name), getattr(b, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
-    decimation = parse_config(text).decimation
+    # The blocks join to the whole file's load, and `metrics` reports what
+    # the scalar oracle does on it.
+    loaded = whole_file_load_record_csv(csv_path)
+    for name in RECORD_ARRAYS:
+        joined = np.concatenate([getattr(block, name) for block in sidecar])
+        assert joined.tobytes() == getattr(loaded, name).tobytes(), name
+    assert [p for block in sidecar for p in block.policy] == loaded.policy
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
+    expected = reference_summarize(
+        loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
+    )
+    assert (workdir / "out" / "run.metrics.txt").read_text() == format_metrics_text(expected)
 
 
 def test_run_and_metrics_load_no_openssl(tmp_path):
@@ -763,7 +775,6 @@ def test_run_and_metrics_load_no_openssl(tmp_path):
                            capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "False"
-    assert "mmcsim.cli: metrics: reading the sidecar of out/run.csv\n" in child.stderr
 
 
 def test_run_and_metrics_under_the_c_profiler_write_the_unprofiled_bytes(tmp_path):
@@ -778,13 +789,14 @@ def test_run_and_metrics_under_the_c_profiler_write_the_unprofiled_bytes(tmp_pat
     for name, profiler in (("plain", []), ("profiled", ["-m", "cProfile", "-o", "run.prof"])):
         (tmp_path / name).mkdir()
         (tmp_path / name / "run.ini").write_text(text)
-        for command in (["run", "run.ini"], ["metrics", "out/run.csv"]):
+        # The window ends after the last sample, at 0.02 s, which `metrics` warns of.
+        for command in (["run", "run.ini"], ["metrics", "out/run.csv", "--window", "0", "1"]):
             child = subprocess.run([sys.executable, *profiler, "-m", "mmcsim.cli", *command],
                                    cwd=tmp_path / name, env=env, capture_output=True, text=True,
                                    timeout=300)
             assert child.returncode == 0 and "error:" not in child.stderr, child.stderr
             if command[0] == "metrics":   # one logger name, however the CLI is started
-                assert "mmcsim.cli: metrics: reading the sidecar of out/run.csv\n" in child.stderr
+                assert "mmcsim.cli: metrics: the window ends at 1.0 s" in child.stderr
         out = tmp_path / name / "out"
         written.append([(out / f).read_bytes() for f in ("run.csv", "metrics.json", "run.metrics.json")])
     assert (tmp_path / "profiled" / "run.prof").stat().st_size > 0
@@ -811,7 +823,7 @@ def test_run_and_metrics_leave_no_file_descriptor_open(workdir, capsys):
     assert main(["metrics", csv_path, "--window", "0", "inf"]) == 2
     rec = Path(csv_path + ".rec")
     rec.write_bytes(_flip(rec.read_bytes(), 100))
-    assert main(["metrics", csv_path]) == 0
+    assert main(["metrics", csv_path]) == 2
     _run_small(workdir, "[scenario]\nduration = 0.01\n\n[output]\ndirectory = out\n")
     assert len(os.listdir("/proc/self/fd")) == fds
 

@@ -1,10 +1,13 @@
 """Unit tests for configuration parsing and the CSV/report persistence.
 
-The CSV writer formats only the cells that changed and the loader
-parses in C; ``OracleSink`` below and ``oracle_load`` (in
-``per_phase_reference``) are the per-field writer and loader they
-replaced, and the new ones must match them byte for byte and array by
-array.
+The CSV writer formats whole tables in numpy; ``OracleSink`` below is
+the per-field writer it replaced, and the two must write the same
+bytes.  The package reads a run back from its sidecar alone; the CSV's
+text is checked against the record by the loaders of
+``per_phase_reference``: ``oracle_load``, field by field,
+``whole_file_load_record_csv``, the whole file at once, and
+``read_csv_blocks``, in blocks of whole steps, which the sidecar's
+blocks must equal one for one.
 """
 
 import contextlib
@@ -33,11 +36,9 @@ from mmcsim.config import _FIELDS, _SCHEMA, RunConfig, parse_config, serialize_c
 from mmcsim.controller import SortPolicy
 from mmcsim.csvio import (
     TimeSeriesSink,
-    _sidecar_blocks,
+    _sidecar,
     csv_columns,
     format_metrics_text,
-    load_record_csv,
-    read_record_blocks,
     write_report,
 )
 from mmcsim.errors import ConfigError, ContractError, SimulationDiverged
@@ -53,7 +54,14 @@ from mmcsim.testbench import (
     run_scenario,
     simulate,
 )
-from per_phase_reference import oracle_load, whole_file_load_record_csv
+from per_phase_reference import (
+    blockwise_load_record_csv,
+    oracle_load,
+    parse_block_rows,
+    read_csv_blocks,
+    whole_file_load_record_csv,
+)
+import per_phase_reference
 
 RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
                  "v_dc_link", "i_dc_link")
@@ -386,7 +394,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     path = tmp_path / "run.csv"
     with TimeSeriesSink(str(path), params.n) as sink:
         sink.write_record(record)
-    loaded = load_record_csv(str(path))
+    loaded = whole_file_load_record_csv(str(path))
     assert loaded.labels == record.labels
     assert loaded.policy == record.policy
     for field in ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c",
@@ -414,7 +422,7 @@ def test_csv_round_trip_awkward_floats(tmp_path):
     path = tmp_path / "awkward.csv"
     with TimeSeriesSink(str(path), 1) as sink:
         sink.write_record(record)
-    loaded = load_record_csv(str(path))
+    loaded = whole_file_load_record_csv(str(path))
     for field in ("times", "i", "i_ref", "v_up", "v_low", "v_c", "i_dc_link"):
         assert np.array_equal(getattr(loaded, field), getattr(record, field)), field
     assert loaded.policy == ["V1F2", "F1V2"]
@@ -425,7 +433,7 @@ def test_csv_decimation_keeps_every_nth_step(tmp_path):
     path = tmp_path / "thin.csv"
     with TimeSeriesSink(str(path), params.n, decimation=40) as sink:
         sink.write_record(record)
-    loaded = load_record_csv(str(path))
+    loaded = whole_file_load_record_csv(str(path))
     assert loaded.steps == 2
     assert np.array_equal(loaded.times, record.times[[39, 79]])
 
@@ -449,21 +457,21 @@ def test_load_rejects_foreign_csv(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ContractError):
-        load_record_csv(str(path))
+        blockwise_load_record_csv(str(path))
 
 
 def test_load_rejects_headers_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(",".join(csv_columns(6)) + "\n")
     with pytest.raises(ContractError):
-        load_record_csv(str(path))
+        blockwise_load_record_csv(str(path))
     # Empty lines after the header are no data either, and numpy's
     # "input contained no data" warning must not reach the caller.
     path.write_text(",".join(csv_columns(6)) + "\n\n\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractError, match="contains no data rows"):
-            load_record_csv(str(path))
+            blockwise_load_record_csv(str(path))
 
 
 def test_sink_rejects_time_going_backwards_within_a_record(tmp_path):
@@ -488,7 +496,7 @@ def test_sink_refuses_a_time_that_is_not_finite(tmp_path, t, k):
         with pytest.raises(ContractError, match="a time that is not finite"):
             sink.write_record(replace(record, times=times))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
-    assert list(_sidecar_blocks(str(path))) == []
+    _assert_sidecar_refuses(str(path), NO_STEP)
 
 
 # ------------------------------------------------------ writer process
@@ -533,7 +541,7 @@ def test_sink_writes_in_one_writer_process(tmp_path, monkeypatch):
         sink.write_record(_steps(record, slice(30, None)))
     assert len(pids) == 1
     _assert_reaped(pids)
-    _assert_same_record(load_record_csv(str(tmp_path / "run.csv")), record)
+    _assert_same_record(whole_file_load_record_csv(str(tmp_path / "run.csv")), record)
 
 
 def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, capsys):
@@ -554,7 +562,7 @@ def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, ca
     assert main(["run", "one.ini"]) == 0
     capsys.readouterr()
     assert pids == []
-    assert load_record_csv(str(tmp_path / "out" / "run.csv")).steps == 1
+    assert whole_file_load_record_csv(str(tmp_path / "out" / "run.csv")).steps == 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -577,9 +585,9 @@ def test_a_failed_fork_raises_and_closes_its_pipes(tmp_path, monkeypatch):
     # The CSV and its sidecar are closed too, and the sidecar holds no
     # step the CSV lacks.
     assert len(os.listdir("/proc/self/fd")) == before
-    assert list(_sidecar_blocks(path)) == []
+    _assert_sidecar_refuses(path, CUT_SHORT)
     with pytest.raises(ContractError, match="contains no data rows"):
-        load_record_csv(path)
+        whole_file_load_record_csv(path)
 
 
 @pytest.mark.parametrize("raised", [NO_SPACE, KeyboardInterrupt()])
@@ -599,8 +607,8 @@ def test_a_write_failed_in_the_caller_leaves_no_sidecar_metadata(tmp_path, monke
     monkeypatch.undo()
     # The second call's steps reached neither file: the CSV is formatted
     # from the sidecar's tables.
-    _assert_same_record(load_record_csv(path), _steps(record, slice(None, 5)))
-    assert list(_sidecar_blocks(path)) == []
+    _assert_same_record(whole_file_load_record_csv(path), _steps(record, slice(None, 5)))
+    _assert_sidecar_refuses(path, CUT_SHORT)
 
 
 def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
@@ -639,7 +647,7 @@ def test_a_with_body_that_returns_raises_the_writer_failure(tmp_path, monkeypatc
     assert (info.value.errno, str(info.value)) == (errno.ENOSPC, str(NO_SPACE))
     assert len(pids) == 1
     _assert_reaped(pids)
-    assert list(_sidecar_blocks(path)) == []
+    _assert_sidecar_refuses(path, CUT_SHORT)
 
 
 def test_rows_that_end_before_the_sink_closes_end_no_sidecar(tmp_path, monkeypatch):
@@ -654,8 +662,8 @@ def test_rows_that_end_before_the_sink_closes_end_no_sidecar(tmp_path, monkeypat
         sink.close()
     _assert_reaped(pids)
     monkeypatch.undo()
-    _assert_same_record(load_record_csv(path), record)
-    assert list(_sidecar_blocks(path)) == []
+    _assert_same_record(whole_file_load_record_csv(path), record)
+    _assert_sidecar_refuses(path, CUT_SHORT)
 
 
 def test_run_exits_2_when_the_csv_writer_fails(tmp_path, monkeypatch, capsys):
@@ -699,7 +707,7 @@ def test_a_diverging_run_reaps_its_writer(tmp_path, monkeypatch):
             run_scenario(scenario, sink, params=params, grid=grid)
     assert len(pids) == 1
     _assert_reaped(pids)
-    assert load_record_csv(path).steps == 256
+    assert whole_file_load_record_csv(path).steps == 256
 
 
 class _CallerError(Exception):
@@ -722,11 +730,10 @@ def test_a_caller_exception_leaves_the_sink_unchanged(tmp_path, monkeypatch, rai
     _assert_reaped(pids)
     path = str(tmp_path / "run.csv")
     if not writer_fails:
-        _assert_same_record(load_record_csv(path), record)
-        _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+        _assert_sidecar_holds(path, record)
     else:
         # The writer failed: the sidecar has no metadata.
-        assert list(_sidecar_blocks(path)) == []
+        _assert_sidecar_refuses(path, CUT_SHORT)
 
 
 @contextlib.contextmanager
@@ -755,7 +762,7 @@ def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
         first.close()
         second.close()
     for name in ("first.csv", "second.csv"):
-        _assert_same_record(load_record_csv(str(tmp_path / name)), record)
+        _assert_same_record(whole_file_load_record_csv(str(tmp_path / name)), record)
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)], ids=["in-creation-order", "in-reverse"])
@@ -774,8 +781,7 @@ def test_three_open_sinks_close_in_either_order(tmp_path, monkeypatch, order):
     assert len(pids) == 3
     _assert_reaped(pids)
     for path in paths:
-        _assert_same_record(load_record_csv(path), record)
-        _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+        _assert_sidecar_holds(path, record)
 
 
 @pytest.mark.parametrize("raised", [NO_SPACE, KeyboardInterrupt()])
@@ -797,8 +803,8 @@ def test_a_sidecar_write_failed_after_the_fork_leaves_no_metadata(tmp_path, monk
     _assert_reaped(pids)
     # The second call's steps reached neither the sidecar nor, since the
     # writer reads them from it, the CSV.
-    _assert_same_record(load_record_csv(path), _steps(record, slice(None, 75)))
-    assert list(_sidecar_blocks(path)) == []
+    _assert_same_record(whole_file_load_record_csv(path), _steps(record, slice(None, 75)))
+    _assert_sidecar_refuses(path, CUT_SHORT)
 
 
 def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
@@ -828,8 +834,7 @@ def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
         assert (type(first), type(end)) == (int, int) and first < end
         assert len(pickle.dumps(message)) < 1024
     assert set(record.policy[:60]) == {"V1F2"} and set(record.policy[60:]) == {"F1V2"}
-    _assert_same_record(load_record_csv(path), record)
-    _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+    _assert_sidecar_holds(path, record)
 
 
 def test_a_sink_writes_both_files_after_the_working_directory_changes(tmp_path, monkeypatch):
@@ -845,8 +850,7 @@ def test_a_sink_writes_both_files_after_the_working_directory_changes(tmp_path, 
         sink.write_record(_steps(record, slice(1, None)))   # forks the writer
     assert len(pids) == 1
     path = str(tmp_path / "run.csv")
-    _assert_same_record(load_record_csv(path), record)
-    _assert_same_blocks(_sidecar_blocks(path), read_record_blocks(path))
+    _assert_sidecar_holds(path, record)
     assert os.listdir(tmp_path / "elsewhere") == []
 
 
@@ -883,8 +887,8 @@ def test_a_writer_whose_caller_dies_exits_without_returning(tmp_path):
         assert time.monotonic() < deadline, "the writer outlived its caller"
         time.sleep(0.01)
     assert after.read_text() == f"{caller} {writer}\n"
-    _assert_same_record(load_record_csv(path), record)
-    assert list(_sidecar_blocks(path)) == []
+    _assert_same_record(whole_file_load_record_csv(path), record)
+    _assert_sidecar_refuses(path, CUT_SHORT)
 
 
 def test_sink_rejects_a_record_with_other_phases(tmp_path):
@@ -895,8 +899,7 @@ def test_sink_rejects_a_record_with_other_phases(tmp_path):
         with pytest.raises(ContractError, match="record has phases"):
             sink.write_record(replace(_steps(record, slice(5, None)),
                                       labels=["1a", "1b", "1c", "2a", "2b", "2c"]))
-    _assert_same_record(load_record_csv(str(path)), _steps(record, slice(None, 5)))
-    _assert_same_blocks(_sidecar_blocks(str(path)), read_record_blocks(str(path)))
+    _assert_sidecar_holds(str(path), _steps(record, slice(None, 5)))
 
 
 @pytest.mark.parametrize("field", ["labels", "policy"])
@@ -1012,16 +1015,32 @@ def _check_against_oracles(tmp_path, record, decimation=1, split=None):
     with OracleSink(str(oracle_path), record.n) as sink:
         sink.write_record(record, decimation=decimation)
     assert new_path.read_bytes() == oracle_path.read_bytes()
-    _assert_same_record(load_record_csv(str(new_path)), oracle_load(str(oracle_path)))
-    _assert_same_blocks(_sidecar_blocks(str(new_path)), read_record_blocks(str(new_path)))
+    _assert_sidecar_holds(str(new_path), oracle_load(str(oracle_path)))
 
 
-def _assert_same_blocks(sidecar_blocks, parsed_blocks):
-    """The sidecar's blocks are the parsed blocks, array by array."""
-    sidecar, parsed = list(sidecar_blocks), list(parsed_blocks)
+def _assert_sidecar_holds(path, record):
+    """The CSV at ``path`` loads to ``record``, and its sidecar holds, block
+    for block and array by array, the blocks the CSV parses to."""
+    _assert_same_record(whole_file_load_record_csv(path), record)
+    blocks = _sidecar(path)
+    next(blocks)   # the decimation
+    sidecar, parsed = list(blocks), list(read_csv_blocks(path))
     assert len(sidecar) == len(parsed) > 0
     for a, b in zip(sidecar, parsed):
         _assert_same_record(a, b)
+
+
+# Why the sidecar of a sink that failed part-way, which ends without
+# metadata, or of a sink that kept no step is refused.
+CUT_SHORT = "its sidecar is cut short or of another layout than mmcsim-rec-3"
+NO_STEP = "the run kept no step: the CSV contains no data rows"
+
+
+def _assert_sidecar_refuses(path, reason):
+    """The sidecar of the CSV at ``path`` is refused for ``reason``."""
+    with pytest.raises(ContractError) as refused:
+        next(_sidecar(path))
+    assert reason in str(refused.value) and str(refused.value).startswith(f"{path!r}")
 
 
 @pytest.mark.parametrize("decimation", [1, 3])
@@ -1115,7 +1134,7 @@ def _set_field(row, j, text):
 
 
 def test_tiny_csv_is_valid(tmp_path, tiny_csv):
-    record = load_record_csv(_write_lines(tmp_path / "tiny.csv", tiny_csv))
+    record = blockwise_load_record_csv(_write_lines(tmp_path / "tiny.csv", tiny_csv))
     assert record.steps == 4 and record.labels == ["a", "b", "c"]
 
 
@@ -1139,7 +1158,7 @@ def test_load_names_the_line_of_a_mangled_row(tmp_path, tiny_csv, line, mangle, 
     lines = list(tiny_csv)
     lines[line - 1] = mangle(lines[line - 1])
     with pytest.raises(ContractError, match=message):
-        load_record_csv(_write_lines(tmp_path / "bad.csv", lines))
+        blockwise_load_record_csv(_write_lines(tmp_path / "bad.csv", lines))
 
 
 SWAPPED_ROWS = [
@@ -1157,19 +1176,19 @@ def test_load_names_the_line_of_swapped_rows(tmp_path, tiny_csv, swap, message):
     for a, b in swap:
         lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
     with pytest.raises(ContractError, match=message):
-        load_record_csv(_write_lines(tmp_path / "swapped.csv", lines))
+        blockwise_load_record_csv(_write_lines(tmp_path / "swapped.csv", lines))
 
 
 def test_load_names_a_row_whose_policy_differs_from_its_step(tmp_path, tiny_csv):
     lines = list(tiny_csv)
     lines[5] = _set_field(lines[5], 13, "F1V2")
     with pytest.raises(ContractError, match="line 6 has a policy other than its step's first row"):
-        load_record_csv(_write_lines(tmp_path / "policy.csv", lines))
+        blockwise_load_record_csv(_write_lines(tmp_path / "policy.csv", lines))
 
 
 def test_load_rejects_a_file_ending_inside_a_step(tmp_path, tiny_csv):
     with pytest.raises(ContractError, match="inside a step"):
-        load_record_csv(_write_lines(tmp_path / "cut.csv", tiny_csv[:-1]))
+        blockwise_load_record_csv(_write_lines(tmp_path / "cut.csv", tiny_csv[:-1]))
 
 
 def _mangle_row(lines, line, mangle):
@@ -1204,16 +1223,16 @@ def test_a_refused_csv_is_read_once(tmp_path, monkeypatch, tiny_csv, defect, mes
         opened.append(file)
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(csvio, "open", counted_open, raising=False)
+    monkeypatch.setattr(per_phase_reference, "open", counted_open, raising=False)
     with pytest.raises(ContractError, match=message):
-        load_record_csv(str(path))
+        blockwise_load_record_csv(str(path))
     assert opened == [str(path)] * opens
 
 
 def test_load_skips_empty_lines_and_counts_them_in_line_numbers(tmp_path, tiny_csv):
-    expected = load_record_csv(_write_lines(tmp_path / "plain.csv", tiny_csv))
+    expected = blockwise_load_record_csv(_write_lines(tmp_path / "plain.csv", tiny_csv))
     gapped = tiny_csv[:4] + [""] + tiny_csv[4:] + [""]
-    _assert_same_record(load_record_csv(_write_lines(tmp_path / "gap.csv", gapped)), expected)
+    _assert_same_record(blockwise_load_record_csv(_write_lines(tmp_path / "gap.csv", gapped)), expected)
     # File line 5 is empty; lines 6 and 7 are phases a and b of step 2.
     for line, mangle, message in [
         (6, lambda row: row.split(",")[0], "line 6 has 1 fields, expected 14"),
@@ -1228,14 +1247,14 @@ def test_load_skips_empty_lines_and_counts_them_in_line_numbers(tmp_path, tiny_c
         lines = list(gapped)
         lines[line - 1] = mangle(lines[line - 1])
         with pytest.raises(ContractError, match=message):
-            load_record_csv(_write_lines(tmp_path / "gap_bad.csv", lines))
+            blockwise_load_record_csv(_write_lines(tmp_path / "gap_bad.csv", lines))
 
 
 @pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
 def test_load_refuses_a_whitespace_only_line(tmp_path, tiny_csv, blank):
     lines = tiny_csv[:3] + [blank] + tiny_csv[3:]
     with pytest.raises(ContractError, match="line 4 has 1 fields, expected 14"):
-        load_record_csv(_write_lines(tmp_path / "blank.csv", lines))
+        blockwise_load_record_csv(_write_lines(tmp_path / "blank.csv", lines))
 
 
 @pytest.mark.parametrize(
@@ -1256,7 +1275,7 @@ def test_load_names_a_line_that_is_not_utf8(tmp_path, line, field):
     lines[line - 1] = b",".join(fields)
     path.write_bytes(b"".join(lines))
     with pytest.raises(ContractError, match=rf"line {line} is not UTF-8 text"):
-        load_record_csv(str(path))
+        blockwise_load_record_csv(str(path))
 
 
 def test_a_row_read_before_text_that_does_not_decode_names_its_defect(tmp_path):
@@ -1274,7 +1293,7 @@ def test_a_row_read_before_text_that_does_not_decode_names_its_defect(tmp_path):
         whole_file_load_record_csv(str(path))
     assert "line 3 has a field that does not parse" in str(whole.value)
     with pytest.raises(ContractError) as blocks:
-        load_record_csv(str(path))
+        blockwise_load_record_csv(str(path))
     assert str(blocks.value) == str(whole.value)
 
 
@@ -1307,7 +1326,7 @@ def test_sink_refuses_long_labels_and_policies(tmp_path):
         with pytest.raises(ContractError, match="'a_policy_name_longer.*not a SortPolicy name"):
             sink.write_record(record)
     assert path.read_text() == ",".join(csv_columns(1)) + "\n"
-    assert list(_sidecar_blocks(str(path))) == []
+    _assert_sidecar_refuses(str(path), NO_STEP)
 
 
 @pytest.mark.parametrize("field, name", [
@@ -1325,7 +1344,7 @@ def test_sink_refuses_what_its_loader_would_refuse_or_read_otherwise(tmp_path, f
         with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
             sink.write_record(replace(record, **{field: name}))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
-    assert list(_sidecar_blocks(str(path))) == []
+    _assert_sidecar_refuses(str(path), NO_STEP)
 
 
 _NOT_NUMBERS = st.one_of(
@@ -1360,13 +1379,33 @@ def _mangled(draw, lines):
     return lines
 
 
+@pytest.fixture(scope="module")
+def tiny_sidecar(tmp_path_factory, tiny_csv):
+    """The bytes of the sidecar that the sink writes beside ``tiny_csv``."""
+    path = tmp_path_factory.mktemp("tiny_run") / "tiny.csv"
+    record = oracle_load(_write_lines(path, tiny_csv))
+    with TimeSeriesSink(str(path), 1) as sink:
+        sink.write_record(record)
+    assert path.read_text().splitlines() == tiny_csv
+    return Path(f"{path}.rec").read_bytes()
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_mangled_csv_raises_contract_error_only(tmp_path, tiny_csv, data):
-    lines = data.draw(_mangled(tiny_csv))
+def test_mangled_csv_raises_contract_error_only(tmp_path, capsys, tiny_csv, tiny_sidecar, data):
+    # Beside the run's own sidecar, which `metrics` refuses as stale.
+    path = _write_lines(tmp_path / "mangled.csv", data.draw(_mangled(tiny_csv)))
+    Path(f"{path}.rec").write_bytes(tiny_sidecar)
     with pytest.raises(ContractError):
-        load_record_csv(_write_lines(tmp_path / "mangled.csv", lines))
+        blockwise_load_record_csv(path)
+    capsys.readouterr()
+    assert main(["metrics", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path!r}: its sidecar is stale: it names another CSV's byte size and CRC-32"
+        " (an edited CSV, or another run's sidecar)\n"
+    )
+    assert not list(tmp_path.glob("mangled.metrics.*"))
 
 # ------------------------------------------------- block-wise loading
 
@@ -1428,7 +1467,7 @@ def _bad_field(lines, r):
 @pytest.mark.parametrize("block", ["second", "last"])
 @pytest.mark.parametrize("block_steps", [3, 4, 8])
 def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
-    tmp_path, monkeypatch, capsys, twelve_steps, block_steps, block, defect
+    tmp_path, twelve_steps, block_steps, block, defect
 ):
     block_rows = 3 * block_steps   # a parse block is whole steps
     lines = list(twelve_steps)
@@ -1443,21 +1482,15 @@ def test_a_defect_in_a_later_block_names_the_line_the_whole_file_load_names(
     # The header and two empty lines come before data row r.
     assert f": line {r + 4} " in str(whole.value)
 
-    monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
     with pytest.raises(ContractError) as blocks:
-        load_record_csv(path)
+        blockwise_load_record_csv(path, block_rows)
     assert str(blocks.value) == str(whole.value)
-    capsys.readouterr()
-    assert main(["metrics", path]) == 2
-    assert capsys.readouterr().err == f"error: {whole.value}\n"
 
 
 @pytest.mark.parametrize("text", [b"nan", b"inf", b"-inf"])
 @pytest.mark.parametrize("step", [0, 5, 11])
 @pytest.mark.parametrize("block_rows", [3, None])
-def test_a_time_that_is_not_finite_is_named_by_its_line(
-    tmp_path, monkeypatch, capsys, twelve_steps, block_rows, step, text
-):
+def test_a_time_that_is_not_finite_is_named_by_its_line(tmp_path, twelve_steps, block_rows, step, text):
     lines = list(twelve_steps)
     for q in range(3 * step, 3 * step + 3):
         lines[1 + q] = _with_field(lines[1 + q], 0, text)
@@ -1466,37 +1499,25 @@ def test_a_time_that_is_not_finite_is_named_by_its_line(
     with pytest.raises(ContractError) as whole:
         whole_file_load_record_csv(path)
     assert str(whole.value) == message
-    if block_rows:
-        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
     with pytest.raises(ContractError) as blocks:
-        load_record_csv(path)
+        blockwise_load_record_csv(path, block_rows)
     assert str(blocks.value) == message
-    # With a window that holds the finite steps too.
-    for window in ([], ["--window", "0", "0.01"]):
-        capsys.readouterr()
-        assert main(["metrics", path, *window]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_a_csv_whose_lines_end_in_crlf_loads_as_with_lf(tmp_path, monkeypatch, capsys):
+def test_a_csv_whose_lines_end_in_crlf_loads_as_with_lf(tmp_path, monkeypatch):
     # A 0.02 s stock back-to-back run.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     (tmp_path / "run.ini").write_text("[scenario]\nduration = 0.02\n")
     assert main(["run", "run.ini"]) == 0
     lf = tmp_path / "out" / "run.csv"
-    os.remove(str(lf) + ".rec")
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    expected = load_record_csv(str(lf))
-    _assert_same_record(load_record_csv(str(crlf)), expected)
+    expected = blockwise_load_record_csv(str(lf))
+    _assert_sidecar_holds(str(lf), expected)
+    _assert_same_record(blockwise_load_record_csv(str(crlf)), expected)
     _assert_same_record(whole_file_load_record_csv(str(crlf)), expected)
     _assert_same_record(oracle_load(str(crlf)), expected)
-    capsys.readouterr()
-    assert main(["metrics", str(lf)]) == 0
-    report = capsys.readouterr().out
-    assert main(["metrics", str(crlf)]) == 0
-    assert capsys.readouterr().out == report
 
 
 @st.composite
@@ -1531,21 +1552,20 @@ def _line_ending_defect(draw, lines):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_a_line_ending_defect_loads_as_the_whole_file_load_does(
-    tmp_path, monkeypatch, twelve_steps, block_steps, data
+    tmp_path, twelve_steps, block_steps, data
 ):
     path = _write_byte_lines(tmp_path / "ends.csv", data.draw(_line_ending_defect(twelve_steps)))
     try:
         expected = whole_file_load_record_csv(path)
     except ContractError as exc:
         expected = exc
-    if block_steps:
-        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: 3 * block_steps)
+    rows = block_steps and 3 * block_steps
     if isinstance(expected, ContractError):
         with pytest.raises(ContractError) as blocks:
-            load_record_csv(path)
+            blockwise_load_record_csv(path, rows)
         assert str(blocks.value) == str(expected)
     else:
-        _assert_same_record(load_record_csv(path), expected)
+        _assert_same_record(blockwise_load_record_csv(path, rows), expected)
 
 
 @pytest.mark.parametrize("defect", [_not_utf8, _bad_field])
@@ -1561,15 +1581,13 @@ def test_a_row_after_a_bare_cr_has_one_line_number_whatever_its_defect(
     with pytest.raises(ContractError) as whole:
         whole_file_load_record_csv(path)
     with pytest.raises(ContractError) as blocks:
-        load_record_csv(path)
+        blockwise_load_record_csv(path)
     assert str(blocks.value) == str(whole.value)
     assert f"{path!r}: line 7 " in str(blocks.value)
 
 
 @pytest.mark.parametrize("block_rows", [3, None])
-def test_a_cr_in_the_policy_field_is_named_in_block_order(
-    tmp_path, monkeypatch, twelve_steps, block_rows
-):
+def test_a_cr_in_the_policy_field_is_named_in_block_order(tmp_path, twelve_steps, block_rows):
     # At 3 rows a block is a step, and data row 8 ends the third.  A \r
     # after its last comma splits it into a whole row whose policy is cut
     # (line 10) and a line of one field (line 11): two defects.
@@ -1580,10 +1598,8 @@ def test_a_cr_in_the_policy_field_is_named_in_block_order(
     with pytest.raises(ContractError) as whole:
         whole_file_load_record_csv(path)
     assert ": line 11 has 1 fields, expected 14" in str(whole.value)
-    if block_rows:
-        monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: block_rows)
     with pytest.raises(ContractError) as blocks:
-        load_record_csv(path)
+        blockwise_load_record_csv(path, block_rows)
     if block_rows:
         # The block that holds line 10 is checked before line 11 is parsed.
         assert str(blocks.value) == (
@@ -1595,18 +1611,17 @@ def test_a_cr_in_the_policy_field_is_named_in_block_order(
 
 @pytest.mark.parametrize("block_steps", [3, 4, 6, 8, 36])
 def test_block_wise_load_matches_the_per_field_load_without_a_warning(
-    tmp_path, monkeypatch, twelve_steps, block_steps
+    tmp_path, twelve_steps, block_steps
 ):
     # 12 steps: the last block of most sizes ends on the last line, so
     # the next read finds no rows, where numpy.loadtxt warns.
     lines = list(twelve_steps)
     gapped = lines[:5] + [b""] + lines[5:] + [b"", b""]
     path = _write_byte_lines(tmp_path / "gapped.csv", gapped)
-    monkeypatch.setattr(csvio, "_block_rows", lambda n_fields: 3 * block_steps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blocks = list(read_record_blocks(path))
-        loaded = load_record_csv(path)
+        blocks = list(read_csv_blocks(path, 3 * block_steps))
+        loaded = blockwise_load_record_csv(path, 3 * block_steps)
     _assert_same_record(loaded, oracle_load(path))
     assert sum(block.steps for block in blocks) == 12
     assert all(block.labels == ["a", "b", "c"] for block in blocks)
@@ -1615,41 +1630,34 @@ def test_block_wise_load_matches_the_per_field_load_without_a_warning(
 @pytest.mark.parametrize("n", [1, 6, 48, 400])
 def test_a_parse_block_holds_whole_steps_of_three_or_six_phases(n):
     assert len(csv_columns(n)) == 4 * n + 10
-    assert csvio._block_rows(4 * n + 10) % 6 == 0
+    rows = parse_block_rows(4 * n + 10)
+    assert rows % 6 == 0
+    # The sidecar is read in blocks of the same steps.
+    assert csvio._read_steps(n, 3) * 3 == csvio._read_steps(n, 6) * 6 == rows
 
 
-def _assert_refused_alike(path, message, capsys):
-    """The whole-file load, the block-wise load and ``mmcsim metrics`` of
-    ``path`` all refuse it with ``message``."""
-    for load in (whole_file_load_record_csv, load_record_csv):
+def _assert_refused_alike(path, message):
+    """The whole-file load and the block-wise load of ``path`` both refuse it with ``message``."""
+    for load in (whole_file_load_record_csv, blockwise_load_record_csv):
         with pytest.raises(ContractError) as refused:
             load(path)
         assert str(refused.value) == message
-    capsys.readouterr()
-    assert main(["metrics", path]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_the_parser_refuses_data_that_start_with_another_phase(tmp_path, capsys, twelve_steps):
+def test_the_parser_refuses_data_that_start_with_another_phase(tmp_path, twelve_steps):
     lines = list(twelve_steps)
     del lines[1]   # the data start with phase b
     path = _write_byte_lines(tmp_path / "b_first.csv", lines)
-    _assert_refused_alike(
-        path, f"{path!r}: line 2 starts with a phase other than a or 1a", capsys
-    )
+    _assert_refused_alike(path, f"{path!r}: line 2 starts with a phase other than a or 1a")
 
 
 @pytest.mark.parametrize("step", [0, 5, 11])
-def test_the_parser_refuses_a_policy_other_than_v1f2_or_f1v2(
-    tmp_path, capsys, twelve_steps, step
-):
+def test_the_parser_refuses_a_policy_other_than_v1f2_or_f1v2(tmp_path, twelve_steps, step):
     lines = list(twelve_steps)
     for q in range(3 * step, 3 * step + 3):
         lines[1 + q] = _with_field(lines[1 + q], -1, b"X")
     path = _write_byte_lines(tmp_path / "x.csv", lines)
-    _assert_refused_alike(
-        path, f"{path!r}: line {3 * step + 2} has a policy other than V1F2 or F1V2", capsys
-    )
+    _assert_refused_alike(path, f"{path!r}: line {3 * step + 2} has a policy other than V1F2 or F1V2")
 
 
 # --------------------------------------------------------------- reports

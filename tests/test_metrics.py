@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmcsim.controller import SortPolicy
-from mmcsim.csvio import TimeSeriesSink, load_record_csv
+from mmcsim.csvio import TimeSeriesSink
 from mmcsim.errors import ContractError, MetricWindowError
 from mmcsim.metrics import RunRecord, SummaryAccumulator, summarize
 from mmcsim.testbench import Scenario, build_stock_system, simulate
@@ -24,6 +24,7 @@ from per_phase_reference import (
     ripple_percent,
     switch_traces_from_history,
     tracking_rmse,
+    whole_file_load_record_csv,
 )
 
 
@@ -577,7 +578,7 @@ def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
     path = tmp_path / "run.csv"
     with TimeSeriesSink(str(path), params.n, 3) as sink:
         sink.write_record(record)
-    loaded = load_record_csv(str(path))
+    loaded = whole_file_load_record_csv(str(path))
     assert loaded.steps == record.steps // 3
     for window in _windows(loaded):
         got = summarize(loaded, window, params.v_sm_nominal)
