@@ -12,9 +12,10 @@
   a persisted run from the sidecar ``<csv>.rec`` that ``run`` wrote
   beside the CSV; the CSV is an export for other tools.  A sidecar that
   is missing or does not match the CSV is refused (exit 2), naming the
-  CSV and the reason.  The sidecar names the run's decimation: when the
-  run kept one step in k > 1, a WARNING says that the metrics come from
-  the kept samples only.  A WARNING also names a ``--window`` that ends
+  CSV and the reason.  The sidecar names the run's nominal SM voltage,
+  which the ripple is taken against, and its decimation: when the run
+  kept one step in k > 1, a WARNING says that the metrics come from the
+  kept samples only.  A WARNING also names a ``--window`` that ends
   after the record's last sample.
 
 Each command ends in one report path (:func:`_report`): it writes the
@@ -83,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     out_dir = _output_dir(config.output_dir)
     csv_path = os.path.join(out_dir, "run.csv")
-    with TimeSeriesSink(csv_path, config.params.n, config.decimation) as sink:
+    with TimeSeriesSink(csv_path, config.params, config.decimation) as sink:
         metrics = run_scenario(
             config.scenario,
             sink,
@@ -103,11 +104,8 @@ def _config_diff(a: RunConfig, b: RunConfig) -> list[str]:
     """Human-readable listing of non-schedule differences."""
     lines_a = serialize_config(_schedule_stripped(a)).splitlines()
     lines_b = serialize_config(_schedule_stripped(b)).splitlines()
-    diffs = []
-    for la, lb in itertools.zip_longest(lines_a, lines_b, fillvalue=""):
-        if la != lb:
-            diffs.append(f"  a: {la}\n  b: {lb}")
-    return diffs
+    pairs = itertools.zip_longest(lines_a, lines_b, fillvalue="")
+    return [f"  a: {la}\n  b: {lb}" for la, lb in pairs if la != lb]
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -129,12 +127,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     flat_a, flat_b = metrics_a.to_flat(), metrics_b.to_flat()
     fs_a, fs_b = metrics_a.fs_mean, metrics_b.fs_mean
-    if fs_a == fs_b:
-        ratio = 1.0
-    elif fs_a == 0.0:
-        ratio = math.inf
-    else:
-        ratio = fs_b / fs_a
+    ratio = fs_b / fs_a if fs_a else (1.0 if fs_b == 0.0 else math.inf)
 
     lines = [f"# a = {args.config_a}", f"# b = {args.config_b}"]
     lines += [f"{key} = {flat_a[key]:.17g} | {flat_b[key]:.17g}" for key in sorted(flat_a)]
@@ -146,19 +139,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     # Summarized block by block as the sidecar is read.
     blocks = _sidecar(args.csv)
-    decimation = next(blocks)
-    if decimation > 1:
+    meta = next(blocks)
+    if meta["decimation"] > 1:
         log.warning("metrics: %s holds one step in %d of its run (decimation %d): fs_* and the"
                     " other window metrics come from the kept samples only",
-                    args.csv, decimation, decimation)
-    first = next(blocks)
-    if args.sm_nominal is not None:
-        nominal = args.sm_nominal
-    else:
-        # In ideal-dc runs the recorded link voltage is the nominal bus.
-        nominal = float(first.v_dc_link[0, 0]) / first.n
-    summary = SummaryAccumulator(tuple(args.window) if args.window else None, nominal)
-    for block in itertools.chain([first], blocks):
+                    args.csv, meta["decimation"], meta["decimation"])
+    summary = SummaryAccumulator(tuple(args.window) if args.window else None, meta["v_sm_nominal"])
+    for block in blocks:
         summary.add(block)
     metrics = summary.result()
     if args.window and args.window[1] > summary.t_last:
@@ -199,11 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar=("T0", "T1"),
         help="evaluation window in seconds (default: 0 to the last sample time)",
-    )
-    p_met.add_argument(
-        "--sm-nominal",
-        type=float,
-        help="nominal SM voltage for ripple [V] (default: first-row bus / n)",
     )
     p_met.set_defaults(func=_cmd_metrics)
     return parser

@@ -26,15 +26,18 @@ A run hands the sink its record chunk by chunk, each a
 them into a sidecar, the CSV's path plus ``.rec``: fixed-layout records
 (``_step_dtype``), then, once the sink closes unless a write failed,
 JSON metadata (the byte size and CRC-32 of the CSV as written, ``n``,
-the labels, the decimation) and a footer ending ``mmcsim-rec-3``; a
-step's policy is its index in :class:`.SortPolicy`.  The CSV
+the labels, the decimation and the run's nominal SM voltage) and a
+footer ending ``mmcsim-rec-4``; a step's policy is its index in
+:class:`.SortPolicy`.  The CSV
 is formatted from the sidecar's tables, by a writer process that reads
 them back (see :class:`TimeSeriesSink`), so a run steps while its CSV
 is written.
 ``mmcsim metrics`` reads a run back from the sidecar alone
 (:func:`_sidecar`), and only when the sidecar names the CSV's size and
-CRC-32; it refuses anything else, naming the reason.  The sidecar also
-names the decimation, which the CSV cannot tell.  It is read in blocks
+CRC-32 and its metadata are of this layout; it refuses anything else,
+naming the reason.  The sidecar also names the decimation and the
+nominal SM voltage that the ripple is taken against, which the CSV
+cannot tell.  It is read in blocks
 of whole steps, so ``metrics`` holds one block of per-SM state, and a
 block's arrays are views of its table.
 
@@ -60,6 +63,7 @@ import numpy as np
 from .controller import SortPolicy
 from .errors import ConfigError, ContractError
 from .metrics import _PHASES, RunRecord, SummaryMetrics, _binary_statuses, _row_dtype
+from .model import ConverterParams
 
 __all__ = [
     "csv_columns",
@@ -78,7 +82,9 @@ _POLICIES = {policy.value: k for k, policy in enumerate(SortPolicy)}
 
 
 # A sidecar ends: JSON metadata, their length, the CRC-32 of all before, _MAGIC.
-_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-3"
+# _MAGIC names the layout: a change to _step_dtype or to _META bumps it.
+_SIDECAR, _MAGIC = ".rec", b"mmcsim-rec-4"
+_META = ("csv", "decimation", "labels", "n", "v_sm_nominal")   # the metadata keys, sorted
 _FOOTER = 8 + 4 + len(_MAGIC)
 # Bytes read at once for a CRC-32: 1 MiB reads cost 2 MiB of peak RSS.
 _IO_BYTES = 1 << 16
@@ -229,13 +235,14 @@ class TimeSeriesSink:
     Python 3.12 and later warn when a process with threads forks.
     """
 
-    def __init__(self, path: str, n: int, decimation: int = 1):
+    def __init__(self, path: str, params: ConverterParams, decimation: int = 1):
         if decimation < 1:
             raise ConfigError(f"decimation must be >= 1, got {decimation}")
         self.path = path
-        self.n = n
+        self.n = params.n
+        self.v_sm_nominal = params.v_sm_nominal   # what `metrics` takes the ripple against
         self.decimation = decimation
-        self.columns = csv_columns(n)
+        self.columns = csv_columns(self.n)
         self._steps = 0                  # steps given so far, kept or not
         self._last_t = -np.inf           # of the last kept step; -inf before one
         self._pid: int | None = None     # the writer process, once forked
@@ -352,7 +359,8 @@ class TimeSeriesSink:
                 csv = self._reap()
             if not self._broken:
                 meta = {"csv": csv,   # byte size, CRC-32
-                        "n": self.n, "labels": self._labels, "decimation": self.decimation}
+                        "n": self.n, "labels": self._labels, "decimation": self.decimation,
+                        "v_sm_nominal": self.v_sm_nominal}
                 tail = json.dumps(meta, sort_keys=True).encode()
                 tail += len(tail).to_bytes(8, "little")
                 tail += zlib.crc32(tail, self._rec_crc).to_bytes(4, "little")
@@ -399,15 +407,20 @@ def _read_steps(n: int, n_phases: int) -> int:
 
 
 def _sidecar(path: str) -> Iterator:
-    """The decimation the run kept its steps at, then the run's record in
-    blocks of ``_read_steps`` steps, from the sidecar of the CSV at ``path``.
+    """The sidecar's metadata, then the run's record in blocks of
+    ``_read_steps`` steps, from the sidecar of the CSV at ``path``.
 
     Raises ContractError, naming the CSV and the reason, when the CSV or
     its sidecar cannot be read, the sidecar is cut short or of another
     layout, does not match its CRC-32, names another CSV's byte size and
-    CRC-32, or holds no step.
+    CRC-32, or holds no step.  A sidecar whose CRC-32 matches is still
+    of another layout unless its metadata are a JSON object of the keys
+    ``_META``, with ``n`` and ``decimation`` ints > 0, the labels of a
+    run's phases and ``v_sm_nominal`` a finite float > 0, and its steps
+    are whole ones of the ``_step_dtype`` they name.
     """
     rec = path + _SIDECAR
+    layout = f"its sidecar is cut short or of another layout than {_MAGIC.decode()}"
 
     def refuse(reason: str) -> NoReturn:
         raise ContractError(f"{path!r}: {reason}")
@@ -425,25 +438,35 @@ def _sidecar(path: str) -> Iterator:
             body = -1
         footer = f.read()
         if body < 0 or footer[12:] != _MAGIC:
-            refuse(f"its sidecar is cut short or of another layout than {_MAGIC.decode()}")
+            refuse(layout)
         f.seek(0)
         if _crc32(f, body + 8).to_bytes(4, "little") != footer[8:12]:
             refuse("its sidecar is corrupt: it does not match its CRC-32")
-        length = int.from_bytes(footer[:8], "little")
-        f.seek(body - length)
-        meta = json.loads(f.read(length))
+        start = body - int.from_bytes(footer[:8], "little")   # of the metadata, after the steps
+        f.seek(max(start, 0))
+        try:   # any ValueError: not UTF-8, not JSON, or not of this layout
+            meta = json.loads(f.read(body - start) if start >= 0 else b"")
+            # The metadata the sink writes: labels are None where it kept no step.
+            if not (isinstance(meta, dict) and sorted(meta) == list(_META)
+                    and all(type(meta[key]) is int and meta[key] > 0 for key in ("n", "decimation"))
+                    and type(meta["v_sm_nominal"]) is float and 0.0 < meta["v_sm_nominal"] < np.inf
+                    and meta["labels"] in (None, *_PHASES.values())):
+                raise ValueError
+            labels, policies = meta["labels"] or [], list(_POLICIES)
+            dtype = _step_dtype(meta["n"], len(labels))   # a ValueError where n is too large
+            if start % dtype.itemsize:
+                raise ValueError
+        except ValueError:
+            refuse(layout)
         size = os.fstat(csv.fileno()).st_size
         if meta["csv"] != [size, _crc32(csv, size)]:
             refuse("its sidecar is stale: it names another CSV's byte size and CRC-32"
                    " (an edited CSV, or another run's sidecar)")
-        if not meta["labels"]:
+        if not labels:
             refuse("the run kept no step: the CSV contains no data rows")
-        yield meta["decimation"]
-        labels, policies = meta["labels"], list(_POLICIES)
-        dtype = _step_dtype(meta["n"], len(labels))
+        yield meta
         f.seek(0)
-        for table in _tables(f, dtype, (body - length) // dtype.itemsize,
-                             _read_steps(meta["n"], len(labels))):
+        for table in _tables(f, dtype, start // dtype.itemsize, _read_steps(meta["n"], len(labels))):
             yield RunRecord(labels=labels, policy=[policies[j] for j in table["policy"].tolist()],
                             **{name: table[name] for name in _ARRAYS})
 

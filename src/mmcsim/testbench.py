@@ -290,7 +290,9 @@ def simulate(
     back-to-back mode the bus-voltage droop.
 
     Raises :class:`ConfigError` when the DC link is outside the
-    stability bound of its update (:meth:`DcLink.check_step`), and
+    stability bound of its update (:meth:`DcLink.check_step`) or the
+    whole record would take more than ``_RECORD_BUDGET`` bytes (1 GiB;
+    nothing is allocated to check it), and
     :class:`SimulationDiverged`, naming the step, the phase and the
     state variable, when a phase current or a DC-link state turns
     non-finite or a capacitor voltage turns non-finite or non-positive.
@@ -342,16 +344,21 @@ def _simulate_batch(
     Returns, per scenario, what :func:`simulate` would give for it
     alone: its record, or the :class:`SimulationDiverged` that stopped
     it.  The chunks are gathered into one array per record field with a
-    row axis, of which each record is a view.
+    row axis, of which each record is a view.  Raises
+    :class:`ConfigError`, before it allocates them, when those arrays
+    would take more than ``_RECORD_BUDGET`` bytes.
     """
     labels = _PHASES[scenarios[0].mode]
     shape = (_steps(scenarios[0], params), len(scenarios), len(labels))
-    times = np.empty(shape[0])
     fields = _row_dtype(params.n)
-    arrays = {
-        name: np.empty((*shape, *fields[name].shape), fields[name].base)
-        for name in fields.names[2:-1]
-    }
+    names = fields.names[2:-1]
+    nbytes = shape[0] * 8 + math.prod(shape) * sum(fields[name].itemsize for name in names)
+    if nbytes > _RECORD_BUDGET:
+        raise ConfigError(f"[scenario] duration = {scenarios[0].duration!r} at [converter] n_sm ="
+                          f" {params.n}: the record would hold {nbytes / 2**20:.1f} MiB, over its"
+                          f" budget of {_RECORD_BUDGET / 2**20:.0f} MiB")
+    times = np.empty(shape[0])
+    arrays = {name: np.empty((*shape, *fields[name].shape), fields[name].base) for name in names}
     policies: list[list[str]] = [[] for _ in scenarios]
 
     def collect(row: int, record: RunRecord) -> None:
@@ -413,6 +420,11 @@ _SCAN_STEPS = 128
 # Bytes that the arrays of one run's kernel may take (:func:`_kernel_bytes`):
 # ``parse_config`` refuses a config whose ``[converter] n_sm`` needs more.
 _KERNEL_BUDGET = 256 * 2**20
+
+# Bytes that the whole record :func:`_simulate_batch` gathers may take:
+# the stock 3 s back-to-back run's is 119 MB, and 1 GiB holds about 27 s
+# of it.  ``run`` and ``compare`` stream their records and need none.
+_RECORD_BUDGET = 2**30
 
 
 def _kernel_tables(n: int, n_rows: int, n_mmc: int, steps: int) -> dict[str, tuple[tuple, type]]:

@@ -17,7 +17,15 @@ import mmcsim
 from mmcsim import testbench
 from mmcsim.cli import OUTPUT_DIR_ENV, main
 from mmcsim.config import parse_config
-from mmcsim.csvio import TimeSeriesSink, _sidecar, format_metrics_text, write_report
+from mmcsim.csvio import (
+    _MAGIC,
+    _META,
+    TimeSeriesSink,
+    _sidecar,
+    _step_dtype,
+    format_metrics_text,
+    write_report,
+)
 from mmcsim.errors import SimulationDiverged
 from mmcsim.metrics import SummaryMetrics, summarize
 from mmcsim.testbench import _SCAN_STEPS, run_scenario, simulate
@@ -91,7 +99,7 @@ def _refused(capsys, csv_path, reason):
 # Why ``metrics`` refuses a CSV (see ``_refused``).
 NO_CSV = "cannot read the CSV (No such file or directory)"
 NO_SIDECAR = "cannot read its sidecar {rec} (No such file or directory)"
-CUT_SHORT = "its sidecar is cut short or of another layout than mmcsim-rec-3"
+CUT_SHORT = "its sidecar is cut short or of another layout than mmcsim-rec-4"
 CORRUPT = "its sidecar is corrupt: it does not match its CRC-32"
 STALE = ("its sidecar is stale: it names another CSV's byte size and CRC-32"
          " (an edited CSV, or another run's sidecar)")
@@ -200,11 +208,12 @@ def test_metrics_reproduces_run_report(workdir, capsys, caplog):
 
 
 def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys, caplog):
-    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
+    # By the sidecar, which names it: here not the run's 60 kV bus over
+    # n = 6 SMs but 9 kV.
+    csv_path = _run_small(workdir)
     out = workdir / "out"
-    csv_path = str(out / "run.csv")
-    # Not the guess, the 60 kV bus over n = 6 SMs.
-    assert _metrics(capsys, caplog, csv_path, "--sm-nominal", "9000")[0] == 0
+    _relayout(csv_path, lambda meta: meta.update(v_sm_nominal=9000.0))
+    assert _metrics(capsys, caplog, csv_path)[0] == 0
     expected = (str(workdir / "expected.txt"), str(workdir / "expected.json"))
     _write_metrics_report(summarize(whole_file_load_record_csv(csv_path), None, 9000.0), *expected)
     for ext in ("txt", "json"):
@@ -213,28 +222,70 @@ def test_metrics_takes_the_sm_nominal_voltage_it_is_given(workdir, capsys, caplo
         assert report != (out / f"metrics.{ext}").read_bytes()
 
 
-@pytest.mark.parametrize("nominal", ["nan", "inf", "-inf"])
-def test_metrics_refuses_a_sm_nominal_voltage_that_is_not_finite(workdir, capsys, caplog, nominal):
-    assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
-    csv_path = workdir / "out" / "run.csv"
-    code, captured = _metrics(capsys, caplog, csv_path, f"--sm-nominal={nominal}")
-    assert code == 2
+def test_metrics_has_no_sm_nominal_option(workdir, capsys):
+    # The nominal voltage comes from the sidecar alone.
+    csv_path = _run_small(workdir)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        main(["metrics", csv_path, "--sm-nominal", "9000"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: nominal voltage must be finite and > 0, got {float(nominal)}\n"
+    assert "error: unrecognized arguments: --sm-nominal 9000" in captured.err
     assert not (workdir / "out" / "run.metrics.json").exists()
 
 
-def test_metrics_refuses_a_csv_whose_first_link_voltage_is_nan(workdir, capsys, caplog):
-    # Without --sm-nominal the nominal voltage is the first link voltage over n.
+@pytest.mark.parametrize("nominal", ["nan", "inf", "-inf", "0.0", "-1e-300"])
+def test_metrics_refuses_a_sm_nominal_voltage_that_is_not_finite(workdir, capsys, nominal):
+    # Nor > 0: a sidecar, whole by its CRC-32, that names such a nominal
+    # voltage is of another layout than the sink writes.
+    csv_path = _run_small(workdir)
+    _relayout(csv_path, lambda meta: meta.update(v_sm_nominal=float(nominal)))
+    _refused(capsys, csv_path, CUT_SHORT)
+
+
+def test_metrics_of_a_csv_whose_first_link_voltage_is_nan_takes_the_sidecar_nominal(
+    workdir, capsys, caplog
+):
+    # The first link voltage no longer names the nominal voltage: a record
+    # whose first one is NaN is summarized against the run's 10 kV.
     assert main(["run", _write(workdir, "run.ini", SMALL_CONFIG)]) == 0
     csv_path = workdir / "out" / "run.csv"
+    config = parse_config(SMALL_CONFIG)
     record = whole_file_load_record_csv(str(csv_path))
     record.v_dc_link[0, 0] = float("nan")
-    with TimeSeriesSink(str(csv_path), record.n) as sink:
+    with TimeSeriesSink(str(csv_path), config.params) as sink:
         sink.write_record(record)
     code, captured = _metrics(capsys, caplog, csv_path)
-    assert (code, captured.out) == (2, "")
-    assert captured.err == "error: nominal voltage must be finite and > 0, got nan\n"
+    assert (code, captured.err) == (0, "")
+    expected = summarize(record, None, config.params.v_sm_nominal)
+    assert captured.out == format_metrics_text(expected)
+    run = json.loads((workdir / "out" / "metrics.json").read_text())
+    assert _parse_report(captured.out)["ripple_mean_pct"] == run["ripple_mean_pct"]
+
+
+# 0.05 s back to back at decimation 50: the first kept row's bus is
+# 59,995.86 V, not the run's 60 kV.
+DECIMATED_B2B = "[scenario]\nduration = 0.05\npolicy_schedule = [(0.02, F1V2)]\n\n" \
+                "[output]\ndecimation = 50\n"
+
+
+def test_metrics_of_a_decimated_back_to_back_run_takes_the_run_s_nominal_voltage(
+    workdir, capsys, caplog
+):
+    csv_path = _run_small(workdir, DECIMATED_B2B)
+    kept = whole_file_load_record_csv(csv_path)
+    nominal = parse_config(DECIMATED_B2B).params.v_sm_nominal
+    assert nominal == 10000.0 and float(kept.v_dc_link[0, 0]) / kept.n != nominal
+    code, captured = _metrics(capsys, caplog, csv_path, decimation=50)
+    assert code == 0
+    expected = summarize(kept, None, nominal)
+    assert captured.out == format_metrics_text(expected)
+    assert "ripple_mean_pct = 1.5482329710838458\n" in captured.out
+    _write_metrics_report(expected, str(workdir / "expected.txt"), str(workdir / "expected.json"))
+    for ext in ("txt", "json"):
+        report = (workdir / "out" / f"run.metrics.{ext}").read_bytes()
+        assert report == (workdir / f"expected.{ext}").read_bytes()
 
 
 def test_metrics_default_window_is_the_run_window(workdir, capsys, caplog):
@@ -554,7 +605,7 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
     assert record.steps == BLOCK_STEPS
     whole = workdir / "whole"
     whole.mkdir()
-    with TimeSeriesSink(str(whole / "run.csv"), config.params.n, decimation) as sink:
+    with TimeSeriesSink(str(whole / "run.csv"), config.params, decimation) as sink:
         sink.write_record(record)
     metrics = summarize(record, None, config.params.v_sm_nominal)
     _write_metrics_report(metrics, str(whole / "metrics.txt"), str(whole / "metrics.json"))
@@ -565,12 +616,13 @@ def test_run_writes_the_bytes_of_a_whole_record_write(
         assert (workdir / "out" / name).read_bytes() == (whole / name).read_bytes(), name
 
     # ``metrics`` reads the sidecar block by block; its report is that of
-    # the scalar oracle on the per-field load of the whole CSV.
+    # the scalar oracle on the per-field load of the whole CSV, against
+    # the run's nominal SM voltage.
     csv_path = str(workdir / "out" / "run.csv")
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
     loaded = oracle_load(csv_path)
     expected = reference_summarize(
-        loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
+        loaded, (0.0, float(loaded.times[-1])), config.params.v_sm_nominal
     )
     _write_metrics_report(expected, str(whole / "run.metrics.txt"), str(whole / "run.metrics.json"))
     for name in ("run.metrics.txt", "run.metrics.json"):
@@ -585,7 +637,7 @@ def test_metrics_warns_once_that_a_decimated_sidecar_holds_kept_samples(
     csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode=mode, decimation=decimation))
     data = Path(csv_path + ".rec").read_bytes()
     length = int.from_bytes(data[-24:-16], "little")
-    assert data[-12:] == b"mmcsim-rec-3"
+    assert data[-12:] == b"mmcsim-rec-4"
     assert json.loads(data[-24 - length : -24])["decimation"] == decimation
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
     assert [r.levelname for r in caplog.records] == ["WARNING"] * (decimation > 1)
@@ -599,17 +651,18 @@ def test_metrics_refuses_a_decimated_run_whose_sidecar_is_deleted(workdir, capsy
     _refused(capsys, csv_path, NO_SIDECAR)
 
 
-def _relayout(csv_path, edit, magic):
+def _relayout(csv_path, edit, magic=_MAGIC, steps=lambda data: data, length=len):
     """Give the sidecar of ``csv_path`` the metadata ``edit`` makes of its
-    own and the footer ``magic``, whole: its CRC-32 recomputed."""
+    own (in place, or the text it returns), the steps ``steps`` makes of
+    the bytes of its own, the metadata length ``length`` makes of the
+    text and the footer ``magic``, whole: its CRC-32 recomputed."""
     data = Path(csv_path + ".rec").read_bytes()
     body = len(data) - 24 - int.from_bytes(data[-24:-16], "little")
     meta = json.loads(data[body:-24])
-    edit(meta)
-    tail = json.dumps(meta, sort_keys=True).encode()
-    tail += len(tail).to_bytes(8, "little")
-    tail += zlib.crc32(data[:body] + tail).to_bytes(4, "little")
-    Path(csv_path + ".rec").write_bytes(data[:body] + tail + magic)
+    text = edit(meta)
+    text = text if isinstance(text, bytes) else json.dumps(meta, sort_keys=True).encode()
+    head = steps(data[:body]) + text + length(text).to_bytes(8, "little")
+    Path(csv_path + ".rec").write_bytes(head + zlib.crc32(head).to_bytes(4, "little") + magic)
 
 
 def test_metrics_refuses_beside_a_sidecar_of_the_first_layout(workdir, capsys):
@@ -626,6 +679,82 @@ def test_metrics_refuses_beside_a_sidecar_of_the_second_layout(workdir, capsys):
     csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="back_to_back", decimation=7))
     _relayout(csv_path, lambda meta: meta.update(policies=["V1F2", "F1V2"]), b"mmcsim-rec-2")
     _refused(capsys, csv_path, CUT_SHORT)
+
+
+def test_metrics_refuses_beside_a_sidecar_of_the_third_layout(workdir, capsys):
+    # The third layout's metadata had no nominal SM voltage, and its footer
+    # ended "mmcsim-rec-3"; such a sidecar is not read.
+    csv_path = _run_small(workdir, BLOCK_CONFIG.format(mode="back_to_back", decimation=7))
+    _relayout(csv_path, lambda meta: meta.pop("v_sm_nominal"), b"mmcsim-rec-3")
+    _refused(capsys, csv_path, CUT_SHORT)
+
+
+def _set(key, value):
+    return lambda meta: meta.update({key: value})
+
+
+def _layout_case(name, edit=lambda meta: None, steps=lambda data: data, length=len):
+    return pytest.param(edit, steps, length, id=name)
+
+
+# Sidecars whole by their CRC-32 whose metadata the sink does not write,
+# or whose steps are not whole ones of the layout their metadata name.
+OTHER_LAYOUTS = [
+    # The keys are not exactly csv, decimation, labels, n and v_sm_nominal.
+    *(_layout_case(f"no_{key}", lambda meta, key=key: meta.pop(key))
+      for key in ("csv", "decimation", "labels", "n", "v_sm_nominal")),
+    _layout_case("extra_key", _set("t_s", 2.5e-5)),
+    # The metadata are not a JSON object.
+    _layout_case("list", lambda meta: b"[]"),
+    _layout_case("not_json", lambda meta: b"{not json"),
+    _layout_case("not_utf8", lambda meta: b"\xff\xfe"),
+    # n and decimation are not ints > 0.
+    *(_layout_case(f"{key}_{value!r}", _set(key, value)) for key in ("n", "decimation")
+      for value in (0, -6, 6.0, "6", True, None)),
+    # n too large for the steps' dtype.
+    _layout_case("n_10**8", _set("n", 10**8)),
+    # The labels are not those of a run's phases.
+    *(_layout_case(f"labels_{value!r}", _set("labels", value))
+      for value in (["a", "b"], ["x", "y", "z"], ["1a", "1b", "1c"], "abc", 3)),
+    # v_sm_nominal is not a float (the values a float may not take: see
+    # test_metrics_refuses_a_sm_nominal_voltage_that_is_not_finite).
+    *(_layout_case(f"v_sm_nominal_{value!r}", _set("v_sm_nominal", value))
+      for value in (10000, "10000.0", None, [10000.0])),
+    # The steps are not whole ones of the layout the metadata name.
+    _layout_case("steps_a_byte_short", steps=lambda data: data[:-1]),
+    _layout_case("steps_a_byte_long", steps=lambda data: data + b"\0"),
+    _layout_case("n_7_over_steps_of_6", _set("n", 7)),
+    # The metadata's length reaches before the sidecar's start.
+    _layout_case("length_past_the_start", length=lambda text: len(text) + 10**6),
+]
+
+
+@pytest.mark.parametrize("edit, steps, length", OTHER_LAYOUTS)
+def test_metrics_refuses_a_whole_sidecar_of_another_layout(workdir, capsys, edit, steps, length):
+    csv_path = _run_small(workdir)
+    _relayout(csv_path, edit, steps=steps, length=length)
+    _refused(capsys, csv_path, CUT_SHORT)
+
+
+def test_the_sidecar_layout_is_the_one_its_magic_names(workdir):
+    # A change to the steps' layout or to the metadata keys must bump _MAGIC.
+    assert _MAGIC == b"mmcsim-rec-4"
+    assert _META == ("csv", "decimation", "labels", "n", "v_sm_nominal")
+    assert _step_dtype(1, 3).descr == [
+        ("times", "<f8"), *((name, "<f8", (3,)) for name in ("i", "i_ref", "i_z", "v_up", "v_low")),
+        ("v_c", "<f8", (3, 2)), ("u", "|i1", (3, 2)), ("v_dc_link", "<f8", (3,)),
+        ("i_dc_link", "<f8", (3,)), ("policy", "<u4"),
+    ]
+    assert _step_dtype(6, 6).descr == [
+        ("times", "<f8"), *((name, "<f8", (6,)) for name in ("i", "i_ref", "i_z", "v_up", "v_low")),
+        ("v_c", "<f8", (6, 12)), ("u", "|i1", (6, 12)), ("v_dc_link", "<f8", (6,)),
+        ("i_dc_link", "<f8", (6,)), ("policy", "<u4"),
+    ]
+    # ... and the sink writes those keys.
+    data = Path(_run_small(workdir) + ".rec").read_bytes()
+    length = int.from_bytes(data[-24:-16], "little")
+    assert data[-12:] == _MAGIC
+    assert tuple(json.loads(data[-24 - length : -24])) == _META
 
 
 def test_metrics_on_a_mangled_csv_fails_cleanly(workdir, capsys):
@@ -735,9 +864,11 @@ decimation = {decimation}
 ])
 def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog, text, code):
     csv_path = _run_small(workdir, text, code)
+    config = parse_config(text)
     blocks = _sidecar(csv_path)
-    decimation = next(blocks)
-    assert decimation == parse_config(text).decimation
+    meta = next(blocks)
+    decimation = meta["decimation"]
+    assert (decimation, meta["v_sm_nominal"]) == (config.decimation, config.params.v_sm_nominal)
     sidecar, parsed = list(blocks), list(read_csv_blocks(csv_path))
     assert len(sidecar) == len(parsed) > 0
     for a, b in zip(sidecar, parsed):
@@ -754,7 +885,7 @@ def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog,
     assert [p for block in sidecar for p in block.policy] == loaded.policy
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
     expected = reference_summarize(
-        loaded, (0.0, float(loaded.times[-1])), float(loaded.v_dc_link[0, 0]) / loaded.n
+        loaded, (0.0, float(loaded.times[-1])), config.params.v_sm_nominal
     )
     assert (workdir / "out" / "run.metrics.txt").read_text() == format_metrics_text(expected)
 

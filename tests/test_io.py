@@ -67,6 +67,12 @@ RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
                  "v_dc_link", "i_dc_link")
 
 
+def _stock(n):
+    """The stock converter's parameters at ``n`` SMs per arm: what a sink
+    of a record with ``n`` SMs per arm is given."""
+    return replace(build_stock_system()[0], n=n)
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -392,7 +398,7 @@ def _small_run():
 def test_csv_round_trip_bit_exact(tmp_path):
     params, record = _small_run()
     path = tmp_path / "run.csv"
-    with TimeSeriesSink(str(path), params.n) as sink:
+    with TimeSeriesSink(str(path), params) as sink:
         sink.write_record(record)
     loaded = whole_file_load_record_csv(str(path))
     assert loaded.labels == record.labels
@@ -420,7 +426,7 @@ def test_csv_round_trip_awkward_floats(tmp_path):
         policy=["V1F2", "F1V2"],
     )
     path = tmp_path / "awkward.csv"
-    with TimeSeriesSink(str(path), 1) as sink:
+    with TimeSeriesSink(str(path), _stock(1)) as sink:
         sink.write_record(record)
     loaded = whole_file_load_record_csv(str(path))
     for field in ("times", "i", "i_ref", "v_up", "v_low", "v_c", "i_dc_link"):
@@ -431,7 +437,7 @@ def test_csv_round_trip_awkward_floats(tmp_path):
 def test_csv_decimation_keeps_every_nth_step(tmp_path):
     params, record = _small_run()
     path = tmp_path / "thin.csv"
-    with TimeSeriesSink(str(path), params.n, decimation=40) as sink:
+    with TimeSeriesSink(str(path), params, decimation=40) as sink:
         sink.write_record(record)
     loaded = whole_file_load_record_csv(str(path))
     assert loaded.steps == 2
@@ -440,14 +446,14 @@ def test_csv_decimation_keeps_every_nth_step(tmp_path):
 
 def test_sink_rejects_schema_mismatch(tmp_path):
     _, record = _small_run()
-    with TimeSeriesSink(str(tmp_path / "bad.csv"), 2) as sink:
+    with TimeSeriesSink(str(tmp_path / "bad.csv"), _stock(2)) as sink:
         with pytest.raises(ContractError):
             sink.write_record(record)
 
 
 def test_sink_rejects_backwards_time(tmp_path):
     params, record = _small_run()
-    with TimeSeriesSink(str(tmp_path / "twice.csv"), params.n) as sink:
+    with TimeSeriesSink(str(tmp_path / "twice.csv"), params) as sink:
         sink.write_record(record)
         with pytest.raises(ContractError):
             sink.write_record(record)
@@ -479,7 +485,7 @@ def test_sink_rejects_time_going_backwards_within_a_record(tmp_path):
     times = record.times.copy()
     times[5] = times[3]
     path = tmp_path / "back.csv"
-    with TimeSeriesSink(str(path), record.n) as sink:
+    with TimeSeriesSink(str(path), _stock(record.n)) as sink:
         with pytest.raises(ContractError):
             sink.write_record(replace(record, times=times))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
@@ -492,7 +498,7 @@ def test_sink_refuses_a_time_that_is_not_finite(tmp_path, t, k):
     times = record.times.copy()
     times[k] = t
     path = tmp_path / "time.csv"
-    with TimeSeriesSink(str(path), record.n) as sink:
+    with TimeSeriesSink(str(path), _stock(record.n)) as sink:
         with pytest.raises(ContractError, match="a time that is not finite"):
             sink.write_record(replace(record, times=times))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
@@ -536,7 +542,7 @@ def _fail_formatting(monkeypatch):
 def test_sink_writes_in_one_writer_process(tmp_path, monkeypatch):
     params, record = _small_run()
     pids = _fork_recording(monkeypatch)
-    with TimeSeriesSink(str(tmp_path / "run.csv"), params.n) as sink:
+    with TimeSeriesSink(str(tmp_path / "run.csv"), params) as sink:
         sink.write_record(_steps(record, slice(None, 30)))
         sink.write_record(_steps(record, slice(30, None)))
     assert len(pids) == 1
@@ -550,7 +556,7 @@ def test_a_run_of_one_formatting_block_forks_no_writer(tmp_path, monkeypatch, ca
     params, record = _small_run()
     pids = _fork_recording(monkeypatch)
     one_step = _steps(record, slice(None, 1))
-    with TimeSeriesSink(str(tmp_path / "held.csv"), params.n) as sink:
+    with TimeSeriesSink(str(tmp_path / "held.csv"), params) as sink:
         sink.write_record(one_step)
     assert pids == []
     with OracleSink(str(tmp_path / "oracle.csv"), params.n) as sink:
@@ -576,7 +582,7 @@ def test_a_failed_fork_raises_and_closes_its_pipes(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", failing_fork)
     path = str(tmp_path / "run.csv")
     before = len(os.listdir("/proc/self/fd"))
-    with TimeSeriesSink(path, params.n) as sink:
+    with TimeSeriesSink(path, params) as sink:
         open_fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError) as info:
             sink.write_record(record)
@@ -600,7 +606,7 @@ def test_a_write_failed_in_the_caller_leaves_no_sidecar_metadata(tmp_path, monke
 
     path = str(tmp_path / "run.csv")
     with pytest.raises(type(raised)):
-        with TimeSeriesSink(path, params.n) as sink:
+        with TimeSeriesSink(path, params) as sink:
             sink.write_record(_steps(record, slice(None, 5)))
             monkeypatch.setattr(csvio, "_step_dtype", failing)
             sink.write_record(_steps(record, slice(5, None)))
@@ -613,10 +619,10 @@ def test_a_write_failed_in_the_caller_leaves_no_sidecar_metadata(tmp_path, monke
 
 def test_sink_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):
     params, record = _small_run()
-    with TimeSeriesSink(str(tmp_path / "forked.csv"), params.n, decimation=3) as sink:
+    with TimeSeriesSink(str(tmp_path / "forked.csv"), params, decimation=3) as sink:
         sink.write_record(record)
     monkeypatch.delattr(os, "fork")
-    with TimeSeriesSink(str(tmp_path / "inline.csv"), params.n, decimation=3) as sink:
+    with TimeSeriesSink(str(tmp_path / "inline.csv"), params, decimation=3) as sink:
         sink.write_record(record)
     assert (tmp_path / "inline.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
 
@@ -625,7 +631,7 @@ def test_close_raises_the_writer_failure(tmp_path, monkeypatch):
     params, record = _small_run()
     _fail_formatting(monkeypatch)
     pids = _fork_recording(monkeypatch)
-    sink = TimeSeriesSink(str(tmp_path / "run.csv"), params.n)
+    sink = TimeSeriesSink(str(tmp_path / "run.csv"), params)
     sink.write_record(record)
     with pytest.raises(OSError) as info:
         sink.close()
@@ -641,7 +647,7 @@ def test_a_with_body_that_returns_raises_the_writer_failure(tmp_path, monkeypatc
     pids = _fork_recording(monkeypatch)
     path = str(tmp_path / "run.csv")
     with pytest.raises(OSError) as info:
-        with TimeSeriesSink(path, params.n) as sink:
+        with TimeSeriesSink(path, params) as sink:
             sink.write_record(record)
     assert type(info.value) is OSError
     assert (info.value.errno, str(info.value)) == (errno.ENOSPC, str(NO_SPACE))
@@ -654,7 +660,7 @@ def test_rows_that_end_before_the_sink_closes_end_no_sidecar(tmp_path, monkeypat
     params, record = _small_run()
     pids = _fork_recording(monkeypatch)
     path = str(tmp_path / "run.csv")
-    sink = TimeSeriesSink(path, params.n)
+    sink = TimeSeriesSink(path, params)
     sink.write_record(record)
     # As when the caller dies: the writer sees the pipe end without the sink closing.
     monkeypatch.setattr(csvio.pickle, "dump", lambda *args: None)
@@ -689,7 +695,7 @@ def test_close_names_a_writer_that_was_killed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_float_text, "float_text", killed)
     pids = _fork_recording(monkeypatch)
-    sink = TimeSeriesSink(str(tmp_path / "run.csv"), params.n)
+    sink = TimeSeriesSink(str(tmp_path / "run.csv"), params)
     sink.write_record(record)
     with pytest.raises(OSError, match=r"CSV writer of .*run\.csv' exited with code -9$"):
         sink.close()
@@ -703,7 +709,7 @@ def test_a_diverging_run_reaps_its_writer(tmp_path, monkeypatch):
     path = str(tmp_path / "run.csv")
     pids = _fork_recording(monkeypatch)
     with pytest.raises(SimulationDiverged, match="step 274"):
-        with TimeSeriesSink(path, params.n) as sink:
+        with TimeSeriesSink(path, params) as sink:
             run_scenario(scenario, sink, params=params, grid=grid)
     assert len(pids) == 1
     _assert_reaped(pids)
@@ -722,7 +728,7 @@ def test_a_caller_exception_leaves_the_sink_unchanged(tmp_path, monkeypatch, rai
         _fail_formatting(monkeypatch)
     pids = _fork_recording(monkeypatch)
     with pytest.raises(type(raised)) as info:
-        with TimeSeriesSink(str(tmp_path / "run.csv"), params.n) as sink:
+        with TimeSeriesSink(str(tmp_path / "run.csv"), params) as sink:
             sink.write_record(record)
             raise raised
     assert info.value is raised
@@ -755,9 +761,9 @@ def _writers_end_within(seconds):
 def test_a_sink_closes_while_a_later_one_is_open(tmp_path):
     params, record = _small_run()
     with _writers_end_within(30):
-        first = TimeSeriesSink(str(tmp_path / "first.csv"), params.n)
+        first = TimeSeriesSink(str(tmp_path / "first.csv"), params)
         first.write_record(record)
-        second = TimeSeriesSink(str(tmp_path / "second.csv"), params.n)
+        second = TimeSeriesSink(str(tmp_path / "second.csv"), params)
         second.write_record(record)
         first.close()
         second.close()
@@ -773,7 +779,7 @@ def test_three_open_sinks_close_in_either_order(tmp_path, monkeypatch, order):
     pids = _fork_recording(monkeypatch)
     paths = [str(tmp_path / f"{k}.csv") for k in range(3)]
     with _writers_end_within(30):
-        sinks = [TimeSeriesSink(path, params.n) for path in paths]
+        sinks = [TimeSeriesSink(path, params) for path in paths]
         for sink in sinks:
             sink.write_record(record)
         for k in order:
@@ -794,7 +800,7 @@ def test_a_sidecar_write_failed_after_the_fork_leaves_no_metadata(tmp_path, monk
 
     path = str(tmp_path / "run.csv")
     with pytest.raises(type(raised)):
-        with TimeSeriesSink(path, params.n) as sink:
+        with TimeSeriesSink(path, params) as sink:
             sink.write_record(_steps(record, slice(None, 75)))   # more than a block: forks
             assert len(pids) == 1
             monkeypatch.setattr(csvio, "_step_dtype", failing)
@@ -821,7 +827,7 @@ def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
 
     monkeypatch.setattr(csvio.pickle, "dump", recording_dump)
     path = str(tmp_path / "run.csv")
-    with TimeSeriesSink(path, record.n) as sink:
+    with TimeSeriesSink(path, _stock(record.n)) as sink:
         # The first call fits a block and is formatted in the caller; the
         # last one is the first with F1V2 steps.
         for part in (slice(None, 10), slice(10, 60), slice(60, None)):
@@ -844,7 +850,7 @@ def test_a_sink_writes_both_files_after_the_working_directory_changes(tmp_path, 
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path)
     pids = _fork_recording(monkeypatch)
-    with TimeSeriesSink("run.csv", params.n) as sink:
+    with TimeSeriesSink("run.csv", params) as sink:
         sink.write_record(_steps(record, slice(None, 1)))
         monkeypatch.chdir(tmp_path / "elsewhere")
         sink.write_record(_steps(record, slice(1, None)))   # forks the writer
@@ -871,7 +877,7 @@ def test_a_writer_whose_caller_dies_exits_without_returning(tmp_path):
     if caller == 0:
         sink = None
         try:
-            sink = TimeSeriesSink(path, params.n)
+            sink = TimeSeriesSink(path, params)
             sink.write_record(record)   # forks the writer
         finally:
             # Runs in every process that leaves write_record, by return or raise.
@@ -894,7 +900,7 @@ def test_a_writer_whose_caller_dies_exits_without_returning(tmp_path):
 def test_sink_rejects_a_record_with_other_phases(tmp_path):
     _, record = _small_run()
     path = tmp_path / "phases.csv"
-    with TimeSeriesSink(str(path), record.n) as sink:
+    with TimeSeriesSink(str(path), _stock(record.n)) as sink:
         sink.write_record(_steps(record, slice(None, 5)))
         with pytest.raises(ContractError, match="record has phases"):
             sink.write_record(replace(_steps(record, slice(5, None)),
@@ -910,7 +916,7 @@ def test_sink_rejects_a_nul_character_in_a_label_or_policy_name(tmp_path, field)
     names = list(getattr(record, field))
     names[-1] = names[-1][:1] + "\0" + names[-1][1:]
     path = tmp_path / "nul.csv"
-    with TimeSeriesSink(str(path), record.n) as sink:
+    with TimeSeriesSink(str(path), _stock(record.n)) as sink:
         with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
             sink.write_record(replace(record, **{field: names}))
     assert path.read_bytes() == (",".join(csv_columns(record.n)) + "\n").encode()
@@ -922,7 +928,7 @@ def test_sink_rejects_statuses_other_than_0_or_1(tmp_path, status):
     u = record.u.astype(np.asarray(status).dtype)
     u[7, 1, 3] = status
     path = tmp_path / "status.csv"
-    with TimeSeriesSink(str(path), record.n) as sink:
+    with TimeSeriesSink(str(path), _stock(record.n)) as sink:
         with pytest.raises(ContractError):
             sink.write_record(replace(record, u=u))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
@@ -1009,7 +1015,7 @@ def _check_against_oracles(tmp_path, record, decimation=1, split=None):
         _steps(record, slice(None, split)), _steps(record, slice(split, None))
     ]
     new_path, oracle_path = tmp_path / "new.csv", tmp_path / "oracle.csv"
-    with TimeSeriesSink(str(new_path), record.n, decimation) as sink:
+    with TimeSeriesSink(str(new_path), _stock(record.n), decimation) as sink:
         for part in parts:
             sink.write_record(part)
     with OracleSink(str(oracle_path), record.n) as sink:
@@ -1023,7 +1029,7 @@ def _assert_sidecar_holds(path, record):
     for block and array by array, the blocks the CSV parses to."""
     _assert_same_record(whole_file_load_record_csv(path), record)
     blocks = _sidecar(path)
-    next(blocks)   # the decimation
+    next(blocks)   # the metadata
     sidecar, parsed = list(blocks), list(read_csv_blocks(path))
     assert len(sidecar) == len(parsed) > 0
     for a, b in zip(sidecar, parsed):
@@ -1032,7 +1038,7 @@ def _assert_sidecar_holds(path, record):
 
 # Why the sidecar of a sink that failed part-way, which ends without
 # metadata, or of a sink that kept no step is refused.
-CUT_SHORT = "its sidecar is cut short or of another layout than mmcsim-rec-3"
+CUT_SHORT = "its sidecar is cut short or of another layout than mmcsim-rec-4"
 NO_STEP = "the run kept no step: the CSV contains no data rows"
 
 
@@ -1266,7 +1272,7 @@ def test_load_refuses_a_whitespace_only_line(tmp_path, tiny_csv, blank):
 def test_load_names_a_line_that_is_not_utf8(tmp_path, line, field):
     params, record = _small_run()
     path = tmp_path / "run.csv"
-    with TimeSeriesSink(str(path), params.n) as sink:
+    with TimeSeriesSink(str(path), params) as sink:
         sink.write_record(record)
     lines = path.read_bytes().splitlines(keepends=True)
     assert sum(map(len, lines[: line - 1])) > 8192 or line < 10
@@ -1281,7 +1287,7 @@ def test_load_names_a_line_that_is_not_utf8(tmp_path, line, field):
 def test_a_row_read_before_text_that_does_not_decode_names_its_defect(tmp_path):
     params, record = _small_run()
     path = tmp_path / "run.csv"
-    with TimeSeriesSink(str(path), params.n) as sink:
+    with TimeSeriesSink(str(path), params) as sink:
         sink.write_record(record)
     lines = path.read_bytes().splitlines(keepends=True)
     # Line 200 is in a later 8 KiB text chunk than line 3, in the same block.
@@ -1320,7 +1326,7 @@ def test_sink_refuses_long_labels_and_policies(tmp_path):
     path = tmp_path / "long.csv"
     long_label = replace(record, labels=["a_phase_label_longer_than_any_the_simulator_writes",
                                          "b", "c"], policy=["V1F2"] * steps)
-    with TimeSeriesSink(str(path), 1) as sink:
+    with TimeSeriesSink(str(path), _stock(1)) as sink:
         with pytest.raises(ContractError, match="not those of a run"):
             sink.write_record(long_label)
         with pytest.raises(ContractError, match="'a_policy_name_longer.*not a SortPolicy name"):
@@ -1340,7 +1346,7 @@ def test_sink_refuses_what_its_loader_would_refuse_or_read_otherwise(tmp_path, f
     if field == "policy":
         name = [*record.policy[:3], name, *record.policy[4:]]
     path = tmp_path / "odd.csv"
-    with TimeSeriesSink(str(path), record.n) as sink:
+    with TimeSeriesSink(str(path), _stock(record.n)) as sink:
         with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
             sink.write_record(replace(record, **{field: name}))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
@@ -1384,7 +1390,7 @@ def tiny_sidecar(tmp_path_factory, tiny_csv):
     """The bytes of the sidecar that the sink writes beside ``tiny_csv``."""
     path = tmp_path_factory.mktemp("tiny_run") / "tiny.csv"
     record = oracle_load(_write_lines(path, tiny_csv))
-    with TimeSeriesSink(str(path), 1) as sink:
+    with TimeSeriesSink(str(path), _stock(1)) as sink:
         sink.write_record(record)
     assert path.read_text().splitlines() == tiny_csv
     return Path(f"{path}.rec").read_bytes()
@@ -1419,7 +1425,7 @@ def twelve_steps(tmp_path_factory):
         params=replace(params, n=1), grid=grid,
     )
     path = tmp_path_factory.mktemp("twelve") / "twelve.csv"
-    with TimeSeriesSink(str(path), 1) as sink:
+    with TimeSeriesSink(str(path), _stock(1)) as sink:
         sink.write_record(record)
     return path.read_bytes().splitlines()
 

@@ -13,7 +13,8 @@ accumulator alone is fed synthetic chunks, which is fast enough to
 bound its growth per window step and to show that steps outside the
 window add nothing.  The CSV writer formats a table of about
 ``_BLOCK_CELLS`` cells at once, and its temporaries are bounded per
-cell of such a table.
+cell of such a table.  ``simulate``, which returns a whole record,
+refuses one over ``_RECORD_BUDGET`` bytes before it allocates it.
 """
 
 import dataclasses
@@ -24,15 +25,19 @@ import pytest
 
 from mmcsim.cli import main
 from mmcsim.config import parse_config
+from mmcsim import testbench
 from mmcsim.csvio import _BLOCK_CELLS, TimeSeriesSink, _block_steps, _step_dtype, _write_rows
+from mmcsim.errors import ConfigError
 from mmcsim.metrics import RunRecord, SummaryAccumulator
 from mmcsim.testbench import (
+    _RECORD_BUDGET,
     Scenario,
     _kernel_bytes,
     _step_batch,
     _summarize_batch,
     build_stock_system,
     run_scenario,
+    simulate,
 )
 
 CONFIG = """
@@ -82,7 +87,7 @@ def run_csvs(tmp_path_factory):
         path = str(out / f"run_{duration}.csv")
 
         def run():
-            with TimeSeriesSink(path, config.params.n) as sink:
+            with TimeSeriesSink(path, config.params) as sink:
                 run_scenario(config.scenario, sink, params=config.params, grid=config.grid)
 
         peaks.append(_peak(run))
@@ -210,3 +215,55 @@ def test_the_kernel_holds_the_tables_its_budget_counts(n, mode):
                                      params=params, grid=grid, dc_link=link))
     tables = _kernel_bytes(n, 1, scenario.n_converters, 200)
     assert tables <= peak < tables + (1 << 19)
+
+
+# The whole record of a back-to-back run at n = 6: per step its time, and
+# per phase the RunRecord arrays, 5 + 12 + 2 floats and 12 statuses.
+B2B_STEP_BYTES = 8 + 6 * (19 * 8 + 12)
+
+
+def _b2b(steps):
+    """The stock back-to-back system and a scenario of ``steps`` steps."""
+    params, grid, link, scenario = build_stock_system()
+    return params, grid, link, Scenario(duration=steps * params.T_s, mode="back_to_back",
+                                        p_set=scenario.p_set)
+
+
+def test_simulate_refuses_a_record_over_its_budget_before_it_allocates():
+    # The stock 3 s run's record, 119 MB, fits the budget of 1 GiB; one
+    # step more than the budget holds is refused, with nothing large
+    # allocated and not a step taken.
+    assert _RECORD_BUDGET == 2**30
+    assert 120_000 * B2B_STEP_BYTES == 119_040_000
+    fits = _RECORD_BUDGET // B2B_STEP_BYTES
+    params, grid, link, scenario = _b2b(fits + 1)
+    refused = []
+
+    def call():
+        with pytest.raises(ConfigError) as exc:
+            simulate(scenario, params=params, grid=grid, dc_link=link)
+        refused.append(str(exc.value))
+
+    assert _peak(call) < 1 << 20
+    assert refused == [
+        f"[scenario] duration = {scenario.duration!r} at [converter] n_sm = 6: the record"
+        f" would hold {(fits + 1) * B2B_STEP_BYTES / 2**20:.1f} MiB, over its budget of"
+        " 1024 MiB"
+    ]
+
+
+def test_the_record_budget_counts_the_bytes_of_the_record(monkeypatch):
+    # At a budget of exactly a record's bytes the run is kept; a byte less
+    # refuses it.
+    params, grid, link, scenario = _b2b(40)
+    record = simulate(scenario, params=params, grid=grid, dc_link=link)
+    arrays = [record.times, record.i, record.i_ref, record.i_z, record.v_up, record.v_low,
+              record.v_c, record.u, record.v_dc_link, record.i_dc_link]
+    nbytes = sum(array.nbytes for array in arrays)
+    assert nbytes == 40 * B2B_STEP_BYTES
+    monkeypatch.setattr(testbench, "_RECORD_BUDGET", nbytes)
+    assert simulate(scenario, params=params, grid=grid, dc_link=link).steps == 40
+    monkeypatch.setattr(testbench, "_RECORD_BUDGET", nbytes - 1)
+    refused = r"^\[scenario\] duration = .* at \[converter\] n_sm = 6: the record would hold"
+    with pytest.raises(ConfigError, match=refused):
+        simulate(scenario, params=params, grid=grid, dc_link=link)

@@ -576,7 +576,7 @@ def test_a_record_whose_phases_are_not_a_run_s_is_refused(labels):
 def test_summarize_matches_scalar_oracle_on_reloaded_csv(tmp_path):
     record, params = _stock_record(6, "back_to_back")
     path = tmp_path / "run.csv"
-    with TimeSeriesSink(str(path), params.n, 3) as sink:
+    with TimeSeriesSink(str(path), params, 3) as sink:
         sink.write_record(record)
     loaded = whole_file_load_record_csv(str(path))
     assert loaded.steps == record.steps // 3

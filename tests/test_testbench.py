@@ -506,7 +506,7 @@ def test_run_scenario_rejects_bad_decimation(tmp_path):
     params, _, _, _ = build_stock_system()
     path = tmp_path / "run.csv"
     with pytest.raises(ConfigError):
-        TimeSeriesSink(str(path), params.n, decimation=0)
+        TimeSeriesSink(str(path), params, decimation=0)
     assert not path.exists()
 
 

@@ -3,21 +3,27 @@
     python3 tools/ab_steps.py BASE CHANGE [--pairs 30] [--seed 0] [--workload NAME ...]
 
 BASE and CHANGE are the roots of two checkouts.  For each workload, both
-trees get the same configs, built by BASE's ``perfbench/workloads.py``.
-Each tree first runs them once untimed (bytecode, file cache); then
-``--pairs`` pairs of runs follow, one process at a time, with the tree
-that goes first alternating from pair to pair.  A run is the workload's
-measured commands, each a child process of the tree's
+trees get the same configs of both kinds, ``setup`` and ``measured``,
+built by BASE's ``perfbench/workloads.py``.  Each tree first runs both
+once untimed (bytecode, file cache); then ``--pairs`` pairs of runs
+follow, one process at a time, with the tree that goes first
+alternating from pair to pair.  A tree's turn in a pair is a set-up run
+then a measured one, as ``perfbench/run.py`` alternates them.  A run is
+the workload's commands, each a child process of the tree's
 ``perfbench/child.py``, with the caller's ``PYTHON*`` variables dropped
 and ``PYTHONPATH`` set to the tree's ``src``, as ``perfbench/run.py``
 runs them.  A run's wall time is the sum over its commands and its peak
 RSS the largest ``wait4`` max-RSS.
 
-It prints, per workload and tree, the median and quartiles of the wall
-time, the median peak RSS, the pairs in which CHANGE was faster, and
-the SHA-256 of each output file, which must agree between the trees and
-across all runs.  The last line is the same as JSON.  It exits 1 if a
-command fails or the outputs differ.
+It prints, per workload and tree, the median and quartiles of the
+measured runs' wall time (``wall_s``) and of the set-up runs' wall time
+(``setup_s``), the median peak RSS of the measured runs, the pairs in
+which CHANGE was faster on each time, and the SHA-256 of each output
+file of the measured runs.  The outputs of each kind must agree between
+the trees and across all runs, and the files of each of the workload's
+``same_bytes`` pairs must be byte-identical in every run.  The last line
+is the same as JSON.  It exits 1 if a command fails, the outputs differ
+or a ``same_bytes`` pair differs.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ def _workloads(root: Path):
     return module
 
 
-def _run(root: Path, directory: Path, workload) -> tuple[float, float, dict[str, str]]:
-    """Wall seconds, peak RSS (MiB) and output digests of one run."""
+def _run(root: Path, directory: Path, workload) -> tuple[float, float, dict[str, str], list[str]]:
+    """Wall seconds, peak RSS (MiB), output digests and the ``same_bytes``
+    pairs that differ, of one run."""
     out = directory / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
@@ -66,49 +73,77 @@ def _run(root: Path, directory: Path, workload) -> tuple[float, float, dict[str,
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in workload.outputs
     }
-    return wall, rss, digests
+    differ = [f"{a} != {b}" for a, b in workload.same_bytes
+              if (out / a).read_bytes() != (out / b).read_bytes()]
+    return wall, rss, digests, differ
 
 
 def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
+# A tree's turn in a pair: a set-up run, then a measured one.
+KINDS = ("setup", "measured")
+# The time reported of each kind's runs.
+TIMES = {"measured": "wall_s", "setup": "setup_s"}
+
+
 def compare(base: Path, change: Path, name: str, seed: int, pairs: int, work: Path) -> dict:
     """Run ``pairs`` interleaved pairs of workload ``name`` and summarize them."""
-    workload = _workloads(base).build(name, seed, "measured")
+    module = _workloads(base)
+    workloads = {kind: module.build(name, seed, kind) for kind in KINDS}
     trees = {"base": base, "change": change}
     dirs = {}
     for label in trees:
-        dirs[label] = work / f"{name}-{label}"
-        dirs[label].mkdir()
-        for file, text in workload.configs.items():
-            (dirs[label] / file).write_text(text)
-    runs = {label: [] for label in trees}
-    digests = set()
-    for label, root in trees.items():   # untimed warm-up
-        digests.add(json.dumps(_run(root, dirs[label], workload)[2], sort_keys=True))
+        for kind, workload in workloads.items():
+            dirs[label, kind] = work / f"{name}-{label}-{kind}"
+            dirs[label, kind].mkdir()
+            for file, text in workload.configs.items():
+                (dirs[label, kind] / file).write_text(text)
+    runs = {(label, kind): [] for label in trees for kind in KINDS}
+    digests = {kind: set() for kind in KINDS}
+    differ = set()
+
+    def run(label: str, kind: str) -> tuple[float, float]:
+        wall, rss, outputs, pairs_differ = _run(trees[label], dirs[label, kind], workloads[kind])
+        digests[kind].add(json.dumps(outputs, sort_keys=True))
+        differ.update(f"{kind}: {pair}" for pair in pairs_differ)
+        return wall, rss
+
+    for label in trees:   # untimed warm-up
+        for kind in KINDS:
+            run(label, kind)
     for k in range(pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for label in order:
-            wall, rss, outputs = _run(trees[label], dirs[label], workload)
-            runs[label].append((wall, rss))
-            digests.add(json.dumps(outputs, sort_keys=True))
-    walls = {label: [w for w, _ in r] for label, r in runs.items()}
+            for kind in KINDS:
+                runs[label, kind].append(run(label, kind))
     result = {
         "workload": name,
         "seed": seed,
         "pairs": pairs,
-        "change_faster": sum(c < b for b, c in zip(walls["base"], walls["change"])),
-        "outputs_equal": len(digests) == 1,
-        "outputs": json.loads(min(digests)),
+        "outputs_equal": all(len(d) == 1 for d in digests.values()),
+        "outputs": json.loads(min(digests["measured"])),
+        "same_bytes_equal": not differ,
+        "same_bytes_differ": sorted(differ),
     }
+    for kind, metric in TIMES.items():
+        times = {label: [w for w, _ in runs[label, kind]] for label in trees}
+        result[f"change_faster_{metric}"] = sum(
+            c < b for b, c in zip(times["base"], times["change"])
+        )
+        for label in trees:
+            result.setdefault(label, {}).update({
+                f"{metric}_median": statistics.median(times[label]),
+                f"{metric}_quartiles": _quartiles(times[label]),
+            })
+        result[f"{metric}_change"] = (
+            result["change"][f"{metric}_median"] / result["base"][f"{metric}_median"] - 1
+        )
     for label in trees:
-        result[label] = {
-            "wall_s_median": statistics.median(walls[label]),
-            "wall_s_quartiles": _quartiles(walls[label]),
-            "peak_rss_mb_median": statistics.median(r for _, r in runs[label]),
-        }
-    result["wall_change"] = result["change"]["wall_s_median"] / result["base"]["wall_s_median"] - 1
+        result[label]["peak_rss_mb_median"] = statistics.median(
+            r for _, r in runs[label, "measured"]
+        )
     return result
 
 
@@ -128,18 +163,24 @@ def main(argv: list[str] | None = None) -> int:
             r = compare(base, change, name, args.seed, args.pairs, Path(tmp))
             results.append(r)
             print(f"{name} (seed {args.seed}, {args.pairs} pairs): change faster in"
-                  f" {r['change_faster']}, median wall {r['wall_change']:+.1%},"
-                  f" outputs {'equal' if r['outputs_equal'] else 'DIFFER'}")
+                  f" {r['change_faster_wall_s']} (wall_s), {r['change_faster_setup_s']}"
+                  f" (setup_s); medians wall_s {r['wall_s_change']:+.1%},"
+                  f" setup_s {r['setup_s_change']:+.1%};"
+                  f" outputs {'equal' if r['outputs_equal'] else 'DIFFER'},"
+                  f" same_bytes {'equal' if r['same_bytes_equal'] else 'DIFFER'}")
             for label in ("base", "change"):
-                q = r[label]["wall_s_quartiles"]
-                print(f"  {label:6s} wall_s median {r[label]['wall_s_median']:.4f}"
-                      f" quartiles {q[0]:.4f} {q[2]:.4f}"
-                      f"  peak_rss_mb {r[label]['peak_rss_mb_median']:.2f}")
+                line = f"  {label:6s}"
+                for metric in TIMES.values():
+                    q = r[label][f"{metric}_quartiles"]
+                    line += (f" {metric} median {r[label][f'{metric}_median']:.4f}"
+                             f" quartiles {q[0]:.4f} {q[2]:.4f} ")
+                print(f"{line} peak_rss_mb {r[label]['peak_rss_mb_median']:.2f}")
             for file, digest in r["outputs"].items():
                 print(f"  {file} {digest}")
+            for pair in r["same_bytes_differ"]:
+                print(f"  same_bytes DIFFER: {pair}")
     print(json.dumps(results))
-    return 0 if all(r["outputs_equal"] for r in results) else 1
-
+    return 0 if all(r["outputs_equal"] and r["same_bytes_equal"] for r in results) else 1
 
 if __name__ == "__main__":
     raise SystemExit(main())
