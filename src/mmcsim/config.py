@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import io
 import logging
+import math
 import re
 from dataclasses import dataclass
 
@@ -157,14 +158,27 @@ def _parse_float_list(raw: str, section: str, key: str) -> tuple[float, ...]:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
 
+def _holds_a_sample(window: tuple[float, float], t_s: float, steps: int) -> bool:
+    """Whether ``[t0, t1]`` holds a time the run samples: the float64
+    product ``k * t_s`` that the kernel records, for some k in 1..steps.
+    The products rise with k, and the first one >= t0 is within one of
+    ``ceil(t0 / t_s)``."""
+    t0, t1 = window
+    k = math.ceil(t0 / t_s)
+    return any(t0 <= j * t_s <= t1 for j in range(max(1, k - 1), min(k + 1, steps) + 1))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text.
 
     Missing keys fall back to the stock test-system defaults; unknown
     keys are rejected.  All physical validation of the underlying types
-    runs here, so a returned RunConfig is guaranteed runnable.  A window
+    runs here, so a returned RunConfig is guaranteed runnable, and its
+    summary computable: no ``p_set`` or ``i_amp`` entry gives a current
+    reference amplitude of 0, which the metrics divide by.  A window
     lies inside the run, ``0 <= window_start < window_end <= duration``,
-    by the metrics' own window rule and the run's duration.  The arrays
+    by the metrics' own window rule and the run's duration, and holds a
+    sample time (:func:`_holds_a_sample`).  The arrays
     that the run's kernel allocates must fit ``testbench._KERNEL_BUDGET``,
     which bounds ``n_sm``; nothing is allocated to check it.
     """
@@ -204,9 +218,13 @@ def parse_config(text: str) -> RunConfig:
         scenario = Scenario(
             duration=duration, events=events, mode=mode, p_set=p_set, i_amp=i_amp
         )
-        _signed_amplitudes(scenario, grid)
+        amps = _signed_amplitudes(scenario, grid)
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from exc
+    if 0.0 in amps:   # set by p_set or i_amp: the stock default has none
+        key, raw = ("p_set", raw_p) if raw_p is not None else ("i_amp", raw_i)
+        raise ConfigError(f"[scenario] {key} = {raw}: a converter's current reference"
+                          " amplitude is 0, which the metrics divide by")
     if scenario.n_converters == 2:
         dc_link.check_step(params.T_s)
     kernel_bytes = _kernel_bytes(params.n, 1, scenario.n_converters, _steps(scenario, params))
@@ -238,6 +256,11 @@ def parse_config(text: str) -> RunConfig:
         if window[1] > duration:
             raise ConfigError(f"[output] window_end = {window[1]!r} is after"
                               f" [scenario] duration = {duration!r}")
+        steps = _steps(scenario, params)
+        if not _holds_a_sample(window, params.T_s, steps):
+            raise ConfigError(f"[output] window_start = {window[0]!r} and window_end ="
+                              f" {window[1]!r} hold no sample time k * [converter] t_s ="
+                              f" {params.T_s!r}, for k = 1 to {steps}")
 
     return RunConfig(
         params=params,

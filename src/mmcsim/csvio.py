@@ -11,7 +11,9 @@ The column layout is fixed at sink creation:
 The phases are ``a, b, c`` or ``1a`` to ``2c``, in that order, the
 policies ``V1F2`` or ``F1V2`` (:class:`.SortPolicy`), and switch
 statuses ``u_*`` are 0 or 1: the writer refuses to write anything
-else.  The sink keeps every k-th step (its decimation), counting steps
+else.  A record holds each step's policy as its index in
+:class:`.SortPolicy`; the CSV's text is the only place its name is
+written.  The sink keeps every k-th step (its decimation), counting steps
 across its calls, so a run handed over in chunks writes the bytes of
 one call with the whole record.
 
@@ -23,26 +25,26 @@ dropped from the whole table at once.
 
 A run hands the sink its record chunk by chunk, each a
 :class:`RunRecord`.  The sink checks each chunk's kept steps and packs
-them into a sidecar, the CSV's path plus ``.rec``: fixed-layout records
-(``_step_dtype``), then, once the sink closes unless a write failed,
-JSON metadata (the byte size and CRC-32 of the CSV as written, ``n``,
-the labels, the decimation and the run's nominal SM voltage) and a
-footer ending ``mmcsim-rec-4``; a step's policy is its index in
-:class:`.SortPolicy`.  The CSV
+them into a sidecar, the CSV's path plus ``.rec``: the steps, in the
+layout of a record's step (``metrics._step_dtype``), then, once the
+sink closes unless a write failed, JSON metadata (the byte size and
+CRC-32 of the CSV as written, ``n``, the labels, the decimation and the
+run's nominal SM voltage) and a footer ending ``mmcsim-rec-4``.  The CSV
 is formatted from the sidecar's tables, by a writer process that reads
 them back (see :class:`TimeSeriesSink`), so a run steps while its CSV
 is written.
 ``mmcsim metrics`` reads a run back from the sidecar alone
 (:func:`_sidecar`), and only when the sidecar names the CSV's size and
-CRC-32 and its metadata are of this layout; it refuses anything else,
-naming the reason.  The sidecar also names the decimation and the
+CRC-32, its metadata are of this layout and its steps' policies are
+indices in :class:`.SortPolicy`; it refuses anything else, naming the
+reason.  The sidecar also names the decimation and the
 nominal SM voltage that the ripple is taken against, which the CSV
 cannot tell.  It is read in blocks
 of whole steps, so ``metrics`` holds one block of per-SM state, and a
 block's arrays are views of its table.
 
-The layout is defined once, as a structured row dtype that
-``csv_columns`` and the sidecar's step dtype derive from.
+The layout is defined once, as ``metrics._step_dtype``: the sidecar's
+steps are of it, and ``csv_columns`` derives from it.
 :func:`write_report` writes each command's report files: the text it
 prints, and its numbers as sorted JSON.
 """
@@ -62,7 +64,7 @@ import numpy as np
 
 from .controller import SortPolicy
 from .errors import ConfigError, ContractError
-from .metrics import _PHASES, RunRecord, SummaryMetrics, _binary_statuses, _row_dtype
+from .metrics import _PHASES, RunRecord, SummaryMetrics, _binary_statuses, _step_dtype
 from .model import ConverterParams
 
 __all__ = [
@@ -75,10 +77,7 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 
 # The RunRecord arrays, by name.
-_ARRAYS = ("times", *_row_dtype(1).names[2:-1])
-
-# Each policy name's index in a sidecar: its place in SortPolicy.
-_POLICIES = {policy.value: k for k, policy in enumerate(SortPolicy)}
+_ARRAYS = _step_dtype(1, 1).names
 
 
 # A sidecar ends: JSON metadata, their length, the CRC-32 of all before, _MAGIC.
@@ -88,13 +87,6 @@ _META = ("csv", "decimation", "labels", "n", "v_sm_nominal")   # the metadata ke
 _FOOTER = 8 + 4 + len(_MAGIC)
 # Bytes read at once for a CRC-32: 1 MiB reads cost 2 MiB of peak RSS.
 _IO_BYTES = 1 << 16
-
-
-def _step_dtype(n: int, n_phases: int) -> np.dtype:
-    """One kept step of a sidecar: the RunRecord arrays, then its policy's index in SortPolicy."""
-    row = _row_dtype(n)
-    arrays = [(name, row[name].base, (n_phases, *row[name].shape)) for name in _ARRAYS[1:]]
-    return np.dtype([("times", "f8"), *arrays, ("policy", "u4")]).newbyteorder("<")
 
 
 def _crc32(f, size: int) -> int:
@@ -109,10 +101,10 @@ def csv_columns(n: int) -> list[str]:
     """Column names for a converter with n SMs per arm."""
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
-    dtype = _row_dtype(n)
-    columns: list[str] = []
-    for name in dtype.names:
-        shape = dtype[name].shape
+    dtype = _step_dtype(n, 1)   # a step of one phase
+    columns = ["t", "phase"]
+    for name in dtype.names[1:]:
+        shape = dtype[name].shape[1:]   # a column per SM, or one
         columns += [f"{name}_{j}" for j in range(1, shape[0] + 1)] if shape else [name]
     return columns
 
@@ -155,7 +147,7 @@ def _write_rows(file, table: np.ndarray, labels: list[str], crc: int) -> int:
     status = np.stack([table["u"].astype(np.uint8) + np.uint8(ord("0")),
                        np.full(table["u"].shape, comma)], axis=3)
     label = _padded(labels, ",")
-    policy = _padded(list(_POLICIES), "\n")[table["policy"]]
+    policy = _padded([p.value for p in SortPolicy], "\n")[table["policy"]]
     rows = np.concatenate([
         cells[:, :, 0],
         np.broadcast_to(label, (steps, *label.shape)),
@@ -273,9 +265,9 @@ class TimeSeriesSink:
 
         Raises ContractError, before writing anything, when the record's
         phases are not ``a, b, c`` or ``1a`` to ``2c`` or not those of the
-        rows before it, or when the kept rows have a policy other than
-        ``V1F2`` or ``F1V2``, a time that is not finite, would go backwards
-        in time or hold a status other than 0 or 1.
+        rows before it, or when the kept rows have a policy that is not an
+        integer index in :class:`.SortPolicy`, a time that is not finite,
+        would go backwards in time or hold a status other than 0 or 1.
         """
         if record.n != self.n:
             raise ContractError(f"record has {record.n} SMs per arm, sink expects {self.n}")
@@ -284,10 +276,9 @@ class TimeSeriesSink:
         if self._labels not in (None, record.labels):
             raise ContractError(f"record has phases {record.labels}, sink expects {self._labels}")
         kept = slice((-self._steps - 1) % self.decimation, None, self.decimation)
-        try:
-            policy = [_POLICIES[p] for p in record.policy[kept]]
-        except KeyError as exc:
-            raise ContractError(f"record has the policy {exc}, not a SortPolicy name") from None
+        policy = np.asarray(record.policy[kept])
+        if policy.dtype.kind not in "iu" or not ((policy >= 0) & (policy < len(SortPolicy))).all():
+            raise ContractError("record has a policy that is not an index in SortPolicy")
         times = record.times[kept]
         if not np.isfinite(times).all():
             raise ContractError("record rows would have a time that is not finite")
@@ -309,7 +300,6 @@ class TimeSeriesSink:
             table = np.empty(min(block, times.size - k), dtype)
             for name in _ARRAYS:
                 table[name] = getattr(record, name)[kept][k:k + block]
-            table["policy"] = policy[k:k + block]
             self._rec_crc = zlib.crc32(table, self._rec_crc)
             self._rec.write(table)
             if inline:
@@ -417,7 +407,9 @@ def _sidecar(path: str) -> Iterator:
     of another layout unless its metadata are a JSON object of the keys
     ``_META``, with ``n`` and ``decimation`` ints > 0, the labels of a
     run's phases and ``v_sm_nominal`` a finite float > 0, and its steps
-    are whole ones of the ``_step_dtype`` they name.
+    are whole ones of the ``_step_dtype`` they name, each with a policy
+    index in :class:`.SortPolicy`; a step's policy is checked when its
+    block is read.
     """
     rec = path + _SIDECAR
     layout = f"its sidecar is cut short or of another layout than {_MAGIC.decode()}"
@@ -452,7 +444,7 @@ def _sidecar(path: str) -> Iterator:
                     and type(meta["v_sm_nominal"]) is float and 0.0 < meta["v_sm_nominal"] < np.inf
                     and meta["labels"] in (None, *_PHASES.values())):
                 raise ValueError
-            labels, policies = meta["labels"] or [], list(_POLICIES)
+            labels = meta["labels"] or []
             dtype = _step_dtype(meta["n"], len(labels))   # a ValueError where n is too large
             if start % dtype.itemsize:
                 raise ValueError
@@ -467,8 +459,9 @@ def _sidecar(path: str) -> Iterator:
         yield meta
         f.seek(0)
         for table in _tables(f, dtype, start // dtype.itemsize, _read_steps(meta["n"], len(labels))):
-            yield RunRecord(labels=labels, policy=[policies[j] for j in table["policy"].tolist()],
-                            **{name: table[name] for name in _ARRAYS})
+            if (table["policy"] >= len(SortPolicy)).any():
+                refuse(layout)
+            yield RunRecord(labels=labels, **{name: table[name] for name in _ARRAYS})
 
 
 def format_metrics_text(metrics: SummaryMetrics) -> str:

@@ -1,9 +1,13 @@
 """Post-processing metrics over recorded simulation series.
 
+A record's step has one layout, :func:`_step_dtype`: the run engine's
+chunks, ``simulate``'s whole record and a run's sidecar all hold its
+fields, each step's policy as its index in :class:`.SortPolicy`.
+
 Every metric is a pure function of a recorded series and a time window,
 computed as reductions over the window's slice of the time axis, so
-recomputing from a persisted CSV reproduces the in-memory values
-bit-exactly (from a CSV that keeps every step).  The reductions live in
+recomputing from a run's sidecar reproduces the in-memory values
+bit-exactly (from a sidecar that keeps every step).  The reductions live in
 one place, :class:`SummaryAccumulator`, which takes a record chunk by
 chunk: runs and ``mmcsim metrics`` feed it as they step or read, and
 :func:`summarize` feeds it a whole record at once.  It reduces the
@@ -57,7 +61,7 @@ class RunRecord:
     u: np.ndarray            # (steps, P, 2n) 0/1
     v_dc_link: np.ndarray    # (steps, P) [V]
     i_dc_link: np.ndarray    # (steps, P) [A]
-    policy: list[str]        # (steps,) active policy name per step
+    policy: np.ndarray       # (steps,) <u4: each step's policy, its index in SortPolicy
 
     @property
     def n(self) -> int:
@@ -73,16 +77,17 @@ class RunRecord:
 _PHASES = {"ideal_dc": ["a", "b", "c"], "back_to_back": ["1a", "1b", "1c", "2a", "2b", "2c"]}
 
 
-def _row_dtype(n: int) -> np.dtype:
-    """One step of one phase of a record, one CSV row, in column order; an
-    array field spans one column per SM, and those between ``phase`` and
-    ``policy`` are the RunRecord arrays.  Text fields are objects, so no
-    label is cut short."""
+def _step_dtype(n: int, n_phases: int) -> np.dtype:
+    """One step of a record of ``n_phases`` phases and ``n`` SMs per arm,
+    little-endian: the :class:`RunRecord` arrays, in the CSV's column
+    order, each field one step of its array; ``policy`` is the step's
+    index in :class:`.SortPolicy`.  A run's record, its kernel's chunks
+    and its sidecar's steps all have this layout."""
+    phase, sm = (n_phases,), (n_phases, 2 * n)
     return np.dtype([
-        ("t", np.float64), ("phase", object),
-        *[(name, np.float64) for name in ("i", "i_ref", "i_z", "v_up", "v_low")],
-        ("v_c", np.float64, (2 * n,)), ("u", np.int8, (2 * n,)),
-        ("v_dc_link", np.float64), ("i_dc_link", np.float64), ("policy", object),
+        ("times", "<f8"), *[(key, "<f8", phase) for key in ("i", "i_ref", "i_z", "v_up", "v_low")],
+        ("v_c", "<f8", sm), ("u", "i1", sm),
+        ("v_dc_link", "<f8", phase), ("i_dc_link", "<f8", phase), ("policy", "<u4"),
     ])
 
 

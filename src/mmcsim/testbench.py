@@ -27,8 +27,9 @@ must match byte for byte.  Inputs are validated once, at the boundary
 loop checks no state.  It steps in chunks of 128 steps, and a run that
 diverges is found from the chunk's tables when the chunk ends.  Each
 healthy row's chunk then goes, whole, as a :class:`RunRecord` of views
-of them, to one callable, ``consume(row, record)``, and the last row is
-carried to row 0.  In ``run_scenario`` and ``compare`` it hands row 0's
+of them, each step's policy as its index in ``SortPolicy``, to one
+callable, ``consume(row, record)``, and the last row is carried to row
+0.  In ``run_scenario`` and ``compare`` it hands row 0's
 chunk to the CSV sink, if any, which keeps every k-th step and formats
 them in a second process while the run steps on, then adds the chunk to
 the row's summary, which keeps the per-phase series and reduces the
@@ -66,7 +67,7 @@ import numpy as np
 
 from .controller import _STATUS_FIRST, SortPolicy, _rank
 from .errors import ConfigError, SimulationDiverged
-from .metrics import _PHASES, RunRecord, SummaryAccumulator, SummaryMetrics, _row_dtype
+from .metrics import _PHASES, RunRecord, SummaryAccumulator, SummaryMetrics, _step_dtype
 from .model import ConverterParams
 
 __all__ = [
@@ -343,39 +344,34 @@ def _simulate_batch(
 
     Returns, per scenario, what :func:`simulate` would give for it
     alone: its record, or the :class:`SimulationDiverged` that stopped
-    it.  The chunks are gathered into one array per record field with a
-    row axis, of which each record is a view.  Raises
-    :class:`ConfigError`, before it allocates them, when those arrays
-    would take more than ``_RECORD_BUDGET`` bytes.
+    it.  The chunks are gathered into one array per field of
+    ``_step_dtype``, with a row axis after the step axis, of which each
+    record is a view.  Raises :class:`ConfigError`, before it allocates
+    them, when those arrays would take more than ``_RECORD_BUDGET``
+    bytes.
     """
     labels = _PHASES[scenarios[0].mode]
-    shape = (_steps(scenarios[0], params), len(scenarios), len(labels))
-    fields = _row_dtype(params.n)
-    names = fields.names[2:-1]
-    nbytes = shape[0] * 8 + math.prod(shape) * sum(fields[name].itemsize for name in names)
+    shape = (_steps(scenarios[0], params), len(scenarios))
+    step = _step_dtype(params.n, len(labels))
+    nbytes = math.prod(shape) * step.itemsize
     if nbytes > _RECORD_BUDGET:
         raise ConfigError(f"[scenario] duration = {scenarios[0].duration!r} at [converter] n_sm ="
                           f" {params.n}: the record would hold {nbytes / 2**20:.1f} MiB, over its"
                           f" budget of {_RECORD_BUDGET / 2**20:.0f} MiB")
-    times = np.empty(shape[0])
-    arrays = {name: np.empty((*shape, *fields[name].shape), fields[name].base) for name in names}
-    policies: list[list[str]] = [[] for _ in scenarios]
+    arrays = {name: np.empty((*shape, *step[name].shape), step[name].base) for name in step.names}
+    filled = [0] * len(scenarios)   # each row's steps so far
 
     def collect(row: int, record: RunRecord) -> None:
-        k0 = len(policies[row])
-        k1 = k0 + record.steps
-        times[k0:k1] = record.times
+        k0 = filled[row]
+        filled[row] = k1 = k0 + record.steps
         for name, array in arrays.items():
             array[k0:k1, row] = getattr(record, name)
-        policies[row] += record.policy
 
     failed = _step_batch(scenarios, collect, params=params, grid=grid, dc_link=dc_link)
     return [
         failed.get(row) or RunRecord(
-            times=times, labels=list(labels), policy=policy,
-            **{name: array[:, row] for name, array in arrays.items()},
-        )
-        for row, policy in enumerate(policies)
+            labels=list(labels), **{name: array[:, row] for name, array in arrays.items()})
+        for row in range(len(scenarios))
     ]
 
 
@@ -494,9 +490,11 @@ def _step_batch(
     state, so a failed row steps on with the others until the scan of
     its chunk finds its error.  After each scan, for every row that has
     not failed, in row order, it calls ``consume(row, record)`` with the
-    row's :class:`RunRecord` of the chunk.  A chunk's arrays are valid
-    during the call, and a consumer copies what it keeps: they are views
-    of tables that the next chunk overwrites.  Chunks are
+    row's :class:`RunRecord` of the chunk, each step of its fields shaped
+    as ``metrics._step_dtype`` and its policy each step's index in
+    :class:`SortPolicy`.  A chunk's arrays are valid during the call,
+    and a consumer copies what it keeps: they are views of tables that
+    the next chunk overwrites.  Chunks are
     ``_SCAN_STEPS`` long.  It is no generator, so the ``errstate`` holds
     while the records are built, where failed rows' sums overflow.
 
@@ -530,6 +528,10 @@ def _step_batch(
     n = params.n
     n_legs = len(labels)
     n_rows = len(scenarios)
+    step = _step_dtype(n, n_legs)   # a step of a row's record
+    # Its per-phase fields, in order, and their shapes in a chunk of rows.
+    row_fields = step.names[1:-1]
+    row_shapes = [(-1, n_rows, *step[name].shape) for name in row_fields]
     # Struct-of-arrays layout: leg r = 3*m + p of converter m, phase p
     # of batch row b is held as (b*n_mmc + m, p); arm tables put the arm
     # axis (upper, lower) first, SM tables have it after the phase, and
@@ -552,7 +554,8 @@ def _step_batch(
     # event with k * T_s >= event time.
     event_times = [[t for t, _ in s.events] for s in scenarios]
     choices = [[SortPolicy.V1F2, *(p for _, p in s.events)] for s in scenarios]
-    choice_names = [np.array([p.value for p in c], dtype=object) for c in choices]
+    sort_policies = list(SortPolicy)
+    choice_index = [np.array([sort_policies.index(p) for p in c], step["policy"]) for c in choices]
     choice_status = [np.array([p is SortPolicy.F1V2 for p in c]) * _STATUS_FIRST for c in choices]
     # The SM table of ``_rank``'s status_first for each combination of
     # the rows' policies that a step uses, each built once.
@@ -767,7 +770,7 @@ def _step_batch(
         # The chunk's tables: the grid cosines at t = k * T_s for
         # k = k0..k0+m, one per phase, the current references and the
         # reference part of each step's deadbeat drive, K' * i_ref + v_s,
-        # and each row's policy per step.
+        # and each row's policy per step, as its index in SortPolicy.
         phase_cos = np.array(
             [math.cos(omega * (k * t_s) + off) for k in range(k0, k0 + m + 1)
              for off in _PHASE_OFFSETS]
@@ -780,7 +783,7 @@ def _step_batch(
             np.searchsorted(times, np.arange(k0, k0 + m) * t_s, side="right")
             for times in event_times
         ]
-        policies = [names.take(f).tolist() for names, f in zip(choice_names, in_force)]
+        policies = [index.take(f) for index, f in zip(choice_index, in_force)]
         row_status = list(zip(*(s.take(f).tolist() for s, f in zip(choice_status, in_force))))
         for status in set(row_status) - status_tables.keys():
             status_tables[status] = np.repeat(status, rec_u[0].size // n_rows).reshape(sm)
@@ -798,25 +801,18 @@ def _step_batch(
         _scan_failures(failed, k0, labels, rec_i[now], rec_i_z[now], rec_v_c[now], scanned)
         if len(failed) == n_rows:
             break
-        # Each healthy row's record of the chunk.
-        by_row = (m, n_rows, n_legs)
-        row_v_dc = np.repeat(rec_link[now, :, :n_mmc], 3, axis=-1)
-        row_i_dc = np.repeat(rec_link[now, :, 2:], n_legs, axis=-1)
-        row_v_up, row_v_low = (rec_v_arm[now, a].reshape(by_row) for a in (0, 1))
-        row_v_c = rec_v_c[now].reshape(*by_row, 2 * n)
-        row_u = rec_u[now].reshape(*by_row, 2 * n)
-        row_i, row_i_ref, row_i_z = (
-            x.reshape(by_row) for x in (rec_i[now], rec_i_ref[:m], rec_i_z[now]))
-        for row, row_policy in enumerate(policies):
+        # Each healthy row's record of the chunk: the tables of
+        # ``row_fields``, in that order, as views with a row axis after the
+        # step axis, then each step shaped as ``step``.
+        times = np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s
+        fields = (rec_i[now], rec_i_ref[:m], rec_i_z[now], rec_v_arm[now, 0], rec_v_arm[now, 1],
+                  rec_v_c[now], rec_u[now], np.repeat(rec_link[now, :, :n_mmc], 3, axis=-1),
+                  np.repeat(rec_link[now, :, 2:], n_legs, axis=-1))
+        for row, policy in enumerate(policies):
             if row not in failed:
-                consume(row, RunRecord(
-                    times=np.arange(k0 + 1, k0 + m + 1, dtype=float) * t_s,
-                    labels=list(labels), policy=row_policy,
-                    i=row_i[:, row], i_ref=row_i_ref[:, row], i_z=row_i_z[:, row],
-                    v_up=row_v_up[:, row], v_low=row_v_low[:, row],
-                    v_c=row_v_c[:, row], u=row_u[:, row],
-                    v_dc_link=row_v_dc[:, row], i_dc_link=row_i_dc[:, row],
-                ))
+                consume(row, RunRecord(times=times, labels=list(labels), policy=policy, **{
+                    name: x.reshape(shape)[:, row]
+                    for name, x, shape in zip(row_fields, fields, row_shapes)}))
         for table in (rec_v_c, rec_u, rec_i, rec_i_z, rec_i_arm, rec_link):
             table[0] = table[m]
     return failed

@@ -25,12 +25,14 @@ kernel and the paper's formulas against:
   ``mmcsim.metrics.summarize`` replaces with one array pass, its
   converters grouped by their labels' text (``_mmc_groups``);
 * the run CSV, an export the package writes but does not read:
-  ``oracle_load``, the per-field loader; ``whole_file_load_record_csv``,
-  the loader that parses and checks the whole file at once; and
-  ``read_csv_blocks``, the parse in blocks of whole steps, each checked
-  as it comes, whose errors must be the whole-file load's and whose
-  blocks a run's sidecar must hold one for one
-  (``blockwise_load_record_csv`` joins them).
+  ``csv_row_dtype``, one row of it with its text fields as objects;
+  ``policy_indices``, the names of its policy column as the record's
+  indices in ``SortPolicy``; ``oracle_load``, the per-field loader;
+  ``whole_file_load_record_csv``, the loader that parses and checks
+  the whole file at once; and ``read_csv_blocks``, the parse in blocks
+  of whole steps, each checked as it comes, whose errors must be the
+  whole-file load's and whose blocks a run's sidecar must hold one for
+  one (``blockwise_load_record_csv`` joins them).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import NoReturn
 import numpy as np
 
 from mmcsim.controller import SortPolicy
-from mmcsim.csvio import _row_dtype, csv_columns
+from mmcsim.csvio import csv_columns
 from mmcsim.errors import ConfigError, ContractError, MetricWindowError
 from mmcsim.metrics import RunRecord, SummaryMetrics, _check_window
 from mmcsim.model import ConverterParams
@@ -738,6 +740,25 @@ def reference_summarize(
 # ===== RUN CSV =====
 
 
+def csv_row_dtype(n: int) -> np.dtype:
+    """One row of a run CSV, one step of one phase, in column order; an
+    array field spans one column per SM, and those between ``phase`` and
+    ``policy`` are the per-phase RunRecord arrays.  Text fields are
+    objects, so no label is cut short."""
+    return np.dtype([
+        ("t", np.float64), ("phase", object),
+        *[(name, np.float64) for name in ("i", "i_ref", "i_z", "v_up", "v_low")],
+        ("v_c", np.float64, (2 * n,)), ("u", np.int8, (2 * n,)),
+        ("v_dc_link", np.float64), ("i_dc_link", np.float64), ("policy", object),
+    ])
+
+
+def policy_indices(names) -> np.ndarray:
+    """Each of the policy ``names``, as a record holds it: its index in SortPolicy."""
+    order = [policy.value for policy in SortPolicy]
+    return np.array([order.index(name) for name in names], "<u4")
+
+
 def oracle_load(path):
     """The per-field CSV loader: every field parsed with float() or int()."""
     with open(path, newline="") as f:
@@ -769,7 +790,8 @@ def oracle_load(path):
         u[k, p] = [int(x) for x in row[7 + n2 : 7 + 2 * n2]]
         series["v_dc_link"][k, p] = float(row[7 + 2 * n2])
         series["i_dc_link"][k, p] = float(row[8 + 2 * n2])
-    return RunRecord(times=times, labels=labels, v_c=v_c, u=u, policy=policy, **series)
+    return RunRecord(times=times, labels=labels, v_c=v_c, u=u, policy=policy_indices(policy),
+                     **series)
 
 
 def whole_file_load_record_csv(path: str) -> RunRecord:
@@ -812,7 +834,7 @@ def _schema(path: str, header: str) -> tuple[np.dtype, int]:
     n2 = sum(1 for c in header if c.startswith("v_c_"))
     if n2 == 0 or n2 % 2 or header != csv_columns(n2 // 2):
         raise ContractError(f"{path!r} does not match the run CSV schema")
-    return _row_dtype(n2 // 2), len(header)
+    return csv_row_dtype(n2 // 2), len(header)
 
 
 def _whole_file_parse(path: str) -> RunRecord:
@@ -852,7 +874,7 @@ def _whole_file_parse(path: str) -> RunRecord:
     return RunRecord(
         times=times.copy(),
         labels=labels,
-        policy=policy[:, 0].tolist(),
+        policy=policy_indices(policy[:, 0]),
         **{name: step[name].copy() for name in dtype.names[2:-1]},
     )
 
@@ -897,9 +919,8 @@ def blockwise_load_record_csv(path: str, rows: int | None = None) -> RunRecord:
     blocks = list(read_csv_blocks(path, rows))
     return RunRecord(
         labels=blocks[0].labels,
-        policy=[p for block in blocks for p in block.policy],
         **{name: np.concatenate([getattr(block, name) for block in blocks])
-           for name in ("times", *_row_dtype(1).names[2:-1])},
+           for name in ("times", *csv_row_dtype(1).names[2:])},
     )
 
 
@@ -971,7 +992,7 @@ def read_csv_blocks(path: str, rows: int | None = None) -> Iterator[RunRecord]:
             times = step["t"][:, 0]
             refuse((~np.isfinite(times)).repeat(n_cols), "has a time that is not finite")
             refuse((times < np.r_[last_t, times[:-1]]).repeat(n_cols), "goes back in time")
-            yield RunRecord(times=times, labels=list(labels), policy=policy[:, 0].tolist(),
+            yield RunRecord(times=times, labels=list(labels), policy=policy_indices(policy[:, 0]),
                             **{name: step[name] for name in dtype.names[2:-1]})
             last_t = times[-1]
             del block, text, table, phase, step   # before the next block is read

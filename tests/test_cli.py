@@ -22,12 +22,11 @@ from mmcsim.csvio import (
     _META,
     TimeSeriesSink,
     _sidecar,
-    _step_dtype,
     format_metrics_text,
     write_report,
 )
 from mmcsim.errors import SimulationDiverged
-from mmcsim.metrics import SummaryMetrics, summarize
+from mmcsim.metrics import SummaryMetrics, _step_dtype, summarize
 from mmcsim.testbench import _SCAN_STEPS, run_scenario, simulate
 from per_phase_reference import (
     oracle_load,
@@ -689,6 +688,22 @@ def test_metrics_refuses_beside_a_sidecar_of_the_third_layout(workdir, capsys):
     _refused(capsys, csv_path, CUT_SHORT)
 
 
+@pytest.mark.parametrize("step", [0, -1], ids=["first_block", "last_block"])
+def test_metrics_refuses_a_sidecar_whose_step_names_a_policy_outside_sort_policy(
+        workdir, capsys, step):
+    # Whole by its CRC-32 and of this CSV, but one step's policy is index
+    # 7 of SortPolicy, which has two: a layout the sink does not write.
+    csv_path = _run_small(workdir)   # 400 steps of n = 6 on an ideal bus: two blocks
+
+    def policy_7(data):
+        table = np.frombuffer(data, _step_dtype(6, 3)).copy()
+        table["policy"][step] = 7
+        return table.tobytes()
+
+    _relayout(csv_path, lambda meta: None, steps=policy_7)
+    _refused(capsys, csv_path, CUT_SHORT)
+
+
 def _set(key, value):
     return lambda meta: meta.update({key: value})
 
@@ -835,7 +850,7 @@ def test_metrics_of_a_csv_without_data_rows_exits_2_as_the_parser(workdir, capsy
 
 
 RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u", "v_dc_link",
-                 "i_dc_link")
+                 "i_dc_link", "policy")
 SIDECAR_CONFIG = """
 [converter]
 n_sm = {n}
@@ -872,7 +887,7 @@ def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog,
     sidecar, parsed = list(blocks), list(read_csv_blocks(csv_path))
     assert len(sidecar) == len(parsed) > 0
     for a, b in zip(sidecar, parsed):
-        assert (a.labels, a.policy) == (b.labels, b.policy)
+        assert a.labels == b.labels
         for name in RECORD_ARRAYS:
             x, y = getattr(a, name), getattr(b, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
@@ -882,7 +897,6 @@ def test_the_sidecar_holds_the_blocks_the_csv_parses_to(workdir, capsys, caplog,
     for name in RECORD_ARRAYS:
         joined = np.concatenate([getattr(block, name) for block in sidecar])
         assert joined.tobytes() == getattr(loaded, name).tobytes(), name
-    assert [p for block in sidecar for p in block.policy] == loaded.policy
     assert _metrics(capsys, caplog, csv_path, decimation=decimation)[0] == 0
     expected = reference_summarize(
         loaded, (0.0, float(loaded.times[-1])), config.params.v_sm_nominal

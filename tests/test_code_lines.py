@@ -1,7 +1,12 @@
-"""``tools/code_lines.py``, the code-line count of ``src/``, on a small module."""
+"""``tools/code_lines.py``, the code-line count of ``src/``, on a small
+module and its command line, and the ceiling on the count of ``src/``."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
@@ -67,3 +72,31 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
         f"     1  {tmp_path / 'pkg' / 'b.py'}",
         "    16  total",
     ]
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_code_lines_prints_its_usage_on_help(flag):
+    done = subprocess.run([sys.executable, str(TOOL), flag], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: code_lines.py [-h] [PATH ...]\n")
+
+
+def test_code_lines_refuses_a_path_that_does_not_exist(tmp_path):
+    missing = tmp_path / "missing"
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), str(missing)],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith(f"code_lines.py: error: no such file or directory: {missing}\n")
+    assert "Traceback" not in done.stderr
+
+
+# The code lines of src/ as of the last change to them.  A change that
+# lowers the count lowers this ceiling with it; one that raises it says
+# why in CHANGES.md.
+SRC_CODE_LINES = 1494
+
+
+def test_src_code_lines_stay_under_their_ceiling(capsys):
+    assert _tool().main([str(TOOL.parents[1] / "src")]) == 0
+    total = int(capsys.readouterr().out.splitlines()[-1].split()[0])
+    assert total <= SRC_CODE_LINES, f"src/ has {total} code lines, over its ceiling"

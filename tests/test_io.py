@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import errno
 import json
+import math
 import os
 import pickle
 import re
@@ -58,13 +59,14 @@ from per_phase_reference import (
     blockwise_load_record_csv,
     oracle_load,
     parse_block_rows,
+    policy_indices,
     read_csv_blocks,
     whole_file_load_record_csv,
 )
 import per_phase_reference
 
 RECORD_ARRAYS = ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c", "u",
-                 "v_dc_link", "i_dc_link")
+                 "v_dc_link", "i_dc_link", "policy")
 
 
 def _stock(n):
@@ -320,6 +322,77 @@ def test_a_window_outside_the_run_is_refused(window, match):
     assert cfg.window == (0.0, 0.02)
 
 
+WINDOW_CONFIG = ("[scenario]\nmode = ideal_dc\nduration = 0.01\n\n"
+                 "[output]\nwindow_start = {!r}\nwindow_end = {!r}\n")
+# Sample times of that run, as the kernel records them: k * t_s, float64.
+T_S = 25e-6
+SAMPLE_4, SAMPLE_5 = 4 * T_S, 5 * T_S
+
+
+def _up(t):
+    return math.nextafter(t, 1.0)
+
+
+def _down(t):
+    return math.nextafter(t, 0.0)
+
+
+@pytest.mark.parametrize("window", [
+    (SAMPLE_4, _down(SAMPLE_5)),      # sample 4 alone, at the start
+    (_up(SAMPLE_4), SAMPLE_5),        # sample 5 alone, at the end
+    (0.0, T_S),                       # sample 1 alone: the run records no sample at 0
+    (SAMPLE_4, SAMPLE_5),             # two samples
+], ids=["first_edge", "last_edge", "first_sample", "two"])
+def test_a_window_that_holds_a_sample_time_parses(window):
+    assert parse_config(WINDOW_CONFIG.format(*window)).window == window
+
+
+@pytest.mark.parametrize("window", [
+    (_up(SAMPLE_4), _down(SAMPLE_5)),   # between two samples, by one ulp each side
+    (0.00011, 0.00012),                 # between samples 4 and 5
+    (0.0, _down(T_S)),                  # before the first sample
+], ids=["one_ulp_inside", "between", "before_the_first"])
+def test_a_window_that_holds_no_sample_time_is_refused(window):
+    match = (rf"^\[output\] window_start = {window[0]!r} and window_end = {window[1]!r} hold no"
+             rf" sample time k \* \[converter\] t_s = 2\.5e-05, for k = 1 to 400$")
+    with pytest.raises(ConfigError, match=match):
+        parse_config(WINDOW_CONFIG.format(*window))
+
+
+@pytest.mark.parametrize("mode, key, zero, other", [
+    ("ideal_dc", "p_set", "0.0", "1.0"),
+    ("ideal_dc", "p_set", "-0.0", "-1.0"),
+    ("ideal_dc", "p_set", "5e-324", "1e-300"),   # a power whose amplitude underflows to 0
+    ("ideal_dc", "i_amp", "0", "1e-300"),
+    ("back_to_back", "p_set", "13.18e6, 0.0", "13.18e6, -1.0"),   # either converter's
+    ("back_to_back", "i_amp", "0, 300", "1, 300"),
+])
+def test_a_zero_reference_is_refused(mode, key, zero, other):
+    text = f"[scenario]\nmode = {mode}\n{key} = {{}}\n"
+    match = rf"^\[scenario\] {key} = {zero}: a converter's current reference amplitude is 0,"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text.format(zero))
+    assert parse_config(text.format(other)).scenario.mode == mode
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("text, key", [
+    (WINDOW_CONFIG.format(0.00011, 0.00012), "[output] window_start = 0.00011 and window_end"),
+    ("[scenario]\nmode = ideal_dc\nduration = 0.01\np_set = 0.0\n", "[scenario] p_set = 0.0"),
+], ids=["window_between_samples", "zero_reference"])
+def test_a_config_whose_summary_would_fail_is_refused_before_the_run(
+        tmp_path, monkeypatch, capsys, command, text, key):
+    # Each used to step the whole run and write run.csv, then fail its summary.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    (tmp_path / "a.ini").write_text(text)
+    configs = ["a.ini"] if command == "run" else ["a.ini", "a.ini"]
+    assert main([command, *configs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {key}") and "Traceback" not in err
+    assert [path.name for path in tmp_path.rglob("*")] == ["a.ini"]
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_every_benchmark_config_parses(seed):
     # A config refusal fails here before it fails a benchmark run.
@@ -402,9 +475,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
         sink.write_record(record)
     loaded = whole_file_load_record_csv(str(path))
     assert loaded.labels == record.labels
-    assert loaded.policy == record.policy
-    for field in ("times", "i", "i_ref", "i_z", "v_up", "v_low", "v_c",
-                  "u", "v_dc_link", "i_dc_link"):
+    for field in RECORD_ARRAYS:
         assert np.array_equal(getattr(loaded, field), getattr(record, field)), field
 
 
@@ -423,7 +494,7 @@ def test_csv_round_trip_awkward_floats(tmp_path):
         u=np.zeros((2, 3, 2), dtype=np.int8),
         v_dc_link=np.full(shape, 6e4),
         i_dc_link=np.full(shape, 7.000000000000001),
-        policy=["V1F2", "F1V2"],
+        policy=policy_indices(["V1F2", "F1V2"]),
     )
     path = tmp_path / "awkward.csv"
     with TimeSeriesSink(str(path), _stock(1)) as sink:
@@ -431,7 +502,7 @@ def test_csv_round_trip_awkward_floats(tmp_path):
     loaded = whole_file_load_record_csv(str(path))
     for field in ("times", "i", "i_ref", "v_up", "v_low", "v_c", "i_dc_link"):
         assert np.array_equal(getattr(loaded, field), getattr(record, field)), field
-    assert loaded.policy == ["V1F2", "F1V2"]
+    assert np.array_equal(loaded.policy, policy_indices(["V1F2", "F1V2"]))
 
 
 def test_csv_decimation_keeps_every_nth_step(tmp_path):
@@ -839,7 +910,8 @@ def test_the_writer_pipe_carries_step_ranges_not_steps(tmp_path, monkeypatch):
         first, end = message
         assert (type(first), type(end)) == (int, int) and first < end
         assert len(pickle.dumps(message)) < 1024
-    assert set(record.policy[:60]) == {"V1F2"} and set(record.policy[60:]) == {"F1V2"}
+    assert np.array_equal(record.policy,
+                          policy_indices(["V1F2"] * 60 + ["F1V2"] * (record.steps - 60)))
     _assert_sidecar_holds(path, record)
 
 
@@ -911,13 +983,15 @@ def test_sink_rejects_a_record_with_other_phases(tmp_path):
 @pytest.mark.parametrize("field", ["labels", "policy"])
 def test_sink_rejects_a_nul_character_in_a_label_or_policy_name(tmp_path, field):
     # The writer pads the rows' text with NUL bytes, which it then drops:
-    # a name with a NUL is not a run's phase or policy.
+    # a name with a NUL is not a run's phase, and policy names are not
+    # the indices a record holds.
     _, record = _small_run()
-    names = list(getattr(record, field))
-    names[-1] = names[-1][:1] + "\0" + names[-1][1:]
+    names = (record.labels if field == "labels"
+             else [list(SortPolicy)[j].value for j in record.policy])
+    names = [*names[:-1], names[-1][:1] + "\0" + names[-1][1:]]
     path = tmp_path / "nul.csv"
     with TimeSeriesSink(str(path), _stock(record.n)) as sink:
-        with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
+        with pytest.raises(ContractError, match="not those of a run|not an index in SortPolicy"):
             sink.write_record(replace(record, **{field: names}))
     assert path.read_bytes() == (",".join(csv_columns(record.n)) + "\n").encode()
 
@@ -954,7 +1028,7 @@ class OracleSink:
                 raise ContractError("record rows would go backwards in time")
             self._last_t = t
             t_text = fmt % t
-            policy = record.policy[k]
+            policy = list(SortPolicy)[record.policy[k]].value
             for p, label in enumerate(record.labels):
                 fields = [t_text, label]
                 fields += [
@@ -991,16 +1065,11 @@ def _run(n, mode, duration=0.003):
 
 def _steps(record, sl):
     """The rows of ``record`` selected by the step slice ``sl``."""
-    return replace(
-        record,
-        policy=record.policy[sl],
-        **{name: getattr(record, name)[sl] for name in RECORD_ARRAYS},
-    )
+    return replace(record, **{name: getattr(record, name)[sl] for name in RECORD_ARRAYS})
 
 
 def _assert_same_record(loaded, expected):
     assert loaded.labels == expected.labels
-    assert loaded.policy == expected.policy
     for name in RECORD_ARRAYS:
         a, b = getattr(loaded, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -1100,7 +1169,7 @@ def test_writer_keeps_exact_text_of_signed_zeros_and_nan(tmp_path):
         u=np.zeros((steps, 3, 2), dtype=np.int8),
         v_dc_link=np.full(shape, 6e4),
         i_dc_link=np.zeros(shape),
-        policy=["V1F2"] * steps,
+        policy=np.zeros(steps, "<u4"),   # V1F2
     )
     for decimation in (3, 2, 1):
         _check_against_oracles(tmp_path, record, decimation=decimation)
@@ -1304,7 +1373,8 @@ def test_a_row_read_before_text_that_does_not_decode_names_its_defect(tmp_path):
 
 
 def test_sink_refuses_long_labels_and_policies(tmp_path):
-    # A run's phases are a, b, c or 1a to 2c, its policies SortPolicy's.
+    # A run's phases are a, b, c or 1a to 2c, its policies indices in
+    # SortPolicy: a list of policy names is refused, long or not.
     labels = ["a", "b", "c"]
     policy = ["V1F2", "a_policy_name_longer_than_any_the_simulator_writes"]
     steps = len(policy)
@@ -1325,11 +1395,11 @@ def test_sink_refuses_long_labels_and_policies(tmp_path):
     )
     path = tmp_path / "long.csv"
     long_label = replace(record, labels=["a_phase_label_longer_than_any_the_simulator_writes",
-                                         "b", "c"], policy=["V1F2"] * steps)
+                                         "b", "c"], policy=np.zeros(steps, "<u4"))
     with TimeSeriesSink(str(path), _stock(1)) as sink:
         with pytest.raises(ContractError, match="not those of a run"):
             sink.write_record(long_label)
-        with pytest.raises(ContractError, match="'a_policy_name_longer.*not a SortPolicy name"):
+        with pytest.raises(ContractError, match="a policy that is not an index in SortPolicy"):
             sink.write_record(record)
     assert path.read_text() == ",".join(csv_columns(1)) + "\n"
     _assert_sidecar_refuses(str(path), NO_STEP)
@@ -1338,16 +1408,22 @@ def test_sink_refuses_long_labels_and_policies(tmp_path):
 @pytest.mark.parametrize("field, name", [
     ("labels", ["a", "a", "b"]),     # the parse finds a break in the phase order
     ("labels", ["a", "b\nx", "c"]),  # or a row of 15 fields
-    ("policy", "F1,V2"),             # or a row of 15 fields
-    ("policy", "V1F2\r"),            # the parse reads "V1F2", the sidecar "V1F2\r"
+    ("policy", "V1F2"),              # a list of the run's policy names, not indices
+    ("policy", "F1,V2"),             # ... with one that would make a row of 15 fields
+    ("policy", "V1F2\r"),            # ... or that the parse would read as "V1F2"
+    ("policy", 2),                   # an index past SortPolicy's last
+    ("policy", -1),                  # a negative index of a signed array
 ])
 def test_sink_refuses_what_its_loader_would_refuse_or_read_otherwise(tmp_path, field, name):
     _, record = _small_run()
-    if field == "policy":
-        name = [*record.policy[:3], name, *record.policy[4:]]
+    if field == "policy":   # step 3's policy is ``name``, the others the run's
+        policy = ([list(SortPolicy)[j].value for j in record.policy] if isinstance(name, str)
+                  else record.policy.astype(np.int64))
+        policy[3] = name
+        name = policy
     path = tmp_path / "odd.csv"
     with TimeSeriesSink(str(path), _stock(record.n)) as sink:
-        with pytest.raises(ContractError, match="not those of a run|not a SortPolicy name"):
+        with pytest.raises(ContractError, match="not those of a run|not an index in SortPolicy"):
             sink.write_record(replace(record, **{field: name}))
     assert path.read_text() == ",".join(csv_columns(record.n)) + "\n"
     _assert_sidecar_refuses(str(path), NO_STEP)

@@ -42,6 +42,7 @@ from per_phase_reference import (
     grid_voltage,
     initial_phase_state,
     policy_at,
+    policy_indices,
     reference_current,
 )
 
@@ -143,7 +144,7 @@ def reference_simulate(scenario, *, params, grid, dc_link=None):
         rec_policy.append(policy.value)
 
     return RunRecord(
-        times=times, labels=labels, v_c=rec_v_c, u=rec_u, policy=rec_policy, **rec
+        times=times, labels=labels, v_c=rec_v_c, u=rec_u, policy=policy_indices(rec_policy), **rec
     )
 
 

@@ -26,9 +26,9 @@ import pytest
 from mmcsim.cli import main
 from mmcsim.config import parse_config
 from mmcsim import testbench
-from mmcsim.csvio import _BLOCK_CELLS, TimeSeriesSink, _block_steps, _step_dtype, _write_rows
+from mmcsim.csvio import _BLOCK_CELLS, TimeSeriesSink, _block_steps, _write_rows
 from mmcsim.errors import ConfigError
-from mmcsim.metrics import RunRecord, SummaryAccumulator
+from mmcsim.metrics import RunRecord, SummaryAccumulator, _step_dtype
 from mmcsim.testbench import (
     _RECORD_BUDGET,
     Scenario,
@@ -141,7 +141,7 @@ def _chunks(count):
             times=np.arange(c * CHUNK, (c + 1) * CHUNK) * 1e-3, labels=["a", "b", "c"],
             i=series(), i_ref=series(), i_z=series(), v_up=series(), v_low=series(),
             v_c=series(2), u=rng.integers(0, 2, (CHUNK, 3, 2), dtype=np.int8),
-            v_dc_link=series(), i_dc_link=series(), policy=["F1V2"] * CHUNK,
+            v_dc_link=series(), i_dc_link=series(), policy=np.ones(CHUNK, "<u4"),   # F1V2
         ))
     return chunks
 
@@ -217,9 +217,10 @@ def test_the_kernel_holds_the_tables_its_budget_counts(n, mode):
     assert tables <= peak < tables + (1 << 19)
 
 
-# The whole record of a back-to-back run at n = 6: per step its time, and
-# per phase the RunRecord arrays, 5 + 12 + 2 floats and 12 statuses.
-B2B_STEP_BYTES = 8 + 6 * (19 * 8 + 12)
+# The whole record of a back-to-back run at n = 6: per step its time and
+# its policy's index, and per phase the RunRecord arrays, 5 + 12 + 2 floats
+# and 12 statuses.
+B2B_STEP_BYTES = 8 + 4 + 6 * (19 * 8 + 12)
 
 
 def _b2b(steps):
@@ -230,11 +231,12 @@ def _b2b(steps):
 
 
 def test_simulate_refuses_a_record_over_its_budget_before_it_allocates():
-    # The stock 3 s run's record, 119 MB, fits the budget of 1 GiB; one
+    # The stock 3 s run's record, 119.5 MB, fits the budget of 1 GiB; one
     # step more than the budget holds is refused, with nothing large
     # allocated and not a step taken.
     assert _RECORD_BUDGET == 2**30
-    assert 120_000 * B2B_STEP_BYTES == 119_040_000
+    assert B2B_STEP_BYTES == _step_dtype(6, 6).itemsize == 996
+    assert 120_000 * B2B_STEP_BYTES == 119_520_000
     fits = _RECORD_BUDGET // B2B_STEP_BYTES
     params, grid, link, scenario = _b2b(fits + 1)
     refused = []
@@ -253,14 +255,13 @@ def test_simulate_refuses_a_record_over_its_budget_before_it_allocates():
 
 
 def test_the_record_budget_counts_the_bytes_of_the_record(monkeypatch):
-    # At a budget of exactly a record's bytes the run is kept; a byte less
-    # refuses it.
+    # At a budget of exactly a record's bytes, steps x rows x the bytes of
+    # a step, the run is kept; a byte less refuses it.
     params, grid, link, scenario = _b2b(40)
     record = simulate(scenario, params=params, grid=grid, dc_link=link)
-    arrays = [record.times, record.i, record.i_ref, record.i_z, record.v_up, record.v_low,
-              record.v_c, record.u, record.v_dc_link, record.i_dc_link]
-    nbytes = sum(array.nbytes for array in arrays)
-    assert nbytes == 40 * B2B_STEP_BYTES
+    step = _step_dtype(6, 6)
+    nbytes = sum(getattr(record, name).nbytes for name in step.names)
+    assert nbytes == 40 * 1 * step.itemsize
     monkeypatch.setattr(testbench, "_RECORD_BUDGET", nbytes)
     assert simulate(scenario, params=params, grid=grid, dc_link=link).steps == 40
     monkeypatch.setattr(testbench, "_RECORD_BUDGET", nbytes - 1)

@@ -259,7 +259,7 @@ def _tiny_record():
         u=u,
         v_dc_link=np.full((steps, 3), 60e3),
         i_dc_link=np.zeros((steps, 3)),
-        policy=["V1F2"] * steps,
+        policy=np.zeros(steps, "<u4"),   # V1F2
     )
 
 
@@ -621,7 +621,7 @@ def test_summarize_empty_record_rejected():
         u=record.u[:0],
         v_dc_link=record.v_dc_link[:0],
         i_dc_link=record.i_dc_link[:0],
-        policy=[],
+        policy=record.policy[:0],
     )
     with pytest.raises(MetricWindowError):
         summarize(empty, (0.0, 1.0), 10e3)

@@ -29,7 +29,7 @@ from mmcsim.testbench import (
     run_scenario,
     simulate,
 )
-from per_phase_reference import grid_voltage, policy_at, reference_current
+from per_phase_reference import grid_voltage, policy_at, policy_indices, reference_current
 
 
 # ------------------------------------------------------------ stock system
@@ -226,8 +226,11 @@ def test_policy_events_on_and_one_ulp_off_a_sample():
     ]
     scenario = _short_scenario(16 * t_s, events)
     record = simulate(scenario, params=params, grid=grid)
-    assert record.policy == ["V1F2"] * 3 + ["F1V2"] * 4 + ["V1F2"] * 5 + ["F1V2"] * 4
-    assert record.policy == [policy_at(scenario, k * t_s).value for k in range(16)]
+    assert record.policy.dtype == np.dtype("<u4")
+    names = ["V1F2"] * 3 + ["F1V2"] * 4 + ["V1F2"] * 5 + ["F1V2"] * 4
+    assert np.array_equal(record.policy, policy_indices(names))
+    oracle = [policy_at(scenario, k * t_s).value for k in range(16)]
+    assert np.array_equal(record.policy, policy_indices(oracle))
 
 
 def test_policy_switch_lands_on_exact_step():
@@ -235,7 +238,7 @@ def test_policy_switch_lands_on_exact_step():
     event_t = 5 * params.T_s
     scenario = _short_scenario(10 * params.T_s, [(event_t, SortPolicy.F1V2)])
     record = simulate(scenario, params=params, grid=grid)
-    assert record.policy == ["V1F2"] * 5 + ["F1V2"] * 5
+    assert np.array_equal(record.policy, policy_indices(["V1F2"] * 5 + ["F1V2"] * 5))
 
 
 def test_zero_duration_run():
@@ -437,7 +440,7 @@ def test_simulate_is_deterministic():
     assert np.array_equal(a.i, b.i)
     assert np.array_equal(a.v_c, b.v_c)
     assert np.array_equal(a.u, b.u)
-    assert a.policy == b.policy
+    assert np.array_equal(a.policy, b.policy)
 
 
 def _scratch_call(which: int) -> str:

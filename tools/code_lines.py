@@ -1,16 +1,18 @@
 """Count the code lines of Python modules.
 
-    python3 tools/code_lines.py [PATH ...]
+    python3 tools/code_lines.py [-h] [PATH ...]
 
 A code line is a line that holds a token other than a comment, a line
 break or an indent, and that is not part of the docstring of the
 module, a class or a function.  PATH is a file or a directory, searched
 for ``*.py``; the default is ``src``.  It prints each module's code
-lines, then the total.
+lines, then the total.  A PATH that does not exist ends it with exit
+code 2, naming the path.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 import tokenize
@@ -37,7 +39,14 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(p) for p in argv] or [Path("src")]
+    parser = argparse.ArgumentParser(
+        prog="code_lines.py", description="Count the code lines of Python modules.")
+    parser.add_argument("paths", nargs="*", type=Path, default=[Path("src")], metavar="PATH",
+                        help="a file, or a directory searched for *.py (default: src)")
+    paths = parser.parse_args(argv).paths
+    for p in paths:
+        if not p.exists():
+            parser.error(f"no such file or directory: {p}")
     files = sorted(f for p in paths for f in (p.rglob("*.py") if p.is_dir() else [p]))
     total = 0
     for f in files:
